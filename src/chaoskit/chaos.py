@@ -18,7 +18,12 @@ k_1 + ... + k_d = n,
     I_n(f) = sum over multisets  n!/(k_1! ... k_d!) * f(cells) *
              prod_r delta^(k_r/2) H_{k_r}(xi_{j_r} / sqrt(delta))
 
-with H_k the monic probabilists' Hermite polynomials.
+with H_k the monic probabilists' Hermite polynomials.  Each evaluate_samples
+call compiles its expansions into one plan: their term groups, and for each
+Hermite degree the grid columns some term reads at that degree.  Per block of
+paths, H_k is computed once for exactly those (column, degree) pairs and every
+expansion reads its terms from these shared rows; evaluate_batch is the same
+evaluator on a single expansion.
 """
 
 from __future__ import annotations
@@ -213,6 +218,66 @@ def _plan(kernel: StepKernel) -> list:
     return cached
 
 
+@dataclass(frozen=True)
+class _CompiledPlan:
+    """The term groups of several expansions, read from one shared set of Hermite rows."""
+
+    delta: float
+    # Hermite degree -> ascending grid columns some term reads at that degree
+    columns: dict
+    # Per expansion, in _plan order: (mults, pos, coeffs), where pos[:, r]
+    # locates each term's r-th cell within columns[mults[r]].
+    groups: tuple
+
+
+def _compile(exps: Sequence[ChaosExpansion]) -> _CompiledPlan:
+    plans = [
+        [group for n, k in enumerate(e.kernels) if n >= 1 and k is not None for group in _plan(k)]
+        for e in exps
+    ]
+    refs: dict = {}
+    for plan in plans:
+        for group in plan:
+            for r, k in enumerate(group.mults):
+                refs.setdefault(k, []).append(group.cells[:, r])
+    columns = {k: np.unique(np.concatenate(parts)) for k, parts in refs.items()}
+
+    def positions(group: _PlanGroup) -> np.ndarray:
+        return np.stack(
+            [np.searchsorted(columns[k], group.cells[:, r]) for r, k in enumerate(group.mults)],
+            axis=1,
+        )
+
+    groups = tuple(tuple((g.mults, positions(g), g.coeffs) for g in plan) for plan in plans)
+    return _CompiledPlan(delta=exps[0].grid.delta, columns=columns, groups=groups)
+
+
+def _run_plan(plan: _CompiledPlan, xi: np.ndarray, outs: list) -> None:
+    """Add each compiled expansion's chaos terms at the rows of xi into its out array."""
+    n_samples = xi.shape[0]
+    if n_samples == 0 or not plan.columns:
+        return
+    z = xi / math.sqrt(plan.delta)
+    hrows = {
+        k: hermite_eval(k, z if cols.size == z.shape[1] else np.take(z, cols, axis=1))
+        for k, cols in plan.columns.items()
+    }
+    # Slab the term dimension so the sample-by-term product stays in cache-
+    # friendly memory.
+    slab = max(1, (1 << 22) // n_samples)
+    for out, groups in zip(outs, plan.groups):
+        for mults, pos, coeffs in groups:
+            for lo in range(0, pos.shape[0], slab):
+                part = pos[lo : lo + slab]
+                # np.take returns C order; an axis-1 fancy index returns F order,
+                # which changes the row-sum order and so the bits.
+                prod = np.take(hrows[mults[0]], part[:, 0], axis=1)
+                for r in range(1, len(mults)):
+                    prod *= np.take(hrows[mults[r]], part[:, r], axis=1)
+                # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
+                out += (prod * coeffs[lo : lo + slab]).sum(axis=1)
+
+
 def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
     """Evaluate x pathwise on a (n_samples, m) array of increment vectors."""
     arr = np.asarray(increments, dtype=np.float64)
@@ -220,28 +285,8 @@ def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected increments of shape (n_samples, {x.grid.m}), got {arr.shape}"
         )
-    n_samples = arr.shape[0]
-    out = np.full(n_samples, x.expectation, dtype=np.float64)
-    plans = [(n, _plan(k)) for n, k in enumerate(x.kernels) if k is not None and n >= 1]
-    if not plans or n_samples == 0:
-        return out
-    z = arr / math.sqrt(x.grid.delta)
-    degrees = sorted({k for _, plan in plans for group in plan for k in group.mults})
-    htab = {k: hermite_eval(k, z) for k in degrees}
-    # Slab the term dimension so the sample-by-term product stays in cache-
-    # friendly memory.
-    for _, plan in plans:
-        for group in plan:
-            n_terms = group.cells.shape[0]
-            slab = max(1, (1 << 22) // max(n_samples, 1))
-            for lo in range(0, n_terms, slab):
-                sel = slice(lo, min(n_terms, lo + slab))
-                cells = group.cells[sel]
-                prod = htab[group.mults[0]][:, cells[:, 0]].copy()
-                for r in range(1, len(group.mults)):
-                    prod *= htab[group.mults[r]][:, cells[:, r]]
-                # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
-                out += (prod * group.coeffs[sel]).sum(axis=1)
+    out = np.full(arr.shape[0], x.expectation, dtype=np.float64)
+    _run_plan(_compile([x]), arr, [out])
     return out
 
 
@@ -278,14 +323,15 @@ def evaluate_samples(
             raise ValueError("all expansions must share one grid")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    outs = [np.empty(n_samples, dtype=np.float64) for _ in exps]
+    plan = _compile(exps)
+    outs = [np.full(n_samples, e.expectation, dtype=np.float64) for e in exps]
     starts = list(range(0, n_samples, BLOCK_SIZE))
 
     def run(start: int) -> None:
+        # Threads share the read-only plan and write disjoint row ranges.
         count = min(BLOCK_SIZE, n_samples - start)
         xi = sample_increments_block(grid, stream, start, count)
-        for j, e in enumerate(exps):
-            outs[j][start : start + count] = evaluate_batch(e, xi)
+        _run_plan(plan, xi, [out[start : start + count] for out in outs])
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -51,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-grid", type=_csv_floats, default=None, metavar="T1,T2,...")
     parser.add_argument("--z-grid", type=_csv_floats, default=None, metavar="Z1,Z2,...")
     parser.add_argument("--path-steps", type=int, default=None)
+    parser.add_argument("--n-bins", type=int, default=None, metavar="N", help="decouple only")
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
     return parser
@@ -103,14 +104,14 @@ def main(argv=None) -> int:
             kwargs["c1"] = kwargs["c2"] = kwargs["c3"] = 1.0 / 3.0
         config = ExperimentConfig(experiment=args.experiment, **kwargs)
         report = run_experiment(config)
+        if config.out is not None:
+            save_report(report, config.out, config.fmt)
+            print(config.out)
+        else:
+            print(report_to_json(report))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.out is not None:
-        save_report(report, config.out, config.fmt)
-        print(config.out)
-    else:
-        print(report_to_json(report))
     return 0
 
 

@@ -115,4 +115,6 @@ def sample_increments_block(
     grid: Grid, stream: IncrementStream, start: int, count: int
 ) -> np.ndarray:
     """Increment vectors for sample indices start .. start+count-1, shape (count, m)."""
-    return stream.standard_normal_block(grid.m, start, count) * np.sqrt(grid.delta)
+    block = stream.standard_normal_block(grid.m, start, count)
+    block *= np.sqrt(grid.delta)  # the block is a fresh array, so scale it in place
+    return block

@@ -33,6 +33,7 @@ from .families import diagonal_second_chaos, half_support_second_chaos, simulate
 from .grid import IncrementStream, make_grid
 from .independence import class_a_diagnostic, strongly_independent
 from .stein import (
+    STEIN_MAX_ARG,
     CriterionEstimate,
     _binned_residual_estimate,
     _char_fn_estimate,
@@ -83,14 +84,32 @@ class ExperimentConfig:
         object.__setattr__(self, "z_grid", tuple(float(z) for z in self.z_grid))
         if not self.t_grid or not self.z_grid:
             raise ValueError("t_grid and z_grid must be nonempty")
+        # Every report echoes both grids, so they must be finite even where unused.
+        if not all(math.isfinite(v) for v in self.t_grid + self.z_grid):
+            raise ValueError(
+                f"t_grid and z_grid must be finite, got {self.t_grid} and {self.z_grid}"
+            )
         if not isinstance(self.mc_samples, (int, np.integer)) or self.mc_samples < 2:
             raise ValueError(f"mc_samples must be an integer >= 2, got {self.mc_samples!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"format must be 'json' or 'csv', got {self.fmt!r}")
-        if self.n_bins < 1:
-            raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
+        if (
+            not isinstance(self.n_bins, (int, np.integer))
+            or isinstance(self.n_bins, bool)
+            or self.n_bins < 1
+        ):
+            raise ValueError(f"n_bins must be an integer >= 1, got {self.n_bins!r}")
+        if self.experiment == "decouple":
+            if self.n_bins > self.mc_samples:
+                raise ValueError(
+                    f"n_bins must not exceed mc_samples, got {self.n_bins} > {self.mc_samples}"
+                )
+            if any(abs(z) > STEIN_MAX_ARG for z in self.z_grid):
+                raise ValueError(
+                    f"z_grid entries must satisfy |z| <= {STEIN_MAX_ARG}, got {self.z_grid}"
+                )
         if self.experiment == "counterexample":
             if (
                 not isinstance(self.path_steps, (int, np.integer))
@@ -355,7 +374,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    return json.dumps(report_to_dict(report), indent=2, allow_nan=False)
 
 
 def report_from_json(text: str) -> ExperimentReport:

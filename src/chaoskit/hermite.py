@@ -20,11 +20,13 @@ def hermite_eval(k: int, x):
         raise ValueError(f"degree {k} exceeds the supported maximum {MAX_DEGREE}")
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     arr = np.asarray(x, dtype=np.float64)
-    prev = np.ones_like(arr)
     if k == 0:
-        return float(prev) if scalar else prev
-    cur = arr.copy()
-    for j in range(1, k):
+        return 1.0 if scalar else np.ones_like(arr)
+    if k == 1:
+        return float(arr) if scalar else arr.copy()
+    # H_2 = x^2 - 1 starts the recurrence, so no ones array or copy of x is made.
+    prev, cur = arr, arr * arr - 1.0
+    for j in range(2, k):
         prev, cur = cur, arr * cur - j * prev
     return float(cur) if scalar else cur
 

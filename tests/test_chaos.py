@@ -20,6 +20,7 @@ from chaoskit import (
     fourth_cumulant,
     gamma,
     gamma_residual,
+    half_support_second_chaos,
     inner_product,
     make_grid,
     multiply,
@@ -32,7 +33,12 @@ from chaoskit import (
     symmetrize,
     variance,
 )
-from oracles import batch_fourth_cumulant_se, batch_mean_se
+from oracles import (
+    batch_fourth_cumulant_se,
+    batch_mean_se,
+    evaluate_batch_reference,
+    evaluate_samples_reference,
+)
 
 
 def _sym_kernel(rng, grid, order, scale_=1.0):
@@ -408,6 +414,48 @@ def test_evaluate_samples_worker_count_is_invisible():
     serial = evaluate_samples([x], 20_000, IncrementStream(seed=29), workers=1)[0]
     threaded = evaluate_samples([x], 20_000, IncrementStream(seed=29), workers=4)[0]
     assert np.array_equal(serial, threaded)
+
+
+def _half_support_couple(n):
+    x = half_support_second_chaos(n, 0.5, "left")
+    y = half_support_second_chaos(n, 0.5, "right")
+    return [x, y, gamma(x), gamma(y)]
+
+
+def _dense_with_gamma(m, orders, seed):
+    x = _random_expansion(np.random.default_rng(seed), make_grid(m), orders)
+    return [x, gamma(x)]
+
+
+# Each case is a list of expansions on one grid.  The dense (1, 2, 3) case has
+# multi-cell groups up to order 4 in its Gamma; the dense order-2 case at
+# m = 64 has a (1, 1) group of 2016 terms, more than one 1024-term slab.
+_REFERENCE_CASES = {
+    "half_support_n4": lambda: _half_support_couple(4),
+    "half_support_n256": lambda: _half_support_couple(256),
+    "dense_123_m8": lambda: _dense_with_gamma(8, [1, 2, 3], seed=41),
+    "dense_2_m64": lambda: [_random_expansion(np.random.default_rng(42), make_grid(64), [2])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_samples_matches_reference_bits(case, workers):
+    exps = _REFERENCE_CASES[case]()
+    # 5000 paths leave a tail block after the first 4096
+    want = evaluate_samples_reference(exps, 5000, IncrementStream(seed=43, stream_id=3))
+    got = evaluate_samples(exps, 5000, IncrementStream(seed=43, stream_id=3), workers=workers)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_evaluate_batch_matches_reference_bits(case):
+    exps = _REFERENCE_CASES[case]()
+    xi = sample_increments_block(exps[0].grid, IncrementStream(seed=44), 0, 5000)
+    for e in exps:
+        assert np.array_equal(evaluate_batch(e, xi), evaluate_batch_reference(e, xi))
+        assert np.array_equal(evaluate_batch(e, xi[:1]), evaluate_batch_reference(e, xi[:1]))
 
 
 def test_evaluate_samples_requires_common_grid():

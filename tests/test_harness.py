@@ -9,6 +9,7 @@ import pytest
 
 from chaoskit import (
     ExperimentConfig,
+    IncrementStream,
     ExperimentReport,
     report_from_json,
     report_to_csv,
@@ -96,6 +97,23 @@ def test_config_misc_validation():
         _small_decouple(t_grid=())
     with pytest.raises(ValueError):
         _small_decouple(n_bins=0)
+
+
+def test_config_rejects_unusable_grids_and_bins():
+    with pytest.raises(ValueError, match="finite"):
+        _small_decouple(t_grid=(1.0, math.nan))
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentConfig(experiment="counterexample", z_grid=(math.inf,))
+    with pytest.raises(ValueError, match="z_grid"):
+        _small_decouple(z_grid=(0.0, 40.5))
+    with pytest.raises(ValueError, match="n_bins"):
+        _small_decouple(n_bins="7")
+    with pytest.raises(ValueError, match="n_bins"):
+        _small_decouple(n_bins=4001)
+    _small_decouple(n_bins=4000, z_grid=(-40.0, 40.0))
+    # the Stein bound and the n_bins <= mc_samples bound apply where they are read
+    ExperimentConfig(experiment="class_a", z_grid=(100.0,), mc_samples=16)
+    ExperimentConfig(experiment="counterexample", mc_samples=16)
 
 
 def test_config_echo_excludes_presentation_fields():
@@ -250,6 +268,12 @@ def test_report_dict_shape():
     json.dumps(d)  # must be JSON-ready as-is
 
 
+def test_report_json_rejects_nan():
+    report = ExperimentReport(config={}, records=[{"mc": {"value": math.nan}}], runtime_ms=1.0)
+    with pytest.raises(ValueError):
+        report_to_json(report)
+
+
 def test_report_csv_layout():
     report = run_experiment(_small_decouple())
     text = report_to_csv(report)
@@ -327,6 +351,37 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["config"]["seed"] == 9
     assert data["config"]["mc_samples"] == 2000
+
+
+def test_cli_n_bins_flag(capsys):
+    code = cli_main(_cli_args("--n-bins", "8"))
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["config"]["n_bins"] == 8
+    assert data["records"][0]["mc"]["crit_x"]["conditional"]["n_bins"] == 8.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decouple", "--t-grid", "nan,inf"],
+        ["decouple", "--z-grid", "100"],
+        ["decouple", "--mc", "10"],  # below the default n_bins of 32
+        ["decouple", "--config", "{conf}"],
+    ],
+)
+def test_cli_bad_config_fails_before_sampling(argv, tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"n_bins": "7"}))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a rejected config must not sample")
+
+    monkeypatch.setattr(IncrementStream, "standard_normal_block", no_draws)
+    code = cli_main([a.format(conf=conf) for a in argv])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_cli_rejects_unknown_config_fields(tmp_path, capsys):

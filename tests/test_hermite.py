@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chaoskit import IncrementStream, hermite_eval, hermite_table
-from oracles import batch_mean_se
+from oracles import batch_mean_se, hermite_recurrence
 
 # Explicit monic forms for cross-checking the recurrence.
 EXPLICIT = {
@@ -34,6 +34,15 @@ def test_recurrence_matches_explicit_polynomials(k):
     want = EXPLICIT[k](x)
     scale = np.maximum(np.abs(want), 1.0)
     assert np.max(np.abs(got - want) / scale) <= 1e-10
+
+
+def test_eval_matches_recurrence_bits():
+    x = np.concatenate([np.linspace(-6.0, 6.0, 97), np.random.default_rng(5).standard_normal(64)])
+    for k in range(65):
+        assert np.array_equal(hermite_eval(k, x), hermite_recurrence(k, x))
+        for v in (x[3], float(x[70]), np.float64(-0.25), np.array(1.5)):
+            got, want = hermite_eval(k, v), hermite_recurrence(k, v)
+            assert type(got) is float and got == want
 
 
 def test_table_matches_pointwise_eval():
