@@ -9,7 +9,14 @@ grid increments.  On a fixed grid the classical identities hold exactly:
     Gamma functional <DF, D(-L)^{-1} G> expands through (l+1)-fold contractions
 
 so second moments, fourth cumulants and Gamma residuals are computed
-algebraically, with Monte Carlo reserved for distributional quantities.
+algebraically, with Monte Carlo reserved for distributional quantities.  The
+fourth cumulant uses iterated Gamma functionals (Nourdin & Peccati 2010),
+
+    k4(F) = 6 E[F Gamma_2(F)],   Gamma_1(F) = <DF, D(-L)^{-1} F>,
+    Gamma_2(F) = <DF, D(-L)^{-1}(Gamma_1(F) - E Gamma_1(F))>,
+
+so for top order N no kernel above order 2N - 2 is formed; `multiply` is
+algebra for callers, not a step of any cumulant.
 
 Pathwise evaluation uses the diagonal-free multiple-integral formula: for a
 symmetric kernel f and a cell multiset {j_1^(k_1), ..., j_d^(k_d)} with
@@ -346,6 +353,28 @@ def evaluate_samples(
 # Algebra: products, moments, Gamma functionals
 
 
+def _accumulate(grid: Grid, terms) -> ChaosExpansion:
+    """Expansion sum of coef * sym(f ox_ell g) over the (coef, f, g, ell) terms.
+
+    Terms are added into their output-order slot in the order given, so a fixed
+    term order fixes the bits.
+    """
+    acc: dict = {}
+    for coef, f, g, ell in terms:
+        term = symmetrize(contract(f, g, ell))
+        slot = term.order
+        if slot in acc:
+            acc[slot] = acc[slot] + coef * term.values
+        else:
+            acc[slot] = coef * term.values
+    if not acc:
+        return constant(grid, 0.0)
+    slots = [None] * (max(acc) + 1)
+    for slot, vals in acc.items():
+        slots[slot] = step_kernel(grid, slot, vals, copy=False)
+    return _expansion(grid, slots)
+
+
 def multiply(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
     """Product of two expansions via the multiple-integral product formula.
 
@@ -363,25 +392,15 @@ def multiply(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
         raise ValueError(
             f"product order {out_max} exceeds the supported maximum {MAX_PRODUCT_ORDER}"
         )
-    acc: dict = {}
-    for p in x_orders:
-        f = x.kernels[p]
-        for q in y_orders:
-            g = y.kernels[q]
-            for ell in range(min(p, q) + 1):
-                coef = (
-                    math.factorial(ell) * math.comb(p, ell) * math.comb(q, ell)
-                )
-                term = symmetrize(contract(f, g, ell))
-                slot = p + q - 2 * ell
-                if slot in acc:
-                    acc[slot] = acc[slot] + coef * term.values
-                else:
-                    acc[slot] = coef * term.values
-    slots = [None] * (max(acc) + 1)
-    for slot, vals in acc.items():
-        slots[slot] = step_kernel(x.grid, slot, vals, copy=False)
-    return _expansion(x.grid, slots)
+    terms = (
+        (math.factorial(ell) * math.comb(p, ell) * math.comb(q, ell), f, g, ell)
+        for p, f in enumerate(x.kernels)
+        if f is not None
+        for q, g in enumerate(y.kernels)
+        if g is not None
+        for ell in range(min(p, q) + 1)
+    )
+    return _accumulate(x.grid, terms)
 
 
 def second_moment(x: ChaosExpansion) -> float:
@@ -402,46 +421,48 @@ def _require_centered(x: ChaosExpansion, what: str) -> None:
         raise ValueError(f"{what} requires a centered expansion (order-0 slot is {x.expectation})")
 
 
-def _fourth_cumulant_single(f: StepKernel) -> float:
-    """Fourth cumulant of I_q(f) through contraction norms.
-
-    k4 = sum_{p=1}^{q-1} [ (q! C(q,p))^2 ||f ox_p f||^2
-                           + (p! C(q,p)^2)^2 (2q-2p)! ||sym(f ox_p f)||^2 ]
-
-    This is the product-formula expansion of E[X^4] - 3 E[X^2]^2 with the
-    order-2q term eliminated, so no tensor above order 2q - 2 is formed.
-    """
-    q = f.order
-    total = 0.0
-    for p in range(1, q):
-        raw = contract(f, f, p)
-        sym = symmetrize(raw)
-        total += (math.factorial(q) * math.comb(q, p)) ** 2 * inner_product(raw, raw)
-        total += (
-            (math.factorial(p) * math.comb(q, p) ** 2) ** 2
-            * math.factorial(2 * q - 2 * p)
-            * inner_product(sym, sym)
-        )
-    return total
-
-
 def fourth_cumulant(x: ChaosExpansion) -> float:
     """k4(x) = E[x^4] - 3 E[x^2]^2 for a centered expansion, exact.
 
-    Single-order inputs use the contraction-norm expansion, which never forms
-    a kernel above order 2n - 2; mixed-order inputs square the expansion via
-    the product formula.
+    Through iterated Gamma (Nourdin & Peccati, Cumulants on the Wiener space,
+    2010): k_{s+1}(x) = s! E[Gamma_s(x)] with Gamma_0 = x and
+    Gamma_s = <Dx, D(-L)^{-1}(Gamma_{s-1} - E Gamma_{s-1})>.  For centered x,
+    E[<Dx, D(-L)^{-1} G>] = E[x G] = sum_n n! <f_n, g_n>, so
+
+        k4(x) = 3! E[Gamma_3(x)] = 6 * sum_n n! <f_n, Gamma_2(x)_n>
+
+    with Gamma_2 built only at the orders x has.  For top order N the largest
+    kernel formed is Gamma_1's, of order 2N - 2.
     """
     _require_centered(x, "fourth_cumulant")
     orders = [n for n in x.nonzero_orders() if n >= 1]
-    if not orders:
-        return 0.0
-    if len(orders) == 1:
-        if orders[0] == 1:
-            return 0.0
-        return _fourth_cumulant_single(x.kernels[orders[0]])
-    squared = multiply(x, x)
-    return second_moment(squared) - 3.0 * second_moment(x) ** 2
+    g1_centered = _expansion(x.grid, [None, *gamma(x).kernels[1:]])
+    g2 = _cross_gamma(x, g1_centered, keep=frozenset(orders))
+    total = 0.0
+    for n in orders:
+        g = g2.kernel(n)
+        if g is not None:
+            total += math.factorial(n) * inner_product(x.kernels[n], g)
+    return 6.0 * total
+
+
+def _cross_gamma(x: ChaosExpansion, y: ChaosExpansion, keep=None) -> ChaosExpansion:
+    # cross_gamma restricted to the output orders in keep (all when None):
+    # contractions whose output order is never read are not formed.
+    if x.grid != y.grid:
+        raise ValueError("grid mismatch")
+    _require_centered(x, "cross_gamma")
+    _require_centered(y, "cross_gamma")
+    terms = (
+        (n * math.factorial(k) * math.comb(n - 1, k) * math.comb(m - 1, k), f, g, k + 1)
+        for n, f in enumerate(x.kernels)
+        if n >= 1 and f is not None
+        for m, g in enumerate(y.kernels)
+        if m >= 1 and g is not None
+        for k in range(min(n, m))
+        if keep is None or n + m - 2 - 2 * k in keep
+    )
+    return _accumulate(x.grid, terms)
 
 
 def cross_gamma(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
@@ -455,38 +476,7 @@ def cross_gamma(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
     which follows from Dx = sum_n n I_{n-1}(f_n(., t)) and
     D(-L)^{-1} y = sum_m I_{m-1}(g_m(., t)) plus the product formula.
     """
-    if x.grid != y.grid:
-        raise ValueError("grid mismatch")
-    _require_centered(x, "cross_gamma")
-    _require_centered(y, "cross_gamma")
-    acc: dict = {}
-    for n in x.nonzero_orders():
-        if n < 1:
-            continue
-        f = x.kernels[n]
-        for m_ord in y.nonzero_orders():
-            if m_ord < 1:
-                continue
-            g = y.kernels[m_ord]
-            for k in range(min(n, m_ord)):
-                coef = (
-                    n
-                    * math.factorial(k)
-                    * math.comb(n - 1, k)
-                    * math.comb(m_ord - 1, k)
-                )
-                term = symmetrize(contract(f, g, k + 1))
-                slot = n + m_ord - 2 - 2 * k
-                if slot in acc:
-                    acc[slot] = acc[slot] + coef * term.values
-                else:
-                    acc[slot] = coef * term.values
-    if not acc:
-        return constant(x.grid, 0.0)
-    slots = [None] * (max(acc) + 1)
-    for slot, vals in acc.items():
-        slots[slot] = step_kernel(x.grid, slot, vals, copy=False)
-    return _expansion(x.grid, slots)
+    return _cross_gamma(x, y)
 
 
 def gamma(x: ChaosExpansion) -> ChaosExpansion:

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -93,6 +94,14 @@ class ExperimentConfig:
             raise ValueError(f"mc_samples must be an integer >= 2, got {self.mc_samples!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # Every report echoes the split, so it must be finite even where unused.
+        for name in ("c1", "c2", "c3"):
+            value = getattr(self, name)
+            if value is None and name == "c3":
+                continue
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"format must be 'json' or 'csv', got {self.fmt!r}")
         if (

@@ -7,6 +7,10 @@ trusted.
 
 The reference evaluator is the straightforward per-expansion form of the
 pathwise evaluator.  The library's evaluator must reproduce it bit for bit.
+
+The reference fourth cumulant is the earlier two-branch route: contraction
+norms for a single order and E[X^4] - 3 E[X^2]^2 through `multiply(x, x)` for
+mixed orders, which forms order-2N kernels.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ import math
 
 import numpy as np
 
-from chaoskit.chaos import _plan
+from chaoskit.chaos import _plan, multiply, second_moment
 from chaoskit.grid import BLOCK_SIZE
+from chaoskit.kernels import contract, inner_product, symmetrize
 
 
 def batch_mean_se(values: np.ndarray, n_batches: int = 20) -> tuple:
@@ -87,3 +92,46 @@ def evaluate_samples_reference(exps, n_samples: int, stream) -> list:
         for out, e in zip(outs, exps):
             out[start : start + count] = evaluate_batch_reference(e, xi)
     return outs
+
+
+def _fourth_cumulant_single(f) -> float:
+    """Fourth cumulant of I_q(f) through contraction norms.
+
+    k4 = sum_{p=1}^{q-1} [ (q! C(q,p))^2 ||f ox_p f||^2
+                           + (p! C(q,p)^2)^2 (2q-2p)! ||sym(f ox_p f)||^2 ]
+
+    This is the product-formula expansion of E[X^4] - 3 E[X^2]^2 with the
+    order-2q term eliminated, so no tensor above order 2q - 2 is formed.
+    """
+    q = f.order
+    total = 0.0
+    for p in range(1, q):
+        raw = contract(f, f, p)
+        sym = symmetrize(raw)
+        total += (math.factorial(q) * math.comb(q, p)) ** 2 * inner_product(raw, raw)
+        total += (
+            (math.factorial(p) * math.comb(q, p) ** 2) ** 2
+            * math.factorial(2 * q - 2 * p)
+            * inner_product(sym, sym)
+        )
+    return total
+
+
+def fourth_cumulant_reference(x) -> float:
+    """k4(x) = E[x^4] - 3 E[x^2]^2 for a centered expansion, exact.
+
+    Single-order inputs use the contraction-norm expansion, which never forms
+    a kernel above order 2n - 2; mixed-order inputs square the expansion via
+    the product formula.
+    """
+    if x.expectation != 0.0:
+        raise ValueError("fourth_cumulant requires a centered expansion")
+    orders = [n for n in x.nonzero_orders() if n >= 1]
+    if not orders:
+        return 0.0
+    if len(orders) == 1:
+        if orders[0] == 1:
+            return 0.0
+        return _fourth_cumulant_single(x.kernels[orders[0]])
+    squared = multiply(x, x)
+    return second_moment(squared) - 3.0 * second_moment(x) ** 2

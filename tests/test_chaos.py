@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoskit import (
     ChaosExpansion,
@@ -11,6 +13,7 @@ from chaoskit import (
     add,
     chaos_expansion,
     constant,
+    contract,
     cross_gamma,
     evaluate,
     evaluate_batch,
@@ -33,11 +36,13 @@ from chaoskit import (
     symmetrize,
     variance,
 )
+from chaoskit.harness import EXACT_IDENTITY_RTOL
 from oracles import (
     batch_fourth_cumulant_se,
     batch_mean_se,
     evaluate_batch_reference,
     evaluate_samples_reference,
+    fourth_cumulant_reference,
 )
 
 
@@ -280,7 +285,7 @@ def test_fourth_cumulant_rejects_nonzero_mean():
 
 @pytest.mark.parametrize("order,m", [(2, 4), (3, 4), (2, 6)])
 def test_fourth_cumulant_paths_agree(order, m):
-    # contraction-norm path (single order) vs product-formula path
+    # iterated-Gamma route vs E[X^4] - 3 E[X^2]^2 through the product formula
     rng = np.random.default_rng(order * 100 + m)
     g = make_grid(m)
     x = single_chaos(_sym_kernel(rng, g, order))
@@ -312,6 +317,67 @@ def test_fourth_cumulant_additive_for_disjoint_single_chaos():
     total = fourth_cumulant(add(x, y))
     parts = fourth_cumulant(x) + fourth_cumulant(y)
     assert abs(total - parts) <= 1e-10 * max(1.0, abs(parts))
+
+
+# The iterated-Gamma route and the earlier contraction-norm / product route
+# sum the same quantity in different orders, so they agree to rounding.
+ROUTE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize(
+    "orders,m",
+    [((1, 2), 16), ((2, 3), 8), ((1, 2, 3), 8), ((1, 3), 10), ((2,), 16), ((3,), 16)],
+)
+def test_fourth_cumulant_matches_reference_route(orders, m):
+    rng = np.random.default_rng([23, m, *orders])
+    x = _random_expansion(rng, make_grid(m), list(orders))
+    got, want = fourth_cumulant(x), fourth_cumulant_reference(x)
+    assert abs(got - want) <= ROUTE_RTOL * abs(want), (got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.sets(st.sampled_from((1, 2, 3)), min_size=1),
+    st.integers(0, 2**32 - 1),
+)
+def test_fourth_cumulant_matches_reference_route_property(m, orders, seed):
+    x = _random_expansion(np.random.default_rng(seed), make_grid(m), sorted(orders))
+    got, want = fourth_cumulant(x), fourth_cumulant_reference(x)
+    # The product route forms k4 as E[X^4] - 3 E[X^2]^2, so its rounding
+    # scales with E[X^2]^2 even where k4 nearly cancels.
+    assert abs(got - want) <= ROUTE_RTOL * max(abs(want), second_moment(x) ** 2), (got, want)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 256])
+def test_fourth_cumulant_reference_bits_on_decouple_couples(n):
+    x = half_support_second_chaos(n, 0.5, "left")
+    y = half_support_second_chaos(n, 0.5, "right")
+    for e in (x, y, add(x, y)):
+        assert fourth_cumulant(e) == fourth_cumulant_reference(e)
+
+
+@pytest.mark.parametrize("orders,m", [((1, 2), 128), ((2, 3), 24)])
+def test_fourth_cumulant_beyond_product_route_limit(orders, m):
+    # Each order lives on its own half of the grid, so the parts are
+    # independent and k4 is additive.  Squaring through `multiply` would form
+    # an order-2N kernel above the dense-storage limit.
+    rng = np.random.default_rng([29, m])
+    g = make_grid(m)
+    half = m // 2
+    parts = []
+    for i, n in enumerate(orders):
+        vals = np.zeros((m,) * n)
+        vals[(slice(i * half, (i + 1) * half),) * n] = rng.uniform(-1.0, 1.0, (half,) * n)
+        parts.append(single_chaos(symmetrize(step_kernel(g, n, vals))))
+    x = add(parts[0], parts[1])
+    top = x.kernels[x.max_order]
+    with pytest.raises(ValueError, match="dense-storage"):
+        contract(top, top, 0)  # the order-2N term of multiply(x, x)
+    total = fourth_cumulant(x)
+    split = fourth_cumulant(parts[0]) + fourth_cumulant(parts[1])
+    assert split > 0.0
+    assert abs(total - split) <= EXACT_IDENTITY_RTOL * abs(split), (total, split)
 
 
 # ---------------------------------------------------------------------------

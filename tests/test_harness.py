@@ -116,6 +116,17 @@ def test_config_rejects_unusable_grids_and_bins():
     ExperimentConfig(experiment="counterexample", mc_samples=16)
 
 
+@pytest.mark.parametrize(
+    "field,value", [("c1", "0.5"), ("c2", True), ("c3", "x"), ("c1", math.inf), ("c3", [0.2])]
+)
+def test_config_rejects_non_real_split(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(experiment="three_way", **{field: value})
+    # every report echoes the split, so unused fields are checked too
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(experiment="counterexample", **{field: value})
+
+
 def test_config_echo_excludes_presentation_fields():
     cfg = _small_decouple(out="x.json", fmt="csv")
     echo = cfg.to_dict()
@@ -382,6 +393,24 @@ def test_cli_bad_config_fails_before_sampling(argv, tmp_path, capsys, monkeypatc
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "experiment,conf",
+    [("decouple", {"c1": "0.5"}), ("class_a", {"c2": False}), ("three_way", {"c3": "0.2"})],
+)
+def test_cli_non_real_split_fails_before_sampling(experiment, conf, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a rejected config must not sample")
+
+    monkeypatch.setattr(IncrementStream, "standard_normal_block", no_draws)
+    code = cli_main([experiment, "--config", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and next(iter(conf)) in err[0]
 
 
 def test_cli_rejects_unknown_config_fields(tmp_path, capsys):
