@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .harness import (
@@ -57,20 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FIELDS = (
-    "n_schedule",
-    "c1",
-    "c2",
-    "c3",
-    "mc_samples",
-    "seed",
-    "t_grid",
-    "z_grid",
-    "path_steps",
-    "n_bins",
-    "out",
-    "fmt",
-)
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "experiment")
 
 
 def _load_config_file(path: str) -> dict:
@@ -80,6 +68,9 @@ def _load_config_file(path: str) -> dict:
     unknown = set(data) - set(_CONFIG_FIELDS) - {"experiment"}
     if unknown:
         raise ValueError(f"unknown config fields in {path}: {sorted(unknown)}")
+    for key in ("n_schedule", "t_grid", "z_grid"):
+        if key in data and not isinstance(data[key], list):
+            raise ValueError(f"{key} in {path} must be a JSON array, got {data[key]!r}")
     return data
 
 
@@ -90,10 +81,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             file_conf = _load_config_file(args.config)
             file_conf.pop("experiment", None)  # the positional argument decides
-            for key, value in file_conf.items():
-                if key in ("n_schedule", "t_grid", "z_grid") and value is not None:
-                    value = tuple(value)
-                kwargs[key] = value
+            kwargs.update(file_conf)
         for key in _CONFIG_FIELDS:
             value = getattr(args, key, None)
             if value is not None:

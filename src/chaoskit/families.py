@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosExpansion, single_chaos
-from .grid import Grid, IncrementStream, make_grid
+from .grid import BLOCK_SIZE, Grid, IncrementStream, make_grid
 from .kernels import StepKernel, inner_product, is_symmetric, step_kernel
 
 
@@ -150,9 +150,9 @@ def simulate_counterexample(
     sqrt2 = math.sqrt(2.0)
     x_out = np.empty(n_samples, dtype=np.float64)
     y_out = np.empty(n_samples, dtype=np.float64)
-    block = 4096
-    for start in range(0, n_samples, block):
-        count = min(block, n_samples - start)
+    # Each chunk reads exactly one cached raw RNG block.
+    for start in range(0, n_samples, BLOCK_SIZE):
+        count = min(BLOCK_SIZE, n_samples - start)
         dw = stream.standard_normal_block(path_steps, start, count) * sqrt_dt
         # Left-point path levels W(t_1), ..., W(t_{half-1}) on (0, 1/2)
         w_left = np.cumsum(dw[:, : half - 1], axis=1)

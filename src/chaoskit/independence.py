@@ -10,15 +10,12 @@ below estimates by Monte Carlo.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .chaos import ChaosExpansion, add, cross_gamma, evaluate_samples
 from .grid import IncrementStream
 from .kernels import StepKernel, contract, kernel_norm
-from .stein import CriterionEstimate, _char_fn_estimate
+from .stein import char_fn_estimates
 
 # Default relative factor for deciding that a contraction norm is zero.
 DEFAULT_REL_TOL = 1e-10
@@ -111,6 +108,6 @@ def class_a_diagnostic(
     """
     cg = cross_gamma(x, y)
     s_vals, cg_vals = evaluate_samples([add(x, y), cg], n_samples, stream, workers=workers)
-    estimates = tuple(_char_fn_estimate(s_vals, cg_vals, t) for t in t_grid)
+    estimates = char_fn_estimates(s_vals, cg_vals, t_grid)
     max_modulus = max((e.value for e in estimates), default=0.0)
     return ClassADiagnostic(max_modulus=float(max_modulus), estimates=estimates)

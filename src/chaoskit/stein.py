@@ -4,7 +4,10 @@ For a centered F with E[F^2] = c, the distance to N(0, c) is controlled by
 how far <DF, D(-L)^{-1} F> sits from the constant c.  This module provides
 the bounded solution of the Stein equation, Kolmogorov distances against a
 normal target, the fourth-moment bound sqrt(|k4|)/E[F^2], and Monte Carlo
-estimators of the criterion functionals built on shared sample paths.
+estimators of the criterion functionals.  The sample-level estimators take
+samples of X and of a residual R on the same paths, so one evaluation serves
+every parameter; `criterion_functionals` and `conditional_residual_estimate`
+evaluate X and R = c - <DX, D(-L)^{-1} X>, then call them.
 """
 
 from __future__ import annotations
@@ -118,37 +121,43 @@ def fourth_moment_bound(x: ChaosExpansion) -> float:
 # Criterion functionals on shared samples
 
 
-def _char_fn_estimate(
-    x_vals: np.ndarray, resid_vals: np.ndarray, t: float
-) -> CriterionEstimate:
-    """|E[e^{itX} R]| with a complex-mean standard error."""
+def char_fn_estimates(
+    x_vals: np.ndarray, resid_vals: np.ndarray, t_grid: Sequence[float]
+) -> tuple:
+    """|E[e^{itX} R]| for each t in t_grid, each with a complex-mean standard error."""
     n = x_vals.size
-    vals = np.exp(1j * t * x_vals) * resid_vals
-    mean = vals.mean()
-    if n > 1:
-        var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
-        se = math.sqrt(var / n)
-    else:
-        se = float("nan")
-    return CriterionEstimate(
-        value=float(abs(mean)), std_error=se, n_samples=n, parameter=float(t)
-    )
+    estimates = []
+    for t in t_grid:
+        vals = np.exp(1j * t * x_vals) * resid_vals
+        mean = vals.mean()
+        if n > 1:
+            var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
+            se = math.sqrt(var / n)
+        else:
+            se = float("nan")
+        estimates.append(
+            CriterionEstimate(value=float(abs(mean)), std_error=se, n_samples=n, parameter=float(t))
+        )
+    return tuple(estimates)
 
 
-def _stein_estimate(
-    x_vals: np.ndarray, resid_vals: np.ndarray, z: float
-) -> CriterionEstimate:
-    """E[f_z'(X) R] with its standard error."""
+def stein_estimates(
+    x_vals: np.ndarray, resid_vals: np.ndarray, z_grid: Sequence[float]
+) -> tuple:
+    """E[f_z'(X) R] for each z in z_grid, each with its standard error."""
     n = x_vals.size
-    _, fprime = stein_solution(z, x_vals)
-    vals = fprime * resid_vals
-    se = math.sqrt(vals.var(ddof=1) / n) if n > 1 else float("nan")
-    return CriterionEstimate(
-        value=float(vals.mean()), std_error=se, n_samples=n, parameter=float(z)
-    )
+    estimates = []
+    for z in z_grid:
+        _, fprime = stein_solution(z, x_vals)
+        vals = fprime * resid_vals
+        se = math.sqrt(vals.var(ddof=1) / n) if n > 1 else float("nan")
+        estimates.append(
+            CriterionEstimate(value=float(vals.mean()), std_error=se, n_samples=n, parameter=float(z))
+        )
+    return tuple(estimates)
 
 
-def _binned_residual_estimate(
+def binned_residual_estimate(
     x_vals: np.ndarray, resid_vals: np.ndarray, n_bins: int
 ) -> CriterionEstimate:
     """L2 proxy for ||E[R | X]||: equal-count bins on X, root-mean-square of bin means."""
@@ -201,8 +210,8 @@ def criterion_functionals(
         raise ValueError(f"target variance c must be positive, got {c!r}")
     x_vals, g_vals = evaluate_samples([x, gamma(x)], n_samples, stream, workers=workers)
     resid = c - g_vals
-    char_fn = tuple(_char_fn_estimate(x_vals, resid, t) for t in t_grid)
-    stein = tuple(_stein_estimate(x_vals, resid, z) for z in z_grid)
+    char_fn = char_fn_estimates(x_vals, resid, t_grid)
+    stein = stein_estimates(x_vals, resid, z_grid)
     return CriterionFunctionals(char_fn=char_fn, stein=stein)
 
 
@@ -218,4 +227,4 @@ def conditional_residual_estimate(
     if not (c > 0.0):
         raise ValueError(f"target variance c must be positive, got {c!r}")
     x_vals, g_vals = evaluate_samples([x, gamma(x)], n_samples, stream, workers=workers)
-    return _binned_residual_estimate(x_vals, c - g_vals, n_bins)
+    return binned_residual_estimate(x_vals, c - g_vals, n_bins)

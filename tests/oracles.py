@@ -11,17 +11,44 @@ pathwise evaluator.  The library's evaluator must reproduce it bit for bit.
 The reference fourth cumulant is the earlier two-branch route: contraction
 norms for a single order and E[X^4] - 3 E[X^2]^2 through `multiply(x, x)` for
 mixed orders, which forms order-2N kernels.
+
+The reference runners are the separate decouple, three_way and class_a
+record builders, with their per-parameter estimators and class-A
+diagnostic, as they stood before the k-way runner replaced them.  The
+library's runners must reproduce their records byte for byte.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from typing import Sequence
 
 import numpy as np
 
-from chaoskit.chaos import _plan, multiply, second_moment
-from chaoskit.grid import BLOCK_SIZE
+from chaoskit.chaos import (
+    ChaosExpansion,
+    _plan,
+    add,
+    cross_gamma,
+    evaluate_samples,
+    fourth_cumulant,
+    gamma,
+    gamma_residual,
+    multiply,
+    second_moment,
+)
+from chaoskit.families import diagonal_second_chaos, half_support_second_chaos
+from chaoskit.grid import BLOCK_SIZE, IncrementStream, make_grid
+from chaoskit.harness import EXACT_IDENTITY_RTOL, ExperimentConfig, ExperimentReport
+from chaoskit.independence import ClassADiagnostic, strongly_independent
 from chaoskit.kernels import contract, inner_product, symmetrize
+from chaoskit.stein import (
+    CriterionEstimate,
+    fourth_moment_bound,
+    kolmogorov_distance_mc,
+    stein_solution,
+)
 
 
 def batch_mean_se(values: np.ndarray, n_batches: int = 20) -> tuple:
@@ -135,3 +162,255 @@ def fourth_cumulant_reference(x) -> float:
         return _fourth_cumulant_single(x.kernels[orders[0]])
     squared = multiply(x, x)
     return second_moment(squared) - 3.0 * second_moment(x) ** 2
+
+
+def _char_fn_estimate(
+    x_vals: np.ndarray, resid_vals: np.ndarray, t: float
+) -> CriterionEstimate:
+    """|E[e^{itX} R]| with a complex-mean standard error."""
+    n = x_vals.size
+    vals = np.exp(1j * t * x_vals) * resid_vals
+    mean = vals.mean()
+    if n > 1:
+        var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
+        se = math.sqrt(var / n)
+    else:
+        se = float("nan")
+    return CriterionEstimate(
+        value=float(abs(mean)), std_error=se, n_samples=n, parameter=float(t)
+    )
+
+
+def _stein_estimate(
+    x_vals: np.ndarray, resid_vals: np.ndarray, z: float
+) -> CriterionEstimate:
+    """E[f_z'(X) R] with its standard error."""
+    n = x_vals.size
+    _, fprime = stein_solution(z, x_vals)
+    vals = fprime * resid_vals
+    se = math.sqrt(vals.var(ddof=1) / n) if n > 1 else float("nan")
+    return CriterionEstimate(
+        value=float(vals.mean()), std_error=se, n_samples=n, parameter=float(z)
+    )
+
+
+def _binned_residual_estimate(
+    x_vals: np.ndarray, resid_vals: np.ndarray, n_bins: int
+) -> CriterionEstimate:
+    """L2 proxy for ||E[R | X]||: equal-count bins on X, root-mean-square of bin means."""
+    n = x_vals.size
+    if n_bins < 1 or n_bins > n:
+        raise ValueError(f"need 1 <= n_bins <= n_samples, got n_bins={n_bins}, n={n}")
+    if np.min(x_vals) == np.max(x_vals):
+        raise ValueError("degenerate binning: all conditioning samples are equal")
+    order = np.argsort(x_vals, kind="stable")
+    edges = np.linspace(0, n, n_bins + 1).astype(np.int64)
+    value_sq = 0.0
+    var_sq = 0.0
+    fallback_var = 0.0
+    for b in range(n_bins):
+        sel = order[edges[b] : edges[b + 1]]
+        nb = sel.size
+        if nb == 0:
+            raise ValueError("degenerate binning: empty bin")
+        w = nb / n
+        mb = resid_vals[sel].mean()
+        vb = resid_vals[sel].var(ddof=1) / nb if nb > 1 else 0.0
+        value_sq += w * mb * mb
+        var_sq += (2.0 * w * mb) ** 2 * vb
+        fallback_var += w * w * vb
+    value = math.sqrt(value_sq)
+    if value > 0.0 and var_sq > 0.0:
+        se = math.sqrt(var_sq) / (2.0 * value)
+    else:
+        se = math.sqrt(fallback_var)
+    return CriterionEstimate(
+        value=value, std_error=se, n_samples=n, parameter=float(n_bins)
+    )
+
+
+def class_a_diagnostic(
+    x: ChaosExpansion,
+    y: ChaosExpansion,
+    t_grid: Sequence[float],
+    n_samples: int,
+    stream: IncrementStream,
+    workers: int = 1,
+) -> ClassADiagnostic:
+    """Estimate |E[e^{it(X+Y)} <DX, D(-L)^{-1} Y>]| along t_grid.
+
+    A vanishing diagnostic is what lets the characteristic function of X + Y
+    factor; for strongly independent couples the cross functional is the zero
+    expansion and every estimate is exactly zero.
+    """
+    cg = cross_gamma(x, y)
+    s_vals, cg_vals = evaluate_samples([add(x, y), cg], n_samples, stream, workers=workers)
+    estimates = tuple(_char_fn_estimate(s_vals, cg_vals, t) for t in t_grid)
+    max_modulus = max((e.value for e in estimates), default=0.0)
+    return ClassADiagnostic(max_modulus=float(max_modulus), estimates=estimates)
+
+
+def _est_dict(est: CriterionEstimate, param_name: str) -> dict:
+    return {
+        param_name: est.parameter,
+        "value": est.value,
+        "std_error": est.std_error,
+    }
+
+
+def _criterion_block(
+    x_vals: np.ndarray,
+    g_vals: np.ndarray,
+    c: float,
+    t_grid,
+    z_grid,
+    n_bins: int,
+) -> dict:
+    resid = c - g_vals
+    return {
+        "char": [_est_dict(_char_fn_estimate(x_vals, resid, t), "t") for t in t_grid],
+        "stein": [_est_dict(_stein_estimate(x_vals, resid, z), "z") for z in z_grid],
+        "conditional": _est_dict(
+            _binned_residual_estimate(x_vals, resid, n_bins), "n_bins"
+        ),
+    }
+
+
+def _check_additivity(total: float, parts: float, label: str) -> float:
+    scale = max(abs(total), abs(parts), 1e-300)
+    gap = abs(total - parts) / scale
+    if gap > EXACT_IDENTITY_RTOL:
+        raise RuntimeError(
+            f"{label} additivity violated: total={total!r} parts={parts!r} rel gap={gap:.3e}"
+        )
+    return gap
+
+
+def run_decoupling_reference(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+    start = time.perf_counter()
+    records = []
+    for n in config.n_schedule:
+        x = half_support_second_chaos(n, config.c1, "left")
+        y = half_support_second_chaos(n, config.c2, "right")
+        s = add(x, y)
+        var_x = second_moment(x)
+        var_y = second_moment(y)
+        k4_x = fourth_cumulant(x)
+        k4_y = fourth_cumulant(y)
+        k4_sum = fourth_cumulant(s)
+        res_x = gamma_residual(x, config.c1)
+        res_y = gamma_residual(y, config.c2)
+        res_sum = gamma_residual(s, 1.0)
+        add_gap = _check_additivity(res_sum, res_x + res_y, "Gamma residual")
+        k4_gap = _check_additivity(k4_sum, k4_x + k4_y, "fourth cumulant")
+        exact = {
+            "var_x": var_x,
+            "var_y": var_y,
+            "k4_x": k4_x,
+            "k4_y": k4_y,
+            "k4_sum": k4_sum,
+            "k4_additivity_gap_rel": k4_gap,
+            "gamma_residual_x": res_x,
+            "gamma_residual_y": res_y,
+            "gamma_residual_sum": res_sum,
+            "additivity_gap_rel": add_gap,
+            "bound_x": fourth_moment_bound(x),
+            "bound_y": fourth_moment_bound(y),
+        }
+        stream = IncrementStream(config.seed, stream_id=n)
+        x_vals, y_vals, gx_vals, gy_vals = evaluate_samples(
+            [x, y, gamma(x), gamma(y)], config.mc_samples, stream, workers=workers
+        )
+        s_vals = x_vals + y_vals
+        mc = {
+            "dkol_x": kolmogorov_distance_mc(x_vals, var_x),
+            "dkol_y": kolmogorov_distance_mc(y_vals, var_y),
+            "dkol_sum": kolmogorov_distance_mc(s_vals, 1.0),
+            "crit_x": _criterion_block(
+                x_vals, gx_vals, config.c1, config.t_grid, config.z_grid, config.n_bins
+            ),
+            "crit_y": _criterion_block(
+                y_vals, gy_vals, config.c2, config.t_grid, config.z_grid, config.n_bins
+            ),
+        }
+        records.append({"n": int(n), "exact": exact, "mc": mc})
+    runtime_ms = (time.perf_counter() - start) * 1000.0
+    return ExperimentReport(config=config.to_dict(), records=records, runtime_ms=runtime_ms)
+
+
+def run_three_way_reference(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+    start = time.perf_counter()
+    cs = (config.c1, config.c2, config.c3)
+    records = []
+    for n in config.n_schedule:
+        grid = make_grid(3 * n)
+        parts = [
+            diagonal_second_chaos(grid, range(k * n, (k + 1) * n), cs[k])
+            for k in range(3)
+        ]
+        total = add(add(parts[0], parts[1]), parts[2])
+        k4s = [fourth_cumulant(p) for p in parts]
+        k4_sum = fourth_cumulant(total)
+        residuals = [gamma_residual(p, cs[k]) for k, p in enumerate(parts)]
+        res_sum = gamma_residual(total, 1.0)
+        add_gap = _check_additivity(res_sum, sum(residuals), "Gamma residual")
+        k4_gap = _check_additivity(k4_sum, sum(k4s), "fourth cumulant")
+        exact = {
+            "var": [second_moment(p) for p in parts],
+            "k4": k4s,
+            "k4_sum": k4_sum,
+            "k4_additivity_gap_rel": k4_gap,
+            "gamma_residual": residuals,
+            "gamma_residual_sum": res_sum,
+            "additivity_gap_rel": add_gap,
+            "bound": [fourth_moment_bound(p) for p in parts],
+        }
+        stream = IncrementStream(config.seed, stream_id=n)
+        vals = evaluate_samples(
+            parts + [gamma(p) for p in parts], config.mc_samples, stream, workers=workers
+        )
+        part_vals, gamma_vals = vals[:3], vals[3:]
+        sum_vals = part_vals[0] + part_vals[1] + part_vals[2]
+        mc = {
+            "dkol": [
+                kolmogorov_distance_mc(part_vals[k], cs[k]) for k in range(3)
+            ],
+            "dkol_sum": kolmogorov_distance_mc(sum_vals, 1.0),
+            "char": [
+                [
+                    _est_dict(
+                        _char_fn_estimate(part_vals[k], cs[k] - gamma_vals[k], t), "t"
+                    )
+                    for t in config.t_grid
+                ]
+                for k in range(3)
+            ],
+        }
+        records.append({"n": int(n), "exact": exact, "mc": mc})
+    runtime_ms = (time.perf_counter() - start) * 1000.0
+    return ExperimentReport(config=config.to_dict(), records=records, runtime_ms=runtime_ms)
+
+
+def run_class_a_reference(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+    start = time.perf_counter()
+    records = []
+    for n in config.n_schedule:
+        x = half_support_second_chaos(n, config.c1, "left")
+        y = half_support_second_chaos(n, config.c2, "right")
+        si = strongly_independent(x, y)
+        stream = IncrementStream(config.seed, stream_id=n)
+        diag = class_a_diagnostic(
+            x, y, config.t_grid, config.mc_samples, stream, workers=workers
+        )
+        exact = {
+            "strongly_independent": bool(si.independent),
+            "worst_pair": list(si.worst_pair) if si.worst_pair is not None else None,
+            "worst_contraction_norm": si.worst_norm,
+        }
+        mc = {
+            "max_modulus": diag.max_modulus,
+            "moduli": [_est_dict(e, "t") for e in diag.estimates],
+        }
+        records.append({"n": int(n), "exact": exact, "mc": mc})
+    runtime_ms = (time.perf_counter() - start) * 1000.0
+    return ExperimentReport(config=config.to_dict(), records=records, runtime_ms=runtime_ms)

@@ -19,6 +19,7 @@ from chaoskit import (
     save_report,
 )
 from chaoskit.cli import main as cli_main
+from oracles import run_class_a_reference, run_decoupling_reference, run_three_way_reference
 
 
 def _small_decouple(**overrides):
@@ -240,6 +241,27 @@ def test_class_a_exact_zero_cross_terms():
             assert entry["std_error"] == 0.0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "experiment,reference,split",
+    [
+        ("decouple", run_decoupling_reference, {}),
+        ("decouple", run_decoupling_reference, {"c1": 0.3, "c2": 0.7, "n_bins": 8}),
+        ("three_way", run_three_way_reference, {"c1": 1 / 3, "c2": 1 / 3, "c3": 1 / 3}),
+        ("three_way", run_three_way_reference, {"c1": 0.2, "c2": 0.3, "c3": 0.5}),
+        ("class_a", run_class_a_reference, {}),
+    ],
+)
+def test_runner_records_match_reference(experiment, reference, split, workers):
+    # The k-way runner and the public estimators must reproduce the separate
+    # pre-k-way runners byte for byte, key order included.
+    config = ExperimentConfig(
+        experiment=experiment, n_schedule=(4, 16, 64), mc_samples=5000, seed=11, **split
+    )
+    got = run_experiment(config, workers=workers).records
+    assert json.dumps(got) == json.dumps(reference(config, workers=workers).records)
+
+
 def test_counterexample_record():
     cfg = ExperimentConfig(
         experiment="counterexample", path_steps=200, mc_samples=20_000, seed=9,
@@ -378,18 +400,31 @@ def test_cli_n_bins_flag(capsys):
         ["decouple", "--t-grid", "nan,inf"],
         ["decouple", "--z-grid", "100"],
         ["decouple", "--mc", "10"],  # below the default n_bins of 32
-        ["decouple", "--config", "{conf}"],
+        ["decouple", "--config", {"n_bins": "7"}],
+        # no silent coercion: "16" would run [1, 6], [2.9, 4.5] would run [2, 4]
+        ["decouple", "--config", {"n_schedule": "16"}],
+        ["decouple", "--config", {"n_schedule": [2.9, 4.5]}],
+        ["decouple", "--config", {"n_schedule": [True, 3]}],
+        ["decouple", "--config", {"seed": True}],
+        ["decouple", "--config", {"t_grid": "12"}],
+        ["decouple", "--config", {"z_grid": ["1"]}],
+        ["decouple", "--config", {"out": 5}],  # would fail only after the run
     ],
 )
 def test_cli_bad_config_fails_before_sampling(argv, tmp_path, capsys, monkeypatch):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"n_bins": "7"}))
+
+    def as_arg(arg):
+        if isinstance(arg, dict):  # the body of a --config file
+            conf.write_text(json.dumps(arg))
+            return str(conf)
+        return arg
 
     def no_draws(*args, **kwargs):
         raise AssertionError("a rejected config must not sample")
 
     monkeypatch.setattr(IncrementStream, "standard_normal_block", no_draws)
-    code = cli_main([a.format(conf=conf) for a in argv])
+    code = cli_main([as_arg(a) for a in argv])
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
