@@ -25,12 +25,15 @@ k_1 + ... + k_d = n,
     I_n(f) = sum over multisets  n!/(k_1! ... k_d!) * f(cells) *
              prod_r delta^(k_r/2) H_{k_r}(xi_{j_r} / sqrt(delta))
 
-with H_k the monic probabilists' Hermite polynomials.  Each evaluate_samples
-call compiles its expansions into one plan: their term groups, and for each
-Hermite degree the grid columns some term reads at that degree.  Per block of
-paths, H_k is computed once for exactly those (column, degree) pairs and every
-expansion reads its terms from these shared rows; evaluate_batch is the same
-evaluator on a single expansion.
+with H_k the monic probabilists' Hermite polynomials.  The terms of a kernel
+are its nonzero entries at nondecreasing index tuples, one per cell multiset,
+found in one array pass and grouped by multiplicity pattern.  Each
+evaluate_samples call compiles its expansions into one plan: their term
+groups, and for each Hermite degree the grid columns some term reads at that
+degree.  Nothing is cached on the kernels; the plan lives for one call.  Per
+block of paths, H_k is computed once for exactly those (column, degree) pairs
+and every expansion reads its terms from these shared rows; evaluate_batch is
+the same evaluator on a single expansion.
 """
 
 from __future__ import annotations
@@ -175,54 +178,35 @@ def shift(x: ChaosExpansion, offset: float) -> ChaosExpansion:
 # Pathwise evaluation
 
 
-@dataclass(frozen=True)
-class _PlanGroup:
-    mults: tuple  # Hermite degrees, aligned with the columns of cells
-    cells: np.ndarray  # (n_terms, d) distinct cell indices, ascending per row
-    coeffs: np.ndarray  # (n_terms,) value * n!/prod(k_r!) * delta^(n/2)
+def _kernel_terms(kernel: StepKernel) -> list:
+    """The chaos terms of a symmetric kernel as (mults, cells, coeffs) groups.
 
-
-def _build_plan(kernel: StepKernel) -> list:
-    n, delta = kernel.order, kernel.grid.delta
-    nz = np.argwhere(kernel.values != 0.0)
-    if nz.size == 0:
-        return []
-    multisets = np.unique(np.sort(nz, axis=1), axis=0)
-    base = delta ** (n / 2.0) * math.factorial(n)
-    groups: dict = {}
-    for row in multisets:
-        cells: list = []
-        mults: list = []
-        for j in row:
-            if cells and cells[-1] == j:
-                mults[-1] += 1
-            else:
-                cells.append(int(j))
-                mults.append(1)
-        coeff = float(kernel.values[tuple(row)]) * base
+    A term is a nonzero entry at a nondecreasing index tuple (a cell multiset);
+    argwhere lists them lexicographically.  Its Hermite degrees mults are the
+    run lengths of equal indices, cells[:, r] is the cell of run r, and coeffs
+    is value * delta^(n/2) * n! / prod(k_r!).  Groups follow the first term of
+    each pattern.
+    """
+    n, m = kernel.order, kernel.grid.m
+    mask = kernel.values != 0.0
+    ascending = np.less_equal.outer(np.arange(m), np.arange(m))
+    for r in range(n - 1):
+        mask &= ascending.reshape((1,) * r + (m, m) + (1,) * (n - r - 2))
+    rows = np.argwhere(mask)
+    values = kernel.values[mask] * (kernel.grid.delta ** (n / 2.0) * math.factorial(n))
+    # Bit r of a term's pattern code is set when a new run starts at index r + 1.
+    codes = (rows[:, 1:] != rows[:, :-1]) @ (1 << np.arange(n - 1))
+    _, first = np.unique(codes, return_index=True)
+    groups = []
+    for code in codes[np.sort(first)]:
+        starts = [0] + [r + 1 for r in range(n - 1) if code >> r & 1]
+        mults = tuple(b - a for a, b in zip(starts, starts[1:] + [n]))
+        sel = codes == code
+        coeffs = values[sel]
         for k in mults:
-            coeff /= math.factorial(k)
-        bucket = groups.setdefault(tuple(mults), ([], []))
-        bucket[0].append(cells)
-        bucket[1].append(coeff)
-    return [
-        _PlanGroup(
-            mults=mults,
-            cells=np.asarray(cell_rows, dtype=np.int64),
-            coeffs=np.asarray(coeffs, dtype=np.float64),
-        )
-        for mults, (cell_rows, coeffs) in groups.items()
-    ]
-
-
-def _plan(kernel: StepKernel) -> list:
-    # Kernels are immutable, so the term plan is computed once and stashed on
-    # the instance (frozen dataclass, hence the object.__setattr__).
-    cached = getattr(kernel, "_eval_plan", None)
-    if cached is None:
-        cached = _build_plan(kernel)
-        object.__setattr__(kernel, "_eval_plan", cached)
-    return cached
+            coeffs /= math.factorial(k)
+        groups.append((mults, rows[sel][:, starts], coeffs))
+    return groups
 
 
 @dataclass(frozen=True)
@@ -232,30 +216,29 @@ class _CompiledPlan:
     delta: float
     # Hermite degree -> ascending grid columns some term reads at that degree
     columns: dict
-    # Per expansion, in _plan order: (mults, pos, coeffs), where pos[:, r]
-    # locates each term's r-th cell within columns[mults[r]].
+    # Per expansion, by order and then in _kernel_terms order: (mults, pos,
+    # coeffs), where pos[:, r] locates each term's r-th cell within
+    # columns[mults[r]].
     groups: tuple
 
 
 def _compile(exps: Sequence[ChaosExpansion]) -> _CompiledPlan:
-    plans = [
-        [group for n, k in enumerate(e.kernels) if n >= 1 and k is not None for group in _plan(k)]
+    terms = [
+        [g for n, k in enumerate(e.kernels) if n >= 1 and k is not None for g in _kernel_terms(k)]
         for e in exps
     ]
     refs: dict = {}
-    for plan in plans:
-        for group in plan:
-            for r, k in enumerate(group.mults):
-                refs.setdefault(k, []).append(group.cells[:, r])
+    for groups in terms:
+        for mults, cells, _ in groups:
+            for r, k in enumerate(mults):
+                refs.setdefault(k, []).append(cells[:, r])
     columns = {k: np.unique(np.concatenate(parts)) for k, parts in refs.items()}
 
-    def positions(group: _PlanGroup) -> np.ndarray:
-        return np.stack(
-            [np.searchsorted(columns[k], group.cells[:, r]) for r, k in enumerate(group.mults)],
-            axis=1,
-        )
+    def located(mults, cells, coeffs):
+        pos = [np.searchsorted(columns[k], cells[:, r]) for r, k in enumerate(mults)]
+        return mults, np.stack(pos, axis=1), coeffs
 
-    groups = tuple(tuple((g.mults, positions(g), g.coeffs) for g in plan) for plan in plans)
+    groups = tuple(tuple(located(*g) for g in kernel_groups) for kernel_groups in terms)
     return _CompiledPlan(delta=exps[0].grid.delta, columns=columns, groups=groups)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 from .harness import (
     EXPERIMENTS,
     ExperimentConfig,
+    report_to_csv,
     report_to_json,
     run_experiment,
     save_report,
@@ -86,15 +87,13 @@ def main(argv=None) -> int:
             value = getattr(args, key, None)
             if value is not None:
                 kwargs[key] = value
-        if args.experiment == "three_way" and not any(
-            kwargs.get(k) is not None for k in ("c1", "c2", "c3")
-        ):
-            kwargs["c1"] = kwargs["c2"] = kwargs["c3"] = 1.0 / 3.0
         config = ExperimentConfig(experiment=args.experiment, **kwargs)
         report = run_experiment(config)
         if config.out is not None:
             save_report(report, config.out, config.fmt)
             print(config.out)
+        elif config.fmt == "csv":
+            print(report_to_csv(report), end="")
         else:
             print(report_to_json(report))
     except (ValueError, OSError) as exc:

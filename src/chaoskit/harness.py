@@ -72,8 +72,10 @@ def _is_real(value) -> bool:
 class ExperimentConfig:
     experiment: str
     n_schedule: tuple = (4, 16, 64, 256)
-    c1: float = 0.5
-    c2: float = 0.5
+    # With no split entry given, the summands share the variance equally;
+    # otherwise a missing c1 or c2 is 0.5 and three_way's c3 is the remainder.
+    c1: float | None = None
+    c2: float | None = None
     c3: float | None = None
     mc_samples: int = 100_000
     seed: int = 42
@@ -117,6 +119,11 @@ class ExperimentConfig:
             raise ValueError(f"mc_samples must be an integer >= 2, got {self.mc_samples!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        no_split = all(getattr(self, name) is None for name in ("c1", "c2", "c3"))
+        k = 3 if self.experiment == "three_way" and no_split else 2
+        for name in ("c1", "c2", "c3")[:k]:
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, 1.0 / k)
         # Every report echoes the split, so it must be finite even where unused.
         for name in ("c1", "c2", "c3"):
             value = getattr(self, name)

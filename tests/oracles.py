@@ -6,7 +6,9 @@ closed-form value can be checked against simulation before the algebra is
 trusted.
 
 The reference evaluator is the straightforward per-expansion form of the
-pathwise evaluator.  The library's evaluator must reproduce it bit for bit.
+pathwise evaluator, with its own per-term plan builder (`_build_plan`, which
+collects cell multisets by sorting every nonzero index tuple).  The library's
+evaluator must reproduce it bit for bit.
 
 The reference fourth cumulant is the earlier two-branch route: contraction
 norms for a single order and E[X^4] - 3 E[X^2]^2 through `multiply(x, x)` for
@@ -22,13 +24,13 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from chaoskit.chaos import (
     ChaosExpansion,
-    _plan,
     add,
     cross_gamma,
     evaluate_samples,
@@ -42,7 +44,7 @@ from chaoskit.families import diagonal_second_chaos, half_support_second_chaos
 from chaoskit.grid import BLOCK_SIZE, IncrementStream, make_grid
 from chaoskit.harness import EXACT_IDENTITY_RTOL, ExperimentConfig, ExperimentReport
 from chaoskit.independence import ClassADiagnostic, strongly_independent
-from chaoskit.kernels import contract, inner_product, symmetrize
+from chaoskit.kernels import StepKernel, contract, inner_product, symmetrize
 from chaoskit.stein import (
     CriterionEstimate,
     fourth_moment_bound,
@@ -81,6 +83,46 @@ def hermite_recurrence(k: int, x):
     return float(cur) if scalar else cur
 
 
+@dataclass(frozen=True)
+class _PlanGroup:
+    mults: tuple  # Hermite degrees, aligned with the columns of cells
+    cells: np.ndarray  # (n_terms, d) distinct cell indices, ascending per row
+    coeffs: np.ndarray  # (n_terms,) value * n!/prod(k_r!) * delta^(n/2)
+
+
+def _build_plan(kernel: StepKernel) -> list:
+    n, delta = kernel.order, kernel.grid.delta
+    nz = np.argwhere(kernel.values != 0.0)
+    if nz.size == 0:
+        return []
+    multisets = np.unique(np.sort(nz, axis=1), axis=0)
+    base = delta ** (n / 2.0) * math.factorial(n)
+    groups: dict = {}
+    for row in multisets:
+        cells: list = []
+        mults: list = []
+        for j in row:
+            if cells and cells[-1] == j:
+                mults[-1] += 1
+            else:
+                cells.append(int(j))
+                mults.append(1)
+        coeff = float(kernel.values[tuple(row)]) * base
+        for k in mults:
+            coeff /= math.factorial(k)
+        bucket = groups.setdefault(tuple(mults), ([], []))
+        bucket[0].append(cells)
+        bucket[1].append(coeff)
+    return [
+        _PlanGroup(
+            mults=mults,
+            cells=np.asarray(cell_rows, dtype=np.int64),
+            coeffs=np.asarray(coeffs, dtype=np.float64),
+        )
+        for mults, (cell_rows, coeffs) in groups.items()
+    ]
+
+
 def evaluate_batch_reference(x, increments: np.ndarray) -> np.ndarray:
     """Pathwise I-sum of one expansion on a (n_samples, m) increment array.
 
@@ -91,7 +133,7 @@ def evaluate_batch_reference(x, increments: np.ndarray) -> np.ndarray:
     arr = np.asarray(increments, dtype=np.float64)
     n_samples = arr.shape[0]
     out = np.full(n_samples, x.expectation, dtype=np.float64)
-    plans = [_plan(k) for n, k in enumerate(x.kernels) if k is not None and n >= 1]
+    plans = [_build_plan(k) for n, k in enumerate(x.kernels) if k is not None and n >= 1]
     if not plans or n_samples == 0:
         return out
     z = arr / math.sqrt(x.grid.delta)

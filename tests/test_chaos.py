@@ -25,12 +25,15 @@ from chaoskit import (
     gamma_residual,
     half_support_second_chaos,
     inner_product,
+    load_expansion,
     make_grid,
     multiply,
     sample_increments,
     sample_increments_block,
+    save_expansion,
     scale,
     second_moment,
+    shift,
     single_chaos,
     step_kernel,
     symmetrize,
@@ -493,14 +496,32 @@ def _dense_with_gamma(m, orders, seed):
     return [x, gamma(x)]
 
 
+def _sparse_with_gamma(m, orders, seed):
+    # Exactly symmetric kernels with about half their cell multisets zero:
+    # every entry takes the value drawn at its sorted index tuple.
+    rng = np.random.default_rng(seed)
+    grid = make_grid(m)
+    slots = [None] * (max(orders) + 1)
+    for n in orders:
+        shape = (m,) * n
+        draws = rng.uniform(-1.0, 1.0, shape) * (rng.uniform(size=shape) < 0.5)
+        slots[n] = step_kernel(grid, n, draws[tuple(np.sort(np.indices(shape), axis=0))])
+    x = chaos_expansion(grid, slots)
+    return [x, gamma(x)]
+
+
 # Each case is a list of expansions on one grid.  The dense (1, 2, 3) case has
 # multi-cell groups up to order 4 in its Gamma; the dense order-2 case at
-# m = 64 has a (1, 1) group of 2016 terms, more than one 1024-term slab.
+# m = 64 has a (1, 1) group of 2016 terms, and the dense order-3 case at m = 24
+# a (1, 1, 1) group of 2024 terms, more than one 1024-term slab.  The sparse
+# case has orders 1-4 with half the multisets zero and a Gamma up to order 6.
 _REFERENCE_CASES = {
     "half_support_n4": lambda: _half_support_couple(4),
     "half_support_n256": lambda: _half_support_couple(256),
     "dense_123_m8": lambda: _dense_with_gamma(8, [1, 2, 3], seed=41),
     "dense_2_m64": lambda: [_random_expansion(np.random.default_rng(42), make_grid(64), [2])],
+    "dense_3_m24": lambda: [_random_expansion(np.random.default_rng(45), make_grid(24), [3])],
+    "sparse_1234_m6": lambda: _sparse_with_gamma(6, [1, 2, 3, 4], seed=48),
 }
 
 
@@ -541,6 +562,19 @@ def test_expansion_round_trip():
     x = _random_expansion(rng, g, [1, 3])
     back = expansion_from_dict(expansion_to_dict(x))
     assert back.grid == x.grid
+    assert back.nonzero_orders() == x.nonzero_orders()
+    for n in x.nonzero_orders():
+        assert np.array_equal(back.kernels[n].values, x.kernels[n].values)
+
+
+def test_expansion_file_round_trip(tmp_path):
+    rng = np.random.default_rng(31)
+    x = shift(_random_expansion(rng, make_grid(4), [1, 3]), 0.25)
+    path = tmp_path / "expansion.json"
+    save_expansion(x, path)
+    back = load_expansion(path)
+    assert back.grid == x.grid
+    assert back.expectation == x.expectation
     assert back.nonzero_orders() == x.nonzero_orders()
     for n in x.nonzero_orders():
         assert np.array_equal(back.kernels[n].values, x.kernels[n].values)

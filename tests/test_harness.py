@@ -67,6 +67,17 @@ def test_config_rejects_bad_split():
     _small_decouple(c1=0.3, c2=0.7)
 
 
+def test_config_default_split_is_equal():
+    # With no split entry the k summands share the variance equally.
+    assert ExperimentConfig(experiment="three_way").split == (1.0 / 3, 1.0 / 3, 1.0 / 3)
+    for experiment in ("decouple", "class_a", "counterexample"):
+        cfg = ExperimentConfig(experiment=experiment)
+        assert (cfg.c1, cfg.c2, cfg.c3) == (0.5, 0.5, None)
+    # one entry given: the others follow the explicit-split rules
+    assert ExperimentConfig(experiment="three_way", c1=0.2).split == (0.2, 0.5, 1.0 - 0.2 - 0.5)
+    assert ExperimentConfig(experiment="decouple", c2=0.5).split == (0.5, 0.5)
+
+
 def test_config_three_way_split():
     cfg = ExperimentConfig(experiment="three_way", c1=0.4, c2=0.4)
     assert cfg.c3 == pytest.approx(0.2)
@@ -365,6 +376,13 @@ def test_cli_csv_format(tmp_path):
     code = cli_main(_cli_args("--out", str(out), "--format", "csv"))
     assert code == 0
     assert out.read_text().startswith("experiment,")
+
+
+def test_cli_prints_csv_without_out(capsys):
+    code = cli_main(_cli_args("--format", "csv"))
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(row["experiment"], row["n"]) for row in rows] == [("decouple", "4")]
 
 
 def test_cli_rejects_bad_split(capsys):

@@ -16,7 +16,9 @@ from chaoskit import (
     kernel_norm,
     kernel_to_dict,
     linear_combine,
+    load_kernel,
     make_grid,
+    save_kernel,
     step_kernel,
     symmetrize,
     zero_kernel,
@@ -245,4 +247,27 @@ def test_kernel_load_rejects_asymmetric():
         kernel_from_dict(kernel_to_dict(k))
     # explicit opt-out for raw kernels
     raw = kernel_from_dict(kernel_to_dict(k), require_symmetric=False)
+    assert np.array_equal(raw.values, k.values)
+
+
+def test_kernel_file_round_trip(tmp_path):
+    rng = np.random.default_rng(9)
+    for order in (0, 1, 3):
+        k = symmetrize(_random_kernel(rng, make_grid(4), order))
+        path = tmp_path / f"kernel{order}.json"
+        save_kernel(k, path)
+        back = load_kernel(path)
+        assert back.order == k.order
+        assert back.grid == k.grid
+        assert np.array_equal(back.values, k.values)
+
+
+def test_kernel_file_load_rejects_asymmetric(tmp_path):
+    k = step_kernel(make_grid(2), 2, [[0.0, 1.0], [0.0, 0.0]])
+    path = tmp_path / "raw.json"
+    save_kernel(k, path)
+    with pytest.raises(ValueError):
+        load_kernel(path)
+    raw = load_kernel(path, require_symmetric=False)
+    assert raw.grid == k.grid
     assert np.array_equal(raw.values, k.values)

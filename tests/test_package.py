@@ -1,4 +1,8 @@
-"""Package structure: public names resolve and no module reaches into another's privates."""
+"""Package structure: public names resolve and no module reaches into another's privates.
+
+The test oracles are held to the same rule: a reference that imports the
+library's private helpers shares the code it is meant to check.
+"""
 
 from __future__ import annotations
 
@@ -8,17 +12,31 @@ from pathlib import Path
 import chaoskit
 
 SRC = Path(chaoskit.__file__).resolve().parent
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+
+def _private_imports(path: Path, is_package_import) -> list:
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and is_package_import(node):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    offenders.append(f"{path.name}:{node.lineno} from {node.module} import {alias.name}")
+    return offenders
 
 
 def test_no_private_cross_module_imports():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom) and node.level >= 1:
-                for alias in node.names:
-                    if alias.name.startswith("_"):
-                        offenders.append(f"{path.name}:{node.lineno} from .{node.module} import {alias.name}")
+        offenders += _private_imports(path, lambda node: node.level >= 1)
     assert offenders == []
+
+
+def test_oracles_import_no_private_names():
+    def from_chaoskit(node):
+        return node.level == 0 and (node.module or "").split(".")[0] == "chaoskit"
+
+    assert _private_imports(ORACLES, from_chaoskit) == []
 
 
 def test_public_names_resolve():
