@@ -17,11 +17,15 @@ X = (X1 + Y1)/sqrt(2), Y = (X1 - Y1)/sqrt(2) is therefore an independent
 standard normal couple, yet it is not strongly independent: Y1 has no
 first-chaos part, so the first-chaos components of X and Y are both
 W(1) - W(1/2) and each projects onto that factor with coefficient 1/2.
+The simulation draws half + 1 normals per path, half = path_steps/2: the
+left-half increments for the Euler sum of Y1, and X1 itself as one standard
+normal, since W(1) - W(1/2) is independent of the left half.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,41 +132,64 @@ class CounterexampleBatch:
 
 
 def simulate_counterexample(
-    path_steps: int, n_samples: int, stream: IncrementStream
+    path_steps: int, n_samples: int, stream: IncrementStream, workers: int = 1
 ) -> CounterexampleBatch:
     """Euler simulation of the independent-but-not-strongly-independent pair.
 
-    The Brownian path on [0,1] uses path_steps left-point increments; the sign
-    integrand uses sign(0) = +1.  path_steps must be even (the integrand
-    switches at t = 1/2) and at least 100 so the Euler bias stays below the
-    Monte Carlo resolution at the default sample sizes.
+    Y1 is the Euler sum of sign(W) against the half = path_steps/2 left-point
+    increments of W on [0, 1/2], with sign(0) = +1.  X1 needs no path: the
+    right-half increments are independent of the left half and their sum
+    W(1) - W(1/2) is N(0, 1/2), so X1 = sqrt(2) (W(1) - W(1/2)) is one
+    standard normal draw.  Path i therefore reads row i of the stream's
+    (index, half + 1) normal table: columns 0 .. half-1 are the left-half
+    increments in units of sqrt(dt) and column half is X1.  The pair keeps
+    its exact joint law and the Euler bias of Y1.
+
+    path_steps must be even (the integrand switches at t = 1/2) and at least
+    100 so the Euler bias stays below the Monte Carlo resolution at the
+    default sample sizes.  Blocks of BLOCK_SIZE paths run on up to `workers`
+    threads; path i always comes from stream index i, so the result is the
+    same for any worker count.
     """
     if not isinstance(path_steps, (int, np.integer)) or path_steps < 100:
         raise ValueError(f"path_steps must be an integer >= 100, got {path_steps!r}")
     if path_steps % 2 != 0:
         raise ValueError(f"path_steps must be even, got {path_steps}")
+    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    path_steps = int(path_steps)
+    path_steps, n_samples = int(path_steps), int(n_samples)
     half = path_steps // 2
     dt = 1.0 / path_steps
     sqrt_dt = math.sqrt(dt)
     sqrt2 = math.sqrt(2.0)
     x_out = np.empty(n_samples, dtype=np.float64)
     y_out = np.empty(n_samples, dtype=np.float64)
-    # Each chunk reads exactly one cached raw RNG block.
-    for start in range(0, n_samples, BLOCK_SIZE):
+
+    def run(start: int) -> None:
+        # Each chunk reads exactly one cached raw RNG block and writes its own rows.
         count = min(BLOCK_SIZE, n_samples - start)
-        dw = stream.standard_normal_block(path_steps, start, count) * sqrt_dt
+        table = stream.standard_normal_block(half + 1, start, count)
+        dw = table[:, :half]
+        dw *= sqrt_dt  # the table is a fresh array, so scale it in place
         # Left-point path levels W(t_1), ..., W(t_{half-1}) on (0, 1/2)
         w_left = np.cumsum(dw[:, : half - 1], axis=1)
         signs = np.empty((count, half), dtype=np.float64)
         signs[:, 0] = 1.0  # sign(W(0)) = sign(0) = +1
         signs[:, 1:] = np.where(w_left >= 0.0, 1.0, -1.0)
-        y1 = sqrt2 * np.einsum("ij,ij->i", signs, dw[:, :half])
-        x1 = sqrt2 * dw[:, half:].sum(axis=1)
+        y1 = sqrt2 * np.einsum("ij,ij->i", signs, dw)
+        x1 = table[:, half]
         x_out[start : start + count] = (x1 + y1) / sqrt2
         y_out[start : start + count] = (x1 - y1) / sqrt2
+
+    starts = range(0, n_samples, BLOCK_SIZE)
+    if workers and workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, starts))
+    else:
+        for start in starts:
+            run(start)
     x_out.flags.writeable = False
     y_out.flags.writeable = False
     return CounterexampleBatch(x=x_out, y=y_out, path_steps=path_steps)

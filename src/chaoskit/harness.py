@@ -336,7 +336,7 @@ def run_class_a(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
 def run_counterexample(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     def record(path_steps):
         stream = IncrementStream(config.seed, stream_id=path_steps)
-        batch = simulate_counterexample(path_steps, config.mc_samples, stream)
+        batch = simulate_counterexample(path_steps, config.mc_samples, stream, workers=workers)
         x, y = batch.x, batch.y
         n = x.size
         w = (x + y) / 2.0  # the shared Gaussian factor W(1) - W(1/2)

@@ -18,6 +18,9 @@ The reference runners are the separate decouple, three_way and class_a
 record builders, with their per-parameter estimators and class-A
 diagnostic, as they stood before the k-way runner replaced them.  The
 library's runners must reproduce their records byte for byte.
+
+The reference counterexample simulation walks each path one Euler step at a
+time over the same (index, path_steps/2 + 1) normal table the library reads.
 """
 
 from __future__ import annotations
@@ -161,6 +164,32 @@ def evaluate_samples_reference(exps, n_samples: int, stream) -> list:
         for out, e in zip(outs, exps):
             out[start : start + count] = evaluate_batch_reference(e, xi)
     return outs
+
+
+def simulate_counterexample_reference(path_steps: int, n_samples: int, stream) -> tuple:
+    """(x, y) arrays of the rotated counterexample pair, one path at a time.
+
+    Row i of the table holds the left-half increments of path i in units of
+    sqrt(dt), then X1 = sqrt(2) (W(1) - W(1/2)) as one standard normal.
+    """
+    half = path_steps // 2
+    sqrt_dt = math.sqrt(1.0 / path_steps)
+    sqrt2 = math.sqrt(2.0)
+    table = stream.standard_normal_block(half + 1, 0, n_samples)
+    x = np.empty(n_samples, dtype=np.float64)
+    y = np.empty(n_samples, dtype=np.float64)
+    for i in range(n_samples):
+        w = 0.0
+        integral = 0.0
+        for k in range(half):
+            dw = float(table[i, k]) * sqrt_dt
+            integral += (1.0 if w >= 0.0 else -1.0) * dw  # sign(0) = +1
+            w += dw
+        x1 = float(table[i, half])
+        y1 = sqrt2 * integral
+        x[i] = (x1 + y1) / sqrt2
+        y[i] = (x1 - y1) / sqrt2
+    return x, y
 
 
 def _fourth_cumulant_single(f) -> float:

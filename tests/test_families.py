@@ -23,7 +23,8 @@ from chaoskit import (
     strongly_independent,
     symmetrize,
 )
-from oracles import batch_mean_se
+from chaoskit.grid import BLOCK_SIZE
+from oracles import batch_mean_se, simulate_counterexample_reference
 
 
 @pytest.mark.parametrize("n", [1, 4, 16, 64])
@@ -143,6 +144,58 @@ def test_counterexample_validation():
         simulate_counterexample(50, 10, s)  # too coarse
     with pytest.raises(ValueError):
         simulate_counterexample(200, 0, s)
+    for n_samples in (10.5, 3.0, True, "5", None):  # checked before any allocation
+        with pytest.raises(ValueError, match="n_samples"):
+            simulate_counterexample(200, n_samples, s)
+    assert len(simulate_counterexample(200, np.int64(7), s)) == 7
+
+
+def test_counterexample_x1_is_one_draw():
+    # X1 = (x + y)/sqrt(2) is column half of the stream's (index, half + 1)
+    # table; the rotation round trip loses a few ulps of the larger of x, y
+    s = IncrementStream(seed=97)
+    n = BLOCK_SIZE + 50
+    batch = simulate_counterexample(200, n, s)
+    x1 = s.standard_normal_block(101, 0, n)[:, 100]
+    recovered = (batch.x + batch.y) / math.sqrt(2.0)
+    scale = np.abs(batch.x) + np.abs(batch.y)
+    assert np.all(np.abs(recovered - x1) <= 1e-15 * scale)
+
+
+def test_counterexample_matches_per_path_reference():
+    # 4200 paths cross the first BLOCK_SIZE boundary
+    s = IncrementStream(seed=98)
+    batch = simulate_counterexample(200, 4200, s)
+    x_ref, y_ref = simulate_counterexample_reference(200, 4200, s)
+    assert np.allclose(batch.x, x_ref, rtol=0.0, atol=1e-12)
+    assert np.allclose(batch.y, y_ref, rtol=0.0, atol=1e-12)
+
+
+def test_counterexample_draw_count(monkeypatch):
+    # half + 1 = 101 normals per path: 100 left-half increments and X1
+    calls = []
+    original = IncrementStream.standard_normal_block
+
+    def counting(self, n_vars, start, count):
+        out = original(self, n_vars, start, count)
+        calls.append((n_vars, out.size))
+        return out
+
+    monkeypatch.setattr(IncrementStream, "standard_normal_block", counting)
+    n = 2 * BLOCK_SIZE + 100
+    simulate_counterexample(200, n, IncrementStream(seed=99))
+    assert {n_vars for n_vars, _ in calls} == {101}
+    assert sum(size for _, size in calls) == n * 101
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_counterexample_workers_identical(workers):
+    # three blocks, the last one partial
+    n = 2 * BLOCK_SIZE + 100
+    serial = simulate_counterexample(200, n, IncrementStream(seed=100))
+    threaded = simulate_counterexample(200, n, IncrementStream(seed=100), workers=workers)
+    assert serial.x.tobytes() == threaded.x.tobytes()
+    assert serial.y.tobytes() == threaded.y.tobytes()
 
 
 def test_counterexample_batch_indexing():

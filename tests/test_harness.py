@@ -292,6 +292,13 @@ def test_counterexample_record():
     assert again.records == report.records
 
 
+def test_counterexample_workers_do_not_change_records():
+    # CLI defaults: path_steps 1000, 100 000 paths over 25 blocks
+    cfg = ExperimentConfig(experiment="counterexample", seed=4242)
+    serial = run_experiment(cfg).records
+    assert json.dumps(run_experiment(cfg, workers=2).records) == json.dumps(serial)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
