@@ -213,12 +213,12 @@ def _kernel_terms(kernel: StepKernel) -> list:
 class _CompiledPlan:
     """The term groups of several expansions, read from one shared set of Hermite rows."""
 
-    delta: float
     # Hermite degree -> ascending grid columns some term reads at that degree
     columns: dict
     # Per expansion, by order and then in _kernel_terms order: (mults, pos,
-    # coeffs), where pos[:, r] locates each term's r-th cell within
-    # columns[mults[r]].
+    # coeffs, run), where pos[:, r] locates each term's r-th cell within
+    # columns[mults[r]].  run is pos[0, 0] when the group has one Hermite
+    # factor and pos[:, 0] counts up by one from it, else None.
     groups: tuple
 
 
@@ -235,19 +235,22 @@ def _compile(exps: Sequence[ChaosExpansion]) -> _CompiledPlan:
     columns = {k: np.unique(np.concatenate(parts)) for k, parts in refs.items()}
 
     def located(mults, cells, coeffs):
-        pos = [np.searchsorted(columns[k], cells[:, r]) for r, k in enumerate(mults)]
-        return mults, np.stack(pos, axis=1), coeffs
+        pos = np.stack(
+            [np.searchsorted(columns[k], cells[:, r]) for r, k in enumerate(mults)], axis=1
+        )
+        first = pos[:, 0]
+        contiguous = len(mults) == 1 and np.array_equal(first, first[0] + np.arange(first.size))
+        return mults, pos, coeffs, int(first[0]) if contiguous else None
 
     groups = tuple(tuple(located(*g) for g in kernel_groups) for kernel_groups in terms)
-    return _CompiledPlan(delta=exps[0].grid.delta, columns=columns, groups=groups)
+    return _CompiledPlan(columns=columns, groups=groups)
 
 
-def _run_plan(plan: _CompiledPlan, xi: np.ndarray, outs: list) -> None:
-    """Add each compiled expansion's chaos terms at the rows of xi into its out array."""
-    n_samples = xi.shape[0]
+def _run_plan(plan: _CompiledPlan, z: np.ndarray, outs: list) -> None:
+    """Add each compiled expansion's chaos terms at the rows of z = xi / sqrt(delta)."""
+    n_samples = z.shape[0]
     if n_samples == 0 or not plan.columns:
         return
-    z = xi / math.sqrt(plan.delta)
     hrows = {
         k: hermite_eval(k, z if cols.size == z.shape[1] else np.take(z, cols, axis=1))
         for k, cols in plan.columns.items()
@@ -256,14 +259,20 @@ def _run_plan(plan: _CompiledPlan, xi: np.ndarray, outs: list) -> None:
     # friendly memory.
     slab = max(1, (1 << 22) // n_samples)
     for out, groups in zip(outs, plan.groups):
-        for mults, pos, coeffs in groups:
+        for mults, pos, coeffs, run in groups:
             for lo in range(0, pos.shape[0], slab):
                 part = pos[lo : lo + slab]
-                # np.take returns C order; an axis-1 fancy index returns F order,
-                # which changes the row-sum order and so the bits.
-                prod = np.take(hrows[mults[0]], part[:, 0], axis=1)
-                for r in range(1, len(mults)):
-                    prod *= np.take(hrows[mults[r]], part[:, r], axis=1)
+                if run is not None:
+                    # A view of the shared rows: the product with coeffs below
+                    # is a fresh C-order array, as with np.take, and is never
+                    # written in place.
+                    prod = hrows[mults[0]][:, run + lo : run + lo + part.shape[0]]
+                else:
+                    # np.take returns C order; an axis-1 fancy index returns F
+                    # order, which changes the row-sum order and so the bits.
+                    prod = np.take(hrows[mults[0]], part[:, 0], axis=1)
+                    for r in range(1, len(mults)):
+                        prod *= np.take(hrows[mults[r]], part[:, r], axis=1)
                 # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
                 out += (prod * coeffs[lo : lo + slab]).sum(axis=1)
 
@@ -276,7 +285,8 @@ def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
             f"expected increments of shape (n_samples, {x.grid.m}), got {arr.shape}"
         )
     out = np.full(arr.shape[0], x.expectation, dtype=np.float64)
-    _run_plan(_compile([x]), arr, [out])
+    # Dividing makes a new array, so the caller's increments are never written.
+    _run_plan(_compile([x]), arr / math.sqrt(x.grid.delta), [out])
     return out
 
 
@@ -301,8 +311,9 @@ def evaluate_samples(
 ) -> list:
     """Evaluate several expansions on one shared stream of increment vectors.
 
-    Returns one (n_samples,) array per expansion.  Sample i always comes from
-    stream index i, so results are identical for any worker count.
+    Returns one (n_samples,) array per expansion.  Blocks of BLOCK_SIZE paths
+    run on up to `workers` threads (an integer >= 1); sample i always comes
+    from stream index i, so results are identical for any worker count.
     """
     exps = list(exps)
     if not exps:
@@ -311,8 +322,12 @@ def evaluate_samples(
     for e in exps:
         if e.grid != grid:
             raise ValueError("all expansions must share one grid")
+    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not isinstance(workers, (int, np.integer)) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     plan = _compile(exps)
     outs = [np.full(n_samples, e.expectation, dtype=np.float64) for e in exps]
     starts = list(range(0, n_samples, BLOCK_SIZE))
@@ -320,10 +335,11 @@ def evaluate_samples(
     def run(start: int) -> None:
         # Threads share the read-only plan and write disjoint row ranges.
         count = min(BLOCK_SIZE, n_samples - start)
-        xi = sample_increments_block(grid, stream, start, count)
-        _run_plan(plan, xi, [out[start : start + count] for out in outs])
+        z = sample_increments_block(grid, stream, start, count)
+        z /= math.sqrt(grid.delta)  # the block is a fresh array, so scale it in place
+        _run_plan(plan, z, [out[start : start + count] for out in outs])
 
-    if workers and workers > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, starts))
     else:

@@ -1,9 +1,18 @@
-"""Command line entry point: chaoskit <experiment> [options]."""
+"""Command line entry point: chaoskit <experiment> [options].
+
+Flags and --config fields set the ExperimentConfig of the run; explicit flags
+override the file.  --workers (or "workers" in the file) sets how many threads
+evaluate blocks of Monte Carlo paths.  It defaults to the number of CPUs the
+process may run on, and it is not a config field: the records are the same for
+any worker count, so the report does not echo it.  A bad config or worker count
+exits 2 with one "error:" line on stderr before any draw.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -54,6 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--z-grid", type=_csv_floats, default=None, metavar="Z1,Z2,...")
     parser.add_argument("--path-steps", type=int, default=None)
     parser.add_argument("--n-bins", type=int, default=None, metavar="N", help="decouple only")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="threads for Monte Carlo blocks (default: CPUs available to this process)",
+    )
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
     return parser
@@ -66,13 +82,20 @@ def _load_config_file(path: str) -> dict:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_FIELDS) - {"experiment"}
+    unknown = set(data) - set(_CONFIG_FIELDS) - {"experiment", "workers"}
     if unknown:
         raise ValueError(f"unknown config fields in {path}: {sorted(unknown)}")
     for key in ("n_schedule", "t_grid", "z_grid"):
         if key in data and not isinstance(data[key], list):
             raise ValueError(f"{key} in {path} must be a JSON array, got {data[key]!r}")
     return data
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def main(argv=None) -> int:
@@ -83,12 +106,15 @@ def main(argv=None) -> int:
             file_conf = _load_config_file(args.config)
             file_conf.pop("experiment", None)  # the positional argument decides
             kwargs.update(file_conf)
-        for key in _CONFIG_FIELDS:
+        for key in _CONFIG_FIELDS + ("workers",):
             value = getattr(args, key, None)
             if value is not None:
                 kwargs[key] = value
+        workers = kwargs.pop("workers", _available_cpus())
+        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
         config = ExperimentConfig(experiment=args.experiment, **kwargs)
-        report = run_experiment(config)
+        report = run_experiment(config, workers=workers)
         if config.out is not None:
             save_report(report, config.out, config.fmt)
             print(config.out)

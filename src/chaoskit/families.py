@@ -148,8 +148,8 @@ def simulate_counterexample(
     path_steps must be even (the integrand switches at t = 1/2) and at least
     100 so the Euler bias stays below the Monte Carlo resolution at the
     default sample sizes.  Blocks of BLOCK_SIZE paths run on up to `workers`
-    threads; path i always comes from stream index i, so the result is the
-    same for any worker count.
+    threads (an integer >= 1); path i always comes from stream index i, so the
+    result is the same for any worker count.
     """
     if not isinstance(path_steps, (int, np.integer)) or path_steps < 100:
         raise ValueError(f"path_steps must be an integer >= 100, got {path_steps!r}")
@@ -159,6 +159,8 @@ def simulate_counterexample(
         raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not isinstance(workers, (int, np.integer)) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     path_steps, n_samples = int(path_steps), int(n_samples)
     half = path_steps // 2
     dt = 1.0 / path_steps
@@ -173,18 +175,22 @@ def simulate_counterexample(
         table = stream.standard_normal_block(half + 1, start, count)
         dw = table[:, :half]
         dw *= sqrt_dt  # the table is a fresh array, so scale it in place
-        # Left-point path levels W(t_1), ..., W(t_{half-1}) on (0, 1/2)
-        w_left = np.cumsum(dw[:, : half - 1], axis=1)
+        # Left-point path levels W(t_1), ..., W(t_{half-1}) on (0, 1/2), summed
+        # straight into the sign table and then replaced by their signs.
         signs = np.empty((count, half), dtype=np.float64)
         signs[:, 0] = 1.0  # sign(W(0)) = sign(0) = +1
-        signs[:, 1:] = np.where(w_left >= 0.0, 1.0, -1.0)
+        levels = signs[:, 1:]
+        np.cumsum(dw[:, : half - 1], axis=1, out=levels)
+        nonneg = levels >= 0.0
+        levels.fill(-1.0)
+        np.copyto(levels, 1.0, where=nonneg)
         y1 = sqrt2 * np.einsum("ij,ij->i", signs, dw)
         x1 = table[:, half]
         x_out[start : start + count] = (x1 + y1) / sqrt2
         y_out[start : start + count] = (x1 - y1) / sqrt2
 
     starts = range(0, n_samples, BLOCK_SIZE)
-    if workers and workers > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, starts))
     else:

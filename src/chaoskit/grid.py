@@ -94,10 +94,12 @@ class IncrementStream:
         return out
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _raw_block(seed: int, stream_id: int, n_vars: int, block_id: int) -> np.ndarray:
     # Counter-based key: each block owns a disjoint Philox keyspace, so block
-    # contents are independent of generation order.
+    # contents are independent of generation order.  Samplers walk their blocks
+    # once in order, so only the latest block is kept: it serves consecutive
+    # single-row reads such as sample_increments within one block.
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id, block_id))
     gen = np.random.Generator(np.random.Philox(ss))
     block = gen.standard_normal((BLOCK_SIZE, n_vars))

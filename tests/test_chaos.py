@@ -15,6 +15,7 @@ from chaoskit import (
     constant,
     contract,
     cross_gamma,
+    diagonal_second_chaos,
     evaluate,
     evaluate_batch,
     evaluate_samples,
@@ -510,11 +511,30 @@ def _sparse_with_gamma(m, orders, seed):
     return [x, gamma(x)]
 
 
+def _diagonal_gaps():
+    # x sits on cells {0, 2, 5, 6}; the sum reads all eight cells at degree 2,
+    # so x's and G_X's terms are at non-contiguous Hermite columns, while the
+    # sum's are one contiguous run.
+    grid = make_grid(8)
+    x = diagonal_second_chaos(grid, [0, 2, 5, 6], 0.7)
+    return [x, gamma(x), add(x, diagonal_second_chaos(grid, [1, 3, 4, 7], 0.3))]
+
+
+def _diagonal_split_run():
+    # y's 1060 terms are one contiguous run starting at column 40, split across
+    # two term slabs (1024 terms per slab at 4096 paths, 838 at 5000).
+    grid = make_grid(1100)
+    y = diagonal_second_chaos(grid, range(40, 1100), 0.7)
+    return [diagonal_second_chaos(grid, range(40), 0.3), y, gamma(y)]
+
+
 # Each case is a list of expansions on one grid.  The dense (1, 2, 3) case has
 # multi-cell groups up to order 4 in its Gamma; the dense order-2 case at
 # m = 64 has a (1, 1) group of 2016 terms, and the dense order-3 case at m = 24
 # a (1, 1, 1) group of 2024 terms, more than one 1024-term slab.  The sparse
 # case has orders 1-4 with half the multisets zero and a Gamma up to order 6.
+# The diagonal cases cover single-factor groups read as views of the Hermite
+# rows and those that are not.
 _REFERENCE_CASES = {
     "half_support_n4": lambda: _half_support_couple(4),
     "half_support_n256": lambda: _half_support_couple(256),
@@ -522,6 +542,8 @@ _REFERENCE_CASES = {
     "dense_2_m64": lambda: [_random_expansion(np.random.default_rng(42), make_grid(64), [2])],
     "dense_3_m24": lambda: [_random_expansion(np.random.default_rng(45), make_grid(24), [3])],
     "sparse_1234_m6": lambda: _sparse_with_gamma(6, [1, 2, 3, 4], seed=48),
+    "diagonal_gaps_m8": _diagonal_gaps,
+    "diagonal_split_run_m1100": _diagonal_split_run,
 }
 
 
@@ -543,6 +565,24 @@ def test_evaluate_batch_matches_reference_bits(case):
     for e in exps:
         assert np.array_equal(evaluate_batch(e, xi), evaluate_batch_reference(e, xi))
         assert np.array_equal(evaluate_batch(e, xi[:1]), evaluate_batch_reference(e, xi[:1]))
+
+
+def test_evaluate_samples_validates_counts(monkeypatch):
+    x = half_support_second_chaos(4, 0.5, "left")
+    stream = IncrementStream(seed=1)
+    want = evaluate_samples([x], 7, stream)[0]
+    assert np.array_equal(evaluate_samples([x], np.int64(7), stream, workers=np.int64(2))[0], want)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a rejected call must not sample")
+
+    monkeypatch.setattr(IncrementStream, "standard_normal_block", no_draws)
+    for n_samples in (10.5, 3.0, True, "5", None, 0):
+        with pytest.raises(ValueError, match="n_samples"):
+            evaluate_samples([x], n_samples, stream)
+    for workers in (0, -3, 2.5, True, None):  # no silent serial run
+        with pytest.raises(ValueError, match="workers"):
+            evaluate_samples([x], 10, stream, workers=workers)
 
 
 def test_evaluate_samples_requires_common_grid():

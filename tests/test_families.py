@@ -148,6 +148,10 @@ def test_counterexample_validation():
         with pytest.raises(ValueError, match="n_samples"):
             simulate_counterexample(200, n_samples, s)
     assert len(simulate_counterexample(200, np.int64(7), s)) == 7
+    for workers in (0, -3, 2.5, True, None):  # no silent serial run
+        with pytest.raises(ValueError, match="workers"):
+            simulate_counterexample(200, 10, s, workers=workers)
+    assert len(simulate_counterexample(200, 7, s, workers=np.int64(2))) == 7
 
 
 def test_counterexample_x1_is_one_draw():

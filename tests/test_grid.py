@@ -13,6 +13,7 @@ from chaoskit import (
     sample_increments,
     sample_increments_block,
 )
+from chaoskit import grid as grid_module
 from chaoskit.grid import BLOCK_SIZE
 
 
@@ -115,3 +116,16 @@ def test_stream_validation():
         stream.standard_normal_block(0, 0, 4)
     with pytest.raises(ValueError):
         stream.standard_normal_block(2, -1, 4)
+
+
+def test_rows_of_one_block_share_the_cached_block():
+    # The block cache keeps only the latest block: consecutive single-row
+    # reads within one block draw it once.
+    grid = make_grid(8)
+    stream = IncrementStream(seed=5, stream_id=2)
+    grid_module._raw_block.cache_clear()
+    rows = [sample_increments(grid, stream, i).increments for i in range(10)]
+    info = grid_module._raw_block.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (9, 1, 1)
+    block = sample_increments_block(grid, stream, 0, 10)
+    assert np.array_equal(np.stack(rows), block)

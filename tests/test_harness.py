@@ -18,6 +18,7 @@ from chaoskit import (
     run_experiment,
     save_report,
 )
+from chaoskit import cli
 from chaoskit.cli import main as cli_main
 from oracles import run_class_a_reference, run_decoupling_reference, run_three_way_reference
 
@@ -434,6 +435,10 @@ def test_cli_n_bins_flag(capsys):
         ["decouple", "--config", {"t_grid": "12"}],
         ["decouple", "--config", {"z_grid": ["1"]}],
         ["decouple", "--config", {"out": 5}],  # would fail only after the run
+        ["decouple", "--workers", "0"],
+        ["decouple", "--workers", "-1"],
+        ["decouple", "--config", {"workers": 1.5}],
+        ["decouple", "--config", {"workers": True}],
     ],
 )
 def test_cli_bad_config_fails_before_sampling(argv, tmp_path, capsys, monkeypatch):
@@ -453,6 +458,41 @@ def test_cli_bad_config_fails_before_sampling(argv, tmp_path, capsys, monkeypatc
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decouple", "--n-schedule", "4,16", "--mc", "9000"],
+        ["counterexample", "--path-steps", "200", "--mc", "9000"],
+    ],
+)
+def test_cli_records_do_not_depend_on_workers(argv, tmp_path, capsys):
+    # 9000 paths are three blocks; the last run takes the default worker count
+    records = []
+    for extra in (["--workers", "1"], ["--workers", "2"], []):
+        out = tmp_path / f"report{len(records)}.json"
+        assert cli_main(argv + extra + ["--out", str(out)]) == 0
+        records.append(json.dumps(json.loads(out.read_text())["records"]))
+    assert records[0] == records[1] == records[2]
+
+
+def test_cli_workers_default_and_override(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def fake_run(config, workers):
+        seen.append(workers)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"workers": 5}))
+    cli_main(["decouple"])
+    cli_main(["decouple", "--workers", "2"])
+    cli_main(["decouple", "--config", str(conf)])
+    cli_main(["decouple", "--config", str(conf), "--workers", "4"])
+    assert seen == [3, 2, 5, 4]
 
 
 @pytest.mark.parametrize(
