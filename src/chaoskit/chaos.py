@@ -31,16 +31,16 @@ found in one array pass and grouped by multiplicity pattern.  Each
 evaluate_samples call compiles its expansions into one plan: their term
 groups, and for each Hermite degree the grid columns some term reads at that
 degree.  Nothing is cached on the kernels; the plan lives for one call.  Per
-block of paths, H_k is computed once for exactly those (column, degree) pairs
-and every expansion reads its terms from these shared rows; evaluate_batch is
-the same evaluator on a single expansion.
+chunk of paths (grid.run_chunks), H_k is computed once for exactly those
+(column, degree) pairs and every expansion reads its terms from these shared
+rows; evaluate_batch is the same evaluator on a single expansion.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -48,11 +48,12 @@ from typing import Sequence
 import numpy as np
 
 from .grid import (
-    BLOCK_SIZE,
     GaussianSample,
     Grid,
     IncrementStream,
+    check_run_counts,
     make_grid,
+    run_chunks,
     sample_increments_block,
 )
 from .hermite import hermite_eval
@@ -246,10 +247,13 @@ def _compile(exps: Sequence[ChaosExpansion]) -> _CompiledPlan:
     return _CompiledPlan(columns=columns, groups=groups)
 
 
-def _run_plan(plan: _CompiledPlan, z: np.ndarray, outs: list) -> None:
-    """Add each compiled expansion's chaos terms at the rows of z = xi / sqrt(delta)."""
-    n_samples = z.shape[0]
-    if n_samples == 0 or not plan.columns:
+def _run_plan(plan: _CompiledPlan, z: np.ndarray, outs: list, block_rows: int) -> None:
+    """Add each compiled expansion's chaos terms at the rows of z = xi / sqrt(delta).
+
+    z holds some rows of a block of block_rows paths; the term slab, and so
+    the order of each row's partial sums, is set by block_rows alone.
+    """
+    if z.shape[0] == 0 or not plan.columns:
         return
     hrows = {
         k: hermite_eval(k, z if cols.size == z.shape[1] else np.take(z, cols, axis=1))
@@ -257,7 +261,7 @@ def _run_plan(plan: _CompiledPlan, z: np.ndarray, outs: list) -> None:
     }
     # Slab the term dimension so the sample-by-term product stays in cache-
     # friendly memory.
-    slab = max(1, (1 << 22) // n_samples)
+    slab = max(1, (1 << 22) // block_rows)
     for out, groups in zip(outs, plan.groups):
         for mults, pos, coeffs, run in groups:
             for lo in range(0, pos.shape[0], slab):
@@ -286,7 +290,7 @@ def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
         )
     out = np.full(arr.shape[0], x.expectation, dtype=np.float64)
     # Dividing makes a new array, so the caller's increments are never written.
-    _run_plan(_compile([x]), arr / math.sqrt(x.grid.delta), [out])
+    _run_plan(_compile([x]), arr / math.sqrt(x.grid.delta), [out], arr.shape[0])
     return out
 
 
@@ -312,8 +316,10 @@ def evaluate_samples(
     """Evaluate several expansions on one shared stream of increment vectors.
 
     Returns one (n_samples,) array per expansion.  Blocks of BLOCK_SIZE paths
-    run on up to `workers` threads (an integer >= 1); sample i always comes
-    from stream index i, so results are identical for any worker count.
+    run on up to `workers` threads (an integer >= 1), each walked in chunks of
+    at most about CHUNK_ENTRIES increments (see grid.run_chunks); sample i
+    always comes from stream index i, so results are identical for any worker
+    count.
     """
     exps = list(exps)
     if not exps:
@@ -322,29 +328,25 @@ def evaluate_samples(
     for e in exps:
         if e.grid != grid:
             raise ValueError("all expansions must share one grid")
-    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool):
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not isinstance(workers, (int, np.integer)) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    check_run_counts(n_samples, workers)
     plan = _compile(exps)
     outs = [np.full(n_samples, e.expectation, dtype=np.float64) for e in exps]
-    starts = list(range(0, n_samples, BLOCK_SIZE))
 
-    def run(start: int) -> None:
+    # Each thread's increment buffer, reused by its chunks: with a fresh one
+    # per chunk the allocator hands the freed pages back to the kernel and
+    # every chunk faults them in again.
+    scratch = threading.local()
+
+    def chunk(start: int, count: int, block_rows: int) -> None:
         # Threads share the read-only plan and write disjoint row ranges.
-        count = min(BLOCK_SIZE, n_samples - start)
-        z = sample_increments_block(grid, stream, start, count)
-        z /= math.sqrt(grid.delta)  # the block is a fresh array, so scale it in place
-        _run_plan(plan, z, [out[start : start + count] for out in outs])
+        buf = getattr(scratch, "z", None)
+        if buf is None or buf.shape[0] < count:
+            buf = scratch.z = np.empty((count, grid.m), dtype=np.float64)
+        z = sample_increments_block(grid, stream, start, count, out=buf[:count])
+        z /= math.sqrt(grid.delta)  # the round trip through xi is part of the bits
+        _run_plan(plan, z, [out[start : start + count] for out in outs], block_rows)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
-    else:
-        for start in starts:
-            run(start)
+    run_chunks(n_samples, grid.m, workers, chunk)
     return outs
 
 

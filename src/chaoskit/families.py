@@ -25,13 +25,13 @@ normal, since W(1) - W(1/2) is independent of the left half.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chaos import ChaosExpansion, single_chaos
-from .grid import BLOCK_SIZE, Grid, IncrementStream, make_grid
+from .grid import Grid, IncrementStream, check_run_counts, make_grid, run_chunks
 from .kernels import StepKernel, inner_product, is_symmetric, step_kernel
 
 
@@ -155,12 +155,7 @@ def simulate_counterexample(
         raise ValueError(f"path_steps must be an integer >= 100, got {path_steps!r}")
     if path_steps % 2 != 0:
         raise ValueError(f"path_steps must be even, got {path_steps}")
-    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool):
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not isinstance(workers, (int, np.integer)) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    check_run_counts(n_samples, workers)
     path_steps, n_samples = int(path_steps), int(n_samples)
     half = path_steps // 2
     dt = 1.0 / path_steps
@@ -169,15 +164,23 @@ def simulate_counterexample(
     x_out = np.empty(n_samples, dtype=np.float64)
     y_out = np.empty(n_samples, dtype=np.float64)
 
-    def run(start: int) -> None:
-        # Each chunk reads exactly one cached raw RNG block and writes its own rows.
-        count = min(BLOCK_SIZE, n_samples - start)
+    # Each thread's sign table, reused by its chunks: with a fresh one per
+    # chunk the allocator hands the freed pages back to the kernel and every
+    # chunk faults them in again.
+    scratch = threading.local()
+
+    def chunk(start: int, count: int, block_rows: int) -> None:
+        # Each chunk draws only its own rows of the table and writes only
+        # their results; every value depends on its path's row alone.
         table = stream.standard_normal_block(half + 1, start, count)
         dw = table[:, :half]
         dw *= sqrt_dt  # the table is a fresh array, so scale it in place
         # Left-point path levels W(t_1), ..., W(t_{half-1}) on (0, 1/2), summed
         # straight into the sign table and then replaced by their signs.
-        signs = np.empty((count, half), dtype=np.float64)
+        signs = getattr(scratch, "signs", None)
+        if signs is None or signs.shape[0] < count:
+            signs = scratch.signs = np.empty((count, half), dtype=np.float64)
+        signs = signs[:count]
         signs[:, 0] = 1.0  # sign(W(0)) = sign(0) = +1
         levels = signs[:, 1:]
         np.cumsum(dw[:, : half - 1], axis=1, out=levels)
@@ -189,13 +192,7 @@ def simulate_counterexample(
         x_out[start : start + count] = (x1 + y1) / sqrt2
         y_out[start : start + count] = (x1 - y1) / sqrt2
 
-    starts = range(0, n_samples, BLOCK_SIZE)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
-    else:
-        for start in starts:
-            run(start)
+    run_chunks(n_samples, half + 1, workers, chunk)
     x_out.flags.writeable = False
     y_out.flags.writeable = False
     return CounterexampleBatch(x=x_out, y=y_out, path_steps=path_steps)

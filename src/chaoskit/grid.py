@@ -5,12 +5,23 @@ draw is the vector of increments W(A_i), independent N(0, 1/m) variables.
 Sampling is counter-based: the increments for sample index k are a pure
 function of (master seed, stream id, k), so Monte Carlo runs reproduce
 bit-for-bit no matter how the work is scheduled or parallelized.
+
+Each block of BLOCK_SIZE rows has its own Philox generator.  A read that
+starts a block, or continues where the calling thread's last read of that
+block ended, draws its rows straight into the returned array, so a sampler
+that walks a block in order never holds more of it than the rows it asked
+for.  run_chunks walks rows that way, in chunks of at most about
+CHUNK_ENTRIES normals, so a sampler's memory is bounded whatever the number
+of variables per row.  Only random-access reads materialize a whole block.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -18,6 +29,10 @@ import numpy as np
 # depend only on its block id and offset, never on which blocks were generated
 # before it.
 BLOCK_SIZE = 4096
+
+# run_chunks hands out at most this many normals per chunk (4 MiB of float64),
+# or one row when a row is wider.
+CHUNK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -77,34 +92,113 @@ class IncrementStream:
         """Stream reserved for an independent purpose under the same master seed."""
         return IncrementStream(seed=self.seed, stream_id=int(tag))
 
-    def standard_normal_block(self, n_vars: int, start: int, count: int) -> np.ndarray:
-        """Rows start .. start+count-1 of the infinite (index, n_vars) normal table."""
+    def standard_normal_block(
+        self, n_vars: int, start: int, count: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Rows start .. start+count-1 of the infinite (index, n_vars) normal table.
+
+        The rows are written into out when it is given (a C-contiguous
+        float64 array of shape (count, n_vars)), else into a new array.
+        """
         if n_vars < 1:
             raise ValueError(f"n_vars must be >= 1, got {n_vars}")
         if start < 0 or count < 0:
             raise ValueError(f"need start >= 0 and count >= 0, got {start}, {count}")
-        out = np.empty((count, n_vars), dtype=np.float64)
+        if out is None:
+            out = np.empty((count, n_vars), dtype=np.float64)
+        elif (
+            out.shape != (count, n_vars)
+            or out.dtype != np.float64
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape {(count, n_vars)}"
+            )
+        cursor = _cursor
         filled = 0
         while filled < count:
             block_id, offset = divmod(start + filled, BLOCK_SIZE)
             take = min(BLOCK_SIZE - offset, count - filled)
-            block = _raw_block(self.seed, self.stream_id, n_vars, block_id)
-            out[filled : filled + take] = block[offset : offset + take]
+            key = (self.seed, self.stream_id, n_vars, block_id)
+            if offset == 0:
+                cursor.key, cursor.row = key, 0
+                cursor.gen = _block_generator(self.seed, self.stream_id, block_id)
+            rows = out[filled : filled + take]
+            if cursor.key == key and cursor.row == offset:
+                cursor.gen.standard_normal(out=rows)
+                cursor.row += take
+            else:
+                rows[...] = _raw_block(self.seed, self.stream_id, n_vars, block_id)[
+                    offset : offset + take
+                ]
             filled += take
         return out
 
 
+class _BlockCursor(threading.local):
+    """A thread's open block generator: key (seed, stream_id, n_vars, block_id)
+    and the next row it draws."""
+
+    key = None
+    row = 0
+    gen = None
+
+
+_cursor = _BlockCursor()
+
+
+def _block_generator(seed: int, stream_id: int, block_id: int) -> np.random.Generator:
+    # Counter-based key: each block owns a disjoint Philox keyspace, so block
+    # contents are independent of generation order.
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id, block_id))
+    return np.random.Generator(np.random.Philox(ss))
+
+
 @lru_cache(maxsize=1)
 def _raw_block(seed: int, stream_id: int, n_vars: int, block_id: int) -> np.ndarray:
-    # Counter-based key: each block owns a disjoint Philox keyspace, so block
-    # contents are independent of generation order.  Samplers walk their blocks
-    # once in order, so only the latest block is kept: it serves consecutive
-    # single-row reads such as sample_increments within one block.
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id, block_id))
-    gen = np.random.Generator(np.random.Philox(ss))
-    block = gen.standard_normal((BLOCK_SIZE, n_vars))
+    # The whole block, for random-access reads only: a read that neither
+    # starts a block nor continues the thread's open generator copies its
+    # rows from here.  The latest block is kept for repeated such reads.
+    block = _block_generator(seed, stream_id, block_id).standard_normal((BLOCK_SIZE, n_vars))
     block.flags.writeable = False
     return block
+
+
+def check_run_counts(n_samples, workers) -> None:
+    """Reject a sample count or worker count that is not an integer >= 1."""
+    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not isinstance(workers, (int, np.integer)) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
+def run_chunks(
+    n_samples: int, n_vars: int, workers: int, chunk: Callable[[int, int, int], None]
+) -> None:
+    """Call chunk(start, count, block_rows) over rows 0 .. n_samples-1.
+
+    Blocks of BLOCK_SIZE rows run on up to `workers` threads.  One thread
+    walks a block's chunks in order, each max(1, CHUNK_ENTRIES // n_vars)
+    rows but the last, so a chunk that reads its rows of an n_vars-wide
+    table through standard_normal_block continues the thread's open block
+    generator.  block_rows is the row count of the chunk's block.
+    """
+    rows = max(1, CHUNK_ENTRIES // n_vars)
+
+    def run(block_start: int) -> None:
+        block_rows = min(BLOCK_SIZE, n_samples - block_start)
+        for lo in range(0, block_rows, rows):
+            chunk(block_start + lo, min(rows, block_rows - lo), block_rows)
+
+    starts = range(0, n_samples, BLOCK_SIZE)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, starts))
+    else:
+        for start in starts:
+            run(start)
 
 
 def sample_increments(grid: Grid, stream: IncrementStream, index: int = 0) -> GaussianSample:
@@ -114,9 +208,12 @@ def sample_increments(grid: Grid, stream: IncrementStream, index: int = 0) -> Ga
 
 
 def sample_increments_block(
-    grid: Grid, stream: IncrementStream, start: int, count: int
+    grid: Grid, stream: IncrementStream, start: int, count: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Increment vectors for sample indices start .. start+count-1, shape (count, m)."""
-    block = stream.standard_normal_block(grid.m, start, count)
-    block *= np.sqrt(grid.delta)  # the block is a fresh array, so scale it in place
+    """Increment vectors for sample indices start .. start+count-1, shape (count, m).
+
+    They are written into out when it is given, as in standard_normal_block.
+    """
+    block = stream.standard_normal_block(grid.m, start, count, out=out)
+    block *= np.sqrt(grid.delta)  # the block is fresh or the caller's, so scale it in place
     return block

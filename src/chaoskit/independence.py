@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .chaos import ChaosExpansion, add, cross_gamma, evaluate_samples
-from .grid import IncrementStream
+from .grid import IncrementStream, check_run_counts
 from .kernels import StepKernel, contract, kernel_norm
 from .stein import char_fn_estimates
 
@@ -104,10 +106,16 @@ def class_a_diagnostic(
 
     A vanishing diagnostic is what lets the characteristic function of X + Y
     factor; for strongly independent couples the cross functional is the zero
-    expansion and every estimate is exactly zero.
+    expansion and every estimate is exactly zero.  Then nothing is drawn: the
+    cross functional is 0 on every path, so the estimates are taken on zero
+    arrays of length n_samples, which give the same values as drawn X + Y.
     """
     cg = cross_gamma(x, y)
-    s_vals, cg_vals = evaluate_samples([add(x, y), cg], n_samples, stream, workers=workers)
+    if cg.nonzero_orders():
+        s_vals, cg_vals = evaluate_samples([add(x, y), cg], n_samples, stream, workers=workers)
+    else:
+        check_run_counts(n_samples, workers)
+        s_vals = cg_vals = np.zeros(n_samples)
     estimates = char_fn_estimates(s_vals, cg_vals, t_grid)
     max_modulus = max((e.value for e in estimates), default=0.0)
     return ClassADiagnostic(max_modulus=float(max_modulus), estimates=estimates)

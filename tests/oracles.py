@@ -21,6 +21,10 @@ library's runners must reproduce their records byte for byte.
 
 The reference counterexample simulation walks each path one Euler step at a
 time over the same (index, path_steps/2 + 1) normal table the library reads.
+Its sum order differs from the library's, so it agrees to rounding only; the
+block reference does the library's array arithmetic on each whole
+BLOCK_SIZE block, so the library, which walks a block in chunks, must
+reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -189,6 +193,26 @@ def simulate_counterexample_reference(path_steps: int, n_samples: int, stream) -
         y1 = sqrt2 * integral
         x[i] = (x1 + y1) / sqrt2
         y[i] = (x1 - y1) / sqrt2
+    return x, y
+
+
+def simulate_counterexample_block_reference(path_steps: int, n_samples: int, stream) -> tuple:
+    """(x, y) arrays of the rotated counterexample pair, one whole block at a time."""
+    half = path_steps // 2
+    sqrt_dt = math.sqrt(1.0 / path_steps)
+    sqrt2 = math.sqrt(2.0)
+    x = np.empty(n_samples, dtype=np.float64)
+    y = np.empty(n_samples, dtype=np.float64)
+    for start in range(0, n_samples, BLOCK_SIZE):
+        count = min(BLOCK_SIZE, n_samples - start)
+        table = stream.standard_normal_block(half + 1, start, count)
+        dw = table[:, :half] * sqrt_dt
+        levels = np.cumsum(dw[:, : half - 1], axis=1)
+        signs = np.hstack([np.ones((count, 1)), np.where(levels >= 0.0, 1.0, -1.0)])
+        y1 = sqrt2 * np.einsum("ij,ij->i", signs, dw)
+        x1 = table[:, half]
+        x[start : start + count] = (x1 + y1) / sqrt2
+        y[start : start + count] = (x1 - y1) / sqrt2
     return x, y
 
 

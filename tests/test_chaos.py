@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,8 @@ from chaoskit import (
     symmetrize,
     variance,
 )
+from chaoskit import grid as grid_module
+from chaoskit.grid import BLOCK_SIZE
 from chaoskit.harness import EXACT_IDENTITY_RTOL
 from oracles import (
     batch_fourth_cumulant_se,
@@ -556,6 +559,56 @@ def test_evaluate_samples_matches_reference_bits(case, workers):
     got = evaluate_samples(exps, 5000, IncrementStream(seed=43, stream_id=3), workers=workers)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_samples_chunk_seams_match_reference_bits(case, workers, monkeypatch):
+    exps = _REFERENCE_CASES[case]()
+    m = exps[0].grid.m
+    # 300 rows a chunk: of 5000 paths, the 4096-path block is 13 chunks and
+    # the 904-path tail 4, each ending in a ragged chunk
+    monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 300 * m + m // 2)
+    want = evaluate_samples_reference(exps, 5000, IncrementStream(seed=43, stream_id=3))
+    got = evaluate_samples(exps, 5000, IncrementStream(seed=43, stream_id=3), workers=workers)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_evaluate_samples_draws_only_through_standard_normal_block(monkeypatch):
+    # The benchmark's tracer counts normals at this method and reads the
+    # block cache's statistics.
+    sizes = []
+    original = IncrementStream.standard_normal_block
+
+    def counting(self, n_vars, start, count, out=None):
+        out = original(self, n_vars, start, count, out=out)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(IncrementStream, "standard_normal_block", counting)
+    grid_module._raw_block.cache_clear()
+    exps = _half_support_couple(256)
+    evaluate_samples(exps, 5000, IncrementStream(seed=46), workers=2)
+    assert sum(sizes) == 5000 * 512
+    assert len(sizes) == 5  # 1024-row chunks: four in the first block, one in the tail
+    info = grid_module._raw_block.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (0, 0, 1)
+
+
+def test_evaluate_samples_memory_is_bounded_in_m():
+    # One block of 4096 paths at m = 4096 is 128 MiB of increments.  The
+    # traced peak covers the whole call: the plan's compile pass holds two
+    # m x m boolean masks (32 MiB), the chunk walk a few chunk-sized arrays.
+    exps = [half_support_second_chaos(2048, 0.5, side) for side in ("left", "right")]
+    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+    tracemalloc.start()
+    try:
+        evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=47))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * chunk_bytes < BLOCK_SIZE * 4096 * 8 / 2
 
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))

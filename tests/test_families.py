@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,13 @@ from chaoskit import (
     strongly_independent,
     symmetrize,
 )
+from chaoskit import grid as grid_module
 from chaoskit.grid import BLOCK_SIZE
-from oracles import batch_mean_se, simulate_counterexample_reference
+from oracles import (
+    batch_mean_se,
+    simulate_counterexample_block_reference,
+    simulate_counterexample_reference,
+)
 
 
 @pytest.mark.parametrize("n", [1, 4, 16, 64])
@@ -200,6 +206,31 @@ def test_counterexample_workers_identical(workers):
     threaded = simulate_counterexample(200, n, IncrementStream(seed=100), workers=workers)
     assert serial.x.tobytes() == threaded.x.tobytes()
     assert serial.y.tobytes() == threaded.y.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_counterexample_chunk_seams_match_block_reference(workers, monkeypatch):
+    # 30 rows of 101 normals a chunk: three blocks, the last one partial, and
+    # every block ends in a ragged chunk (4096 = 136 * 30 + 16, 100 = 3 * 30 + 10)
+    n = 2 * BLOCK_SIZE + 100
+    monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 30 * 101 + 50)
+    want_x, want_y = simulate_counterexample_block_reference(200, n, IncrementStream(seed=101))
+    got = simulate_counterexample(200, n, IncrementStream(seed=101), workers=workers)
+    assert got.x.tobytes() == want_x.tobytes()
+    assert got.y.tobytes() == want_y.tobytes()
+
+
+def test_counterexample_memory_is_bounded_in_path_steps():
+    # One block of 4096 paths at 20 000 steps is a 328 MB table of 10 001
+    # normals a path; the chunk walk holds a few chunk-sized arrays.
+    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+    tracemalloc.start()
+    try:
+        simulate_counterexample(20_000, BLOCK_SIZE, IncrementStream(seed=102))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * chunk_bytes < BLOCK_SIZE * 10_001 * 8 / 16
 
 
 def test_counterexample_batch_indexing():

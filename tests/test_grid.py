@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -116,16 +117,83 @@ def test_stream_validation():
         stream.standard_normal_block(0, 0, 4)
     with pytest.raises(ValueError):
         stream.standard_normal_block(2, -1, 4)
+    for bad in (np.empty((4, 3)), np.empty((4, 2), dtype=np.float32), np.empty((2, 4)).T):
+        with pytest.raises(ValueError, match="out"):
+            stream.standard_normal_block(2, 0, 4, out=bad)
 
 
-def test_rows_of_one_block_share_the_cached_block():
-    # The block cache keeps only the latest block: consecutive single-row
-    # reads within one block draw it once.
+def test_draws_into_a_given_array():
+    g = make_grid(6)
+    stream = IncrementStream(seed=8)
+    buf = np.full((BLOCK_SIZE + 10, 6), np.nan)
+    rows = sample_increments_block(g, stream, BLOCK_SIZE - 5, 15, out=buf[3:18])
+    assert np.shares_memory(rows, buf)
+    assert np.array_equal(buf[3:18], sample_increments_block(g, stream, BLOCK_SIZE - 5, 15))
+    assert np.isnan(buf[:3]).all() and np.isnan(buf[18:]).all()
+
+
+def test_rows_of_one_block_share_the_cached_block(monkeypatch):
+    # Consecutive single-row reads from the start of a block continue the
+    # thread's generator for that block: it is opened once, and no whole
+    # block is drawn.
     grid = make_grid(8)
     stream = IncrementStream(seed=5, stream_id=2)
+    opened = []
+    original = grid_module._block_generator
+
+    def counting(*args):
+        opened.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(grid_module, "_block_generator", counting)
     grid_module._raw_block.cache_clear()
     rows = [sample_increments(grid, stream, i).increments for i in range(10)]
     info = grid_module._raw_block.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (9, 1, 1)
+    assert opened == [(5, 2, 0)]
+    assert (info.hits, info.misses, info.maxsize) == (0, 0, 1)
     block = sample_increments_block(grid, stream, 0, 10)
     assert np.array_equal(np.stack(rows), block)
+
+
+def test_interleaved_chunked_reads_match_serial_table():
+    # The reference is each block drawn whole.  Two threads walk blocks 1 and
+    # 2 in lock step, in ragged chunks (4096 = 5 * 700 + 596), so each read
+    # continues its own thread's generator while the other thread has one
+    # open.  Then one thread mixes in reads that continue no open generator.
+    stream = IncrementStream(seed=12, stream_id=4)
+    n_vars = 3
+    serial = np.concatenate(
+        [grid_module._raw_block(12, 4, n_vars, b) for b in range(3)]
+    )
+    got = {}
+    barrier = threading.Barrier(2, timeout=30)
+
+    def walk(block_id):
+        for lo in range(0, BLOCK_SIZE, 700):
+            start = block_id * BLOCK_SIZE + lo
+            got[start] = stream.standard_normal_block(n_vars, start, min(700, BLOCK_SIZE - lo))
+            barrier.wait()
+
+    threads = [threading.Thread(target=walk, args=(b,)) for b in (1, 2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 12
+    for start, rows in got.items():
+        assert np.array_equal(rows, serial[start : start + rows.shape[0]])
+
+    reads = [
+        (0, 500),  # opens block 0
+        (100, 200),  # backwards
+        (500, 400),  # continues block 0 after the backward read
+        (2 * BLOCK_SIZE, 900),  # opens block 2
+        (900, 100),  # block 0 at the row where the open block 2 stands
+        (2 * BLOCK_SIZE + 900, 200),  # continues block 2
+        (BLOCK_SIZE - 37, 100),  # unaligned, across the block 0 / 1 seam
+        (BLOCK_SIZE + 63, 37),  # continues block 1
+    ]
+    for start, count in reads:
+        rows = stream.standard_normal_block(n_vars, start, count)
+        assert np.array_equal(rows, serial[start : start + count])

@@ -253,6 +253,20 @@ def test_class_a_exact_zero_cross_terms():
             assert entry["std_error"] == 0.0
 
 
+def test_class_a_disjoint_couple_draws_nothing(monkeypatch):
+    # The default couple sits on disjoint halves, so its cross functional is
+    # the zero expansion: the records come out without a draw and equal the
+    # drawn route (evaluate, then the estimators) byte for byte.
+    config = ExperimentConfig(experiment="class_a", mc_samples=3000, seed=12)
+    drawn = json.dumps(run_class_a_reference(config).records)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("an exactly zero diagnostic must not sample")
+
+    monkeypatch.setattr(IncrementStream, "standard_normal_block", no_draws)
+    assert json.dumps(run_experiment(config).records) == drawn
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "experiment,reference,split",
