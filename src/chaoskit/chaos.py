@@ -27,13 +27,15 @@ k_1 + ... + k_d = n,
 
 with H_k the monic probabilists' Hermite polynomials.  The terms of a kernel
 are its nonzero entries at nondecreasing index tuples, one per cell multiset,
-found in one array pass and grouped by multiplicity pattern.  Each
-evaluate_samples call compiles its expansions into one plan: their term
-groups, and for each Hermite degree the grid columns some term reads at that
-degree.  Nothing is cached on the kernels; the plan lives for one call.  Per
-chunk of paths (grid.run_chunks), H_k is computed once for exactly those
-(column, degree) pairs and every expansion reads its terms from these shared
-rows; evaluate_batch is the same evaluator on a single expansion.
+listed slice by slice along the first axis and grouped by multiplicity
+pattern.  Each evaluate_samples call compiles its expansions into one plan:
+their term groups, and for each Hermite degree the grid columns some term
+reads at that degree.  Nothing is cached on the kernels; the plan lives for
+one call.  Per chunk of paths (grid.run_chunks), H_k is computed once for
+exactly those (column, degree) pairs and every expansion reads its terms from
+these shared rows, in bands of rows whose sample-by-term products hold at
+most about CHUNK_ENTRIES entries; evaluate_batch is the same evaluator on a
+single expansion.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .grid import (
     Grid,
     IncrementStream,
     check_run_counts,
+    chunk_rows,
     make_grid,
     run_chunks,
     sample_increments_block,
@@ -186,15 +189,19 @@ def _kernel_terms(kernel: StepKernel) -> list:
     argwhere lists them lexicographically.  Its Hermite degrees mults are the
     run lengths of equal indices, cells[:, r] is the cell of run r, and coeffs
     is value * delta^(n/2) * n! / prod(k_r!).  Groups follow the first term of
-    each pattern.
+    each pattern.  The nonzero entries are listed a slice of the first axis
+    at a time, at most about CHUNK_ENTRIES entries each, so no mask or index
+    table spans all m^n entries.
     """
     n, m = kernel.order, kernel.grid.m
-    mask = kernel.values != 0.0
-    ascending = np.less_equal.outer(np.arange(m), np.arange(m))
-    for r in range(n - 1):
-        mask &= ascending.reshape((1,) * r + (m, m) + (1,) * (n - r - 2))
-    rows = np.argwhere(mask)
-    values = kernel.values[mask] * (kernel.grid.delta ** (n / 2.0) * math.factorial(n))
+    step = chunk_rows(m ** (n - 1))
+    parts = []
+    for lo in range(0, m, step):
+        part = np.argwhere(kernel.values[lo : lo + step])
+        part[:, 0] += lo
+        parts.append(part[np.all(part[:, 1:] >= part[:, :-1], axis=1)])
+    rows = np.concatenate(parts)
+    values = kernel.values[tuple(rows.T)] * (kernel.grid.delta ** (n / 2.0) * math.factorial(n))
     # Bit r of a term's pattern code is set when a new run starts at index r + 1.
     codes = (rows[:, 1:] != rows[:, :-1]) @ (1 << np.arange(n - 1))
     _, first = np.unique(codes, return_index=True)
@@ -251,7 +258,9 @@ def _run_plan(plan: _CompiledPlan, z: np.ndarray, outs: list, block_rows: int) -
     """Add each compiled expansion's chaos terms at the rows of z = xi / sqrt(delta).
 
     z holds some rows of a block of block_rows paths; the term slab, and so
-    the order of each row's partial sums, is set by block_rows alone.
+    the order of each row's partial sums, is set by block_rows alone.  Each
+    slab is walked in bands of rows, so no product array holds more than
+    about CHUNK_ENTRIES entries; a row's sum never spans two bands.
     """
     if z.shape[0] == 0 or not plan.columns:
         return
@@ -266,19 +275,24 @@ def _run_plan(plan: _CompiledPlan, z: np.ndarray, outs: list, block_rows: int) -
         for mults, pos, coeffs, run in groups:
             for lo in range(0, pos.shape[0], slab):
                 part = pos[lo : lo + slab]
-                if run is not None:
-                    # A view of the shared rows: the product with coeffs below
-                    # is a fresh C-order array, as with np.take, and is never
-                    # written in place.
-                    prod = hrows[mults[0]][:, run + lo : run + lo + part.shape[0]]
-                else:
-                    # np.take returns C order; an axis-1 fancy index returns F
-                    # order, which changes the row-sum order and so the bits.
-                    prod = np.take(hrows[mults[0]], part[:, 0], axis=1)
-                    for r in range(1, len(mults)):
-                        prod *= np.take(hrows[mults[r]], part[:, r], axis=1)
-                # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
-                out += (prod * coeffs[lo : lo + slab]).sum(axis=1)
+                weights = coeffs[lo : lo + slab]
+                band = chunk_rows(part.shape[0])
+                for a in range(0, z.shape[0], band):
+                    rows = slice(a, a + band)
+                    if run is not None:
+                        # A view of the shared rows: the product with weights
+                        # below is a fresh C-order array, as with np.take, and
+                        # is never written in place.
+                        prod = hrows[mults[0]][rows, run + lo : run + lo + part.shape[0]]
+                    else:
+                        # np.take returns C order; an axis-1 fancy index
+                        # returns F order, which changes the row-sum order and
+                        # so the bits.
+                        prod = np.take(hrows[mults[0]][rows], part[:, 0], axis=1)
+                        for r in range(1, len(mults)):
+                            prod *= np.take(hrows[mults[r]][rows], part[:, r], axis=1)
+                    # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
+                    out[rows] += (prod * weights).sum(axis=1)
 
 
 def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Flags and --config fields set the ExperimentConfig of the run; explicit flags
 override the file.  --workers (or "workers" in the file) sets how many threads
-evaluate blocks of Monte Carlo paths.  It defaults to the number of CPUs the
-process may run on, and it is not a config field: the records are the same for
-any worker count, so the report does not echo it.  A bad config or worker count
-exits 2 with one "error:" line on stderr before any draw.
+evaluate blocks of Monte Carlo paths and, in decouple and three_way, run each
+record's estimators.  It defaults to the number of CPUs the process may run
+on, and it is not a config field: the records are the same for any worker
+count, so the report does not echo it.  A bad config or worker count exits 2
+with one "error:" line on stderr before any draw.  `python -m chaoskit` runs
+the same entry point.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="threads for Monte Carlo blocks (default: CPUs available to this process)",
+        help="threads for Monte Carlo blocks and estimators "
+        "(default: CPUs available to this process)",
     )
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")

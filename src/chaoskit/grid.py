@@ -13,6 +13,11 @@ that walks a block in order never holds more of it than the rows it asked
 for.  run_chunks walks rows that way, in chunks of at most about
 CHUNK_ENTRIES normals, so a sampler's memory is bounded whatever the number
 of variables per row.  Only random-access reads materialize a whole block.
+
+run_tasks is the one thread pool of the package: run_chunks hands it the
+blocks of a run, and the k-way experiments the estimator calls of a record.
+Results come back in submission order, so nothing depends on which thread
+ran what.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,7 +36,7 @@ import numpy as np
 BLOCK_SIZE = 4096
 
 # run_chunks hands out at most this many normals per chunk (4 MiB of float64),
-# or one row when a row is wider.
+# or one row when a row is wider; chunk_rows gives the row count.
 CHUNK_ENTRIES = 1 << 19
 
 
@@ -174,31 +179,47 @@ def check_run_counts(n_samples, workers) -> None:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 
+def chunk_rows(width: int) -> int:
+    """Rows of a width-wide float64 table that fit in one chunk of CHUNK_ENTRIES."""
+    return max(1, CHUNK_ENTRIES // width)
+
+
+def run_tasks(workers: int, tasks: Sequence[Callable[[], object]]) -> list:
+    """Call each task and return their results in submission order.
+
+    With workers == 1, or fewer than two tasks, they run inline in this
+    thread, one after another.  Otherwise they run on up to `workers`
+    threads, and the exception of the first task to fail, in submission
+    order, propagates once every task has run.
+    """
+    tasks = list(tasks)
+    if workers == 1 or len(tasks) < 2:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        futures = [pool.submit(task) for task in tasks]
+        return [future.result() for future in futures]
+
+
 def run_chunks(
     n_samples: int, n_vars: int, workers: int, chunk: Callable[[int, int, int], None]
 ) -> None:
     """Call chunk(start, count, block_rows) over rows 0 .. n_samples-1.
 
-    Blocks of BLOCK_SIZE rows run on up to `workers` threads.  One thread
-    walks a block's chunks in order, each max(1, CHUNK_ENTRIES // n_vars)
-    rows but the last, so a chunk that reads its rows of an n_vars-wide
-    table through standard_normal_block continues the thread's open block
-    generator.  block_rows is the row count of the chunk's block.
+    Blocks of BLOCK_SIZE rows run as run_tasks tasks on up to `workers`
+    threads.  One thread walks a block's chunks in order, each
+    chunk_rows(n_vars) rows but the last, so a chunk that reads its rows of
+    an n_vars-wide table through standard_normal_block continues the
+    thread's open block generator.  block_rows is the row count of the
+    chunk's block.
     """
-    rows = max(1, CHUNK_ENTRIES // n_vars)
+    rows = chunk_rows(n_vars)
 
     def run(block_start: int) -> None:
         block_rows = min(BLOCK_SIZE, n_samples - block_start)
         for lo in range(0, block_rows, rows):
             chunk(block_start + lo, min(rows, block_rows - lo), block_rows)
 
-    starts = range(0, n_samples, BLOCK_SIZE)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
-    else:
-        for start in starts:
-            run(start)
+    run_tasks(workers, [partial(run, s) for s in range(0, n_samples, BLOCK_SIZE)])
 
 
 def sample_increments(grid: Grid, stream: IncrementStream, index: int = 0) -> GaussianSample:

@@ -21,6 +21,15 @@ variance split `ExperimentConfig.split`.  They differ only in their record
 layout: decouple spreads each per-summand list into `_x`/`_y` keys and
 carries the full criterion block, three_way keeps lists and the
 characteristic-function criterion only.
+
+Threads: a runner's `workers` bounds the threads of grid.run_tasks.  Every
+experiment draws and evaluates its Monte Carlo paths on them, block by block
+(evaluate_samples, simulate_counterexample).  In decouple and three_way, once
+a record's paths are evaluated, its estimator calls (each summand's
+Kolmogorov distance, char, Stein and binned estimates, and the sum's
+Kolmogorov distance) run on them too.  The exact algebra, class_a's
+estimates and the counterexample's statistics run on the calling thread.
+Records are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import numpy as np
 
 from .chaos import add, evaluate_samples, fourth_cumulant, gamma, gamma_residual, second_moment
 from .families import diagonal_second_chaos, simulate_counterexample
-from .grid import IncrementStream, make_grid
+from .grid import IncrementStream, make_grid, run_tasks
 from .independence import class_a_diagnostic, strongly_independent
 from .stein import (
     STEIN_MAX_ARG,
@@ -222,15 +231,39 @@ def _diagonal_summands(n: int, split: tuple) -> list:
     return [diagonal_second_chaos(grid, range(j * n, (j + 1) * n), c) for j, c in enumerate(split)]
 
 
+def _call_tasks(tree, workers: int):
+    """tree, a nest of dicts and lists, with each leaf task replaced by task().
+
+    The leaves are zero-argument calls; they run through run_tasks on up to
+    `workers` threads and their results land in tree order, so the returned
+    nest is the same for any worker count.
+    """
+
+    def rebuild(node, leaf):
+        if isinstance(node, dict):
+            return {key: rebuild(value, leaf) for key, value in node.items()}
+        if isinstance(node, list):
+            return [rebuild(value, leaf) for value in node]
+        return leaf(node)
+
+    tasks: list = []
+    rebuild(tree, tasks.append)
+    results = iter(run_tasks(workers, tasks))
+    return rebuild(tree, lambda task: next(results))
+
+
 def _run_k_way(config: ExperimentConfig, workers: int, layout) -> ExperimentReport:
     """The decoupling experiment on k = len(config.split) disjoint summands.
 
     Per schedule entry it computes the exact per-summand lists (var, k4,
     gamma_residual, bound) with the totals and both additivity checks, then
     evaluates the summands and their Gammas on one shared stream.
-    layout(exact, samples, resid_vals) returns the record's (exact, mc)
-    sections, where samples[j] holds the draws of summand j and resid_vals[j]
-    those of c_j - Gamma_j on the same paths.
+    layout(exact, samples, resid_vals) returns the record's exact section
+    and its mc section as a nest of estimator tasks (zero-argument calls),
+    where samples[j] holds the draws of summand j and resid_vals[j] those of
+    c_j - Gamma_j on the same paths.  The tasks run on up to `workers`
+    threads once evaluate_samples has returned, so their temporaries never
+    sit on top of the evaluator's chunk buffers.
     """
     cs = config.split
 
@@ -259,7 +292,8 @@ def _run_k_way(config: ExperimentConfig, workers: int, layout) -> ExperimentRepo
         )
         samples = vals[: len(parts)]
         resid_vals = [c - g for c, g in zip(cs, vals[len(parts) :])]
-        return layout(exact, samples, resid_vals)
+        exact, mc = layout(exact, samples, resid_vals)
+        return exact, _call_tasks(mc, workers)
 
     return _timed_report(config, config.n_schedule, record)
 
@@ -275,19 +309,28 @@ def _spread_xy(block: dict) -> dict:
     return out
 
 
+def _dkol_tasks(samples, variances) -> dict:
+    """Kolmogorov distance tasks: each summand against its variance, the sum against 1."""
+    return {
+        "dkol": [
+            functools.partial(kolmogorov_distance_mc, v, var) for v, var in zip(samples, variances)
+        ],
+        "dkol_sum": functools.partial(kolmogorov_distance_mc, sum(samples[1:], samples[0]), 1.0),
+    }
+
+
 def run_decoupling(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+    def criteria(v, r):
+        return {
+            "char": lambda: [_est_dict(e, "t") for e in char_fn_estimates(v, r, config.t_grid)],
+            "stein": lambda: [_est_dict(e, "z") for e in stein_estimates(v, r, config.z_grid)],
+            "conditional": lambda: _est_dict(binned_residual_estimate(v, r, config.n_bins), "n_bins"),
+        }
+
     def layout(exact, samples, resid_vals):
         mc = {
-            "dkol": [kolmogorov_distance_mc(v, var) for v, var in zip(samples, exact["var"])],
-            "dkol_sum": kolmogorov_distance_mc(sum(samples[1:], samples[0]), 1.0),
-            "crit": [
-                {
-                    "char": [_est_dict(e, "t") for e in char_fn_estimates(v, r, config.t_grid)],
-                    "stein": [_est_dict(e, "z") for e in stein_estimates(v, r, config.z_grid)],
-                    "conditional": _est_dict(binned_residual_estimate(v, r, config.n_bins), "n_bins"),
-                }
-                for v, r in zip(samples, resid_vals)
-            ],
+            **_dkol_tasks(samples, exact["var"]),
+            "crit": [criteria(v, r) for v, r in zip(samples, resid_vals)],
         }
         return _spread_xy(exact), _spread_xy(mc)
 
@@ -295,16 +338,15 @@ def run_decoupling(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
 
 
 def run_three_way(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+    def char(v, r):
+        return lambda: [_est_dict(e, "t") for e in char_fn_estimates(v, r, config.t_grid)]
+
     def layout(exact, samples, resid_vals):
         # Against the target c_j, where decouple uses the exact E[X_j^2]; the two
         # can differ in the last bit, so each keeps its own.
         mc = {
-            "dkol": [kolmogorov_distance_mc(v, c) for v, c in zip(samples, config.split)],
-            "dkol_sum": kolmogorov_distance_mc(sum(samples[1:], samples[0]), 1.0),
-            "char": [
-                [_est_dict(e, "t") for e in char_fn_estimates(v, r, config.t_grid)]
-                for v, r in zip(samples, resid_vals)
-            ],
+            **_dkol_tasks(samples, config.split),
+            "char": [char(v, r) for v, r in zip(samples, resid_vals)],
         }
         return exact, mc
 

@@ -85,7 +85,9 @@ def _symmetrized_values(values: np.ndarray, m: int, order: int) -> np.ndarray:
     size = values.size
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
     key = np.empty(size, dtype=np.int64)
-    chunk = 1 << 21
+    # The keys are built a slice at a time: each slice's digit table and
+    # divmod temporaries are order + 3 arrays of chunk int64s.
+    chunk = 1 << 16
     for lo in range(0, size, chunk):
         hi = min(size, lo + chunk)
         rem = np.arange(lo, hi, dtype=np.int64)

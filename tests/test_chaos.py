@@ -41,10 +41,12 @@ from chaoskit import (
     symmetrize,
     variance,
 )
+from chaoskit import chaos as chaos_module
 from chaoskit import grid as grid_module
 from chaoskit.grid import BLOCK_SIZE
 from chaoskit.harness import EXACT_IDENTITY_RTOL
 from oracles import (
+    _build_plan,
     batch_fourth_cumulant_se,
     batch_mean_se,
     evaluate_batch_reference,
@@ -596,10 +598,62 @@ def test_evaluate_samples_draws_only_through_standard_normal_block(monkeypatch):
     assert (info.hits, info.misses, info.maxsize) == (0, 0, 1)
 
 
+def test_evaluate_samples_products_are_bounded_in_rows():
+    # One block of 4096 paths at m = 64 is one chunk, and a term slab is 1024
+    # terms wide: each product array of the (1, 1) groups would be 32 MiB if
+    # it spanned the chunk's rows.  In bands of CHUNK_ENTRIES entries the
+    # evaluation holds a few chunk-sized arrays and the bits do not move.
+    exps = _dense_with_gamma(64, [1, 2], seed=50)
+    want = evaluate_samples_reference(exps, BLOCK_SIZE, IncrementStream(seed=51))
+    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+    tracemalloc.start()
+    try:
+        got = evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=51))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * chunk_bytes < BLOCK_SIZE * 1024 * 8
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("chunk_entries", [None, 20])
+def test_kernel_terms_match_reference_plan(chunk_entries, monkeypatch):
+    # Random symmetric kernels of orders 1-3 with about half their cell
+    # multisets zero, and a diagonal kernel.  With 20 entries a chunk, the
+    # nonzero entries of the m = 9 kernels are listed a few first-axis slices
+    # at a time, the last slice ragged.
+    if chunk_entries is not None:
+        monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", chunk_entries)
+    x = _sparse_with_gamma(9, [1, 2, 3], seed=52)[0]
+    kernels = [x.kernel(n) for n in (1, 2, 3)]
+    kernels.append(diagonal_second_chaos(make_grid(9), [0, 3, 4, 8], 0.6).kernel(2))
+    for kernel in kernels:
+        got = chaos_module._kernel_terms(kernel)
+        want = _build_plan(kernel)
+        assert [mults for mults, _, _ in got] == [group.mults for group in want]
+        for (_, cells, coeffs), group in zip(got, want):
+            assert np.array_equal(cells, group.cells)
+            assert np.array_equal(coeffs, group.coeffs)
+
+
+def test_kernel_terms_build_no_dense_mask():
+    # A diagonal kernel at m = 4096 has 4096 terms among 2^24 entries; a
+    # boolean mask over the entries alone would be 16 MiB.
+    kernel = diagonal_second_chaos(make_grid(4096), range(4096), 1.0).kernel(2)
+    tracemalloc.start()
+    try:
+        chaos_module._kernel_terms(kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_evaluate_samples_memory_is_bounded_in_m():
     # One block of 4096 paths at m = 4096 is 128 MiB of increments.  The
-    # traced peak covers the whole call: the plan's compile pass holds two
-    # m x m boolean masks (32 MiB), the chunk walk a few chunk-sized arrays.
+    # traced peak covers the whole call: the chunk walk holds a few
+    # chunk-sized arrays, and the plan's compile pass no m x m mask.
     exps = [half_support_second_chaos(2048, 0.5, side) for side in ("left", "right")]
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8
     tracemalloc.start()
@@ -608,7 +662,7 @@ def test_evaluate_samples_memory_is_bounded_in_m():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * chunk_bytes < BLOCK_SIZE * 4096 * 8 / 2
+    assert peak < 3 * chunk_bytes < BLOCK_SIZE * 4096 * 8 / 2
 
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))

@@ -197,3 +197,61 @@ def test_interleaved_chunked_reads_match_serial_table():
     for start, count in reads:
         rows = stream.standard_normal_block(n_vars, start, count)
         assert np.array_equal(rows, serial[start : start + count])
+
+
+# ---------------------------------------------------------------------------
+# the task runner
+
+
+def test_run_tasks_returns_results_in_submission_order():
+    # Task 0 waits until task 1 has finished, so the results come back in
+    # submission order, not in the order the tasks end.
+    done = threading.Event()
+
+    def first():
+        assert done.wait(timeout=30)
+        return "first"
+
+    def second():
+        done.set()
+        return "second"
+
+    assert grid_module.run_tasks(2, [first, second]) == ["first", "second"]
+    assert grid_module.run_tasks(3, [lambda i=i: i * i for i in range(7)]) == [
+        i * i for i in range(7)
+    ]
+
+
+def test_run_tasks_raises_the_first_failure():
+    # Task 2 fails first in time; task 1's failure comes first in submission
+    # order and is the one raised.
+    failed = threading.Event()
+
+    def fail_late():
+        assert failed.wait(timeout=30)
+        raise ValueError("task 1")
+
+    def fail_early():
+        failed.set()
+        raise ValueError("task 2")
+
+    with pytest.raises(ValueError, match="task 1"):
+        grid_module.run_tasks(3, [lambda: 0, fail_late, fail_early])
+
+
+def test_run_tasks_runs_inline_with_one_worker(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one worker must not start a pool")
+
+    monkeypatch.setattr(grid_module, "ThreadPoolExecutor", no_pool)
+    order = []
+
+    def task(i):
+        order.append((i, threading.get_ident()))
+        return i
+
+    tasks = [lambda i=i: task(i) for i in range(4)]
+    assert grid_module.run_tasks(1, tasks) == [0, 1, 2, 3]
+    assert order == [(i, threading.get_ident()) for i in range(4)]
+    assert grid_module.run_tasks(4, tasks[:1]) == [0]  # a single task needs no pool either
+    assert grid_module.run_tasks(2, []) == []

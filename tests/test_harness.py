@@ -4,9 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chaoskit
 from chaoskit import (
     ExperimentConfig,
     IncrementStream,
@@ -267,7 +272,7 @@ def test_class_a_disjoint_couple_draws_nothing(monkeypatch):
     assert json.dumps(run_experiment(config).records) == drawn
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize(
     "experiment,reference,split",
     [
@@ -489,6 +494,25 @@ def test_cli_records_do_not_depend_on_workers(argv, tmp_path, capsys):
         assert cli_main(argv + extra + ["--out", str(out)]) == 0
         records.append(json.dumps(json.loads(out.read_text())["records"]))
     assert records[0] == records[1] == records[2]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(chaoskit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        cmd = [sys.executable, "-m", "chaoskit", *args]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+    out = tmp_path / "report.json"
+    done = run("decouple", "--n-schedule", "4", "--mc", "100", "--n-bins", "4", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert [r["n"] for r in json.loads(out.read_text())["records"]] == [4]
+    bad = run("decouple", "--workers", "0")
+    assert bad.returncode == 2
+    err = bad.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_cli_workers_default_and_override(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,20 @@ def test_symmetrize_matches_permutation_average(order, m):
         brute += np.transpose(k.values, perm)
     brute /= math.factorial(order)
     assert np.max(np.abs(symmetrize(k).values - brute)) <= 1e-13
+
+
+def test_symmetrize_memory_is_bounded_at_order_4():
+    # An order-4 kernel at m = 32 has 2^20 entries (8 MiB).  The keys, orbit
+    # sums, counts, means and the result take one such array each; the key
+    # pass adds only slice-sized digit tables, where a (4, 2^20) one is 32 MiB.
+    k = _random_kernel(np.random.default_rng(70), make_grid(32), 4)
+    tracemalloc.start()
+    try:
+        symmetrize(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * k.values.nbytes
 
 
 # ---------------------------------------------------------------------------
