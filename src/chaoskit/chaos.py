@@ -31,7 +31,7 @@ listed slice by slice along the first axis and grouped by multiplicity
 pattern.  Each evaluate_samples call compiles its expansions into one plan:
 their term groups, and for each Hermite degree the grid columns some term
 reads at that degree.  Nothing is cached on the kernels; the plan lives for
-one call.  Per chunk of paths (grid.run_chunks), H_k is computed once for
+one call.  Per chunk of paths grid.run_chunks draws, H_k is computed once for
 exactly those (column, degree) pairs and every expansion reads its terms from
 these shared rows, in bands of rows whose sample-by-term products hold at
 most about CHUNK_ENTRIES entries; evaluate_batch is the same evaluator on a
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -57,7 +56,6 @@ from .grid import (
     chunk_rows,
     make_grid,
     run_chunks,
-    sample_increments_block,
 )
 from .hermite import hermite_eval
 from .kernels import (
@@ -120,13 +118,12 @@ def _normalize_slots(grid: Grid, slots: list) -> tuple:
     return tuple(cleaned)
 
 
-def chaos_expansion(grid: Grid, kernels, *, validate: bool = True) -> ChaosExpansion:
+def chaos_expansion(grid: Grid, kernels) -> ChaosExpansion:
     """Build an expansion from per-order kernels, checking symmetry."""
     slots = _normalize_slots(grid, list(kernels))
-    if validate:
-        for k in slots:
-            if k is not None and not is_symmetric(k):
-                raise ValueError(f"order-{k.order} kernel is not symmetric")
+    for k in slots:
+        if k is not None and not is_symmetric(k):
+            raise ValueError(f"order-{k.order} kernel is not symmetric")
     return ChaosExpansion(grid=grid, kernels=slots)
 
 
@@ -331,7 +328,7 @@ def evaluate_samples(
 
     Returns one (n_samples,) array per expansion.  Blocks of BLOCK_SIZE paths
     run on up to `workers` threads (an integer >= 1), each walked in chunks of
-    at most about CHUNK_ENTRIES increments (see grid.run_chunks); sample i
+    at most about CHUNK_ENTRIES increments that grid.run_chunks draws; sample i
     always comes from stream index i, so results are identical for any worker
     count.
     """
@@ -346,21 +343,13 @@ def evaluate_samples(
     plan = _compile(exps)
     outs = [np.full(n_samples, e.expectation, dtype=np.float64) for e in exps]
 
-    # Each thread's increment buffer, reused by its chunks: with a fresh one
-    # per chunk the allocator hands the freed pages back to the kernel and
-    # every chunk faults them in again.
-    scratch = threading.local()
-
-    def chunk(start: int, count: int, block_rows: int) -> None:
+    def chunk(start: int, z: np.ndarray, block_rows: int) -> None:
         # Threads share the read-only plan and write disjoint row ranges.
-        buf = getattr(scratch, "z", None)
-        if buf is None or buf.shape[0] < count:
-            buf = scratch.z = np.empty((count, grid.m), dtype=np.float64)
-        z = sample_increments_block(grid, stream, start, count, out=buf[:count])
-        z /= math.sqrt(grid.delta)  # the round trip through xi is part of the bits
-        _run_plan(plan, z, [out[start : start + count] for out in outs], block_rows)
+        z *= np.sqrt(grid.delta)  # the round trip through xi is part of the bits
+        z /= math.sqrt(grid.delta)
+        _run_plan(plan, z, [out[start : start + z.shape[0]] for out in outs], block_rows)
 
-    run_chunks(n_samples, grid.m, workers, chunk)
+    run_chunks(stream, n_samples, grid.m, workers, chunk)
     return outs
 
 
@@ -520,7 +509,7 @@ def expansion_to_dict(x: ChaosExpansion) -> dict:
 def expansion_from_dict(data: dict) -> ChaosExpansion:
     grid = make_grid(int(data["m"]))
     slots = [
-        None if entry is None else kernel_from_dict(entry)
+        None if entry is None else kernel_from_dict(entry, require_symmetric=False)
         for entry in data["kernels"]
     ]
     return chaos_expansion(grid, slots)

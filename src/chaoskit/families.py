@@ -17,9 +17,9 @@ X = (X1 + Y1)/sqrt(2), Y = (X1 - Y1)/sqrt(2) is therefore an independent
 standard normal couple, yet it is not strongly independent: Y1 has no
 first-chaos part, so the first-chaos components of X and Y are both
 W(1) - W(1/2) and each projects onto that factor with coefficient 1/2.
-The simulation draws half + 1 normals per path, half = path_steps/2: the
-left-half increments for the Euler sum of Y1, and X1 itself as one standard
-normal, since W(1) - W(1/2) is independent of the left half.
+The simulation reads half + 1 normals per path, half = path_steps/2, from
+grid.run_chunks: the left-half increments for the Euler sum of Y1, and X1
+itself as one normal, since W(1) - W(1/2) is independent of the left half.
 """
 
 from __future__ import annotations
@@ -169,12 +169,12 @@ def simulate_counterexample(
     # chunk faults them in again.
     scratch = threading.local()
 
-    def chunk(start: int, count: int, block_rows: int) -> None:
-        # Each chunk draws only its own rows of the table and writes only
-        # their results; every value depends on its path's row alone.
-        table = stream.standard_normal_block(half + 1, start, count)
+    def chunk(start: int, table: np.ndarray, block_rows: int) -> None:
+        # Each chunk writes only its own rows' results; every value depends
+        # on its path's row of the table alone.
+        count = table.shape[0]
         dw = table[:, :half]
-        dw *= sqrt_dt  # the table is a fresh array, so scale it in place
+        dw *= sqrt_dt
         # Left-point path levels W(t_1), ..., W(t_{half-1}) on (0, 1/2), summed
         # straight into the sign table and then replaced by their signs.
         signs = getattr(scratch, "signs", None)
@@ -192,7 +192,7 @@ def simulate_counterexample(
         x_out[start : start + count] = (x1 + y1) / sqrt2
         y_out[start : start + count] = (x1 - y1) / sqrt2
 
-    run_chunks(n_samples, half + 1, workers, chunk)
+    run_chunks(stream, n_samples, half + 1, workers, chunk)
     x_out.flags.writeable = False
     y_out.flags.writeable = False
     return CounterexampleBatch(x=x_out, y=y_out, path_steps=path_steps)

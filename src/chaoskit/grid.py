@@ -10,9 +10,10 @@ Each block of BLOCK_SIZE rows has its own Philox generator.  A read that
 starts a block, or continues where the calling thread's last read of that
 block ended, draws its rows straight into the returned array, so a sampler
 that walks a block in order never holds more of it than the rows it asked
-for.  run_chunks walks rows that way, in chunks of at most about
-CHUNK_ENTRIES normals, so a sampler's memory is bounded whatever the number
-of variables per row.  Only random-access reads materialize a whole block.
+for.  run_chunks, the one Monte Carlo sampler, walks blocks that way in
+chunks of at most about CHUNK_ENTRIES normals, each drawn into one table per
+thread, so a run's memory is bounded whatever the number of variables per
+row.  Only random-access reads materialize a whole block.
 
 run_tasks is the one thread pool of the package: run_chunks hands it the
 blocks of a run, and the k-way experiments the estimator calls of a record.
@@ -201,23 +202,34 @@ def run_tasks(workers: int, tasks: Sequence[Callable[[], object]]) -> list:
 
 
 def run_chunks(
-    n_samples: int, n_vars: int, workers: int, chunk: Callable[[int, int, int], None]
+    stream: IncrementStream, n_samples: int, n_vars: int, workers: int, chunk: Callable
 ) -> None:
-    """Call chunk(start, count, block_rows) over rows 0 .. n_samples-1.
+    """Call chunk(start, table, block_rows) over the stream's n_vars-wide rows 0 .. n_samples-1.
 
     Blocks of BLOCK_SIZE rows run as run_tasks tasks on up to `workers`
     threads.  One thread walks a block's chunks in order, each
-    chunk_rows(n_vars) rows but the last, so a chunk that reads its rows of
-    an n_vars-wide table through standard_normal_block continues the
-    thread's open block generator.  block_rows is the row count of the
-    chunk's block.
+    chunk_rows(n_vars) rows but the last, and draws a chunk's rows start ..
+    start+len(table)-1 into table, a view of the thread's one table buffer,
+    continuing its open block generator.  chunk may scale table in place but
+    must not keep it: the thread's next chunk draws into the same buffer.
+    block_rows is the row count of the chunk's block.
     """
     rows = chunk_rows(n_vars)
+    # Each thread's table buffer, reused by its chunks: with a fresh one per
+    # chunk the allocator hands the freed pages back to the kernel and every
+    # chunk faults them in again.
+    scratch = threading.local()
 
     def run(block_start: int) -> None:
         block_rows = min(BLOCK_SIZE, n_samples - block_start)
+        need = min(rows, block_rows)
+        buf = getattr(scratch, "table", None)
+        if buf is None or buf.shape[0] < need:
+            buf = scratch.table = np.empty((need, n_vars), dtype=np.float64)
         for lo in range(0, block_rows, rows):
-            chunk(block_start + lo, min(rows, block_rows - lo), block_rows)
+            count = min(rows, block_rows - lo)
+            table = stream.standard_normal_block(n_vars, block_start + lo, count, out=buf[:count])
+            chunk(block_start + lo, table, block_rows)
 
     run_tasks(workers, [partial(run, s) for s in range(0, n_samples, BLOCK_SIZE)])
 
@@ -229,12 +241,9 @@ def sample_increments(grid: Grid, stream: IncrementStream, index: int = 0) -> Ga
 
 
 def sample_increments_block(
-    grid: Grid, stream: IncrementStream, start: int, count: int, out: np.ndarray | None = None
+    grid: Grid, stream: IncrementStream, start: int, count: int
 ) -> np.ndarray:
-    """Increment vectors for sample indices start .. start+count-1, shape (count, m).
-
-    They are written into out when it is given, as in standard_normal_block.
-    """
-    block = stream.standard_normal_block(grid.m, start, count, out=out)
-    block *= np.sqrt(grid.delta)  # the block is fresh or the caller's, so scale it in place
+    """Increment vectors for sample indices start .. start+count-1, shape (count, m)."""
+    block = stream.standard_normal_block(grid.m, start, count)
+    block *= np.sqrt(grid.delta)  # the block is fresh, so scale it in place
     return block

@@ -103,8 +103,9 @@ def _symmetrized_values(values: np.ndarray, m: int, order: int) -> np.ndarray:
     sums = np.bincount(key, weights=flat, minlength=size)
     counts = np.bincount(key, minlength=size)
     np.maximum(counts, 1, out=counts)
-    orbit_mean = sums / counts
-    return orbit_mean[key].reshape(values.shape)
+    sums /= counts  # the orbit means, in place
+    del counts
+    return sums[key].reshape(values.shape)
 
 
 def symmetrize(kernel: StepKernel) -> StepKernel:

@@ -43,6 +43,7 @@ from chaoskit import (
 )
 from chaoskit import chaos as chaos_module
 from chaoskit import grid as grid_module
+from chaoskit import kernels as kernels_module
 from chaoskit.grid import BLOCK_SIZE
 from chaoskit.harness import EXACT_IDENTITY_RTOL
 from oracles import (
@@ -736,3 +737,22 @@ def test_expansion_load_validates_symmetry():
     }
     with pytest.raises(ValueError):
         expansion_from_dict(data)
+
+
+def test_expansion_load_checks_symmetry_once_per_kernel(monkeypatch):
+    # is_symmetric symmetrizes each kernel of order >= 2 once; a load that
+    # also checked each kernel as it was read would symmetrize it twice.
+    x = _random_expansion(np.random.default_rng(31), make_grid(3), [1, 2, 3])
+    data = expansion_to_dict(x)
+    calls = []
+    original = kernels_module.symmetrize
+
+    def counting(kernel):
+        calls.append(kernel.order)
+        return original(kernel)
+
+    monkeypatch.setattr(kernels_module, "symmetrize", counting)
+    back = expansion_from_dict(data)
+    assert sorted(calls) == [2, 3]
+    for n in (1, 2, 3):
+        assert np.array_equal(back.kernels[n].values, x.kernels[n].values)

@@ -186,8 +186,8 @@ def test_counterexample_draw_count(monkeypatch):
     calls = []
     original = IncrementStream.standard_normal_block
 
-    def counting(self, n_vars, start, count):
-        out = original(self, n_vars, start, count)
+    def counting(self, n_vars, start, count, out=None):
+        out = original(self, n_vars, start, count, out=out)
         calls.append((n_vars, out.size))
         return out
 

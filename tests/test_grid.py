@@ -123,13 +123,35 @@ def test_stream_validation():
 
 
 def test_draws_into_a_given_array():
-    g = make_grid(6)
     stream = IncrementStream(seed=8)
     buf = np.full((BLOCK_SIZE + 10, 6), np.nan)
-    rows = sample_increments_block(g, stream, BLOCK_SIZE - 5, 15, out=buf[3:18])
+    rows = stream.standard_normal_block(6, BLOCK_SIZE - 5, 15, out=buf[3:18])
     assert np.shares_memory(rows, buf)
-    assert np.array_equal(buf[3:18], sample_increments_block(g, stream, BLOCK_SIZE - 5, 15))
+    assert np.array_equal(buf[3:18], stream.standard_normal_block(6, BLOCK_SIZE - 5, 15))
     assert np.isnan(buf[:3]).all() and np.isnan(buf[18:]).all()
+
+
+def test_run_chunks_draws_each_block_into_one_table_buffer(monkeypatch):
+    # 4 rows of 5 normals a chunk: a 4096-row block of 1024 chunks and a
+    # 10-row tail ending in a ragged chunk (10 = 2 * 4 + 2).  On one worker
+    # every chunk's table is a view of the same buffer.
+    monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 4 * 5 + 2)
+    stream = IncrementStream(seed=9, stream_id=1)
+    n = BLOCK_SIZE + 10
+    tables = {}
+    got = np.full((n, 5), np.nan)
+
+    def chunk(start, table, block_rows):
+        tables[start] = table
+        got[start : start + table.shape[0]] = table
+        assert block_rows == (BLOCK_SIZE if start < BLOCK_SIZE else 10)
+
+    grid_module.run_chunks(stream, n, 5, 1, chunk)
+    assert sorted(tables) == list(range(0, BLOCK_SIZE, 4)) + list(range(BLOCK_SIZE, n, 4))
+    assert tables[BLOCK_SIZE + 8].shape == (2, 5)
+    first = tables[0]
+    assert all(np.shares_memory(t, first) for t in tables.values())
+    assert np.array_equal(got, stream.standard_normal_block(5, 0, n))
 
 
 def test_rows_of_one_block_share_the_cached_block(monkeypatch):

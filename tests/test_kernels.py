@@ -89,8 +89,9 @@ def test_symmetrize_matches_permutation_average(order, m):
 
 def test_symmetrize_memory_is_bounded_at_order_4():
     # An order-4 kernel at m = 32 has 2^20 entries (8 MiB).  The keys, orbit
-    # sums, counts, means and the result take one such array each; the key
-    # pass adds only slice-sized digit tables, where a (4, 2^20) one is 32 MiB.
+    # sums and counts take one such array each, and the counts are freed
+    # before the gather makes the result; the key pass adds only slice-sized
+    # digit tables, where a (4, 2^20) one is 32 MiB.
     k = _random_kernel(np.random.default_rng(70), make_grid(32), 4)
     tracemalloc.start()
     try:
@@ -98,7 +99,7 @@ def test_symmetrize_memory_is_bounded_at_order_4():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * k.values.nbytes
+    assert peak < 4 * k.values.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,23 @@ def test_no_private_cross_module_imports():
     assert offenders == []
 
 
+def test_only_grid_draws_normals():
+    # grid.run_chunks owns the Monte Carlo draw: every other module reads the
+    # tables it hands out.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "standard_normal_block"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_oracles_import_no_private_names():
     def from_chaoskit(node):
         return node.level == 0 and (node.module or "").split(".")[0] == "chaoskit"
