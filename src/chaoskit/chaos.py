@@ -16,7 +16,10 @@ fourth cumulant uses iterated Gamma functionals (Nourdin & Peccati 2010),
     Gamma_2(F) = <DF, D(-L)^{-1}(Gamma_1(F) - E Gamma_1(F))>,
 
 so for top order N no kernel above order 2N - 2 is formed; `multiply` is
-algebra for callers, not a step of any cumulant.
+algebra for callers, not a step of any cumulant.  exact_summary(x, c) builds
+Gamma_1(x) once and reads E[x^2], k4, the residual E[(c - Gamma_1)^2] and
+the fourth-moment bound from it; fourth_cumulant and gamma_residual run the
+same steps on a Gamma_1 of their own.
 
 Pathwise evaluation uses the diagonal-free multiple-integral formula: for a
 symmetric kernel f and a cell multiset {j_1^(k_1), ..., j_d^(k_d)} with
@@ -44,7 +47,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -439,8 +442,13 @@ def fourth_cumulant(x: ChaosExpansion) -> float:
     kernel formed is Gamma_1's, of order 2N - 2.
     """
     _require_centered(x, "fourth_cumulant")
+    return _fourth_cumulant(x, gamma(x))
+
+
+def _fourth_cumulant(x: ChaosExpansion, g1: ChaosExpansion) -> float:
+    # k4 of centered x from its Gamma_1 = gamma(x).
     orders = [n for n in x.nonzero_orders() if n >= 1]
-    g1_centered = _expansion(x.grid, [None, *gamma(x).kernels[1:]])
+    g1_centered = _expansion(x.grid, [None, *g1.kernels[1:]])
     g2 = _cross_gamma(x, g1_centered, keep=frozenset(orders))
     total = 0.0
     for n in orders:
@@ -490,8 +498,42 @@ def gamma(x: ChaosExpansion) -> ChaosExpansion:
 
 def gamma_residual(x: ChaosExpansion, c: float) -> float:
     """E[(c - <Dx, D(-L)^{-1} x>)^2], exact through the expansion algebra."""
-    resid = add(constant(x.grid, float(c)), scale(-1.0, gamma(x)))
-    return second_moment(resid)
+    return _gamma_residual(gamma(x), c)
+
+
+def _gamma_residual(g1: ChaosExpansion, c: float) -> float:
+    # E[(c - G)^2] for G = Gamma_1 of some expansion.
+    return second_moment(add(constant(g1.grid, float(c)), scale(-1.0, g1)))
+
+
+class ExactSummary(NamedTuple):
+    """The exact block of a centered expansion x against a target variance c."""
+
+    var: float  # E[x^2]
+    gamma: ChaosExpansion  # Gamma_1(x) = <Dx, D(-L)^{-1} x>
+    k4: float  # fourth cumulant
+    residual: float  # E[(c - Gamma_1(x))^2]
+
+    @property
+    def bound(self) -> float:
+        """sqrt(|k4|) / var: the fourth-moment Kolmogorov bound when x has one order."""
+        return math.sqrt(abs(self.k4)) / self.var
+
+
+def exact_summary(x: ChaosExpansion, c: float) -> ExactSummary:
+    """Variance, Gamma_1, k4 and Gamma residual of a centered x from one Gamma_1 build.
+
+    Each number has the bits of second_moment(x), gamma(x), fourth_cumulant(x)
+    and gamma_residual(x, c), which run the same steps on a Gamma_1 of their own.
+    """
+    _require_centered(x, "exact_summary")
+    g1 = gamma(x)
+    return ExactSummary(
+        var=second_moment(x),
+        gamma=g1,
+        k4=_fourth_cumulant(x, g1),
+        residual=_gamma_residual(g1, c),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from .chaos import ChaosExpansion, single_chaos
 from .grid import Grid, IncrementStream, check_run_counts, make_grid, run_chunks
-from .kernels import StepKernel, inner_product, is_symmetric, step_kernel
+from .kernels import MAX_ENTRIES, StepKernel, inner_product, is_symmetric, step_kernel
 
 
 def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
@@ -46,6 +46,10 @@ def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
         raise ValueError(f"cells must lie in [0, {grid.m})")
     if not (c > 0.0):
         raise ValueError(f"target variance must be positive, got {c!r}")
+    if grid.m**2 > MAX_ENTRIES:
+        raise ValueError(
+            f"kernel too large: m^2 = {grid.m}^2 entries exceeds the {MAX_ENTRIES} dense-storage limit"
+        )
     n = cells.size
     # 2 ||f||^2 = 2 delta^2 n a^2 = c
     a = math.sqrt(c / (2.0 * n)) / grid.delta

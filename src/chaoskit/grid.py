@@ -87,12 +87,10 @@ class IncrementStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.stream_id, (int, np.integer)) or self.stream_id < 0:
-            raise ValueError(
-                f"stream_id must be a non-negative integer, got {self.stream_id!r}"
-            )
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
     def substream(self, tag: int) -> "IncrementStream":
         """Stream reserved for an independent purpose under the same master seed."""

@@ -46,16 +46,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .chaos import add, evaluate_samples, fourth_cumulant, gamma, gamma_residual, second_moment
+from .chaos import add, evaluate_samples, exact_summary
 from .families import diagonal_second_chaos, simulate_counterexample
 from .grid import IncrementStream, make_grid, run_tasks
 from .independence import class_a_diagnostic, strongly_independent
+from .kernels import MAX_ENTRIES
 from .stein import (
     STEIN_MAX_ARG,
     CriterionEstimate,
     binned_residual_estimate,
     char_fn_estimates,
-    fourth_moment_bound,
     kolmogorov_distance_mc,
     stein_estimates,
 )
@@ -110,6 +110,15 @@ class ExperimentConfig:
             raise ValueError(f"n_schedule entries must be >= 1, got {schedule}")
         if any(a <= b for b, a in zip(schedule, schedule[1:])):
             raise ValueError(f"n_schedule must be strictly increasing, got {schedule}")
+        # Entry n puts order-2 summands on a blocks*n-cell grid; checked here,
+        # not at the first oversized entry after the earlier ones have sampled.
+        blocks = 3 if self.experiment == "three_way" else 2
+        for n in schedule:
+            if (blocks * n) ** 2 > MAX_ENTRIES:
+                raise ValueError(
+                    f"n_schedule entry {n} needs order-2 kernels of ({blocks}*{n})^2 entries, "
+                    f"above the {MAX_ENTRIES} dense-storage limit"
+                )
         object.__setattr__(self, "n_schedule", schedule)
         if not all(_is_real(v) for v in tuple(self.t_grid) + tuple(self.z_grid)):
             raise ValueError(
@@ -255,9 +264,10 @@ def _call_tasks(tree, workers: int):
 def _run_k_way(config: ExperimentConfig, workers: int, layout) -> ExperimentReport:
     """The decoupling experiment on k = len(config.split) disjoint summands.
 
-    Per schedule entry it computes the exact per-summand lists (var, k4,
-    gamma_residual, bound) with the totals and both additivity checks, then
-    evaluates the summands and their Gammas on one shared stream.
+    Per schedule entry it reads the exact per-summand lists (var, k4,
+    gamma_residual, bound) from one exact_summary per summand, and the
+    totals from one of the sum, checks both additivities, then evaluates the
+    summands and their summaries' Gammas on one shared stream.
     layout(exact, samples, resid_vals) returns the record's exact section
     and its mc section as a nest of estimator tasks (zero-argument calls),
     where samples[j] holds the draws of summand j and resid_vals[j] those of
@@ -269,26 +279,27 @@ def _run_k_way(config: ExperimentConfig, workers: int, layout) -> ExperimentRepo
 
     def record(n):
         parts = _diagonal_summands(n, cs)
-        total = functools.reduce(add, parts)
-        k4 = [fourth_cumulant(p) for p in parts]
-        k4_sum = fourth_cumulant(total)
-        residuals = [gamma_residual(p, c) for p, c in zip(parts, cs)]
-        res_sum = gamma_residual(total, 1.0)
+        whole = exact_summary(functools.reduce(add, parts), 1.0)
+        k4_sum, res_sum = whole.k4, whole.residual
+        del whole  # only the summands' Gammas are sampled; free the sum's first
+        summaries = [exact_summary(p, c) for p, c in zip(parts, cs)]
+        k4 = [s.k4 for s in summaries]
+        residuals = [s.residual for s in summaries]
         add_gap = _check_additivity(res_sum, sum(residuals), "Gamma residual")
         k4_gap = _check_additivity(k4_sum, sum(k4), "fourth cumulant")
         exact = {
-            "var": [second_moment(p) for p in parts],
+            "var": [s.var for s in summaries],
             "k4": k4,
             "k4_sum": k4_sum,
             "k4_additivity_gap_rel": k4_gap,
             "gamma_residual": residuals,
             "gamma_residual_sum": res_sum,
             "additivity_gap_rel": add_gap,
-            "bound": [fourth_moment_bound(p) for p in parts],
+            "bound": [s.bound for s in summaries],
         }
         stream = IncrementStream(config.seed, stream_id=n)
         vals = evaluate_samples(
-            parts + [gamma(p) for p in parts], config.mc_samples, stream, workers=workers
+            parts + [s.gamma for s in summaries], config.mc_samples, stream, workers=workers
         )
         samples = vals[: len(parts)]
         resid_vals = [c - g for c, g in zip(cs, vals[len(parts) :])]

@@ -3,7 +3,8 @@
 For a centered F with E[F^2] = c, the distance to N(0, c) is controlled by
 how far <DF, D(-L)^{-1} F> sits from the constant c.  This module provides
 the bounded solution of the Stein equation, Kolmogorov distances against a
-normal target, the fourth-moment bound sqrt(|k4|)/E[F^2], and Monte Carlo
+normal target, the fourth-moment bound sqrt(|k4|)/E[F^2] for a single-order
+F (read from chaos.exact_summary, which forms it), and Monte Carlo
 estimators of the criterion functionals.  The sample-level estimators take
 samples of X and of a residual R on the same paths, so one evaluation serves
 every parameter; `criterion_functionals` and `conditional_residual_estimate`
@@ -19,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import erfcx, ndtr
 
-from .chaos import ChaosExpansion, evaluate_samples, fourth_cumulant, gamma, second_moment
+from .chaos import ChaosExpansion, evaluate_samples, exact_summary, gamma
 from .grid import IncrementStream
 
 # The closed form of the Stein solution multiplies exp((x^2 - z^2)/2) by a
@@ -111,10 +112,10 @@ def fourth_moment_bound(x: ChaosExpansion) -> float:
     orders = [n for n in x.nonzero_orders() if n >= 1]
     if x.expectation != 0.0 or len(orders) != 1:
         raise ValueError("fourth_moment_bound requires a centered single-order expansion")
-    var = second_moment(x)
-    if var <= 0.0:
+    summary = exact_summary(x, 0.0)  # the residual's target plays no part in the bound
+    if summary.var <= 0.0:
         raise ValueError("fourth_moment_bound requires a nonzero expansion")
-    return math.sqrt(abs(fourth_cumulant(x))) / var
+    return summary.bound
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ from chaoskit import (
     evaluate,
     evaluate_batch,
     evaluate_samples,
+    exact_summary,
     expansion_from_dict,
     expansion_to_dict,
     fourth_cumulant,
+    fourth_moment_bound,
     gamma,
     gamma_residual,
     half_support_second_chaos,
@@ -477,6 +479,27 @@ def test_gamma_residual_closed_form():
 
     x = half_support_second_chaos(8, 0.5, "left")
     assert gamma_residual(x, 0.5) == pytest.approx(2 * 0.25 / 8, rel=1e-12)
+
+
+@pytest.mark.parametrize("orders", [(2,), (1, 2), (1, 2, 3)])
+def test_exact_summary_matches_the_separate_routes(orders):
+    rng = np.random.default_rng([31, *orders])
+    x = _random_expansion(rng, make_grid(6), list(orders))
+    c = 0.75
+    summary = exact_summary(x, c)
+    assert summary.var == second_moment(x)
+    assert summary.k4 == fourth_cumulant(x)
+    assert summary.residual == gamma_residual(x, c)
+    if len(orders) == 1:
+        assert summary.bound == fourth_moment_bound(x)
+    want = gamma(x)
+    assert len(summary.gamma.kernels) == len(want.kernels)
+    for got_k, want_k in zip(summary.gamma.kernels, want.kernels):
+        assert (got_k is None) == (want_k is None)
+        if got_k is not None:
+            assert np.array_equal(got_k.values, want_k.values)
+    with pytest.raises(ValueError, match="centered"):
+        exact_summary(shift(x, 1.0), c)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,16 @@ def test_diagonal_second_chaos_validation():
         diagonal_second_chaos(g, [0], 0.0)
 
 
+def test_diagonal_second_chaos_rejects_oversized_grid_before_allocating(monkeypatch):
+    # m = 12000 would need a 1.15 GB dense (m, m) kernel
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("an oversized kernel must not be allocated")
+
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    with pytest.raises(ValueError, match="dense-storage"):
+        diagonal_second_chaos(make_grid(12_000), [0], 1.0)
+
+
 def test_custom_single_chaos_normalization():
     rng = np.random.default_rng(80)
     g = make_grid(4)

@@ -112,6 +112,10 @@ def test_stream_validation():
         IncrementStream(seed=-1)
     with pytest.raises(ValueError):
         IncrementStream(seed=1, stream_id=-2)
+    # a bool is not a count: (True, False) would silently be stream (1, 0)
+    for seed, stream_id in ((True, 0), (1, False), (True, False)):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            IncrementStream(seed=seed, stream_id=stream_id)
     stream = IncrementStream(seed=1)
     with pytest.raises(ValueError):
         stream.standard_normal_block(0, 0, 4)

@@ -23,6 +23,7 @@ from chaoskit import (
     run_experiment,
     save_report,
 )
+from chaoskit import chaos as chaos_module
 from chaoskit import cli
 from chaoskit.cli import main as cli_main
 from oracles import run_class_a_reference, run_decoupling_reference, run_three_way_reference
@@ -218,6 +219,23 @@ def test_decouple_workers_do_not_change_results():
 
 # ---------------------------------------------------------------------------
 # other experiments
+
+
+@pytest.mark.parametrize("experiment,builds", [("decouple", 6), ("three_way", 8)])
+def test_k_way_record_builds_each_gamma_once(experiment, builds, monkeypatch):
+    # One exact_summary per summand and one for the sum, each forming Gamma_1
+    # and Gamma_2 once: 2 * (k + 1) cross-Gamma builds per record.
+    calls = []
+    cross_gamma = chaos_module._cross_gamma
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cross_gamma(*args, **kwargs)
+
+    monkeypatch.setattr(chaos_module, "_cross_gamma", counting)
+    config = _small_decouple(experiment=experiment, n_schedule=(4,), mc_samples=64)
+    run_experiment(config)
+    assert len(calls) == builds
 
 
 def test_three_way_records():
@@ -458,6 +476,9 @@ def test_cli_n_bins_flag(capsys):
         ["decouple", "--workers", "-1"],
         ["decouple", "--config", {"workers": 1.5}],
         ["decouple", "--config", {"workers": True}],
+        # order-2 kernels above kernels.MAX_ENTRIES, rejected before n = 4 samples
+        ["decouple", "--n-schedule", "1000000"],
+        ["decouple", "--n-schedule", "4,6000"],
     ],
 )
 def test_cli_bad_config_fails_before_sampling(argv, tmp_path, capsys, monkeypatch):
