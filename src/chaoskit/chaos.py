@@ -549,7 +549,7 @@ def expansion_to_dict(x: ChaosExpansion) -> dict:
 
 
 def expansion_from_dict(data: dict) -> ChaosExpansion:
-    grid = make_grid(int(data["m"]))
+    grid = make_grid(data["m"])
     slots = [
         None if entry is None else kernel_from_dict(entry, require_symmetric=False)
         for entry in data["kernels"]

@@ -5,9 +5,9 @@ override the file.  --workers (or "workers" in the file) sets how many threads
 evaluate blocks of Monte Carlo paths and, in decouple and three_way, run each
 record's estimators.  It defaults to the number of CPUs the process may run
 on, and it is not a config field: the records are the same for any worker
-count, so the report does not echo it.  A bad config or worker count exits 2
-with one "error:" line on stderr before any draw.  `python -m chaoskit` runs
-the same entry point.
+count, so the report does not echo it.  A bad config, worker count or --out
+destination exits 2 with one "error:" line on stderr before any draw.
+`python -m chaoskit` runs the same entry point.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .grid import check_int
 from .harness import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -113,10 +114,10 @@ def main(argv=None) -> int:
             value = getattr(args, key, None)
             if value is not None:
                 kwargs[key] = value
-        workers = kwargs.pop("workers", _available_cpus())
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+        workers = check_int("workers", kwargs.pop("workers", _available_cpus()), 1)
         config = ExperimentConfig(experiment=args.experiment, **kwargs)
+        if config.out is not None:
+            open(config.out, "a").close()  # an unwritable destination fails before the run
         report = run_experiment(config, workers=workers)
         if config.out is not None:
             save_report(report, config.out, config.fmt)

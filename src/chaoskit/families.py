@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosExpansion, single_chaos
-from .grid import Grid, IncrementStream, check_run_counts, make_grid, run_chunks
-from .kernels import MAX_ENTRIES, StepKernel, inner_product, is_symmetric, step_kernel
+from .grid import Grid, IncrementStream, check_int, check_run_counts, make_grid, run_chunks
+from .kernels import StepKernel, check_dense_entries, inner_product, is_symmetric, step_kernel
 
 
 def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
@@ -46,10 +46,7 @@ def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
         raise ValueError(f"cells must lie in [0, {grid.m})")
     if not (c > 0.0):
         raise ValueError(f"target variance must be positive, got {c!r}")
-    if grid.m**2 > MAX_ENTRIES:
-        raise ValueError(
-            f"kernel too large: m^2 = {grid.m}^2 entries exceeds the {MAX_ENTRIES} dense-storage limit"
-        )
+    check_dense_entries(grid.m, 2, "kernel")
     n = cells.size
     # 2 ||f||^2 = 2 delta^2 n a^2 = c
     a = math.sqrt(c / (2.0 * n)) / grid.delta
@@ -64,13 +61,12 @@ def half_support_second_chaos(n_blocks: int, c: float, side: str = "left") -> Ch
     E[X^2] = c exactly; the fourth cumulant is 12 c^2 / n_blocks; left and
     right elements of the same grid are strongly independent.
     """
-    if not isinstance(n_blocks, (int, np.integer)) or n_blocks < 1:
-        raise ValueError(f"n_blocks must be a positive integer, got {n_blocks!r}")
+    n_blocks = check_int("n_blocks", n_blocks, 1)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    grid = make_grid(2 * int(n_blocks))
-    offset = 0 if side == "left" else int(n_blocks)
-    cells = np.arange(offset, offset + int(n_blocks))
+    grid = make_grid(2 * n_blocks)
+    offset = 0 if side == "left" else n_blocks
+    cells = np.arange(offset, offset + n_blocks)
     return diagonal_second_chaos(grid, cells, c)
 
 
@@ -82,8 +78,7 @@ def custom_single_chaos(
     With normalize_to = v the kernel is scaled so that E[X^2] = n! ||f||^2 = v;
     a zero kernel cannot be normalized.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
+    order = check_int("order", order, 1)
     if kernel.order != order:
         raise ValueError(f"kernel has order {kernel.order}, expected {order}")
     if not is_symmetric(kernel):
@@ -91,7 +86,7 @@ def custom_single_chaos(
     if normalize_to is not None:
         if not (normalize_to > 0.0):
             raise ValueError(f"normalize_to must be positive, got {normalize_to!r}")
-        current = math.factorial(int(order)) * inner_product(kernel, kernel)
+        current = math.factorial(order) * inner_product(kernel, kernel)
         if current <= 0.0:
             raise ValueError("cannot normalize a zero kernel")
         factor = math.sqrt(normalize_to / current)
@@ -103,6 +98,14 @@ def custom_single_chaos(
 
 # ---------------------------------------------------------------------------
 # Counterexample simulation
+
+
+def check_path_steps(path_steps) -> int:
+    """path_steps as an int; ValueError unless it is an even integer >= 100."""
+    path_steps = check_int("path_steps", path_steps, 100)
+    if path_steps % 2 != 0:
+        raise ValueError(f"path_steps must be even, got {path_steps}")
+    return path_steps
 
 
 @dataclass(frozen=True)
@@ -155,12 +158,9 @@ def simulate_counterexample(
     threads (an integer >= 1); path i always comes from stream index i, so the
     result is the same for any worker count.
     """
-    if not isinstance(path_steps, (int, np.integer)) or path_steps < 100:
-        raise ValueError(f"path_steps must be an integer >= 100, got {path_steps!r}")
-    if path_steps % 2 != 0:
-        raise ValueError(f"path_steps must be even, got {path_steps}")
+    path_steps = check_path_steps(path_steps)
     check_run_counts(n_samples, workers)
-    path_steps, n_samples = int(path_steps), int(n_samples)
+    n_samples = int(n_samples)
     half = path_steps // 2
     dt = 1.0 / path_steps
     sqrt_dt = math.sqrt(dt)

@@ -51,9 +51,8 @@ class Grid:
 
 def make_grid(m: int) -> Grid:
     """Build the uniform m-cell grid on [0,1]."""
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"grid size must be a positive integer, got {m!r}")
-    return Grid(m=int(m), delta=1.0 / int(m))
+    m = check_int("grid size m", m, 1)
+    return Grid(m=m, delta=1.0 / m)
 
 
 @dataclass(frozen=True)
@@ -88,13 +87,11 @@ class IncrementStream:
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
 
     def substream(self, tag: int) -> "IncrementStream":
         """Stream reserved for an independent purpose under the same master seed."""
-        return IncrementStream(seed=self.seed, stream_id=int(tag))
+        return IncrementStream(seed=self.seed, stream_id=tag)
 
     def standard_normal_block(
         self, n_vars: int, start: int, count: int, out: np.ndarray | None = None
@@ -104,10 +101,8 @@ class IncrementStream:
         The rows are written into out when it is given (a C-contiguous
         float64 array of shape (count, n_vars)), else into a new array.
         """
-        if n_vars < 1:
-            raise ValueError(f"n_vars must be >= 1, got {n_vars}")
-        if start < 0 or count < 0:
-            raise ValueError(f"need start >= 0 and count >= 0, got {start}, {count}")
+        n_vars = check_int("n_vars", n_vars, 1)
+        start, count = check_int("start", start), check_int("count", count)
         if out is None:
             out = np.empty((count, n_vars), dtype=np.float64)
         elif (
@@ -168,14 +163,22 @@ def _raw_block(seed: int, stream_id: int, n_vars: int, block_id: int) -> np.ndar
     return block
 
 
+def check_int(name: str, value, minimum: int = 0) -> int:
+    """value as an int; ValueError unless it is a non-bool integer >= minimum.
+
+    This is the package's one integer rule: a bool is not a count, and a
+    float or string is never truncated or parsed into one.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    rule = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def check_run_counts(n_samples, workers) -> None:
     """Reject a sample count or worker count that is not an integer >= 1."""
-    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool):
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not isinstance(workers, (int, np.integer)) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    check_int("n_samples", n_samples, 1)
+    check_int("workers", workers, 1)
 
 
 def chunk_rows(width: int) -> int:
@@ -234,7 +237,7 @@ def run_chunks(
 
 def sample_increments(grid: Grid, stream: IncrementStream, index: int = 0) -> GaussianSample:
     """Increment vector for one sample index: m independent N(0, delta) draws."""
-    row = stream.standard_normal_block(grid.m, int(index), 1)[0]
+    row = stream.standard_normal_block(grid.m, check_int("index", index), 1)[0]
     return GaussianSample(grid=grid, increments=row * np.sqrt(grid.delta))
 
 

@@ -47,10 +47,10 @@ from pathlib import Path
 import numpy as np
 
 from .chaos import add, evaluate_samples, exact_summary
-from .families import diagonal_second_chaos, simulate_counterexample
-from .grid import IncrementStream, make_grid, run_tasks
+from .families import check_path_steps, diagonal_second_chaos, simulate_counterexample
+from .grid import IncrementStream, check_int, make_grid, run_tasks
 from .independence import class_a_diagnostic, strongly_independent
-from .kernels import MAX_ENTRIES
+from .kernels import check_dense_entries
 from .stein import (
     STEIN_MAX_ARG,
     CriterionEstimate,
@@ -67,10 +67,6 @@ EXPERIMENTS = ("decouple", "counterexample", "class_a", "three_way")
 EXACT_IDENTITY_RTOL = 1e-10
 
 _SPLIT_ATOL = 1e-12
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -103,22 +99,14 @@ class ExperimentConfig:
         schedule = tuple(self.n_schedule)
         if not schedule:
             raise ValueError("n_schedule must be nonempty")
-        if not all(_is_int(n) for n in schedule):
-            raise ValueError(f"n_schedule entries must be integers, got {schedule}")
-        schedule = tuple(int(n) for n in schedule)
-        if any(n < 1 for n in schedule):
-            raise ValueError(f"n_schedule entries must be >= 1, got {schedule}")
+        schedule = tuple(check_int("n_schedule entry", n, 1) for n in schedule)
         if any(a <= b for b, a in zip(schedule, schedule[1:])):
             raise ValueError(f"n_schedule must be strictly increasing, got {schedule}")
         # Entry n puts order-2 summands on a blocks*n-cell grid; checked here,
         # not at the first oversized entry after the earlier ones have sampled.
         blocks = 3 if self.experiment == "three_way" else 2
         for n in schedule:
-            if (blocks * n) ** 2 > MAX_ENTRIES:
-                raise ValueError(
-                    f"n_schedule entry {n} needs order-2 kernels of ({blocks}*{n})^2 entries, "
-                    f"above the {MAX_ENTRIES} dense-storage limit"
-                )
+            check_dense_entries(blocks * n, 2, f"n_schedule entry {n}'s order-2 kernel")
         object.__setattr__(self, "n_schedule", schedule)
         if not all(_is_real(v) for v in tuple(self.t_grid) + tuple(self.z_grid)):
             raise ValueError(
@@ -133,10 +121,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"t_grid and z_grid must be finite, got {self.t_grid} and {self.z_grid}"
             )
-        if not _is_int(self.mc_samples) or self.mc_samples < 2:
-            raise ValueError(f"mc_samples must be an integer >= 2, got {self.mc_samples!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # path_steps is read by counterexample alone, but every report echoes it.
+        for name, minimum in (("mc_samples", 2), ("seed", 0), ("n_bins", 1), ("path_steps", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
+        if self.experiment != "three_way" and self.c3 is not None:
+            raise ValueError(f"c3 is a three_way field, got c3={self.c3!r} for {self.experiment}")
         no_split = all(getattr(self, name) is None for name in ("c1", "c2", "c3"))
         k = 3 if self.experiment == "three_way" and no_split else 2
         for name in ("c1", "c2", "c3")[:k]:
@@ -153,8 +142,6 @@ class ExperimentConfig:
             raise ValueError(f"format must be 'json' or 'csv', got {self.fmt!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string, got {self.out!r}")
-        if not _is_int(self.n_bins) or self.n_bins < 1:
-            raise ValueError(f"n_bins must be an integer >= 1, got {self.n_bins!r}")
         if self.experiment == "decouple":
             if self.n_bins > self.mc_samples:
                 raise ValueError(
@@ -165,10 +152,7 @@ class ExperimentConfig:
                     f"z_grid entries must satisfy |z| <= {STEIN_MAX_ARG}, got {self.z_grid}"
                 )
         if self.experiment == "counterexample":
-            if not _is_int(self.path_steps) or self.path_steps < 100 or self.path_steps % 2 != 0:
-                raise ValueError(
-                    f"path_steps must be an even integer >= 100, got {self.path_steps!r}"
-                )
+            check_path_steps(self.path_steps)
         if self.experiment == "three_way":
             c3 = self.c3 if self.c3 is not None else 1.0 - self.c1 - self.c2
             object.__setattr__(self, "c3", float(c3))

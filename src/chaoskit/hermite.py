@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import check_int
+
 MAX_DEGREE = 64
 
 
 def hermite_eval(k: int, x):
     """H_k evaluated pointwise; x may be a scalar or an ndarray."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {k!r}")
+    k = check_int("degree k", k)
     if k > MAX_DEGREE:
         raise ValueError(f"degree {k} exceeds the supported maximum {MAX_DEGREE}")
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
@@ -33,8 +34,7 @@ def hermite_eval(k: int, x):
 
 def hermite_table(kmax: int, x: np.ndarray) -> np.ndarray:
     """Stack of H_0(x), ..., H_kmax(x); shape (kmax + 1,) + x.shape."""
-    if not isinstance(kmax, (int, np.integer)) or kmax < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {kmax!r}")
+    kmax = check_int("degree kmax", kmax)
     if kmax > MAX_DEGREE:
         raise ValueError(f"degree {kmax} exceeds the supported maximum {MAX_DEGREE}")
     arr = np.asarray(x, dtype=np.float64)

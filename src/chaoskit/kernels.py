@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, make_grid
+from .grid import Grid, check_int, make_grid
 
 # Dense storage guard: reject kernels with more than this many entries.
 MAX_ENTRIES = 10**8
@@ -40,17 +40,19 @@ class StepKernel:
     values: np.ndarray
 
 
-def step_kernel(grid: Grid, order: int, values, *, copy: bool = True) -> StepKernel:
-    """Validated kernel constructor; accepts a scalar for order 0."""
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise ValueError(f"kernel order must be a non-negative integer, got {order!r}")
-    order = int(order)
-    n_entries = grid.m**order
-    if n_entries > MAX_ENTRIES:
+def check_dense_entries(m: int, order: int, what: str) -> None:
+    """Reject `what`, a dense order-`order` kernel on m cells, above MAX_ENTRIES entries."""
+    if m**order > MAX_ENTRIES:
         raise ValueError(
-            f"kernel too large: m^order = {grid.m}^{order} = {n_entries} entries "
+            f"{what} too large: m^order = {m}^{order} = {m**order} entries "
             f"exceeds the {MAX_ENTRIES} dense-storage limit"
         )
+
+
+def step_kernel(grid: Grid, order: int, values, *, copy: bool = True) -> StepKernel:
+    """Validated kernel constructor; accepts a scalar for order 0."""
+    order = check_int("kernel order", order)
+    check_dense_entries(grid.m, order, "kernel")
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != (grid.m,) * order:
         raise ValueError(
@@ -135,17 +137,11 @@ def contract(f: StepKernel, g: StepKernel, ell: int) -> StepKernel:
     symmetrized.
     """
     _require_same_grid(f, g)
-    if not isinstance(ell, (int, np.integer)) or ell < 0 or ell > min(f.order, g.order):
-        raise ValueError(
-            f"contraction depth {ell!r} out of range for orders ({f.order}, {g.order})"
-        )
-    ell = int(ell)
+    ell = check_int("contraction depth ell", ell)
+    if ell > min(f.order, g.order):
+        raise ValueError(f"contraction depth {ell} out of range for orders ({f.order}, {g.order})")
     out_order = f.order + g.order - 2 * ell
-    if f.grid.m**out_order > MAX_ENTRIES:
-        raise ValueError(
-            f"contraction output too large: m^order = {f.grid.m}^{out_order} entries "
-            f"exceeds the {MAX_ENTRIES} dense-storage limit"
-        )
+    check_dense_entries(f.grid.m, out_order, "contraction output")
     if ell == 0:
         vals = np.multiply.outer(f.values, g.values)
     else:
@@ -186,8 +182,8 @@ def kernel_to_dict(kernel: StepKernel) -> dict:
 
 
 def kernel_from_dict(data: dict, *, require_symmetric: bool = True) -> StepKernel:
-    grid = make_grid(int(data["m"]))
-    order = int(data["order"])
+    grid = make_grid(data["m"])
+    order = check_int("kernel order", data["order"])
     values = np.asarray(data["values"], dtype=np.float64).reshape((grid.m,) * order)
     kernel = step_kernel(grid, order, values, copy=False)
     if require_symmetric and not is_symmetric(kernel):

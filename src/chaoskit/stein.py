@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import erfcx, ndtr
 
 from .chaos import ChaosExpansion, evaluate_samples, exact_summary, gamma
-from .grid import IncrementStream
+from .grid import IncrementStream, check_int
 
 # The closed form of the Stein solution multiplies exp((x^2 - z^2)/2) by a
 # normal tail; beyond this magnitude the intermediate terms are no longer
@@ -59,7 +59,8 @@ def stein_solution(z: float, x):
     z = float(z)
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     xs = np.asarray(x, dtype=np.float64)
-    if abs(z) > STEIN_MAX_ARG or (xs.size and np.max(np.abs(xs)) > STEIN_MAX_ARG):
+    # Written so that a NaN z or x fails the test too.
+    if not (abs(z) <= STEIN_MAX_ARG and np.all(np.abs(xs) <= STEIN_MAX_ARG)):
         raise ValueError(f"stein_solution arguments must satisfy |x|, |z| <= {STEIN_MAX_ARG}")
     phi_z = ndtr(z)
     q_z = ndtr(-z)
@@ -98,7 +99,7 @@ def kolmogorov_distance_mc(samples: np.ndarray, variance: float) -> float:
         raise ValueError("need at least one sample")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must be finite")
-    if not (variance > 0.0) or not math.isfinite(variance):
+    if isinstance(variance, bool) or not (variance > 0.0 and math.isfinite(variance)):
         raise ValueError(f"variance must be positive and finite, got {variance!r}")
     n = arr.size
     cdf = ndtr(np.sort(arr) / math.sqrt(variance))
@@ -163,8 +164,9 @@ def binned_residual_estimate(
 ) -> CriterionEstimate:
     """L2 proxy for ||E[R | X]||: equal-count bins on X, root-mean-square of bin means."""
     n = x_vals.size
-    if n_bins < 1 or n_bins > n:
-        raise ValueError(f"need 1 <= n_bins <= n_samples, got n_bins={n_bins}, n={n}")
+    n_bins = check_int("n_bins", n_bins, 1)
+    if n_bins > n:
+        raise ValueError(f"need n_bins <= n_samples, got n_bins={n_bins}, n={n}")
     if np.min(x_vals) == np.max(x_vals):
         raise ValueError("degenerate binning: all conditioning samples are equal")
     order = np.argsort(x_vals, kind="stable")

@@ -476,6 +476,15 @@ def test_cli_n_bins_flag(capsys):
         ["decouple", "--workers", "-1"],
         ["decouple", "--config", {"workers": 1.5}],
         ["decouple", "--config", {"workers": True}],
+        ["decouple", "--config", {"workers": "3"}],
+        # c3 is a three_way field; elsewhere it would be echoed unused
+        ["decouple", "--c3", "0.9"],
+        ["class_a", "--config", {"c3": 0.2}],
+        # unused outside counterexample, but echoed: NaN failed only at serialization
+        ["decouple", "--config", {"path_steps": math.nan}],
+        # an unwritable --out failed only once the report was written
+        ["decouple", "--n-schedule", "2", "--mc", "500", "--out", "."],
+        ["decouple", "--n-schedule", "2", "--mc", "500", "--out", "/nonexistent/r.json"],
         # order-2 kernels above kernels.MAX_ENTRIES, rejected before n = 4 samples
         ["decouple", "--n-schedule", "1000000"],
         ["decouple", "--n-schedule", "4,6000"],

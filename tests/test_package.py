@@ -49,6 +49,34 @@ def test_only_grid_draws_normals():
     assert offenders == []
 
 
+def _names(tree) -> set:
+    """Every name a module spells: bare names, attributes and imported aliases."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                out.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_each_input_rule_lives_in_one_module():
+    # grid.check_int is the one integer rule and kernels.check_dense_entries
+    # the one dense-storage check; every other module calls them.
+    owners = {"np.integer": "grid.py", "MAX_ENTRIES": "kernels.py"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        names = _names(ast.parse(path.read_text(), filename=str(path)))
+        for name, owner in owners.items():
+            if name in names and path.name != owner:
+                offenders.append(f"{path.name}: {name}")
+    assert offenders == []
+
+
 def test_oracles_import_no_private_names():
     def from_chaoskit(node):
         return node.level == 0 and (node.module or "").split(".")[0] == "chaoskit"

@@ -20,6 +20,7 @@ from chaoskit import (
     kolmogorov_distance_mc,
     make_grid,
     single_chaos,
+    stein_estimates,
     stein_solution,
     step_kernel,
     symmetrize,
@@ -106,6 +107,19 @@ def test_stein_solution_argument_guard():
         stein_solution(0.0, np.array([0.0, -40.1]))
 
 
+def test_stein_solution_rejects_nan():
+    # at the parent these returned (nan, nan) and reported value=nan
+    with pytest.raises(ValueError):
+        stein_solution(math.nan, 0.0)
+    with pytest.raises(ValueError):
+        stein_solution(0.0, math.nan)
+    with pytest.raises(ValueError):
+        stein_solution(0.0, np.array([0.0, math.nan]))
+    x = np.array([-1.0, 0.5, math.nan, 2.0])
+    with pytest.raises(ValueError):
+        stein_estimates(x, np.ones_like(x), [0.0])
+
+
 def test_stein_solution_scalar_and_array_agree():
     z = 0.7
     xs = np.array([-1.0, 0.2, 3.0])
@@ -154,6 +168,8 @@ def test_kolmogorov_validation():
         kolmogorov_distance_mc(np.array([0.0]), 0.0)
     with pytest.raises(ValueError):
         kolmogorov_distance_mc(np.array([0.0]), -1.0)
+    with pytest.raises(ValueError, match="variance"):
+        kolmogorov_distance_mc(np.array([0.0]), True)  # a bool is not a variance
 
 
 # ---------------------------------------------------------------------------
