@@ -38,7 +38,10 @@ one call.  Per chunk of paths grid.run_chunks draws, H_k is computed once for
 exactly those (column, degree) pairs and every expansion reads its terms from
 these shared rows, in bands of rows whose sample-by-term products hold at
 most about CHUNK_ENTRIES entries; evaluate_batch is the same evaluator on a
-single expansion.
+single expansion.  The Hermite rows and products are grid.Workspace arrays,
+and the highest degree read at every column overwrites the chunk table
+unless H_1 is that table, so the diagonal families hold one table plus one
+product band per thread.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .grid import (
     GaussianSample,
     Grid,
     IncrementStream,
+    Workspace,
     check_run_counts,
     chunk_rows,
     make_grid,
@@ -254,20 +258,37 @@ def _compile(exps: Sequence[ChaosExpansion]) -> _CompiledPlan:
     return _CompiledPlan(columns=columns, groups=groups)
 
 
-def _run_plan(plan: _CompiledPlan, z: np.ndarray, outs: list, block_rows: int) -> None:
+def _run_plan(
+    plan: _CompiledPlan, z: np.ndarray, outs: list, block_rows: int, workspace: Workspace
+) -> None:
     """Add each compiled expansion's chaos terms at the rows of z = xi / sqrt(delta).
 
     z holds some rows of a block of block_rows paths; the term slab, and so
     the order of each row's partial sums, is set by block_rows alone.  Each
-    slab is walked in bands of rows, so no product array holds more than
-    about CHUNK_ENTRIES entries; a row's sum never spans two bands.
+    slab is walked in bands of rows, so no product holds more than about
+    CHUNK_ENTRIES entries; a row's sum never spans two bands.  Hermite rows
+    and products live in workspace arrays, and z is overwritten, so a chunk
+    allocates no array of its own size but hermite_eval's recurrence rows
+    for degrees above 2.
     """
     if z.shape[0] == 0 or not plan.columns:
         return
-    hrows = {
-        k: hermite_eval(k, z if cols.size == z.shape[1] else np.take(z, cols, axis=1))
-        for k, cols in plan.columns.items()
-    }
+    n_rows, m = z.shape
+    full = [k for k, cols in plan.columns.items() if cols.size == m]
+    # H_1 over every column is z itself; otherwise the highest degree over
+    # every column overwrites z, once every other degree has read it.
+    on_z = 1 if 1 in full else max(full, default=None)
+    hrows = {}
+    for k, cols in plan.columns.items():
+        if cols.size < m:
+            # mode="clip" writes straight into out; "raise" would buffer it.
+            rows = workspace.array(f"H{k}", (n_rows, cols.size))
+            np.take(z, cols, axis=1, out=rows, mode="clip")
+            hrows[k] = rows if k == 1 else hermite_eval(k, rows, out=rows)
+        elif k != on_z:
+            hrows[k] = hermite_eval(k, z, out=workspace.array(f"H{k}", z.shape))
+    if on_z is not None:
+        hrows[on_z] = z if on_z == 1 else hermite_eval(on_z, z, out=z)
     # Slab the term dimension so the sample-by-term product stays in cache-
     # friendly memory.
     slab = max(1, (1 << 22) // block_rows)
@@ -276,23 +297,27 @@ def _run_plan(plan: _CompiledPlan, z: np.ndarray, outs: list, block_rows: int) -
             for lo in range(0, pos.shape[0], slab):
                 part = pos[lo : lo + slab]
                 weights = coeffs[lo : lo + slab]
-                band = chunk_rows(part.shape[0])
-                for a in range(0, z.shape[0], band):
+                width = part.shape[0]
+                band = chunk_rows(width)
+                for a in range(0, n_rows, band):
                     rows = slice(a, a + band)
+                    prod = workspace.array("band", (min(band, n_rows - a), width))
                     if run is not None:
-                        # A view of the shared rows: the product with weights
-                        # below is a fresh C-order array, as with np.take, and
-                        # is never written in place.
-                        prod = hrows[mults[0]][rows, run + lo : run + lo + part.shape[0]]
+                        # The group's terms are one run of the shared rows.
+                        view = hrows[mults[0]][rows, run + lo : run + lo + width]
+                        np.multiply(view, weights, out=prod)
                     else:
-                        # np.take returns C order; an axis-1 fancy index
+                        # np.take fills the C-order band; an axis-1 fancy index
                         # returns F order, which changes the row-sum order and
                         # so the bits.
-                        prod = np.take(hrows[mults[0]][rows], part[:, 0], axis=1)
+                        np.take(hrows[mults[0]][rows], part[:, 0], axis=1, out=prod, mode="clip")
                         for r in range(1, len(mults)):
-                            prod *= np.take(hrows[mults[r]][rows], part[:, r], axis=1)
+                            factor = workspace.array("factor", prod.shape)
+                            np.take(hrows[mults[r]][rows], part[:, r], axis=1, out=factor, mode="clip")
+                            prod *= factor
+                        prod *= weights
                     # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
-                    out[rows] += (prod * weights).sum(axis=1)
+                    out[rows] += prod.sum(axis=1)
 
 
 def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
@@ -304,7 +329,7 @@ def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
         )
     out = np.full(arr.shape[0], x.expectation, dtype=np.float64)
     # Dividing makes a new array, so the caller's increments are never written.
-    _run_plan(_compile([x]), arr / math.sqrt(x.grid.delta), [out], arr.shape[0])
+    _run_plan(_compile([x]), arr / math.sqrt(x.grid.delta), [out], arr.shape[0], Workspace())
     return out
 
 
@@ -346,11 +371,12 @@ def evaluate_samples(
     plan = _compile(exps)
     outs = [np.full(n_samples, e.expectation, dtype=np.float64) for e in exps]
 
-    def chunk(start: int, z: np.ndarray, block_rows: int) -> None:
+    def chunk(start: int, z: np.ndarray, block_rows: int, workspace: Workspace) -> None:
         # Threads share the read-only plan and write disjoint row ranges.
         z *= np.sqrt(grid.delta)  # the round trip through xi is part of the bits
         z /= math.sqrt(grid.delta)
-        _run_plan(plan, z, [out[start : start + z.shape[0]] for out in outs], block_rows)
+        parts = [out[start : start + z.shape[0]] for out in outs]
+        _run_plan(plan, z, parts, block_rows, workspace)
 
     run_chunks(stream, n_samples, grid.m, workers, chunk)
     return outs

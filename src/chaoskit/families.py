@@ -20,18 +20,18 @@ W(1) - W(1/2) and each projects onto that factor with coefficient 1/2.
 The simulation reads half + 1 normals per path, half = path_steps/2, from
 grid.run_chunks: the left-half increments for the Euler sum of Y1, and X1
 itself as one normal, since W(1) - W(1/2) is independent of the left half.
+The sign table of a chunk is an array of the thread's grid.Workspace.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chaos import ChaosExpansion, single_chaos
-from .grid import Grid, IncrementStream, check_int, check_run_counts, make_grid, run_chunks
+from .grid import Grid, IncrementStream, Workspace, check_int, check_run_counts, make_grid, run_chunks
 from .kernels import StepKernel, check_dense_entries, inner_product, is_symmetric, step_kernel
 
 
@@ -168,12 +168,7 @@ def simulate_counterexample(
     x_out = np.empty(n_samples, dtype=np.float64)
     y_out = np.empty(n_samples, dtype=np.float64)
 
-    # Each thread's sign table, reused by its chunks: with a fresh one per
-    # chunk the allocator hands the freed pages back to the kernel and every
-    # chunk faults them in again.
-    scratch = threading.local()
-
-    def chunk(start: int, table: np.ndarray, block_rows: int) -> None:
+    def chunk(start: int, table: np.ndarray, block_rows: int, workspace: Workspace) -> None:
         # Each chunk writes only its own rows' results; every value depends
         # on its path's row of the table alone.
         count = table.shape[0]
@@ -181,10 +176,7 @@ def simulate_counterexample(
         dw *= sqrt_dt
         # Left-point path levels W(t_1), ..., W(t_{half-1}) on (0, 1/2), summed
         # straight into the sign table and then replaced by their signs.
-        signs = getattr(scratch, "signs", None)
-        if signs is None or signs.shape[0] < count:
-            signs = scratch.signs = np.empty((count, half), dtype=np.float64)
-        signs = signs[:count]
+        signs = workspace.array("signs", (count, half))
         signs[:, 0] = 1.0  # sign(W(0)) = sign(0) = +1
         levels = signs[:, 1:]
         np.cumsum(dw[:, : half - 1], axis=1, out=levels)

@@ -11,9 +11,11 @@ starts a block, or continues where the calling thread's last read of that
 block ended, draws its rows straight into the returned array, so a sampler
 that walks a block in order never holds more of it than the rows it asked
 for.  run_chunks, the one Monte Carlo sampler, walks blocks that way in
-chunks of at most about CHUNK_ENTRIES normals, each drawn into one table per
-thread, so a run's memory is bounded whatever the number of variables per
-row.  Only random-access reads materialize a whole block.
+chunks of at most about CHUNK_ENTRIES normals, each drawn into its thread's
+Workspace, so a run's memory is bounded whatever the number of variables
+per row.  Only random-access reads materialize a whole block.  A Workspace
+is the package's only per-thread scratch memory: run_chunks hands it to
+each chunk for its temporaries, and its buffers grow only when outgrown.
 
 run_tasks is the one thread pool of the package: run_chunks hands it the
 blocks of a run, and the k-way experiments the estimator calls of a record.
@@ -23,6 +25,8 @@ ran what.
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -175,6 +179,11 @@ def check_int(name: str, value, minimum: int = 0) -> int:
     raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def is_real(value) -> bool:
+    """True for a real number that is not a bool: the package's one real-number rule."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_run_counts(n_samples, workers) -> None:
     """Reject a sample count or worker count that is not an integer >= 1."""
     check_int("n_samples", n_samples, 1)
@@ -202,35 +211,52 @@ def run_tasks(workers: int, tasks: Sequence[Callable[[], object]]) -> list:
         return [future.result() for future in futures]
 
 
+class Workspace(threading.local):
+    """Reusable float64 buffers, a set per thread, one per name.
+
+    array(name, shape) is a C-contiguous view of the calling thread's buffer
+    of that name, replaced by a larger one only when a request outgrows it,
+    so same-sized chunks allocate it once.  A request reuses the memory of
+    the last one for that name and thread.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict = {}
+
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype=np.float64)
+        return buf[:size].reshape(shape)
+
+
 def run_chunks(
     stream: IncrementStream, n_samples: int, n_vars: int, workers: int, chunk: Callable
 ) -> None:
-    """Call chunk(start, table, block_rows) over the stream's n_vars-wide rows 0 .. n_samples-1.
+    """Call chunk(start, table, block_rows, workspace) over the stream's rows 0 .. n_samples-1.
 
     Blocks of BLOCK_SIZE rows run as run_tasks tasks on up to `workers`
     threads.  One thread walks a block's chunks in order, each
-    chunk_rows(n_vars) rows but the last, and draws a chunk's rows start ..
-    start+len(table)-1 into table, a view of the thread's one table buffer,
-    continuing its open block generator.  chunk may scale table in place but
-    must not keep it: the thread's next chunk draws into the same buffer.
+    chunk_rows(n_vars) rows but the last, and draws a chunk's n_vars-wide
+    rows start .. start+len(table)-1 into table, its "table" array of
+    workspace, continuing its open block generator.  chunk may overwrite
+    table and take its temporaries from workspace under other names, but
+    must keep no view of either: the thread's next chunk reuses them.
     block_rows is the row count of the chunk's block.
     """
     rows = chunk_rows(n_vars)
-    # Each thread's table buffer, reused by its chunks: with a fresh one per
-    # chunk the allocator hands the freed pages back to the kernel and every
-    # chunk faults them in again.
-    scratch = threading.local()
+    # With fresh arrays per chunk the allocator hands the freed pages back to
+    # the kernel and every chunk faults them in again.
+    workspace = Workspace()
 
     def run(block_start: int) -> None:
         block_rows = min(BLOCK_SIZE, n_samples - block_start)
-        need = min(rows, block_rows)
-        buf = getattr(scratch, "table", None)
-        if buf is None or buf.shape[0] < need:
-            buf = scratch.table = np.empty((need, n_vars), dtype=np.float64)
         for lo in range(0, block_rows, rows):
             count = min(rows, block_rows - lo)
-            table = stream.standard_normal_block(n_vars, block_start + lo, count, out=buf[:count])
-            chunk(block_start + lo, table, block_rows)
+            table = workspace.array("table", (count, n_vars))
+            stream.standard_normal_block(n_vars, block_start + lo, count, out=table)
+            chunk(block_start + lo, table, block_rows, workspace)
 
     run_tasks(workers, [partial(run, s) for s in range(0, n_samples, BLOCK_SIZE)])
 

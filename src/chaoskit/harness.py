@@ -39,7 +39,6 @@ import functools
 import io
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -48,7 +47,7 @@ import numpy as np
 
 from .chaos import add, evaluate_samples, exact_summary
 from .families import check_path_steps, diagonal_second_chaos, simulate_counterexample
-from .grid import IncrementStream, check_int, make_grid, run_tasks
+from .grid import IncrementStream, check_int, is_real, make_grid, run_tasks
 from .independence import class_a_diagnostic, strongly_independent
 from .kernels import check_dense_entries
 from .stein import (
@@ -67,10 +66,6 @@ EXPERIMENTS = ("decouple", "counterexample", "class_a", "three_way")
 EXACT_IDENTITY_RTOL = 1e-10
 
 _SPLIT_ATOL = 1e-12
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -96,6 +91,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
+        for name in ("n_schedule", "t_grid", "z_grid"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         schedule = tuple(self.n_schedule)
         if not schedule:
             raise ValueError("n_schedule must be nonempty")
@@ -108,7 +106,7 @@ class ExperimentConfig:
         for n in schedule:
             check_dense_entries(blocks * n, 2, f"n_schedule entry {n}'s order-2 kernel")
         object.__setattr__(self, "n_schedule", schedule)
-        if not all(_is_real(v) for v in tuple(self.t_grid) + tuple(self.z_grid)):
+        if not all(is_real(v) for v in tuple(self.t_grid) + tuple(self.z_grid)):
             raise ValueError(
                 f"t_grid and z_grid entries must be real numbers, got {self.t_grid} and {self.z_grid}"
             )
@@ -136,7 +134,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is None and name == "c3":
                 continue
-            if not (_is_real(value) and math.isfinite(value)):
+            if not (is_real(value) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"format must be 'json' or 'csv', got {self.fmt!r}")

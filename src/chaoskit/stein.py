@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import erfcx, ndtr
 
 from .chaos import ChaosExpansion, evaluate_samples, exact_summary, gamma
-from .grid import IncrementStream, check_int
+from .grid import IncrementStream, check_int, is_real
 
 # The closed form of the Stein solution multiplies exp((x^2 - z^2)/2) by a
 # normal tail; beyond this magnitude the intermediate terms are no longer
@@ -99,7 +99,7 @@ def kolmogorov_distance_mc(samples: np.ndarray, variance: float) -> float:
         raise ValueError("need at least one sample")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must be finite")
-    if isinstance(variance, bool) or not (variance > 0.0 and math.isfinite(variance)):
+    if not (is_real(variance) and variance > 0.0 and math.isfinite(variance)):
         raise ValueError(f"variance must be positive and finite, got {variance!r}")
     n = arr.size
     cdf = ndtr(np.sort(arr) / math.sqrt(variance))
@@ -123,10 +123,17 @@ def fourth_moment_bound(x: ChaosExpansion) -> float:
 # Criterion functionals on shared samples
 
 
+def _check_finite(x_vals: np.ndarray, resid_vals: np.ndarray) -> None:
+    # A NaN would sort into a bin or vanish from a modulus and report a number.
+    if not (np.all(np.isfinite(x_vals)) and np.all(np.isfinite(resid_vals))):
+        raise ValueError("x_vals and resid_vals must be finite")
+
+
 def char_fn_estimates(
     x_vals: np.ndarray, resid_vals: np.ndarray, t_grid: Sequence[float]
 ) -> tuple:
     """|E[e^{itX} R]| for each t in t_grid, each with a complex-mean standard error."""
+    _check_finite(x_vals, resid_vals)
     n = x_vals.size
     estimates = []
     for t in t_grid:
@@ -147,6 +154,7 @@ def stein_estimates(
     x_vals: np.ndarray, resid_vals: np.ndarray, z_grid: Sequence[float]
 ) -> tuple:
     """E[f_z'(X) R] for each z in z_grid, each with its standard error."""
+    _check_finite(x_vals, resid_vals)
     n = x_vals.size
     estimates = []
     for z in z_grid:
@@ -163,6 +171,7 @@ def binned_residual_estimate(
     x_vals: np.ndarray, resid_vals: np.ndarray, n_bins: int
 ) -> CriterionEstimate:
     """L2 proxy for ||E[R | X]||: equal-count bins on X, root-mean-square of bin means."""
+    _check_finite(x_vals, resid_vals)
     n = x_vals.size
     n_bins = check_int("n_bins", n_bins, 1)
     if n_bins > n:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -515,6 +516,23 @@ def test_evaluate_samples_worker_count_is_invisible():
     assert np.array_equal(serial, threaded)
 
 
+def test_evaluate_samples_workspaces_are_per_thread(monkeypatch):
+    # Four threads, switching every microsecond, walk six blocks in 100-row
+    # chunks: a workspace shared between threads would mix their chunk tables
+    # and product bands.
+    monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 100 * 8)
+    exps = _diagonal_gaps()
+    serial = evaluate_samples(exps, 6 * BLOCK_SIZE, IncrementStream(seed=54))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = evaluate_samples(exps, 6 * BLOCK_SIZE, IncrementStream(seed=54), workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(threaded, serial):
+        assert np.array_equal(got, want)
+
+
 def _half_support_couple(n):
     x = half_support_second_chaos(n, 0.5, "left")
     y = half_support_second_chaos(n, 0.5, "right")
@@ -557,13 +575,23 @@ def _diagonal_split_run():
     return [diagonal_second_chaos(grid, range(40), 0.3), y, gamma(y)]
 
 
+def _first_and_diagonal():
+    # Degrees 1 and 2 both read all eight columns, so H_1 is the chunk table
+    # itself and H_2 must not be written over it.
+    grid = make_grid(8)
+    rng = np.random.default_rng(49)
+    linear = single_chaos(step_kernel(grid, 1, rng.uniform(0.5, 1.5, 8)))
+    return [add(linear, diagonal_second_chaos(grid, range(8), 0.6))]
+
+
 # Each case is a list of expansions on one grid.  The dense (1, 2, 3) case has
 # multi-cell groups up to order 4 in its Gamma; the dense order-2 case at
 # m = 64 has a (1, 1) group of 2016 terms, and the dense order-3 case at m = 24
 # a (1, 1, 1) group of 2024 terms, more than one 1024-term slab.  The sparse
 # case has orders 1-4 with half the multisets zero and a Gamma up to order 6.
 # The diagonal cases cover single-factor groups read as views of the Hermite
-# rows and those that are not.
+# rows and those that are not.  In the first-and-diagonal case degrees 1 and 2
+# read the same full column set.
 _REFERENCE_CASES = {
     "half_support_n4": lambda: _half_support_couple(4),
     "half_support_n256": lambda: _half_support_couple(256),
@@ -573,6 +601,7 @@ _REFERENCE_CASES = {
     "sparse_1234_m6": lambda: _sparse_with_gamma(6, [1, 2, 3, 4], seed=48),
     "diagonal_gaps_m8": _diagonal_gaps,
     "diagonal_split_run_m1100": _diagonal_split_run,
+    "first_and_diagonal_m8": _first_and_diagonal,
 }
 
 
@@ -674,19 +703,36 @@ def test_kernel_terms_build_no_dense_mask():
     assert peak < 1 << 20
 
 
-def test_evaluate_samples_memory_is_bounded_in_m():
-    # One block of 4096 paths at m = 4096 is 128 MiB of increments.  The
-    # traced peak covers the whole call: the chunk walk holds a few
-    # chunk-sized arrays, and the plan's compile pass no m x m mask.
-    exps = [half_support_second_chaos(2048, 0.5, side) for side in ("left", "right")]
-    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
-        evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=47))
-        _, peak = tracemalloc.get_traced_memory()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * chunk_bytes < BLOCK_SIZE * 4096 * 8 / 2
+
+
+def test_evaluate_samples_memory_is_bounded_in_m():
+    # One block of 4096 paths at m = 4096 is 128 MiB of increments.  The
+    # traced peak covers the whole call: the chunk walk holds one chunk table,
+    # whose H_2 rows overwrite it, and one product band, and the plan's
+    # compile pass builds no m x m mask.
+    exps = [half_support_second_chaos(2048, 0.5, side) for side in ("left", "right")]
+    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+    peak = _traced_peak(lambda: evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=47)))
+    assert peak < 2 * chunk_bytes < BLOCK_SIZE * 4096 * 8 / 2
+
+
+def test_evaluate_samples_memory_per_worker():
+    # The decouple expansions at n = 256 over three blocks on two workers:
+    # each worker holds one chunk table (1024 paths at m = 512) and one
+    # product band (1024 paths by 256 terms), reused by every chunk it walks.
+    exps = _half_support_couple(256)
+    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+    peak = _traced_peak(
+        lambda: evaluate_samples(exps, 3 * BLOCK_SIZE, IncrementStream(seed=53), workers=2)
+    )
+    assert peak < 3.5 * chunk_bytes
 
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))

@@ -145,7 +145,8 @@ def test_run_chunks_draws_each_block_into_one_table_buffer(monkeypatch):
     tables = {}
     got = np.full((n, 5), np.nan)
 
-    def chunk(start, table, block_rows):
+    def chunk(start, table, block_rows, workspace):
+        assert np.shares_memory(table, workspace.array("table", table.shape))
         tables[start] = table
         got[start : start + table.shape[0]] = table
         assert block_rows == (BLOCK_SIZE if start < BLOCK_SIZE else 10)

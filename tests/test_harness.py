@@ -61,6 +61,10 @@ def test_config_rejects_bad_schedule():
         _small_decouple(n_schedule=(8, 4))
     with pytest.raises(ValueError):
         _small_decouple(n_schedule=(0, 4))
+    # a list field that is not a list is named, not a TypeError from tuple()
+    for field, value in (("n_schedule", 5), ("t_grid", 1.0), ("z_grid", None)):
+        with pytest.raises(ValueError, match=field):
+            _small_decouple(**{field: value})
 
 
 def test_config_rejects_bad_split():

@@ -45,6 +45,17 @@ def test_eval_matches_recurrence_bits():
             assert type(got) is float and got == want
 
 
+def test_eval_into_out_matches_recurrence_bits():
+    # out may be a separate array or x itself, which the evaluator overwrites.
+    x = np.random.default_rng(6).standard_normal((7, 9))
+    for k in range(9):
+        want = hermite_recurrence(k, x)
+        out = np.full_like(x, np.nan)
+        assert hermite_eval(k, x, out=out) is out and np.array_equal(out, want)
+        same = x.copy()
+        assert hermite_eval(k, same, out=same) is same and np.array_equal(same, want)
+
+
 def test_table_matches_pointwise_eval():
     x = np.linspace(-3.0, 3.0, 11)
     table = hermite_table(6, x)

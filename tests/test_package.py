@@ -49,6 +49,28 @@ def test_only_grid_draws_normals():
     assert offenders == []
 
 
+def test_only_grid_keeps_thread_local_state():
+    # A run's per-thread scratch memory is the Workspace grid.run_chunks hands
+    # each chunk: no other module keeps buffers of its own per thread.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "local"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "threading"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "threading"
+                and any(alias.name == "local" for alias in node.names)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def _names(tree) -> set:
     """Every name a module spells: bare names, attributes and imported aliases."""
     out = set()

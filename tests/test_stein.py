@@ -11,6 +11,8 @@ from chaoskit import (
     CriterionEstimate,
     IncrementStream,
     add,
+    binned_residual_estimate,
+    char_fn_estimates,
     conditional_residual_estimate,
     constant,
     criterion_functionals,
@@ -170,6 +172,8 @@ def test_kolmogorov_validation():
         kolmogorov_distance_mc(np.array([0.0]), -1.0)
     with pytest.raises(ValueError, match="variance"):
         kolmogorov_distance_mc(np.array([0.0]), True)  # a bool is not a variance
+    with pytest.raises(ValueError, match="variance"):
+        kolmogorov_distance_mc(np.array([0.0]), "1")  # nor is a string
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +303,21 @@ def test_conditional_residual_family_decay():
         want = math.sqrt(2.0 * 0.25 / n)
         assert est.value == pytest.approx(want, rel=0.15)
     assert vals[4] > vals[16]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sample_estimators_reject_non_finite_samples(bad):
+    # A NaN would sort into the last bin, or into a complex mean, and be
+    # reported as a number.
+    good = np.array([0.0, 1.0, 0.5, 2.0])
+    worse = np.array([0.0, 1.0, bad, 2.0])
+    for x_vals, resid_vals in ((worse, np.ones(4)), (good, worse)):
+        with pytest.raises(ValueError, match="finite"):
+            binned_residual_estimate(x_vals, resid_vals, 2)
+        with pytest.raises(ValueError, match="finite"):
+            char_fn_estimates(x_vals, resid_vals, [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            stein_estimates(x_vals, resid_vals, [0.0])
 
 
 def test_conditional_residual_validation():
