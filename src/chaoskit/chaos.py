@@ -32,16 +32,16 @@ with H_k the monic probabilists' Hermite polynomials.  The terms of a kernel
 are its nonzero entries at nondecreasing index tuples, one per cell multiset,
 listed slice by slice along the first axis and grouped by multiplicity
 pattern.  Each evaluate_samples call compiles its expansions into one plan:
-their term groups, and for each Hermite degree the grid columns some term
-reads at that degree.  Nothing is cached on the kernels; the plan lives for
-one call.  Per chunk of paths grid.run_chunks draws, H_k is computed once for
-exactly those (column, degree) pairs and every expansion reads its terms from
-these shared rows, in bands of rows whose sample-by-term products hold at
-most about CHUNK_ENTRIES entries; evaluate_batch is the same evaluator on a
+their term groups and the Hermite degrees those read.  Nothing is cached on
+the kernels; the plan lives for one call.  Per chunk of paths grid.run_chunks
+draws, each of those degrees is computed once over every cell, and every
+expansion reads its terms from these shared rows, TERM_SLAB terms at a time,
+in bands of rows whose sample-by-term products hold at most about
+CHUNK_ENTRIES entries.  So a path's value does not depend on the paths it is
+evaluated with: evaluate_batch and evaluate are the same evaluator on a
 single expansion.  The Hermite rows and products are grid.Workspace arrays,
-and the highest degree read at every column overwrites the chunk table
-unless H_1 is that table, so the diagonal families hold one table plus one
-product band per thread.
+and the highest degree overwrites the chunk table unless H_1 is that table,
+so the diagonal families hold one table plus one product band per thread.
 """
 
 from __future__ import annotations
@@ -79,6 +79,10 @@ from .kernels import (
 # Products above this output order are rejected; dense kernels of higher order
 # have no supported use here and the entry guard would obscure the real problem.
 MAX_PRODUCT_ORDER = 8
+
+# The evaluator sums a term group's chaos terms this many at a time, for
+# every path alike; the width sets the order of each path's partial sums.
+TERM_SLAB = 1024
 
 
 @dataclass(frozen=True)
@@ -225,12 +229,12 @@ def _kernel_terms(kernel: StepKernel) -> list:
 class _CompiledPlan:
     """The term groups of several expansions, read from one shared set of Hermite rows."""
 
-    # Hermite degree -> ascending grid columns some term reads at that degree
-    columns: dict
-    # Per expansion, by order and then in _kernel_terms order: (mults, pos,
-    # coeffs, run), where pos[:, r] locates each term's r-th cell within
-    # columns[mults[r]].  run is pos[0, 0] when the group has one Hermite
-    # factor and pos[:, 0] counts up by one from it, else None.
+    # Ascending Hermite degrees some term reads, each computed over every cell
+    degrees: tuple
+    # Per expansion, by order and then in _kernel_terms order: (mults, cells,
+    # coeffs, run), as _kernel_terms gives them; run is cells[0, 0] when the
+    # group has one Hermite factor and cells[:, 0] counts up by one from it,
+    # else None.
     groups: tuple
 
 
@@ -239,64 +243,47 @@ def _compile(exps: Sequence[ChaosExpansion]) -> _CompiledPlan:
         [g for n, k in enumerate(e.kernels) if n >= 1 and k is not None for g in _kernel_terms(k)]
         for e in exps
     ]
-    refs: dict = {}
-    for groups in terms:
-        for mults, cells, _ in groups:
-            for r, k in enumerate(mults):
-                refs.setdefault(k, []).append(cells[:, r])
-    columns = {k: np.unique(np.concatenate(parts)) for k, parts in refs.items()}
 
-    def located(mults, cells, coeffs):
-        pos = np.stack(
-            [np.searchsorted(columns[k], cells[:, r]) for r, k in enumerate(mults)], axis=1
-        )
-        first = pos[:, 0]
+    def with_run(mults, cells, coeffs):
+        first = cells[:, 0]
         contiguous = len(mults) == 1 and np.array_equal(first, first[0] + np.arange(first.size))
-        return mults, pos, coeffs, int(first[0]) if contiguous else None
+        return mults, cells, coeffs, int(first[0]) if contiguous else None
 
-    groups = tuple(tuple(located(*g) for g in kernel_groups) for kernel_groups in terms)
-    return _CompiledPlan(columns=columns, groups=groups)
+    degrees = tuple(sorted({k for groups in terms for mults, _, _ in groups for k in mults}))
+    groups = tuple(tuple(with_run(*g) for g in kernel_groups) for kernel_groups in terms)
+    return _CompiledPlan(degrees=degrees, groups=groups)
 
 
-def _run_plan(
-    plan: _CompiledPlan, z: np.ndarray, outs: list, block_rows: int, workspace: Workspace
-) -> None:
+def _run_plan(plan: _CompiledPlan, z: np.ndarray, outs: list, workspace: Workspace) -> None:
     """Add each compiled expansion's chaos terms at the rows of z = xi / sqrt(delta).
 
-    z holds some rows of a block of block_rows paths; the term slab, and so
-    the order of each row's partial sums, is set by block_rows alone.  Each
+    Every degree the plan reads is computed over all of z, and a term reads
+    its cells' entries of those rows.  A group's terms are summed TERM_SLAB
+    at a time; the slab only fixes the order of a row's partial sums, so a
+    path's value does not depend on the rows it is evaluated with.  Each
     slab is walked in bands of rows, so no product holds more than about
     CHUNK_ENTRIES entries; a row's sum never spans two bands.  Hermite rows
     and products live in workspace arrays, and z is overwritten, so a chunk
     allocates no array of its own size but hermite_eval's recurrence rows
     for degrees above 2.
     """
-    if z.shape[0] == 0 or not plan.columns:
+    if z.shape[0] == 0 or not plan.degrees:
         return
-    n_rows, m = z.shape
-    full = [k for k, cols in plan.columns.items() if cols.size == m]
-    # H_1 over every column is z itself; otherwise the highest degree over
-    # every column overwrites z, once every other degree has read it.
-    on_z = 1 if 1 in full else max(full, default=None)
-    hrows = {}
-    for k, cols in plan.columns.items():
-        if cols.size < m:
-            # mode="clip" writes straight into out; "raise" would buffer it.
-            rows = workspace.array(f"H{k}", (n_rows, cols.size))
-            np.take(z, cols, axis=1, out=rows, mode="clip")
-            hrows[k] = rows if k == 1 else hermite_eval(k, rows, out=rows)
-        elif k != on_z:
-            hrows[k] = hermite_eval(k, z, out=workspace.array(f"H{k}", z.shape))
-    if on_z is not None:
-        hrows[on_z] = z if on_z == 1 else hermite_eval(on_z, z, out=z)
-    # Slab the term dimension so the sample-by-term product stays in cache-
-    # friendly memory.
-    slab = max(1, (1 << 22) // block_rows)
+    n_rows = z.shape[0]
+    # H_1 is z itself; otherwise the top degree overwrites z, once every
+    # other degree has read it.
+    on_z = 1 if 1 in plan.degrees else plan.degrees[-1]
+    hrows = {
+        k: hermite_eval(k, z, out=workspace.array(f"H{k}", z.shape))
+        for k in plan.degrees
+        if k != on_z
+    }
+    hrows[on_z] = z if on_z == 1 else hermite_eval(on_z, z, out=z)
     for out, groups in zip(outs, plan.groups):
-        for mults, pos, coeffs, run in groups:
-            for lo in range(0, pos.shape[0], slab):
-                part = pos[lo : lo + slab]
-                weights = coeffs[lo : lo + slab]
+        for mults, cells, coeffs, run in groups:
+            for lo in range(0, cells.shape[0], TERM_SLAB):
+                part = cells[lo : lo + TERM_SLAB]
+                weights = coeffs[lo : lo + TERM_SLAB]
                 width = part.shape[0]
                 band = chunk_rows(width)
                 for a in range(0, n_rows, band):
@@ -329,7 +316,7 @@ def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
         )
     out = np.full(arr.shape[0], x.expectation, dtype=np.float64)
     # Dividing makes a new array, so the caller's increments are never written.
-    _run_plan(_compile([x]), arr / math.sqrt(x.grid.delta), [out], arr.shape[0], Workspace())
+    _run_plan(_compile([x]), arr / math.sqrt(x.grid.delta), [out], Workspace())
     return out
 
 
@@ -371,12 +358,12 @@ def evaluate_samples(
     plan = _compile(exps)
     outs = [np.full(n_samples, e.expectation, dtype=np.float64) for e in exps]
 
-    def chunk(start: int, z: np.ndarray, block_rows: int, workspace: Workspace) -> None:
+    def chunk(start: int, z: np.ndarray, workspace: Workspace) -> None:
         # Threads share the read-only plan and write disjoint row ranges.
         z *= np.sqrt(grid.delta)  # the round trip through xi is part of the bits
         z /= math.sqrt(grid.delta)
         parts = [out[start : start + z.shape[0]] for out in outs]
-        _run_plan(plan, z, parts, block_rows, workspace)
+        _run_plan(plan, z, parts, workspace)
 
     run_chunks(stream, n_samples, grid.m, workers, chunk)
     return outs

@@ -89,9 +89,6 @@ def _load_config_file(path: str) -> dict:
     unknown = set(data) - set(_CONFIG_FIELDS) - {"experiment", "workers"}
     if unknown:
         raise ValueError(f"unknown config fields in {path}: {sorted(unknown)}")
-    for key in ("n_schedule", "t_grid", "z_grid"):
-        if key in data and not isinstance(data[key], list):
-            raise ValueError(f"{key} in {path} must be a JSON array, got {data[key]!r}")
     return data
 
 

@@ -168,7 +168,7 @@ def simulate_counterexample(
     x_out = np.empty(n_samples, dtype=np.float64)
     y_out = np.empty(n_samples, dtype=np.float64)
 
-    def chunk(start: int, table: np.ndarray, block_rows: int, workspace: Workspace) -> None:
+    def chunk(start: int, table: np.ndarray, workspace: Workspace) -> None:
         # Each chunk writes only its own rows' results; every value depends
         # on its path's row of the table alone.
         count = table.shape[0]

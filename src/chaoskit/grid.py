@@ -234,7 +234,7 @@ class Workspace(threading.local):
 def run_chunks(
     stream: IncrementStream, n_samples: int, n_vars: int, workers: int, chunk: Callable
 ) -> None:
-    """Call chunk(start, table, block_rows, workspace) over the stream's rows 0 .. n_samples-1.
+    """Call chunk(start, table, workspace) over the stream's rows 0 .. n_samples-1.
 
     Blocks of BLOCK_SIZE rows run as run_tasks tasks on up to `workers`
     threads.  One thread walks a block's chunks in order, each
@@ -243,7 +243,6 @@ def run_chunks(
     workspace, continuing its open block generator.  chunk may overwrite
     table and take its temporaries from workspace under other names, but
     must keep no view of either: the thread's next chunk reuses them.
-    block_rows is the row count of the chunk's block.
     """
     rows = chunk_rows(n_vars)
     # With fresh arrays per chunk the allocator hands the freed pages back to
@@ -251,12 +250,11 @@ def run_chunks(
     workspace = Workspace()
 
     def run(block_start: int) -> None:
-        block_rows = min(BLOCK_SIZE, n_samples - block_start)
-        for lo in range(0, block_rows, rows):
-            count = min(rows, block_rows - lo)
-            table = workspace.array("table", (count, n_vars))
-            stream.standard_normal_block(n_vars, block_start + lo, count, out=table)
-            chunk(block_start + lo, table, block_rows, workspace)
+        stop = min(block_start + BLOCK_SIZE, n_samples)
+        for start in range(block_start, stop, rows):
+            table = workspace.array("table", (min(rows, stop - start), n_vars))
+            stream.standard_normal_block(n_vars, start, table.shape[0], out=table)
+            chunk(start, table, workspace)
 
     run_tasks(workers, [partial(run, s) for s in range(0, n_samples, BLOCK_SIZE)])
 

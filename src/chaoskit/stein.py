@@ -123,17 +123,30 @@ def fourth_moment_bound(x: ChaosExpansion) -> float:
 # Criterion functionals on shared samples
 
 
-def _check_finite(x_vals: np.ndarray, resid_vals: np.ndarray) -> None:
-    # A NaN would sort into a bin or vanish from a modulus and report a number.
+def _check_samples(x_vals: np.ndarray, resid_vals: np.ndarray) -> None:
+    # A length-1 or (n, 1) residual would broadcast, and a NaN would sort into
+    # a bin or vanish from a modulus; each would report a number.
+    shapes = (np.shape(x_vals), np.shape(resid_vals))
+    if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
+        raise ValueError(f"x_vals and resid_vals must be 1-D of equal length, got shapes {shapes}")
     if not (np.all(np.isfinite(x_vals)) and np.all(np.isfinite(resid_vals))):
         raise ValueError("x_vals and resid_vals must be finite")
+
+
+def _check_parameters(name: str, values: Sequence[float]) -> tuple:
+    # A bool would read as 0 or 1, and a NaN or inf would report value=nan.
+    values = tuple(values)
+    if not all(is_real(v) and math.isfinite(v) for v in values):
+        raise ValueError(f"{name} entries must be finite real numbers, got {values!r}")
+    return values
 
 
 def char_fn_estimates(
     x_vals: np.ndarray, resid_vals: np.ndarray, t_grid: Sequence[float]
 ) -> tuple:
     """|E[e^{itX} R]| for each t in t_grid, each with a complex-mean standard error."""
-    _check_finite(x_vals, resid_vals)
+    _check_samples(x_vals, resid_vals)
+    t_grid = _check_parameters("t_grid", t_grid)
     n = x_vals.size
     estimates = []
     for t in t_grid:
@@ -154,7 +167,8 @@ def stein_estimates(
     x_vals: np.ndarray, resid_vals: np.ndarray, z_grid: Sequence[float]
 ) -> tuple:
     """E[f_z'(X) R] for each z in z_grid, each with its standard error."""
-    _check_finite(x_vals, resid_vals)
+    _check_samples(x_vals, resid_vals)
+    z_grid = _check_parameters("z_grid", z_grid)
     n = x_vals.size
     estimates = []
     for z in z_grid:
@@ -171,7 +185,7 @@ def binned_residual_estimate(
     x_vals: np.ndarray, resid_vals: np.ndarray, n_bins: int
 ) -> CriterionEstimate:
     """L2 proxy for ||E[R | X]||: equal-count bins on X, root-mean-square of bin means."""
-    _check_finite(x_vals, resid_vals)
+    _check_samples(x_vals, resid_vals)
     n = x_vals.size
     n_bins = check_int("n_bins", n_bins, 1)
     if n_bins > n:

@@ -134,8 +134,8 @@ def evaluate_batch_reference(x, increments: np.ndarray) -> np.ndarray:
     """Pathwise I-sum of one expansion on a (n_samples, m) increment array.
 
     Hermite rows cover all m columns; each term gather is an axis-1 fancy
-    index copied back to C order; terms go in slabs of (1 << 22) // n_samples
-    so the partial sums land in the order the library fixes.
+    index copied back to C order; terms go in slabs of 1024 for every batch
+    size, so the partial sums land in the order the library fixes.
     """
     arr = np.asarray(increments, dtype=np.float64)
     n_samples = arr.shape[0]
@@ -146,7 +146,7 @@ def evaluate_batch_reference(x, increments: np.ndarray) -> np.ndarray:
     z = arr / math.sqrt(x.grid.delta)
     degrees = sorted({k for plan in plans for group in plan for k in group.mults})
     htab = {k: hermite_recurrence(k, z) for k in degrees}
-    slab = max(1, (1 << 22) // n_samples)
+    slab = 1024
     for plan in plans:
         for group in plan:
             for lo in range(0, group.cells.shape[0], slab):

@@ -569,7 +569,7 @@ def _diagonal_gaps():
 
 def _diagonal_split_run():
     # y's 1060 terms are one contiguous run starting at column 40, split across
-    # two term slabs (1024 terms per slab at 4096 paths, 838 at 5000).
+    # two term slabs of 1024 terms, whatever the number of paths.
     grid = make_grid(1100)
     y = diagonal_second_chaos(grid, range(40, 1100), 0.7)
     return [diagonal_second_chaos(grid, range(40), 0.3), y, gamma(y)]
@@ -742,6 +742,21 @@ def test_evaluate_batch_matches_reference_bits(case):
     for e in exps:
         assert np.array_equal(evaluate_batch(e, xi), evaluate_batch_reference(e, xi))
         assert np.array_equal(evaluate_batch(e, xi[:1]), evaluate_batch_reference(e, xi[:1]))
+
+
+@pytest.mark.parametrize("case", ["dense_2_m64", "diagonal_split_run_m1100"])
+def test_a_path_value_does_not_depend_on_its_batch(case):
+    # A 2016-term and a 1060-term group, each wider than one term slab: a slab
+    # sized by the batch sums their terms in another order on a short batch
+    # or one row than on a full block.
+    exps = _REFERENCE_CASES[case]()
+    stream = IncrementStream(seed=43, stream_id=3)
+    xi = sample_increments_block(exps[0].grid, stream, 0, 5000)
+    for e, want in zip(exps, evaluate_samples(exps, 5000, stream)):
+        assert np.array_equal(evaluate_batch(e, xi), want)
+        assert np.array_equal(evaluate_batch(e, xi[100:110]), want[100:110])
+        assert np.array_equal(evaluate_batch(e, xi[BLOCK_SIZE:]), want[BLOCK_SIZE:])
+        assert np.array_equal(evaluate(e, xi[2048]), want[2048])
 
 
 def test_evaluate_samples_validates_counts(monkeypatch):

@@ -145,11 +145,10 @@ def test_run_chunks_draws_each_block_into_one_table_buffer(monkeypatch):
     tables = {}
     got = np.full((n, 5), np.nan)
 
-    def chunk(start, table, block_rows, workspace):
+    def chunk(start, table, workspace):
         assert np.shares_memory(table, workspace.array("table", table.shape))
         tables[start] = table
         got[start : start + table.shape[0]] = table
-        assert block_rows == (BLOCK_SIZE if start < BLOCK_SIZE else 10)
 
     grid_module.run_chunks(stream, n, 5, 1, chunk)
     assert sorted(tables) == list(range(0, BLOCK_SIZE, 4)) + list(range(BLOCK_SIZE, n, 4))

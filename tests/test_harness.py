@@ -475,6 +475,8 @@ def test_cli_n_bins_flag(capsys):
         ["decouple", "--config", {"seed": True}],
         ["decouple", "--config", {"t_grid": "12"}],
         ["decouple", "--config", {"z_grid": ["1"]}],
+        ["decouple", "--config", {"z_grid": 5}],
+        ["decouple", "--config", {"n_schedule": None}],
         ["decouple", "--config", {"out": 5}],  # would fail only after the run
         ["decouple", "--workers", "0"],
         ["decouple", "--workers", "-1"],

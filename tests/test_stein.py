@@ -320,6 +320,31 @@ def test_sample_estimators_reject_non_finite_samples(bad):
             stein_estimates(x_vals, resid_vals, [0.0])
 
 
+@pytest.mark.parametrize("resid_shape", [(1,), (10, 1), (9,)])
+def test_sample_estimators_reject_mismatched_residuals(resid_shape):
+    # A length-1 or (10, 1) residual broadcast against x_vals and reported a
+    # number (char_fn_estimates read 0.752); a shorter one raised IndexError
+    # in the binned estimate.
+    x_vals = np.linspace(-1.0, 1.0, 10)
+    resid_vals = np.ones(resid_shape)
+    with pytest.raises(ValueError, match="equal length"):
+        char_fn_estimates(x_vals, resid_vals, [1.0])
+    with pytest.raises(ValueError, match="equal length"):
+        stein_estimates(x_vals, resid_vals, [0.0])
+    with pytest.raises(ValueError, match="equal length"):
+        binned_residual_estimate(x_vals, resid_vals, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1", 1j])
+def test_sample_estimators_reject_bad_parameters(bad):
+    # NaN or inf reported value=nan with a RuntimeWarning, and True read as 1.0.
+    x_vals = np.linspace(-1.0, 1.0, 10)
+    with pytest.raises(ValueError, match="t_grid"):
+        char_fn_estimates(x_vals, np.ones(10), [0.5, bad])
+    with pytest.raises(ValueError, match="z_grid"):
+        stein_estimates(x_vals, np.ones(10), [0.5, bad])
+
+
 def test_conditional_residual_validation():
     x, c = _unit_first_chaos()
     with pytest.raises(ValueError):
