@@ -80,34 +80,44 @@ def _require_same_grid(f: StepKernel, g: StepKernel) -> None:
 def _symmetrized_values(values: np.ndarray, m: int, order: int) -> np.ndarray:
     """Average of `values` over all coordinate permutations.
 
-    Positions sharing the same index multiset form one orbit, and the
-    symmetrized value on the orbit equals the orbit mean, so a single
-    sort-and-group pass replaces the n! transposes.
+    Positions sharing the same index multiset form one orbit, whose
+    symmetrized value is the orbit mean.  A position's orbit key is the flat
+    index of its sorted index tuple, built a first-axis slice (about 2^16
+    entries) at a time by a min/max compare-exchange network on broadcast
+    digit ranges of the smallest unsigned type holding m: no kernel-size key
+    array, no sort.  One pass adds each slice into the orbit sums and counts
+    in flat order (a bincount's additions); a second regathers the means.
     """
-    size = values.size
-    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    key = np.empty(size, dtype=np.int64)
-    # The keys are built a slice at a time: each slice's digit table and
-    # divmod temporaries are order + 3 arrays of chunk int64s.
-    chunk = 1 << 16
-    for lo in range(0, size, chunk):
-        hi = min(size, lo + chunk)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((order, hi - lo), dtype=np.int64)
-        for axis in range(order - 1, -1, -1):
-            rem, digits[axis] = np.divmod(rem, m)
-        digits.sort(axis=0)
-        k = digits[0].copy()
-        for axis in range(1, order):
-            k *= m
-            k += digits[axis]
-        key[lo:hi] = k
-    sums = np.bincount(key, weights=flat, minlength=size)
-    counts = np.bincount(key, minlength=size)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    rows = max(1, (1 << 16) // m ** (order - 1))
+    digit = np.min_scalar_type(m)
+
+    def slice_keys(lo: int) -> np.ndarray:
+        d = [np.arange(lo, min(m, lo + rows), dtype=digit).reshape((-1,) + (1,) * (order - 1))]
+        d += [np.arange(m, dtype=digit).reshape((m,) + (1,) * (order - 1 - a)) for a in range(1, order)]
+        # Insertion order: comparators among the first i digits act on 1/m^(order-i) of a slice.
+        for i in range(1, order):
+            for j in range(i, 0, -1):
+                d[j - 1], d[j] = np.minimum(d[j - 1], d[j]), np.maximum(d[j - 1], d[j])
+        key = d[0].astype(np.int64)
+        for digits in d[1:]:
+            key *= m
+            key += digits
+        return key
+
+    sums = np.zeros(values.size)
+    counts = np.zeros(values.size, dtype=np.int64)
+    for lo in range(0, m, rows):
+        key = slice_keys(lo).ravel()
+        np.add.at(sums, key, values[lo : lo + rows].ravel())
+        np.add.at(counts, key, 1)
     np.maximum(counts, 1, out=counts)
     sums /= counts  # the orbit means, in place
     del counts
-    return sums[key].reshape(values.shape)
+    out = np.empty(values.shape)
+    for lo in range(0, m, rows):
+        np.take(sums, slice_keys(lo), out=out[lo : lo + rows])
+    return out
 
 
 def symmetrize(kernel: StepKernel) -> StepKernel:

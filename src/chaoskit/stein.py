@@ -56,6 +56,8 @@ def stein_solution(z: float, x):
     through erfcx so the exp(x^2/2) growth cancels analytically; f' comes from
     the equation itself, so the residual is zero to rounding.
     """
+    if not is_real(z):
+        raise ValueError(f"stein_solution z must be a real number, got {z!r}")
     z = float(z)
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     xs = np.asarray(x, dtype=np.float64)

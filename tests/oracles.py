@@ -10,6 +10,11 @@ pathwise evaluator, with its own per-term plan builder (`_build_plan`, which
 collects cell multisets by sorting every nonzero index tuple).  The library's
 evaluator must reproduce it bit for bit.
 
+The reference symmetrizer is the earlier order >= 3 orbit-mean pass: it
+builds every position's orbit key by divmod into index digits and a sort of
+each digit column, and groups with `bincount`.  The library's `symmetrize`
+must reproduce it bit for bit.
+
 The reference fourth cumulant is the earlier two-branch route: contraction
 norms for a single order and E[X^4] - 3 E[X^2]^2 through `multiply(x, x)` for
 mixed orders, which forms order-2N kernels.
@@ -128,6 +133,32 @@ def _build_plan(kernel: StepKernel) -> list:
         )
         for mults, (cell_rows, coeffs) in groups.items()
     ]
+
+
+def symmetrize_reference(kernel: StepKernel) -> np.ndarray:
+    """Orbit means of an order >= 3 kernel by digit sort and bincount."""
+    m, order = kernel.grid.m, kernel.order
+    size = kernel.values.size
+    flat = np.ascontiguousarray(kernel.values, dtype=np.float64).ravel()
+    key = np.empty(size, dtype=np.int64)
+    chunk = 1 << 16
+    for lo in range(0, size, chunk):
+        hi = min(size, lo + chunk)
+        rem = np.arange(lo, hi, dtype=np.int64)
+        digits = np.empty((order, hi - lo), dtype=np.int64)
+        for axis in range(order - 1, -1, -1):
+            rem, digits[axis] = np.divmod(rem, m)
+        digits.sort(axis=0)
+        k = digits[0].copy()
+        for axis in range(1, order):
+            k *= m
+            k += digits[axis]
+        key[lo:hi] = k
+    sums = np.bincount(key, weights=flat, minlength=size)
+    counts = np.bincount(key, minlength=size)
+    np.maximum(counts, 1, out=counts)
+    sums /= counts
+    return sums[key].reshape(kernel.values.shape)
 
 
 def evaluate_batch_reference(x, increments: np.ndarray) -> np.ndarray:

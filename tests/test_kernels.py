@@ -25,13 +25,15 @@ from chaoskit import (
     zero_kernel,
 )
 
+from oracles import symmetrize_reference
+
 
 def _random_kernel(rng, grid, order, symmetric=False):
     k = step_kernel(grid, order, rng.uniform(-1.0, 1.0, (grid.m,) * order))
     return symmetrize(k) if symmetric else k
 
 
-def small_kernels(max_order=4, max_m=4):
+def small_kernels(max_order=4, max_m=4, min_order=1):
     def build(draw_tuple):
         m, order, seed = draw_tuple
         rng = np.random.default_rng(seed)
@@ -39,7 +41,7 @@ def small_kernels(max_order=4, max_m=4):
         return step_kernel(grid, order, rng.uniform(-5.0, 5.0, (m,) * order))
 
     return st.tuples(
-        st.integers(1, max_m), st.integers(1, max_order), st.integers(0, 10_000)
+        st.integers(1, max_m), st.integers(min_order, max_order), st.integers(0, 10_000)
     ).map(build)
 
 
@@ -88,10 +90,11 @@ def test_symmetrize_matches_permutation_average(order, m):
 
 
 def test_symmetrize_memory_is_bounded_at_order_4():
-    # An order-4 kernel at m = 32 has 2^20 entries (8 MiB).  The keys, orbit
-    # sums and counts take one such array each, and the counts are freed
-    # before the gather makes the result; the key pass adds only slice-sized
-    # digit tables, where a (4, 2^20) one is 32 MiB.
+    # An order-4 kernel at m = 32 has 2^20 entries (8 MiB).  The orbit sums
+    # and counts take one such array each, and the counts are freed before
+    # the result is made, so two are alive at a time.  The orbit keys exist
+    # only a slice of 2^16 entries at a time; keeping them whole would add
+    # a third kernel-size array.
     k = _random_kernel(np.random.default_rng(70), make_grid(32), 4)
     tracemalloc.start()
     try:
@@ -99,7 +102,42 @@ def test_symmetrize_memory_is_bounded_at_order_4():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * k.values.nbytes
+    assert peak < 3 * k.values.nbytes
+
+
+@pytest.mark.parametrize(
+    "m,order",
+    [
+        (1, 3),
+        (1, 6),
+        (3, 3),
+        (100, 3),  # six first-axis indices a slice, the last slice short
+        (32, 4),  # two first-axis indices a slice
+        (12, 4),
+        (17, 5),  # one first-axis index a slice: 17^4 > 2^16
+        (4, 5),
+        (10, 6),  # one first-axis index a slice: 10^5 > 2^16
+        (3, 6),
+    ],
+)
+def test_symmetrize_matches_reference_bits(m, order):
+    rng = np.random.default_rng(m * 10 + order)
+    k = _random_kernel(rng, make_grid(m), order)
+    assert symmetrize(k).values.tobytes() == symmetrize_reference(k).tobytes()
+
+
+def test_symmetrize_of_transposed_array_matches_reference_bits():
+    raw = np.random.default_rng(71).uniform(-1.0, 1.0, (9,) * 4)
+    view = raw.transpose(2, 0, 3, 1)
+    assert not view.flags.c_contiguous
+    k = step_kernel(make_grid(9), 4, view)
+    assert symmetrize(k).values.tobytes() == symmetrize_reference(k).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_kernels(max_order=6, max_m=5, min_order=3))
+def test_symmetrize_matches_reference_bits_on_small_kernels(kernel):
+    assert symmetrize(kernel).values.tobytes() == symmetrize_reference(kernel).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ library's private helpers shares the code it is meant to check.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import chaoskit
@@ -112,3 +115,22 @@ def test_public_names_resolve():
     assert len(set(chaoskit.__all__)) == len(chaoskit.__all__)
     for name in ("char_fn_estimates", "stein_estimates", "binned_residual_estimate"):
         assert name in chaoskit.__all__
+
+
+def test_import_loads_no_scipy_subpackage_but_special():
+    # `import scipy.stats` alone roughly triples the cost of `import chaoskit`,
+    # which every CLI run and benchmark pass pays; a module that needs another
+    # scipy subpackage imports it inside the function that uses it.
+    probe = (
+        "import sys, chaoskit\n"
+        "print(' '.join(sorted(name for name, mod in list(sys.modules.items())\n"
+        "    if name.count('.') == 1 and name.startswith('scipy.')\n"
+        "    and not name.split('.')[1].startswith('_') and hasattr(mod, '__path__'))))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["scipy.special"]

@@ -122,6 +122,15 @@ def test_stein_solution_rejects_nan():
         stein_estimates(x, np.ones_like(x), [0.0])
 
 
+def test_stein_solution_rejects_non_real_z():
+    # float(z) would read True and '1' as z = 1.0
+    for z in (True, "1", None, np.array([1.0]), 1.0 + 0.0j):
+        with pytest.raises(ValueError):
+            stein_solution(z, 0.5)
+    for z in (1, np.float64(1.0), np.int64(1)):
+        assert stein_solution(z, 0.5) == stein_solution(1.0, 0.5)
+
+
 def test_stein_solution_scalar_and_array_agree():
     z = 0.7
     xs = np.array([-1.0, 0.2, 3.0])
