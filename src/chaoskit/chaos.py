@@ -59,9 +59,11 @@ from .grid import (
     Grid,
     IncrementStream,
     Workspace,
+    check_real,
     check_run_counts,
     chunk_rows,
     make_grid,
+    real_array,
     run_chunks,
 )
 from .hermite import hermite_eval
@@ -146,7 +148,8 @@ def _expansion(grid: Grid, slots: list) -> ChaosExpansion:
 
 def constant(grid: Grid, value: float) -> ChaosExpansion:
     """The deterministic expansion F = value."""
-    k0 = step_kernel(grid, 0, float(value)) if value != 0.0 else None
+    value = check_real("value", value)
+    k0 = step_kernel(grid, 0, value) if value != 0.0 else None
     return ChaosExpansion(grid=grid, kernels=(k0,))
 
 
@@ -174,8 +177,9 @@ def add(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
 
 
 def scale(a: float, x: ChaosExpansion) -> ChaosExpansion:
+    a = check_real("scale factor a", a)
     slots = [
-        None if k is None else step_kernel(x.grid, n, float(a) * k.values, copy=False)
+        None if k is None else step_kernel(x.grid, n, a * k.values, copy=False)
         for n, k in enumerate(x.kernels)
     ]
     return _expansion(x.grid, slots)
@@ -309,7 +313,7 @@ def _run_plan(plan: _CompiledPlan, z: np.ndarray, outs: list, workspace: Workspa
 
 def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
     """Evaluate x pathwise on a (n_samples, m) array of increment vectors."""
-    arr = np.asarray(increments, dtype=np.float64)
+    arr = real_array("increments", increments)
     if arr.ndim != 2 or arr.shape[1] != x.grid.m:
         raise ValueError(
             f"expected increments of shape (n_samples, {x.grid.m}), got {arr.shape}"
@@ -325,11 +329,10 @@ def evaluate(x: ChaosExpansion, sample) -> float:
     if isinstance(sample, GaussianSample):
         if sample.grid != x.grid:
             raise ValueError("sample grid does not match expansion grid")
-        row = sample.increments
-    else:
-        row = np.asarray(sample, dtype=np.float64)
-        if row.shape != (x.grid.m,):
-            raise ValueError(f"expected {x.grid.m} increments, got shape {row.shape}")
+        sample = sample.increments
+    row = real_array("sample", sample)
+    if row.shape != (x.grid.m,):
+        raise ValueError(f"expected {x.grid.m} increments, got shape {row.shape}")
     return float(evaluate_batch(x, row[None, :])[0])
 
 
@@ -511,12 +514,13 @@ def gamma(x: ChaosExpansion) -> ChaosExpansion:
 
 def gamma_residual(x: ChaosExpansion, c: float) -> float:
     """E[(c - <Dx, D(-L)^{-1} x>)^2], exact through the expansion algebra."""
+    c = check_real("target variance c", c)
     return _gamma_residual(gamma(x), c)
 
 
 def _gamma_residual(g1: ChaosExpansion, c: float) -> float:
     # E[(c - G)^2] for G = Gamma_1 of some expansion.
-    return second_moment(add(constant(g1.grid, float(c)), scale(-1.0, g1)))
+    return second_moment(add(constant(g1.grid, c), scale(-1.0, g1)))
 
 
 class ExactSummary(NamedTuple):
@@ -540,6 +544,7 @@ def exact_summary(x: ChaosExpansion, c: float) -> ExactSummary:
     and gamma_residual(x, c), which run the same steps on a Gamma_1 of their own.
     """
     _require_centered(x, "exact_summary")
+    c = check_real("target variance c", c)
     g1 = gamma(x)
     return ExactSummary(
         var=second_moment(x),

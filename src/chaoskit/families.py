@@ -31,12 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosExpansion, single_chaos
-from .grid import Grid, IncrementStream, Workspace, check_int, check_run_counts, make_grid, run_chunks
+from .grid import Grid, IncrementStream, Workspace, check_int, check_real, check_run_counts
+from .grid import make_grid, run_chunks
 from .kernels import StepKernel, check_dense_entries, inner_product, is_symmetric, step_kernel
 
 
 def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
     """Second-chaos element a * sum_{i in cells} e_i (x) e_i with E[X^2] = c."""
+    c = check_real("target variance c", c, positive=True)
     cells = np.asarray(cells, dtype=np.int64)
     if cells.size == 0:
         raise ValueError("need at least one cell")
@@ -44,8 +46,6 @@ def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
         raise ValueError("cells must be distinct")
     if cells.min() < 0 or cells.max() >= grid.m:
         raise ValueError(f"cells must lie in [0, {grid.m})")
-    if not (c > 0.0):
-        raise ValueError(f"target variance must be positive, got {c!r}")
     check_dense_entries(grid.m, 2, "kernel")
     n = cells.size
     # 2 ||f||^2 = 2 delta^2 n a^2 = c
@@ -84,8 +84,7 @@ def custom_single_chaos(
     if not is_symmetric(kernel):
         raise ValueError("kernel must be symmetric")
     if normalize_to is not None:
-        if not (normalize_to > 0.0):
-            raise ValueError(f"normalize_to must be positive, got {normalize_to!r}")
+        normalize_to = check_real("normalize_to", normalize_to, positive=True)
         current = math.factorial(order) * inner_product(kernel, kernel)
         if current <= 0.0:
             raise ValueError("cannot normalize a zero kernel")

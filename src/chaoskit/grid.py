@@ -67,11 +67,9 @@ class GaussianSample:
     increments: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.increments, dtype=np.float64)
+        arr = real_array("increments", self.increments)
         if arr.shape != (self.grid.m,):
-            raise ValueError(
-                f"increments shape {arr.shape} does not match grid m={self.grid.m}"
-            )
+            raise ValueError(f"increments shape {arr.shape} does not match grid m={self.grid.m}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "increments", arr)
@@ -179,9 +177,35 @@ def check_int(name: str, value, minimum: int = 0) -> int:
     raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def is_real(value) -> bool:
-    """True for a real number that is not a bool: the package's one real-number rule."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def check_real(name: str, value, *, positive: bool = False) -> float:
+    """value as a float; ValueError unless it is a finite non-bool real number, > 0 if positive.
+
+    This is the package's one real-number rule: a bool is not a number, a
+    string is never parsed into one, and NaN and inf are never accepted.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer or fraction beyond the float range
+            number = math.inf
+        if math.isfinite(number) and (number > 0.0 or not positive):
+            return number
+    rule = "a positive finite real number" if positive else "a finite real number"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def real_array(name: str, value) -> np.ndarray:
+    """value as a float64 array; ValueError unless it holds integers or reals, all finite.
+
+    The array rule beside check_real: bools and strings are not numbers.  A
+    float64 array comes back as the same object.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got a NaN or inf entry")
+    return arr.astype(np.float64, copy=False)
 
 
 def check_run_counts(n_samples, workers) -> None:

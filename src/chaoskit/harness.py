@@ -47,7 +47,7 @@ import numpy as np
 
 from .chaos import add, evaluate_samples, exact_summary
 from .families import check_path_steps, diagonal_second_chaos, simulate_counterexample
-from .grid import IncrementStream, check_int, is_real, make_grid, run_tasks
+from .grid import IncrementStream, check_int, check_real, make_grid, run_tasks
 from .independence import class_a_diagnostic, strongly_independent
 from .kernels import check_dense_entries
 from .stein import (
@@ -64,6 +64,12 @@ EXPERIMENTS = ("decouple", "counterexample", "class_a", "three_way")
 # Exact identities (cumulant additivity, Gamma residual additivity) must hold
 # to this relative tolerance or the run aborts.
 EXACT_IDENTITY_RTOL = 1e-10
+
+# The characteristic-function criteria read e^{itX} through the phase t*X.
+# For samples X of a few units, |t*X| then stays below about 1e7, where a
+# double still resolves the phase to about 2e-9 rad; far beyond, the phase
+# is mostly rounding, and near 1e308 / |X| it overflows and e^{itX} is NaN.
+CHAR_FN_MAX_T = 1e6
 
 _SPLIT_ATOL = 1e-12
 
@@ -92,12 +98,10 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
         for name in ("n_schedule", "t_grid", "z_grid"):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
-        schedule = tuple(self.n_schedule)
-        if not schedule:
-            raise ValueError("n_schedule must be nonempty")
-        schedule = tuple(check_int("n_schedule entry", n, 1) for n in schedule)
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ValueError(f"{name} must be a nonempty list, got {value!r}")
+        schedule = tuple(check_int("n_schedule entry", n, 1) for n in self.n_schedule)
         if any(a <= b for b, a in zip(schedule, schedule[1:])):
             raise ValueError(f"n_schedule must be strictly increasing, got {schedule}")
         # Entry n puts order-2 summands on a blocks*n-cell grid; checked here,
@@ -106,19 +110,10 @@ class ExperimentConfig:
         for n in schedule:
             check_dense_entries(blocks * n, 2, f"n_schedule entry {n}'s order-2 kernel")
         object.__setattr__(self, "n_schedule", schedule)
-        if not all(is_real(v) for v in tuple(self.t_grid) + tuple(self.z_grid)):
-            raise ValueError(
-                f"t_grid and z_grid entries must be real numbers, got {self.t_grid} and {self.z_grid}"
-            )
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
-        object.__setattr__(self, "z_grid", tuple(float(z) for z in self.z_grid))
-        if not self.t_grid or not self.z_grid:
-            raise ValueError("t_grid and z_grid must be nonempty")
         # Every report echoes both grids, so they must be finite even where unused.
-        if not all(math.isfinite(v) for v in self.t_grid + self.z_grid):
-            raise ValueError(
-                f"t_grid and z_grid must be finite, got {self.t_grid} and {self.z_grid}"
-            )
+        for name in ("t_grid", "z_grid"):
+            values = tuple(check_real(f"{name} entry", v) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
         # path_steps is read by counterexample alone, but every report echoes it.
         for name, minimum in (("mc_samples", 2), ("seed", 0), ("n_bins", 1), ("path_steps", 0)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
@@ -129,13 +124,14 @@ class ExperimentConfig:
         for name in ("c1", "c2", "c3")[:k]:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, 1.0 / k)
-        # Every report echoes the split, so it must be finite even where unused.
-        for name in ("c1", "c2", "c3"):
-            value = getattr(self, name)
-            if value is None and name == "c3":
-                continue
-            if not (is_real(value) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        # Every report echoes the split, so it must be finite even where unused;
+        # every experiment but counterexample builds summands of these variances.
+        positive = self.experiment != "counterexample"
+        for name in ("c1", "c2"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), positive=positive))
+        if self.experiment == "three_way":
+            c3 = self.c3 if self.c3 is not None else 1.0 - self.c1 - self.c2
+            object.__setattr__(self, "c3", check_real("c3", c3, positive=True))
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"format must be 'json' or 'csv', got {self.fmt!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -151,15 +147,11 @@ class ExperimentConfig:
                 )
         if self.experiment == "counterexample":
             check_path_steps(self.path_steps)
-        if self.experiment == "three_way":
-            c3 = self.c3 if self.c3 is not None else 1.0 - self.c1 - self.c2
-            object.__setattr__(self, "c3", float(c3))
-        if self.experiment != "counterexample":  # the only one without summands
-            cs = self.split
-            if not all(c > 0.0 for c in cs):
-                raise ValueError(f"variance split must be strictly positive, got {cs}")
-            if abs(sum(cs) - 1.0) > _SPLIT_ATOL:
-                raise ValueError(f"variance split must sum to 1, got {cs}")
+        else:  # the experiments with summands read the split and t_grid
+            if abs(sum(self.split) - 1.0) > _SPLIT_ATOL:
+                raise ValueError(f"variance split must sum to 1, got {self.split}")
+            if any(abs(t) > CHAR_FN_MAX_T for t in self.t_grid):
+                raise ValueError(f"t_grid entries must satisfy |t| <= {CHAR_FN_MAX_T}, got {self.t_grid}")
 
     @property
     def split(self) -> tuple:

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .chaos import ChaosExpansion, add, cross_gamma, evaluate_samples
-from .grid import IncrementStream, check_run_counts
+from .grid import IncrementStream, check_real, check_run_counts
 from .kernels import StepKernel, contract, kernel_norm
 from .stein import char_fn_estimates
 
@@ -49,9 +49,8 @@ def integrals_independent(
     """
     if f.order < 1 or g.order < 1:
         raise ValueError("independence test requires kernel orders >= 1")
+    tol = DEFAULT_REL_TOL * kernel_norm(f) * kernel_norm(g) if tol is None else check_real("tol", tol)
     witness = kernel_norm(contract(f, g, 1))
-    if tol is None:
-        tol = DEFAULT_REL_TOL * kernel_norm(f) * kernel_norm(g)
     return IndependenceResult(independent=witness <= tol, witness_norm=witness)
 
 
@@ -65,6 +64,7 @@ def strongly_independent(
     """
     if x.grid != y.grid:
         raise ValueError("grid mismatch")
+    tol = None if tol is None else check_real("tol", tol)
     independent = True
     worst_pair = None
     worst_norm = 0.0

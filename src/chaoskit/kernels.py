@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, check_int, make_grid
+from .grid import Grid, check_int, check_real, make_grid, real_array
 
 # Dense storage guard: reject kernels with more than this many entries.
 MAX_ENTRIES = 10**8
@@ -53,13 +53,9 @@ def step_kernel(grid: Grid, order: int, values, *, copy: bool = True) -> StepKer
     """Validated kernel constructor; accepts a scalar for order 0."""
     order = check_int("kernel order", order)
     check_dense_entries(grid.m, order, "kernel")
-    arr = np.asarray(values, dtype=np.float64)
+    arr = real_array("kernel values", values)
     if arr.shape != (grid.m,) * order:
-        raise ValueError(
-            f"values shape {arr.shape} does not match order-{order} kernel on m={grid.m}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("kernel values must be finite")
+        raise ValueError(f"values shape {arr.shape} does not match order-{order} kernel on m={grid.m}")
     # ascontiguousarray promotes 0-d to shape (1,); reshape restores it.
     arr = np.ascontiguousarray(arr).reshape(arr.shape)
     if copy and arr is values:
@@ -132,6 +128,7 @@ def symmetrize(kernel: StepKernel) -> StepKernel:
 
 
 def is_symmetric(kernel: StepKernel, atol: float = SYMMETRY_ATOL) -> bool:
+    atol = check_real("atol", atol)
     if kernel.order <= 1:
         return True
     return bool(
@@ -179,7 +176,8 @@ def linear_combine(a: float, f: StepKernel, b: float, g: StepKernel) -> StepKern
     _require_same_grid(f, g)
     if f.order != g.order:
         raise ValueError(f"order mismatch: {f.order} vs {g.order}")
-    return step_kernel(f.grid, f.order, float(a) * f.values + float(b) * g.values, copy=False)
+    a, b = check_real("a", a), check_real("b", b)
+    return step_kernel(f.grid, f.order, a * f.values + b * g.values, copy=False)
 
 
 def kernel_to_dict(kernel: StepKernel) -> dict:
@@ -194,7 +192,7 @@ def kernel_to_dict(kernel: StepKernel) -> dict:
 def kernel_from_dict(data: dict, *, require_symmetric: bool = True) -> StepKernel:
     grid = make_grid(data["m"])
     order = check_int("kernel order", data["order"])
-    values = np.asarray(data["values"], dtype=np.float64).reshape((grid.m,) * order)
+    values = np.reshape(data["values"], (grid.m,) * order)
     kernel = step_kernel(grid, order, values, copy=False)
     if require_symmetric and not is_symmetric(kernel):
         raise ValueError("loaded kernel is not symmetric")

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import erfcx, ndtr
 
 from .chaos import ChaosExpansion, evaluate_samples, exact_summary, gamma
-from .grid import IncrementStream, check_int, is_real
+from .grid import IncrementStream, check_int, check_real, real_array
 
 # The closed form of the Stein solution multiplies exp((x^2 - z^2)/2) by a
 # normal tail; beyond this magnitude the intermediate terms are no longer
@@ -56,13 +56,9 @@ def stein_solution(z: float, x):
     through erfcx so the exp(x^2/2) growth cancels analytically; f' comes from
     the equation itself, so the residual is zero to rounding.
     """
-    if not is_real(z):
-        raise ValueError(f"stein_solution z must be a real number, got {z!r}")
-    z = float(z)
-    scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
-    xs = np.asarray(x, dtype=np.float64)
-    # Written so that a NaN z or x fails the test too.
-    if not (abs(z) <= STEIN_MAX_ARG and np.all(np.abs(xs) <= STEIN_MAX_ARG)):
+    z = check_real("stein_solution z", z)
+    xs = real_array("stein_solution x", x)
+    if abs(z) > STEIN_MAX_ARG or np.any(np.abs(xs) > STEIN_MAX_ARG):
         raise ValueError(f"stein_solution arguments must satisfy |x|, |z| <= {STEIN_MAX_ARG}")
     phi_z = ndtr(z)
     q_z = ndtr(-z)
@@ -85,7 +81,7 @@ def stein_solution(z: float, x):
         xb = xs[mask]
         f[mask] = _SQRT_HALF_PI * ndtr(-xb) * erfcx(-z * _INV_SQRT2) * np.exp((xb * xb - z * z) / 2.0)
     fprime = xs * f + below.astype(np.float64) - phi_z
-    if scalar:
+    if xs.ndim == 0:
         return float(f), float(fprime)
     return f, fprime
 
@@ -96,13 +92,10 @@ def kolmogorov_distance_mc(samples: np.ndarray, variance: float) -> float:
     Both sides of each empirical CDF step are checked, which is what makes the
     statistic exact for the sorted sample.
     """
-    arr = np.asarray(samples, dtype=np.float64).ravel()
+    arr = real_array("samples", samples).ravel()
     if arr.size == 0:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples must be finite")
-    if not (is_real(variance) and variance > 0.0 and math.isfinite(variance)):
-        raise ValueError(f"variance must be positive and finite, got {variance!r}")
+    variance = check_real("variance", variance, positive=True)
     n = arr.size
     cdf = ndtr(np.sort(arr) / math.sqrt(variance))
     upper = np.arange(1, n + 1) / n - cdf
@@ -125,43 +118,34 @@ def fourth_moment_bound(x: ChaosExpansion) -> float:
 # Criterion functionals on shared samples
 
 
-def _check_samples(x_vals: np.ndarray, resid_vals: np.ndarray) -> None:
-    # A length-1 or (n, 1) residual would broadcast, and a NaN would sort into
-    # a bin or vanish from a modulus; each would report a number.
-    shapes = (np.shape(x_vals), np.shape(resid_vals))
+def _check_samples(x_vals, resid_vals) -> tuple:
+    # A length-1 or (n, 1) residual would broadcast, a NaN would sort into a
+    # bin or vanish from a modulus, and one sample has no standard error; each
+    # would report a number.
+    x_vals, resid_vals = real_array("x_vals", x_vals), real_array("resid_vals", resid_vals)
+    shapes = (x_vals.shape, resid_vals.shape)
     if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
         raise ValueError(f"x_vals and resid_vals must be 1-D of equal length, got shapes {shapes}")
-    if not (np.all(np.isfinite(x_vals)) and np.all(np.isfinite(resid_vals))):
-        raise ValueError("x_vals and resid_vals must be finite")
-
-
-def _check_parameters(name: str, values: Sequence[float]) -> tuple:
-    # A bool would read as 0 or 1, and a NaN or inf would report value=nan.
-    values = tuple(values)
-    if not all(is_real(v) and math.isfinite(v) for v in values):
-        raise ValueError(f"{name} entries must be finite real numbers, got {values!r}")
-    return values
+    if x_vals.size < 2:
+        raise ValueError(f"need at least two samples, got {x_vals.size}")
+    return x_vals, resid_vals
 
 
 def char_fn_estimates(
     x_vals: np.ndarray, resid_vals: np.ndarray, t_grid: Sequence[float]
 ) -> tuple:
     """|E[e^{itX} R]| for each t in t_grid, each with a complex-mean standard error."""
-    _check_samples(x_vals, resid_vals)
-    t_grid = _check_parameters("t_grid", t_grid)
+    x_vals, resid_vals = _check_samples(x_vals, resid_vals)
+    t_grid = tuple(check_real("t_grid entry", t) for t in t_grid)
+    x_max = float(np.max(np.abs(x_vals)))
     n = x_vals.size
     estimates = []
     for t in t_grid:
+        # A phase t*x that overflows would make e^{itx} NaN.
+        check_real(f"t_grid entry {t!r} times max |x_vals|", t * x_max)
         vals = np.exp(1j * t * x_vals) * resid_vals
-        mean = vals.mean()
-        if n > 1:
-            var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
-            se = math.sqrt(var / n)
-        else:
-            se = float("nan")
-        estimates.append(
-            CriterionEstimate(value=float(abs(mean)), std_error=se, n_samples=n, parameter=float(t))
-        )
+        se = math.sqrt((vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / n)
+        estimates.append(CriterionEstimate(float(abs(vals.mean())), se, n, t))
     return tuple(estimates)
 
 
@@ -169,17 +153,15 @@ def stein_estimates(
     x_vals: np.ndarray, resid_vals: np.ndarray, z_grid: Sequence[float]
 ) -> tuple:
     """E[f_z'(X) R] for each z in z_grid, each with its standard error."""
-    _check_samples(x_vals, resid_vals)
-    z_grid = _check_parameters("z_grid", z_grid)
+    x_vals, resid_vals = _check_samples(x_vals, resid_vals)
+    z_grid = tuple(check_real("z_grid entry", z) for z in z_grid)
     n = x_vals.size
     estimates = []
     for z in z_grid:
         _, fprime = stein_solution(z, x_vals)
         vals = fprime * resid_vals
-        se = math.sqrt(vals.var(ddof=1) / n) if n > 1 else float("nan")
-        estimates.append(
-            CriterionEstimate(value=float(vals.mean()), std_error=se, n_samples=n, parameter=float(z))
-        )
+        se = math.sqrt(vals.var(ddof=1) / n)
+        estimates.append(CriterionEstimate(float(vals.mean()), se, n, z))
     return tuple(estimates)
 
 
@@ -187,7 +169,7 @@ def binned_residual_estimate(
     x_vals: np.ndarray, resid_vals: np.ndarray, n_bins: int
 ) -> CriterionEstimate:
     """L2 proxy for ||E[R | X]||: equal-count bins on X, root-mean-square of bin means."""
-    _check_samples(x_vals, resid_vals)
+    x_vals, resid_vals = _check_samples(x_vals, resid_vals)
     n = x_vals.size
     n_bins = check_int("n_bins", n_bins, 1)
     if n_bins > n:
@@ -234,8 +216,7 @@ def criterion_functionals(
     G = <DX, D(-L)^{-1} X> is expanded once and evaluated pathwise on the same
     increments as X, so each estimate couples X with its own Gamma functional.
     """
-    if not (c > 0.0):
-        raise ValueError(f"target variance c must be positive, got {c!r}")
+    c = check_real("target variance c", c, positive=True)
     x_vals, g_vals = evaluate_samples([x, gamma(x)], n_samples, stream, workers=workers)
     resid = c - g_vals
     char_fn = char_fn_estimates(x_vals, resid, t_grid)
@@ -252,7 +233,6 @@ def conditional_residual_estimate(
     workers: int = 1,
 ) -> CriterionEstimate:
     """Binned L2 proxy for ||E[c - G | X]|| with G = <DX, D(-L)^{-1} X>."""
-    if not (c > 0.0):
-        raise ValueError(f"target variance c must be positive, got {c!r}")
+    c = check_real("target variance c", c, positive=True)
     x_vals, g_vals = evaluate_samples([x, gamma(x)], n_samples, stream, workers=workers)
     return binned_residual_estimate(x_vals, c - g_vals, n_bins)

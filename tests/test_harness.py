@@ -24,7 +24,7 @@ from chaoskit import (
     save_report,
 )
 from chaoskit import chaos as chaos_module
-from chaoskit import cli
+from chaoskit import cli, harness
 from chaoskit.cli import main as cli_main
 from oracles import run_class_a_reference, run_decoupling_reference, run_three_way_reference
 
@@ -137,6 +137,16 @@ def test_config_rejects_unusable_grids_and_bins():
     # the Stein bound and the n_bins <= mc_samples bound apply where they are read
     ExperimentConfig(experiment="class_a", z_grid=(100.0,), mc_samples=16)
     ExperimentConfig(experiment="counterexample", mc_samples=16)
+
+
+def test_config_bounds_t_where_it_is_read():
+    bound = harness.CHAR_FN_MAX_T
+    for experiment in ("decouple", "three_way", "class_a"):
+        with pytest.raises(ValueError, match="t_grid"):
+            ExperimentConfig(experiment=experiment, t_grid=(1.0, -2.0 * bound))
+        ExperimentConfig(experiment=experiment, t_grid=(-bound, bound))
+    # counterexample echoes t_grid but never reads it
+    ExperimentConfig(experiment="counterexample", t_grid=(2.0 * bound,))
 
 
 @pytest.mark.parametrize(
@@ -465,6 +475,8 @@ def test_cli_n_bins_flag(capsys):
     "argv",
     [
         ["decouple", "--t-grid", "nan,inf"],
+        # t * x overflowed for every sample: all drawn, then NaN failed the JSON encoding
+        ["decouple", "--t-grid", "1e308"],
         ["decouple", "--z-grid", "100"],
         ["decouple", "--mc", "10"],  # below the default n_bins of 32
         ["decouple", "--config", {"n_bins": "7"}],

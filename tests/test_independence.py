@@ -149,20 +149,25 @@ def test_class_a_diagnostic_exact_zero_for_disjoint():
 
 @pytest.mark.parametrize("n_samples", [1, 2000])
 def test_class_a_diagnostic_zero_cross_functional_draws_nothing(n_samples, monkeypatch):
-    # Equal to evaluating and then estimating, n_samples and the NaN
-    # std_error of a single path included; bad counts are still rejected.
+    # Equal to evaluating and then estimating, n_samples included; a single
+    # path, which has no standard error, is rejected before any draw; bad
+    # counts are still rejected.
     f, h = _disjoint_pair(seed=71)
     x, y = single_chaos(f), single_chaos(h)
     args = (x, y, [0.0, 1.0], n_samples, IncrementStream(seed=72))
-    drawn = class_a_diagnostic_drawn(*args)
+    drawn = class_a_diagnostic_drawn(*args) if n_samples > 1 else None
 
     def no_draws(*args, **kwargs):
         raise AssertionError("an exactly zero diagnostic must not sample")
 
     monkeypatch.setattr(IncrementStream, "standard_normal_block", no_draws)
-    out = class_a_diagnostic(*args, workers=2)
-    assert repr(out) == repr(drawn)
-    assert all(e.n_samples == n_samples for e in out.estimates)
+    if drawn is None:
+        with pytest.raises(ValueError, match="two samples"):
+            class_a_diagnostic(*args, workers=2)
+    else:
+        out = class_a_diagnostic(*args, workers=2)
+        assert repr(out) == repr(drawn)
+        assert all(e.n_samples == n_samples for e in out.estimates)
     with pytest.raises(ValueError, match="n_samples"):
         class_a_diagnostic(*args[:3], 0, args[4])
     with pytest.raises(ValueError, match="workers"):

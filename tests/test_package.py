@@ -90,9 +90,17 @@ def _names(tree) -> set:
 
 
 def test_each_input_rule_lives_in_one_module():
-    # grid.check_int is the one integer rule and kernels.check_dense_entries
-    # the one dense-storage check; every other module calls them.
-    owners = {"np.integer": "grid.py", "MAX_ENTRIES": "kernels.py"}
+    # grid.check_int is the one integer rule, grid.check_real and
+    # grid.real_array the one real-number rule, and
+    # kernels.check_dense_entries the one dense-storage check; every other
+    # module calls them.
+    owners = {
+        "np.integer": "grid.py",
+        "numbers.Real": "grid.py",
+        "math.isfinite": "grid.py",
+        "np.isfinite": "grid.py",
+        "MAX_ENTRIES": "kernels.py",
+    }
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         names = _names(ast.parse(path.read_text(), filename=str(path)))

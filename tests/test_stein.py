@@ -354,6 +354,29 @@ def test_sample_estimators_reject_bad_parameters(bad):
         stein_estimates(x_vals, np.ones(10), [0.5, bad])
 
 
+def test_sample_estimators_need_two_samples():
+    # One sample has no standard error: the char and Stein estimates reported
+    # std_error=nan for it.
+    one = np.array([0.5])
+    with pytest.raises(ValueError, match="two samples"):
+        char_fn_estimates(one, one, [1.0])
+    with pytest.raises(ValueError, match="two samples"):
+        stein_estimates(one, one, [0.0])
+    with pytest.raises(ValueError, match="two samples"):
+        binned_residual_estimate(one, one, 1)
+    two = np.array([0.5, -0.5])
+    assert math.isfinite(char_fn_estimates(two, two, [1.0])[0].std_error)
+
+
+def test_char_fn_estimates_rejects_an_overflowing_phase():
+    # t * x overflowed to inf, so e^{itx} and the estimate were NaN.
+    x_vals = np.array([-2.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="t_grid"):
+        char_fn_estimates(x_vals, np.ones(3), [1.0, 1e308])
+    est = char_fn_estimates(x_vals, np.ones(3), [1e307])[0]
+    assert math.isfinite(est.value) and math.isfinite(est.std_error)
+
+
 def test_conditional_residual_validation():
     x, c = _unit_first_chaos()
     with pytest.raises(ValueError):
