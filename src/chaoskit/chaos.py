@@ -31,16 +31,16 @@ k_1 + ... + k_d = n,
 with H_k the monic probabilists' Hermite polynomials.  The terms of a kernel
 are its nonzero entries at nondecreasing index tuples, one per cell multiset,
 listed slice by slice along the first axis and grouped by multiplicity
-pattern.  Each evaluate_samples call compiles its expansions into one plan:
-their term groups and the Hermite degrees those read.  Nothing is cached on
-the kernels; the plan lives for one call.  Per chunk of paths grid.run_chunks
-draws, each of those degrees is computed once over every cell, and every
-expansion reads its terms from these shared rows, TERM_SLAB terms at a time,
-in bands of rows whose sample-by-term products hold at most about
-CHUNK_ENTRIES entries.  So a path's value does not depend on the paths it is
-evaluated with: evaluate_batch and evaluate are the same evaluator on a
-single expansion.  The Hermite rows and products are grid.Workspace arrays,
-and the highest degree overwrites the chunk table unless H_1 is that table,
+pattern.  Each evaluate_samples call compiles its expansions into their term
+groups and the Hermite degrees those read; nothing is cached on the kernels.
+Per chunk of paths grid.run_chunks draws, one hermite_rows walk computes
+those degrees over every cell, and every expansion reads its terms from
+these shared rows, TERM_SLAB terms at a time, in bands of rows whose
+sample-by-term products hold at most about CHUNK_ENTRIES entries.  So a
+path's value does not depend on the paths it is evaluated with:
+evaluate_batch and evaluate are the same evaluator on a single expansion.
+The kept Hermite rows and the products are grid.Workspace arrays, and the
+walk writes the highest degree over the chunk table unless H_1 is that table,
 so the diagonal families hold one table plus one product band per thread.
 """
 
@@ -66,7 +66,7 @@ from .grid import (
     real_array,
     run_chunks,
 )
-from .hermite import hermite_eval
+from .hermite import hermite_rows
 from .kernels import (
     StepKernel,
     contract,
@@ -229,73 +229,51 @@ def _kernel_terms(kernel: StepKernel) -> list:
     return groups
 
 
-@dataclass(frozen=True)
-class _CompiledPlan:
-    """The term groups of several expansions, read from one shared set of Hermite rows."""
-
-    # Ascending Hermite degrees some term reads, each computed over every cell
-    degrees: tuple
-    # Per expansion, by order and then in _kernel_terms order: (mults, cells,
-    # coeffs, run), as _kernel_terms gives them; run is cells[0, 0] when the
-    # group has one Hermite factor and cells[:, 0] counts up by one from it,
-    # else None.
-    groups: tuple
-
-
-def _compile(exps: Sequence[ChaosExpansion]) -> _CompiledPlan:
-    terms = [
-        [g for n, k in enumerate(e.kernels) if n >= 1 and k is not None for g in _kernel_terms(k)]
+def _compile(exps: Sequence[ChaosExpansion]) -> tuple:
+    # (degrees, groups): the ascending Hermite degrees some term reads, and per
+    # expansion its _kernel_terms groups, by order.
+    groups = tuple(
+        tuple(g for n, k in enumerate(e.kernels) if n >= 1 and k is not None for g in _kernel_terms(k))
         for e in exps
-    ]
-
-    def with_run(mults, cells, coeffs):
-        first = cells[:, 0]
-        contiguous = len(mults) == 1 and np.array_equal(first, first[0] + np.arange(first.size))
-        return mults, cells, coeffs, int(first[0]) if contiguous else None
-
-    degrees = tuple(sorted({k for groups in terms for mults, _, _ in groups for k in mults}))
-    groups = tuple(tuple(with_run(*g) for g in kernel_groups) for kernel_groups in terms)
-    return _CompiledPlan(degrees=degrees, groups=groups)
+    )
+    degrees = tuple(sorted({k for exp_groups in groups for mults, _, _ in exp_groups for k in mults}))
+    return degrees, groups
 
 
-def _run_plan(plan: _CompiledPlan, z: np.ndarray, outs: list, workspace: Workspace) -> None:
+def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspace: Workspace) -> None:
     """Add each compiled expansion's chaos terms at the rows of z = xi / sqrt(delta).
 
-    Every degree the plan reads is computed over all of z, and a term reads
-    its cells' entries of those rows.  A group's terms are summed TERM_SLAB
-    at a time; the slab only fixes the order of a row's partial sums, so a
-    path's value does not depend on the rows it is evaluated with.  Each
-    slab is walked in bands of rows, so no product holds more than about
-    CHUNK_ENTRIES entries; a row's sum never spans two bands.  Hermite rows
-    and products live in workspace arrays, and z is overwritten, so a chunk
-    allocates no array of its own size but hermite_eval's recurrence rows
-    for degrees above 2.
+    One hermite_rows walk computes every degree in degrees over all of z, and
+    a term reads its cells' entries of those rows.  A group's terms are
+    summed TERM_SLAB at a time; the slab only fixes the order of a row's
+    partial sums, so a path's value does not depend on the rows it is
+    evaluated with.  Each slab is walked in bands of rows, so no product
+    holds more than about CHUNK_ENTRIES entries; a row's sum never spans two
+    bands.  H_1 is z itself, other kept degrees and the products live in
+    workspace arrays, and without H_1 the top degree overwrites z, so a chunk
+    allocates no array of its own size but the walk's temporaries for
+    degrees above 2.
     """
-    if z.shape[0] == 0 or not plan.degrees:
+    if z.shape[0] == 0 or not degrees:
         return
     n_rows = z.shape[0]
-    # H_1 is z itself; otherwise the top degree overwrites z, once every
-    # other degree has read it.
-    on_z = 1 if 1 in plan.degrees else plan.degrees[-1]
-    hrows = {
-        k: hermite_eval(k, z, out=workspace.array(f"H{k}", z.shape))
-        for k in plan.degrees
-        if k != on_z
-    }
-    hrows[on_z] = z if on_z == 1 else hermite_eval(on_z, z, out=z)
-    for out, groups in zip(outs, plan.groups):
-        for mults, cells, coeffs, run in groups:
+    hrows = hermite_rows(z, degrees, lambda k: workspace.array(f"H{k}", z.shape))
+    for out, exp_groups in zip(outs, groups):
+        for mults, cells, coeffs in exp_groups:
             for lo in range(0, cells.shape[0], TERM_SLAB):
                 part = cells[lo : lo + TERM_SLAB]
                 weights = coeffs[lo : lo + TERM_SLAB]
                 width = part.shape[0]
+                # A one-factor group's cells ascend strictly, so its slab is
+                # one run of the shared rows when its ends are width - 1 apart.
+                first = int(part[0, 0])
+                run = len(mults) == 1 and part[-1, 0] - first == width - 1
                 band = chunk_rows(width)
                 for a in range(0, n_rows, band):
                     rows = slice(a, a + band)
                     prod = workspace.array("band", (min(band, n_rows - a), width))
-                    if run is not None:
-                        # The group's terms are one run of the shared rows.
-                        view = hrows[mults[0]][rows, run + lo : run + lo + width]
+                    if run:
+                        view = hrows[mults[0]][rows, first : first + width]
                         np.multiply(view, weights, out=prod)
                     else:
                         # np.take fills the C-order band; an axis-1 fancy index
@@ -320,7 +298,7 @@ def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
         )
     out = np.full(arr.shape[0], x.expectation, dtype=np.float64)
     # Dividing makes a new array, so the caller's increments are never written.
-    _run_plan(_compile([x]), arr / math.sqrt(x.grid.delta), [out], Workspace())
+    _run_plan(*_compile([x]), arr / math.sqrt(x.grid.delta), [out], Workspace())
     return out
 
 
@@ -358,15 +336,15 @@ def evaluate_samples(
         if e.grid != grid:
             raise ValueError("all expansions must share one grid")
     check_run_counts(n_samples, workers)
-    plan = _compile(exps)
+    degrees, groups = _compile(exps)
     outs = [np.full(n_samples, e.expectation, dtype=np.float64) for e in exps]
 
     def chunk(start: int, z: np.ndarray, workspace: Workspace) -> None:
-        # Threads share the read-only plan and write disjoint row ranges.
+        # Threads share the read-only term groups and write disjoint row ranges.
         z *= np.sqrt(grid.delta)  # the round trip through xi is part of the bits
         z /= math.sqrt(grid.delta)
         parts = [out[start : start + z.shape[0]] for out in outs]
-        _run_plan(plan, z, parts, workspace)
+        _run_plan(degrees, groups, z, parts, workspace)
 
     run_chunks(stream, n_samples, grid.m, workers, chunk)
     return outs

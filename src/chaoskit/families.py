@@ -39,9 +39,12 @@ from .kernels import StepKernel, check_dense_entries, inner_product, is_symmetri
 def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
     """Second-chaos element a * sum_{i in cells} e_i (x) e_i with E[X^2] = c."""
     c = check_real("target variance c", c, positive=True)
-    cells = np.asarray(cells, dtype=np.int64)
+    cells = np.asarray(cells)
     if cells.size == 0:
         raise ValueError("need at least one cell")
+    if cells.dtype.kind not in "iu":  # a float is never truncated, a bool never read as 0/1
+        raise ValueError(f"cells must be integers, got dtype {cells.dtype}")
+    cells = cells.astype(np.int64)
     if np.unique(cells).size != cells.size:
         raise ValueError("cells must be distinct")
     if cells.min() < 0 or cells.max() >= grid.m:

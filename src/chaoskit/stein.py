@@ -28,6 +28,12 @@ from .grid import IncrementStream, check_int, check_real, real_array
 # trustworthy in double precision.
 STEIN_MAX_ARG = 40.0
 
+# The sample estimators square the residuals in every standard error, and the
+# binned one multiplies squared bin means by bin variances, a fourth power of
+# R.  Below this magnitude R^4 times any sample count that fits in memory
+# stays finite, so no estimate or standard error overflows to inf.
+RESID_MAX = 1e60
+
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -121,13 +127,15 @@ def fourth_moment_bound(x: ChaosExpansion) -> float:
 def _check_samples(x_vals, resid_vals) -> tuple:
     # A length-1 or (n, 1) residual would broadcast, a NaN would sort into a
     # bin or vanish from a modulus, and one sample has no standard error; each
-    # would report a number.
+    # would report a number.  A residual beyond RESID_MAX would report inf.
     x_vals, resid_vals = real_array("x_vals", x_vals), real_array("resid_vals", resid_vals)
     shapes = (x_vals.shape, resid_vals.shape)
     if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
         raise ValueError(f"x_vals and resid_vals must be 1-D of equal length, got shapes {shapes}")
     if x_vals.size < 2:
         raise ValueError(f"need at least two samples, got {x_vals.size}")
+    if max(resid_vals.max(), -resid_vals.min()) > RESID_MAX:  # no |R| temporary
+        raise ValueError(f"resid_vals must satisfy |R| <= {RESID_MAX:g}, got an entry beyond it")
     return x_vals, resid_vals
 
 

@@ -735,6 +735,35 @@ def test_evaluate_samples_memory_per_worker():
     assert peak < 3.5 * chunk_bytes
 
 
+def _diagonal_orders(m, orders):
+    # One expansion whose order-n kernel sits on the diagonal (j, ..., j).
+    grid = make_grid(m)
+    rng = np.random.default_rng(55)
+    slots = [None] * (max(orders) + 1)
+    for n in orders:
+        values = np.zeros((m,) * n)
+        values[(np.arange(m),) * n] = rng.uniform(0.5, 1.5, m)
+        slots[n] = step_kernel(grid, n, values)
+    return chaos_expansion(grid, slots)
+
+
+@pytest.mark.parametrize(
+    "m, orders, bound", [(64, [1, 2, 3, 4], 3.0), (128, [3], 3.1), (64, [4], 2.1)]
+)
+def test_evaluate_samples_walks_hermite_degrees_once(m, orders, bound):
+    # One block of 4096 paths is one chunk table.  With orders 1-4, H_1 is the
+    # table and H_2 .. H_4 come from one walk of the recurrence into workspace
+    # rows; a walk per degree would hold its own H_2 and H_3 beside them.
+    # Without H_1 the walk's top degree overwrites the table.
+    exps = [_diagonal_orders(m, orders)]
+    want = evaluate_samples_reference(exps, BLOCK_SIZE, IncrementStream(seed=56))
+    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+    got = []
+    peak = _traced_peak(lambda: got.extend(evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=56))))
+    assert peak < bound * chunk_bytes
+    assert np.array_equal(got[0], want[0])
+
+
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
 def test_evaluate_batch_matches_reference_bits(case):
     exps = _REFERENCE_CASES[case]()

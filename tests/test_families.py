@@ -91,6 +91,20 @@ def test_diagonal_second_chaos_validation():
         diagonal_second_chaos(g, [0], 0.0)
 
 
+def test_diagonal_second_chaos_cells_are_integers():
+    # Floats were truncated and bools read as 0/1: each of these built the
+    # kernel on cells 0 and 1.
+    g = make_grid(4)
+    for cells in ([0.9, 1.7], [True, False], np.array([0.0, 1.0]), ["0", "1"]):
+        with pytest.raises(ValueError, match="cells must be integers"):
+            diagonal_second_chaos(g, cells, 1.0)
+    with pytest.raises(ValueError, match="need at least one cell"):
+        diagonal_second_chaos(g, [], 1.0)
+    want = diagonal_second_chaos(g, [1, 3], 0.5).kernels[2].values
+    for cells in (range(1, 4, 2), [1, 3], np.array([1, 3], dtype=np.uint8), (np.int64(1), np.int32(3))):
+        assert np.array_equal(diagonal_second_chaos(g, cells, 0.5).kernels[2].values, want)
+
+
 def test_diagonal_second_chaos_rejects_oversized_grid_before_allocating(monkeypatch):
     # m = 12000 would need a 1.15 GB dense (m, m) kernel
     def no_alloc(*args, **kwargs):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chaoskit import IncrementStream, hermite_eval, hermite_table
+from chaoskit.hermite import hermite_rows
 from oracles import batch_mean_se, hermite_recurrence
 
 # Explicit monic forms for cross-checking the recurrence.
@@ -45,15 +46,48 @@ def test_eval_matches_recurrence_bits():
             assert type(got) is float and got == want
 
 
-def test_eval_into_out_matches_recurrence_bits():
-    # out may be a separate array or x itself, which the evaluator overwrites.
+@pytest.mark.parametrize(
+    "degrees", [(1,), (2,), (3,), (1, 2), (1, 2, 3, 4), (2, 4), (3, 4), (1, 3, 6), (2, 5, 6), (7,)]
+)
+def test_rows_match_recurrence_bits(degrees):
+    # One walk: H_1 is x itself, every other degree asked for is its row(k)
+    # array, and x is overwritten only by the top degree, only without H_1.
     x = np.random.default_rng(6).standard_normal((7, 9))
-    for k in range(9):
-        want = hermite_recurrence(k, x)
-        out = np.full_like(x, np.nan)
-        assert hermite_eval(k, x, out=out) is out and np.array_equal(out, want)
-        same = x.copy()
-        assert hermite_eval(k, same, out=same) is same and np.array_equal(same, want)
+    x0 = x.copy()
+    kept = {}
+
+    def row(k):
+        kept[k] = np.full_like(x, np.nan)
+        return kept[k]
+
+    rows = hermite_rows(x, degrees, row)
+    assert sorted(rows) == list(degrees)
+    for k in degrees:
+        assert np.array_equal(rows[k], hermite_recurrence(k, x0))
+    on_x = 1 if 1 in degrees else max(degrees)
+    assert rows[on_x] is x
+    assert sorted(kept) == [k for k in degrees if k != on_x]
+    assert all(rows[k] is kept[k] for k in kept)
+    # Without row, the kept degrees are new arrays with the same bits.
+    fresh = x0.copy()
+    plain = hermite_rows(fresh, degrees)
+    assert plain[on_x] is fresh
+    for k in degrees:
+        assert np.array_equal(plain[k], rows[k])
+        assert k == on_x or not np.shares_memory(plain[k], fresh)
+
+
+def test_eval_and_table_never_write_their_input():
+    rng = np.random.default_rng(7)
+    for x in (0.75, np.float64(-1.25), np.array(1.5), rng.standard_normal(5), rng.standard_normal((3, 4))):
+        x0 = np.copy(x)
+        for k in range(7):
+            got = hermite_eval(k, x)
+            assert np.array_equal(got, hermite_recurrence(k, x0)) and got is not x
+            assert np.array_equal(x, x0)
+        table = hermite_table(6, x)
+        assert np.array_equal(table, [hermite_recurrence(k, x0) for k in range(7)])
+        assert np.array_equal(x, x0)
 
 
 def test_table_matches_pointwise_eval():

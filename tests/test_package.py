@@ -74,6 +74,22 @@ def test_only_grid_keeps_thread_local_state():
     assert offenders == []
 
 
+def test_only_hermite_calls_the_checked_hermite_entries():
+    # hermite_eval and hermite_table check and copy their x for the caller;
+    # the evaluator walks each chunk's rows through hermite.hermite_rows.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "hermite.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("hermite_eval", "hermite_table"):
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
 def _names(tree) -> set:
     """Every name a module spells: bare names, attributes and imported aliases."""
     out = set()

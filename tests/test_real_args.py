@@ -32,6 +32,8 @@ from chaoskit import (
     exact_summary,
     gamma_residual,
     half_support_second_chaos,
+    hermite_eval,
+    hermite_table,
     integrals_independent,
     is_symmetric,
     kernel_from_dict,
@@ -73,6 +75,8 @@ SCALARS = {
     "stein_solution.z": (lambda v: stein_solution(v, SAMPLES), "z", 1.0),
     "char_fn_estimates": (lambda v: char_fn_estimates(SAMPLES, SAMPLES, [v]), "t_grid entry", 1.0),
     "stein_estimates": (lambda v: stein_estimates(SAMPLES, SAMPLES, [v]), "z_grid entry", 1.0),
+    "hermite_eval.x": (lambda v: hermite_eval(3, v), "x", 2.0),
+    "hermite_table.x": (lambda v: hermite_table(3, v), "x", 2.0),
     "ExperimentConfig.t_grid": (lambda v: _config(t_grid=(v,)), "t_grid entry", 2.0),
     "ExperimentConfig.z_grid": (lambda v: _config(z_grid=(v,)), "z_grid entry", 2.0),
     "ExperimentConfig.c1": (lambda v: _config(c1=v), "c1", 0.25),
@@ -110,6 +114,8 @@ ARRAYS = {
         np.arange(4.0),
     ),
     "stein_solution.x": (lambda v: stein_solution(0.5, v), "x", SAMPLES),
+    "hermite_eval.x": (lambda v: hermite_eval(3, v), "x", SAMPLES),
+    "hermite_table.x": (lambda v: hermite_table(3, v), "x", SAMPLES),
     "kolmogorov_distance_mc": (lambda v: kolmogorov_distance_mc(v, 1.0), "samples", SAMPLES),
     "char_fn_estimates.x_vals": (lambda v: char_fn_estimates(v, SAMPLES, [1.0]), "x_vals", SAMPLES),
     "char_fn_estimates.resid_vals": (

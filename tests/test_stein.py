@@ -27,6 +27,7 @@ from chaoskit import (
     step_kernel,
     symmetrize,
 )
+from chaoskit import stein as stein_module
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -327,6 +328,30 @@ def test_sample_estimators_reject_non_finite_samples(bad):
             char_fn_estimates(x_vals, resid_vals, [1.0])
         with pytest.raises(ValueError, match="finite"):
             stein_estimates(x_vals, resid_vals, [0.0])
+
+
+def test_sample_estimators_reject_residuals_that_would_overflow():
+    # Squared in a variance, 1e200 overflowed: char_fn_estimates reported
+    # std_error=inf with an overflow warning, which the suite makes an error.
+    x_vals = np.array([0.0, 1.0, 0.5, 2.0])
+    for big in (1e200, -1e200, 2 * stein_module.RESID_MAX):
+        resid_vals = np.array([1.0, big, -1.0, 0.0])
+        with pytest.raises(ValueError, match="resid_vals must satisfy"):
+            char_fn_estimates(x_vals, resid_vals, [1.0])
+        with pytest.raises(ValueError, match="resid_vals must satisfy"):
+            stein_estimates(x_vals, resid_vals, [0.0])
+        with pytest.raises(ValueError, match="resid_vals must satisfy"):
+            binned_residual_estimate(x_vals, resid_vals, 2)
+    # At the bound every estimate and standard error is finite, the binned
+    # one included, whose standard error holds a fourth power of R.
+    resid_vals = stein_module.RESID_MAX * np.array([1.0, -1.0, 1.0, 0.5])
+    estimates = [
+        *char_fn_estimates(x_vals, resid_vals, [0.0, 1.0]),
+        *stein_estimates(x_vals, resid_vals, [0.0, 1.0]),
+        binned_residual_estimate(x_vals, resid_vals, 2),
+    ]
+    for est in estimates:
+        assert math.isfinite(est.value) and math.isfinite(est.std_error) and est.std_error > 0.0
 
 
 @pytest.mark.parametrize("resid_shape", [(1,), (10, 1), (9,)])
