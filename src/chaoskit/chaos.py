@@ -33,15 +33,21 @@ are its nonzero entries at nondecreasing index tuples, one per cell multiset,
 listed slice by slice along the first axis and grouped by multiplicity
 pattern.  Each evaluate_samples call compiles its expansions into their term
 groups and the Hermite degrees those read; nothing is cached on the kernels.
-Per chunk of paths grid.run_chunks draws, one hermite_rows walk computes
-those degrees over every cell, and every expansion reads its terms from
-these shared rows, TERM_SLAB terms at a time, in bands of rows whose
-sample-by-term products hold at most about CHUNK_ENTRIES entries.  So a
-path's value does not depend on the paths it is evaluated with:
+A group on d >= 2 distinct cells becomes its distinct (d - 1)-cell prefixes
+and a sparse prefix-by-last-cell matrix of its coefficients, and only such a
+group imports scipy.sparse.  Per chunk of paths grid.run_chunks draws, one
+hermite_rows walk computes those degrees over every cell, and the degrees
+multi-factor groups read are copied once into cells-by-paths arrays.  Every
+expansion reads its terms from these shared rows in bands of paths whose
+products hold at most about CHUNK_ENTRIES entries: a one-factor group
+TERM_SLAB terms at a time, a multi-factor group by one sparse product over
+its last factor, its prefix factors and a sum over its prefixes in order.
+So a path's value does not depend on the paths it is evaluated with:
 evaluate_batch and evaluate are the same evaluator on a single expansion.
-The kept Hermite rows and the products are grid.Workspace arrays, and the
-walk writes the highest degree over the chunk table unless H_1 is that table,
-so the diagonal families hold one table plus one product band per thread.
+The kept Hermite rows, their copies and the products but the sparse ones are
+grid.Workspace arrays, and the walk writes the highest degree over the chunk
+table unless H_1 is that table, so the diagonal families hold one table plus
+one product band per thread.
 """
 
 from __future__ import annotations
@@ -82,8 +88,9 @@ from .kernels import (
 # have no supported use here and the entry guard would obscure the real problem.
 MAX_PRODUCT_ORDER = 8
 
-# The evaluator sums a term group's chaos terms this many at a time, for
-# every path alike; the width sets the order of each path's partial sums.
+# The evaluator sums a one-factor term group's chaos terms this many at a
+# time, for every path alike; the width sets the order of each path's partial
+# sums.
 TERM_SLAB = 1024
 
 
@@ -229,11 +236,36 @@ def _kernel_terms(kernel: StepKernel) -> list:
     return groups
 
 
+def _last_factor_product(mults: tuple, cells: np.ndarray, coeffs: np.ndarray, m: int) -> tuple:
+    """A multi-factor term group as (mults, prefixes, S), summed over its last factor.
+
+    prefixes is the P x (d - 1) array of the distinct leading cells of the
+    group's terms, and row p of the P x m sparse matrix S holds, at their last
+    cells, the coefficients of the terms with prefix p.  The terms are listed
+    lexicographically, so each prefix is one run of terms and the run starts
+    are S's indptr.
+    """
+    # Only a plan with a multi-factor group loads scipy.sparse.
+    from scipy.sparse import csr_array
+
+    lead = cells[:, :-1]
+    new_run = np.any(lead[1:] != lead[:-1], axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], new_run)))
+    indptr = np.append(starts, cells.shape[0])
+    return mults, lead[starts], csr_array((coeffs, cells[:, -1], indptr), shape=(starts.size, m))
+
+
 def _compile(exps: Sequence[ChaosExpansion]) -> tuple:
     # (degrees, groups): the ascending Hermite degrees some term reads, and per
-    # expansion its _kernel_terms groups, by order.
+    # expansion its _kernel_terms groups, by order, each multi-factor group
+    # as its _last_factor_product.
     groups = tuple(
-        tuple(g for n, k in enumerate(e.kernels) if n >= 1 and k is not None for g in _kernel_terms(k))
+        tuple(
+            g if len(g[0]) == 1 else _last_factor_product(*g, e.grid.m)
+            for n, k in enumerate(e.kernels)
+            if n >= 1 and k is not None
+            for g in _kernel_terms(k)
+        )
         for e in exps
     )
     degrees = tuple(sorted({k for exp_groups in groups for mults, _, _ in exp_groups for k in mults}))
@@ -244,49 +276,89 @@ def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspac
     """Add each compiled expansion's chaos terms at the rows of z = xi / sqrt(delta).
 
     One hermite_rows walk computes every degree in degrees over all of z, and
-    a term reads its cells' entries of those rows.  A group's terms are
-    summed TERM_SLAB at a time; the slab only fixes the order of a row's
-    partial sums, so a path's value does not depend on the rows it is
-    evaluated with.  Each slab is walked in bands of rows, so no product
+    the degrees multi-factor groups read are copied once into cells-by-paths
+    arrays.  A one-factor group's terms read their cells' entries of the
+    rows, summed TERM_SLAB at a time; a multi-factor group sums its terms
+    over their last factor by one sparse product, multiplies in its prefix
+    factors as row gathers and adds its prefixes up in order.  Both rules fix
+    the order of a row's partial sums, so a path's value does not depend on
+    the rows it is evaluated with.  Both walk bands of rows, so no product
     holds more than about CHUNK_ENTRIES entries; a row's sum never spans two
-    bands.  H_1 is z itself, other kept degrees and the products live in
-    workspace arrays, and without H_1 the top degree overwrites z, so a chunk
-    allocates no array of its own size but the walk's temporaries for
-    degrees above 2.
+    bands.  H_1 is z itself, other kept degrees, their copies and the
+    products but the sparse ones live in workspace arrays, and without H_1
+    the top degree overwrites z.
     """
     if z.shape[0] == 0 or not degrees:
         return
-    n_rows = z.shape[0]
     hrows = hermite_rows(z, degrees, lambda k: workspace.array(f"H{k}", z.shape))
+    hcols = {
+        k: workspace.array(f"T{k}", z.shape[::-1])
+        for exp_groups in groups
+        for mults, _, _ in exp_groups
+        if len(mults) > 1
+        for k in mults
+    }
+    for k, col in hcols.items():
+        col[...] = hrows[k].T
     for out, exp_groups in zip(outs, groups):
-        for mults, cells, coeffs in exp_groups:
-            for lo in range(0, cells.shape[0], TERM_SLAB):
-                part = cells[lo : lo + TERM_SLAB]
-                weights = coeffs[lo : lo + TERM_SLAB]
-                width = part.shape[0]
-                # A one-factor group's cells ascend strictly, so its slab is
-                # one run of the shared rows when its ends are width - 1 apart.
-                first = int(part[0, 0])
-                run = len(mults) == 1 and part[-1, 0] - first == width - 1
-                band = chunk_rows(width)
-                for a in range(0, n_rows, band):
-                    rows = slice(a, a + band)
-                    prod = workspace.array("band", (min(band, n_rows - a), width))
-                    if run:
-                        view = hrows[mults[0]][rows, first : first + width]
-                        np.multiply(view, weights, out=prod)
-                    else:
-                        # np.take fills the C-order band; an axis-1 fancy index
-                        # returns F order, which changes the row-sum order and
-                        # so the bits.
-                        np.take(hrows[mults[0]][rows], part[:, 0], axis=1, out=prod, mode="clip")
-                        for r in range(1, len(mults)):
-                            factor = workspace.array("factor", prod.shape)
-                            np.take(hrows[mults[r]][rows], part[:, r], axis=1, out=factor, mode="clip")
-                            prod *= factor
-                        prod *= weights
-                    # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
-                    out[rows] += prod.sum(axis=1)
+        for group in exp_groups:
+            if len(group[0]) == 1:
+                _add_one_factor(group, hrows, out, workspace)
+            else:
+                _add_last_factor_product(group, hcols, out, workspace)
+
+
+def _add_one_factor(group: tuple, hrows: dict, out: np.ndarray, workspace: Workspace) -> None:
+    # The terms of a one-factor group, TERM_SLAB at a time, each slab's
+    # products summed along the row.  Its band views die with this call, so
+    # a later group that outgrows the band buffer frees the old one.
+    (k,), cells, coeffs = group
+    n_rows = out.shape[0]
+    for lo in range(0, cells.shape[0], TERM_SLAB):
+        part = cells[lo : lo + TERM_SLAB, 0]
+        weights = coeffs[lo : lo + TERM_SLAB]
+        width = part.shape[0]
+        # A one-factor group's cells ascend strictly, so its slab is one run
+        # of the shared rows when its ends are width - 1 apart.
+        first = int(part[0])
+        run = part[-1] - first == width - 1
+        band = chunk_rows(width)
+        for a in range(0, n_rows, band):
+            rows = slice(a, a + band)
+            prod = workspace.array("band", (min(band, n_rows - a), width))
+            if run:
+                np.multiply(hrows[k][rows, first : first + width], weights, out=prod)
+            else:
+                # np.take fills the C-order band; an axis-1 fancy index
+                # returns F order, which changes the row-sum order and so
+                # the bits.
+                np.take(hrows[k][rows], part, axis=1, out=prod, mode="clip")
+                prod *= weights
+            # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
+            out[rows] += prod.sum(axis=1)
+
+
+def _add_last_factor_product(group: tuple, hcols: dict, out: np.ndarray, workspace: Workspace) -> None:
+    # Y = S @ H_{k_d}[:, band] sums each prefix's terms over their last cell
+    # in term order; each prefix factor multiplies Y in turn, and the prefixes
+    # add up in order.
+    mults, prefixes, S = group
+    n_rows = out.shape[0]
+    band = chunk_rows(prefixes.shape[0])
+    for a in range(0, n_rows, band):
+        rows = slice(a, a + band)
+        # The buffer of the one-factor groups' products; taken first, so a
+        # buffer that grows is freed before the sparse product is made.
+        factor = workspace.array("band", (prefixes.shape[0], min(band, n_rows - a)))
+        prod = S @ hcols[mults[-1]][:, rows]
+        for r, k in enumerate(mults[:-1]):
+            np.take(hcols[k][:, rows], prefixes[:, r], axis=0, out=factor, mode="clip")
+            prod *= factor
+        # add.accumulate sums along the prefixes one after another for any
+        # band width; add.reduce is pairwise on a one-path band.
+        np.add.accumulate(prod, axis=0, out=prod)
+        out[rows] += prod[-1]
+        del prod  # freed before the next band's product is made
 
 
 def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:

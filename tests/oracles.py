@@ -7,8 +7,11 @@ trusted.
 
 The reference evaluator is the straightforward per-expansion form of the
 pathwise evaluator, with its own per-term plan builder (`_build_plan`, which
-collects cell multisets by sorting every nonzero index tuple).  The library's
-evaluator must reproduce it bit for bit.
+collects cell multisets by sorting every nonzero index tuple).  It sums a
+multi-factor term group one prefix (the leading cells of its terms) at a
+time, in plain loops.  The library's evaluator must reproduce it bit for
+bit.  The earlier term-slab rule for every group stays as
+`evaluate_batch_terms_reference`, which the library matches to rounding.
 
 The reference symmetrizer is the earlier order >= 3 orbit-mean pass: it
 builds every position's orbit key by divmod into index digits and a sort of
@@ -161,31 +164,75 @@ def symmetrize_reference(kernel: StepKernel) -> np.ndarray:
     return sums[key].reshape(kernel.values.shape)
 
 
+def _reference_rows(x, increments: np.ndarray) -> tuple:
+    # (out, groups, htab): the expectation per path, the plan groups of every
+    # kernel by order, and the Hermite rows of every degree a term reads,
+    # over all m columns.
+    arr = np.asarray(increments, dtype=np.float64)
+    out = np.full(arr.shape[0], x.expectation, dtype=np.float64)
+    plans = [_build_plan(k) for n, k in enumerate(x.kernels) if k is not None and n >= 1]
+    z = arr / math.sqrt(x.grid.delta)
+    degrees = sorted({k for plan in plans for group in plan for k in group.mults})
+    return out, [g for plan in plans for g in plan], {k: hermite_recurrence(k, z) for k in degrees}
+
+
+def _add_slabs(group: _PlanGroup, htab: dict, out: np.ndarray) -> None:
+    # Each term's column product, summed along the row 1024 terms at a time.
+    slab = 1024
+    for lo in range(0, group.cells.shape[0], slab):
+        cells = group.cells[lo : lo + slab]
+        prod = htab[group.mults[0]][:, cells[:, 0]].copy()
+        for r in range(1, len(group.mults)):
+            prod *= htab[group.mults[r]][:, cells[:, r]]
+        out += (prod * group.coeffs[lo : lo + slab]).sum(axis=1)
+
+
 def evaluate_batch_reference(x, increments: np.ndarray) -> np.ndarray:
     """Pathwise I-sum of one expansion on a (n_samples, m) increment array.
 
-    Hermite rows cover all m columns; each term gather is an axis-1 fancy
-    index copied back to C order; terms go in slabs of 1024 for every batch
-    size, so the partial sums land in the order the library fixes.
+    Hermite rows cover all m columns.  A one-factor group's terms go in slabs
+    of 1024 for every batch size, each term gather an axis-1 fancy index
+    copied back to C order.  A multi-factor group is summed one prefix (the
+    leading cells of its terms) at a time: the prefix's terms add
+    coeff * H at their last cell in term order, its prefix factors multiply
+    that sum in cell order, and the prefix sums add up in order.  So the
+    partial sums land in the order the library fixes.
     """
-    arr = np.asarray(increments, dtype=np.float64)
-    n_samples = arr.shape[0]
-    out = np.full(n_samples, x.expectation, dtype=np.float64)
-    plans = [_build_plan(k) for n, k in enumerate(x.kernels) if k is not None and n >= 1]
-    if not plans or n_samples == 0:
+    out, groups, htab = _reference_rows(x, increments)
+    if out.size == 0:
         return out
-    z = arr / math.sqrt(x.grid.delta)
-    degrees = sorted({k for plan in plans for group in plan for k in group.mults})
-    htab = {k: hermite_recurrence(k, z) for k in degrees}
-    slab = 1024
-    for plan in plans:
-        for group in plan:
-            for lo in range(0, group.cells.shape[0], slab):
-                cells = group.cells[lo : lo + slab]
-                prod = htab[group.mults[0]][:, cells[:, 0]].copy()
-                for r in range(1, len(group.mults)):
-                    prod *= htab[group.mults[r]][:, cells[:, r]]
-                out += (prod * group.coeffs[lo : lo + slab]).sum(axis=1)
+    for group in groups:
+        if len(group.mults) == 1:
+            _add_slabs(group, htab, out)
+            continue
+        cells, coeffs, last = group.cells, group.coeffs, htab[group.mults[-1]]
+        starts = [t for t in range(len(cells)) if t == 0 or list(cells[t, :-1]) != list(cells[t - 1, :-1])]
+        total = None
+        for lo, hi in zip(starts, starts[1:] + [len(cells)]):
+            y = coeffs[lo] * last[:, cells[lo, -1]]
+            for t in range(lo + 1, hi):
+                y += coeffs[t] * last[:, cells[t, -1]]
+            for r, k in enumerate(group.mults[:-1]):
+                y *= htab[k][:, cells[lo, r]]
+            if total is None:
+                total = y
+            else:
+                total += y
+        out += total
+    return out
+
+
+def evaluate_batch_terms_reference(x, increments: np.ndarray) -> np.ndarray:
+    """evaluate_batch_reference with every group, multi-factor ones too, summed in term slabs.
+
+    This is the earlier rule of the library, which agrees with the prefix
+    rule to rounding only.
+    """
+    out, groups, htab = _reference_rows(x, increments)
+    if out.size == 0:
+        return out
+    for group in groups:
+        _add_slabs(group, htab, out)
     return out
 
 

@@ -54,6 +54,7 @@ from oracles import (
     batch_fourth_cumulant_se,
     batch_mean_se,
     evaluate_batch_reference,
+    evaluate_batch_terms_reference,
     evaluate_samples_reference,
     fourth_cumulant_reference,
 )
@@ -690,6 +691,24 @@ def test_kernel_terms_match_reference_plan(chunk_entries, monkeypatch):
             assert np.array_equal(coeffs, group.coeffs)
 
 
+def test_multi_factor_groups_over_first_axis_slices_match_reference_bits(monkeypatch):
+    # With 20 entries a chunk, the m = 9 kernels list their terms one
+    # first-axis slice at a time, run_chunks walks 2 rows a chunk, and most
+    # multi-factor groups sum their prefixes one path a band.
+    exps = _sparse_with_gamma(9, [1, 2, 3], seed=52)
+    want = evaluate_samples_reference(exps, 300, IncrementStream(seed=57))
+    monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 20)
+    _, groups = chaos_module._compile(exps)
+    for mults, prefixes, terms in (g for exp_groups in groups for g in exp_groups if len(g[0]) > 1):
+        # Each prefix is one run of terms, its distinct leading cells in order.
+        assert prefixes.shape == (terms.shape[0], len(mults) - 1)
+        assert np.all(np.diff(terms.indptr) > 0)
+        assert np.array_equal(np.unique(prefixes, axis=0), prefixes)
+    got = evaluate_samples(exps, 300, IncrementStream(seed=57))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 def test_kernel_terms_build_no_dense_mask():
     # A diagonal kernel at m = 4096 has 4096 terms among 2^24 entries; a
     # boolean mask over the entries alone would be 16 MiB.
@@ -764,6 +783,22 @@ def test_evaluate_samples_walks_hermite_degrees_once(m, orders, bound):
     assert np.array_equal(got[0], want[0])
 
 
+def test_evaluate_samples_memory_of_dense_order_3_with_gamma():
+    # One block of 4096 paths at m = 24 is one chunk table of 0.19 chunk
+    # sizes.  Listing the terms of the order-4 Gamma kernel from its 331 776
+    # entries peaks at about 5.06 chunk sizes; the cells-by-paths Hermite
+    # copies and the prefix products of its (1, 1, 1, 1) group, 1771
+    # prefixes wide, stay below that.
+    exps = _dense_with_gamma(24, [3], seed=50)
+    want = evaluate_samples_reference(exps, BLOCK_SIZE, IncrementStream(seed=51))
+    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+    got = []
+    peak = _traced_peak(lambda: got.extend(evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=51))))
+    assert peak < 5.5 * chunk_bytes
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
 def test_evaluate_batch_matches_reference_bits(case):
     exps = _REFERENCE_CASES[case]()
@@ -773,11 +808,28 @@ def test_evaluate_batch_matches_reference_bits(case):
         assert np.array_equal(evaluate_batch(e, xi[:1]), evaluate_batch_reference(e, xi[:1]))
 
 
-@pytest.mark.parametrize("case", ["dense_2_m64", "diagonal_split_run_m1100"])
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_evaluate_batch_matches_term_reference_to_rounding(case):
+    # The multi-factor groups sum their terms a prefix at a time, where the
+    # earlier rule summed every group in term slabs; the values agree to
+    # rounding, and the one-factor groups keep their bits.
+    exps = _REFERENCE_CASES[case]()
+    xi = sample_increments_block(exps[0].grid, IncrementStream(seed=44), 0, 5000)
+    for e in exps:
+        got, want = evaluate_batch(e, xi), evaluate_batch_terms_reference(e, xi)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "case", ["dense_123_m8", "dense_2_m64", "dense_3_m24", "sparse_1234_m6", "diagonal_split_run_m1100"]
+)
 def test_a_path_value_does_not_depend_on_its_batch(case):
-    # A 2016-term and a 1060-term group, each wider than one term slab: a slab
-    # sized by the batch sums their terms in another order on a short batch
-    # or one row than on a full block.
+    # The split run's 1060-term one-factor group is wider than one term slab:
+    # a slab sized by the batch would sum its terms in another order on a
+    # short batch or one row than on a full block.  The multi-factor groups,
+    # such as the 2016-term (1, 1) group at m = 64, sum their prefixes in one
+    # order for any band width, one path included, where numpy's add.reduce
+    # is pairwise on a single path.
     exps = _REFERENCE_CASES[case]()
     stream = IncrementStream(seed=43, stream_id=3)
     xi = sample_increments_block(exps[0].grid, stream, 0, 5000)

@@ -158,3 +158,28 @@ def test_import_loads_no_scipy_subpackage_but_special():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["scipy.special"]
+
+
+def test_evaluate_samples_loads_scipy_sparse_only_for_multi_factor_groups():
+    # The diagonal families have only one-factor term groups, so their runs
+    # never import scipy.sparse; a dense order-2 kernel has a (1, 1) group,
+    # whose terms are summed through a sparse product.
+    probe = (
+        "import sys\n"
+        "from chaoskit import (IncrementStream, diagonal_second_chaos, evaluate_samples, gamma,\n"
+        "    make_grid, single_chaos, step_kernel)\n"
+        "grid = make_grid(8)\n"
+        "x = diagonal_second_chaos(grid, range(8), 0.5)\n"
+        "evaluate_samples([x, gamma(x)], 100, IncrementStream(seed=1))\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "dense = single_chaos(step_kernel(grid, 2, [[float(i + j) for j in range(8)] for i in range(8)]))\n"
+        "evaluate_samples([dense], 100, IncrementStream(seed=1))\n"
+        "print('scipy.sparse' in sys.modules)"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
