@@ -39,11 +39,12 @@ group imports scipy.sparse.  Per chunk of paths grid.run_chunks draws, one
 hermite_rows walk computes those degrees over every cell, and the degrees
 multi-factor groups read are copied once into cells-by-paths arrays.  Every
 expansion reads its terms from these shared rows in bands of paths whose
-products hold at most about CHUNK_ENTRIES entries: a one-factor group
-TERM_SLAB terms at a time, a multi-factor group by one sparse product over
-its last factor, its prefix factors and a sum over its prefixes in order.
-So a path's value does not depend on the paths it is evaluated with:
-evaluate_batch and evaluate are the same evaluator on a single expansion.
+products hold at most about CHUNK_ENTRIES entries: a one-factor group by one
+gather and row sum over all its terms, a multi-factor group by one sparse
+product over its last factor, its prefix factors and a sum over its prefixes
+in order.  So a path's value does not depend on the paths it is evaluated
+with: evaluate_batch and evaluate are the same evaluator on a single
+expansion.
 The kept Hermite rows, their copies and the products but the sparse ones are
 grid.Workspace arrays, and the walk writes the highest degree over the chunk
 table unless H_1 is that table, so the diagonal families hold one table plus
@@ -87,11 +88,6 @@ from .kernels import (
 # Products above this output order are rejected; dense kernels of higher order
 # have no supported use here and the entry guard would obscure the real problem.
 MAX_PRODUCT_ORDER = 8
-
-# The evaluator sums a one-factor term group's chaos terms this many at a
-# time, for every path alike; the width sets the order of each path's partial
-# sums.
-TERM_SLAB = 1024
 
 
 @dataclass(frozen=True)
@@ -209,11 +205,12 @@ def _kernel_terms(kernel: StepKernel) -> list:
     run lengths of equal indices, cells[:, r] is the cell of run r, and coeffs
     is value * delta^(n/2) * n! / prod(k_r!).  Groups follow the first term of
     each pattern.  The nonzero entries are listed a slice of the first axis
-    at a time, at most about CHUNK_ENTRIES entries each, so no mask or index
-    table spans all m^n entries.
+    at a time, sized so that a dense slice's argwhere and nonzero index
+    arrays, about 2n words per entry, hold at most about CHUNK_ENTRIES words;
+    so no mask or index table spans all m^n entries.
     """
     n, m = kernel.order, kernel.grid.m
-    step = chunk_rows(m ** (n - 1))
+    step = chunk_rows(2 * n * m ** (n - 1))
     parts = []
     for lo in range(0, m, step):
         part = np.argwhere(kernel.values[lo : lo + step])
@@ -277,8 +274,8 @@ def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspac
 
     One hermite_rows walk computes every degree in degrees over all of z, and
     the degrees multi-factor groups read are copied once into cells-by-paths
-    arrays.  A one-factor group's terms read their cells' entries of the
-    rows, summed TERM_SLAB at a time; a multi-factor group sums its terms
+    arrays.  A one-factor group gathers its cells' entries of the rows and
+    sums all its terms along each row; a multi-factor group sums its terms
     over their last factor by one sparse product, multiplies in its prefix
     factors as row gathers and adds its prefixes up in order.  Both rules fix
     the order of a row's partial sums, so a path's value does not depend on
@@ -309,33 +306,21 @@ def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspac
 
 
 def _add_one_factor(group: tuple, hrows: dict, out: np.ndarray, workspace: Workspace) -> None:
-    # The terms of a one-factor group, TERM_SLAB at a time, each slab's
-    # products summed along the row.  Its band views die with this call, so
-    # a later group that outgrows the band buffer frees the old one.
+    # All of a one-factor group's terms in one pass, a band of rows at a time,
+    # each row's products summed along the row.  Its band views die with this
+    # call, so a later group that outgrows the band buffer frees the old one.
     (k,), cells, coeffs = group
-    n_rows = out.shape[0]
-    for lo in range(0, cells.shape[0], TERM_SLAB):
-        part = cells[lo : lo + TERM_SLAB, 0]
-        weights = coeffs[lo : lo + TERM_SLAB]
-        width = part.shape[0]
-        # A one-factor group's cells ascend strictly, so its slab is one run
-        # of the shared rows when its ends are width - 1 apart.
-        first = int(part[0])
-        run = part[-1] - first == width - 1
-        band = chunk_rows(width)
-        for a in range(0, n_rows, band):
-            rows = slice(a, a + band)
-            prod = workspace.array("band", (min(band, n_rows - a), width))
-            if run:
-                np.multiply(hrows[k][rows, first : first + width], weights, out=prod)
-            else:
-                # np.take fills the C-order band; an axis-1 fancy index
-                # returns F order, which changes the row-sum order and so
-                # the bits.
-                np.take(hrows[k][rows], part, axis=1, out=prod, mode="clip")
-                prod *= weights
-            # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
-            out[rows] += prod.sum(axis=1)
+    n_rows, width = out.shape[0], cells.shape[0]
+    band = chunk_rows(width)
+    for a in range(0, n_rows, band):
+        rows = slice(a, a + band)
+        prod = workspace.array("band", (min(band, n_rows - a), width))
+        # np.take fills the C-order band; an axis-1 fancy index returns F
+        # order, which changes the row-sum order and so the bits.
+        np.take(hrows[k][rows], cells[:, 0], axis=1, out=prod, mode="clip")
+        prod *= coeffs
+        # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
+        out[rows] += prod.sum(axis=1)
 
 
 def _add_last_factor_product(group: tuple, hcols: dict, out: np.ndarray, workspace: Workspace) -> None:

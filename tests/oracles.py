@@ -8,9 +8,10 @@ trusted.
 The reference evaluator is the straightforward per-expansion form of the
 pathwise evaluator, with its own per-term plan builder (`_build_plan`, which
 collects cell multisets by sorting every nonzero index tuple).  It sums a
-multi-factor term group one prefix (the leading cells of its terms) at a
-time, in plain loops.  The library's evaluator must reproduce it bit for
-bit.  The earlier term-slab rule for every group stays as
+one-factor term group in one pass over all its terms, and a multi-factor
+term group one prefix (the leading cells of its terms) at a time, in plain
+loops.  The library's evaluator must reproduce it bit for bit.  The earlier
+1024-term slab rule for every group stays as
 `evaluate_batch_terms_reference`, which the library matches to rounding.
 
 The reference symmetrizer is the earlier order >= 3 orbit-mean pass: it
@@ -176,9 +177,8 @@ def _reference_rows(x, increments: np.ndarray) -> tuple:
     return out, [g for plan in plans for g in plan], {k: hermite_recurrence(k, z) for k in degrees}
 
 
-def _add_slabs(group: _PlanGroup, htab: dict, out: np.ndarray) -> None:
-    # Each term's column product, summed along the row 1024 terms at a time.
-    slab = 1024
+def _add_slabs(group: _PlanGroup, htab: dict, out: np.ndarray, slab: int) -> None:
+    # Each term's column product, summed along the row slab terms at a time.
     for lo in range(0, group.cells.shape[0], slab):
         cells = group.cells[lo : lo + slab]
         prod = htab[group.mults[0]][:, cells[:, 0]].copy()
@@ -190,8 +190,8 @@ def _add_slabs(group: _PlanGroup, htab: dict, out: np.ndarray) -> None:
 def evaluate_batch_reference(x, increments: np.ndarray) -> np.ndarray:
     """Pathwise I-sum of one expansion on a (n_samples, m) increment array.
 
-    Hermite rows cover all m columns.  A one-factor group's terms go in slabs
-    of 1024 for every batch size, each term gather an axis-1 fancy index
+    Hermite rows cover all m columns.  A one-factor group's terms are summed
+    in one pass for every batch size, the term gather an axis-1 fancy index
     copied back to C order.  A multi-factor group is summed one prefix (the
     leading cells of its terms) at a time: the prefix's terms add
     coeff * H at their last cell in term order, its prefix factors multiply
@@ -203,7 +203,7 @@ def evaluate_batch_reference(x, increments: np.ndarray) -> np.ndarray:
         return out
     for group in groups:
         if len(group.mults) == 1:
-            _add_slabs(group, htab, out)
+            _add_slabs(group, htab, out, len(group.cells))
             continue
         cells, coeffs, last = group.cells, group.coeffs, htab[group.mults[-1]]
         starts = [t for t in range(len(cells)) if t == 0 or list(cells[t, :-1]) != list(cells[t - 1, :-1])]
@@ -223,16 +223,16 @@ def evaluate_batch_reference(x, increments: np.ndarray) -> np.ndarray:
 
 
 def evaluate_batch_terms_reference(x, increments: np.ndarray) -> np.ndarray:
-    """evaluate_batch_reference with every group, multi-factor ones too, summed in term slabs.
+    """evaluate_batch_reference with every group, multi-factor ones too, summed in 1024-term slabs.
 
     This is the earlier rule of the library, which agrees with the prefix
-    rule to rounding only.
+    rule and the one-pass rule to rounding only.
     """
     out, groups, htab = _reference_rows(x, increments)
     if out.size == 0:
         return out
     for group in groups:
-        _add_slabs(group, htab, out)
+        _add_slabs(group, htab, out, 1024)
     return out
 
 

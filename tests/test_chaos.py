@@ -569,8 +569,9 @@ def _diagonal_gaps():
 
 
 def _diagonal_split_run():
-    # y's 1060 terms are one contiguous run starting at column 40, split across
-    # two term slabs of 1024 terms, whatever the number of paths.
+    # y's 1060 terms, on cells 40 to 1099, form a one-factor group wider than
+    # the earlier 1024-term slab: the evaluator sums it in one pass along each
+    # row, where the term reference sums it in two slabs.
     grid = make_grid(1100)
     y = diagonal_second_chaos(grid, range(40, 1100), 0.7)
     return [diagonal_second_chaos(grid, range(40), 0.3), y, gamma(y)]
@@ -590,9 +591,9 @@ def _first_and_diagonal():
 # m = 64 has a (1, 1) group of 2016 terms, and the dense order-3 case at m = 24
 # a (1, 1, 1) group of 2024 terms, more than one 1024-term slab.  The sparse
 # case has orders 1-4 with half the multisets zero and a Gamma up to order 6.
-# The diagonal cases cover single-factor groups read as views of the Hermite
-# rows and those that are not.  In the first-and-diagonal case degrees 1 and 2
-# read the same full column set.
+# The diagonal cases cover single-factor groups on consecutive cells and on
+# cells with gaps, and one group wider than 1024 terms.  In the
+# first-and-diagonal case degrees 1 and 2 read the same full column set.
 _REFERENCE_CASES = {
     "half_support_n4": lambda: _half_support_couple(4),
     "half_support_n256": lambda: _half_support_couple(256),
@@ -653,9 +654,9 @@ def test_evaluate_samples_draws_only_through_standard_normal_block(monkeypatch):
 
 
 def test_evaluate_samples_products_are_bounded_in_rows():
-    # One block of 4096 paths at m = 64 is one chunk, and a term slab is 1024
-    # terms wide: each product array of the (1, 1) groups would be 32 MiB if
-    # it spanned the chunk's rows.  In bands of CHUNK_ENTRIES entries the
+    # One block of 4096 paths at m = 64 is one chunk, and the (1, 1) groups
+    # have 2016 terms: a product of even 1024 of them would be 32 MiB if it
+    # spanned the chunk's rows.  In bands of CHUNK_ENTRIES entries the
     # evaluation holds a few chunk-sized arrays and the bits do not move.
     exps = _dense_with_gamma(64, [1, 2], seed=50)
     want = evaluate_samples_reference(exps, BLOCK_SIZE, IncrementStream(seed=51))
@@ -683,12 +684,15 @@ def test_kernel_terms_match_reference_plan(chunk_entries, monkeypatch):
     kernels = [x.kernel(n) for n in (1, 2, 3)]
     kernels.append(diagonal_second_chaos(make_grid(9), [0, 3, 4, 8], 0.6).kernel(2))
     for kernel in kernels:
-        got = chaos_module._kernel_terms(kernel)
-        want = _build_plan(kernel)
-        assert [mults for mults, _, _ in got] == [group.mults for group in want]
-        for (_, cells, coeffs), group in zip(got, want):
-            assert np.array_equal(cells, group.cells)
-            assert np.array_equal(coeffs, group.coeffs)
+        _assert_terms_match_plan(chaos_module._kernel_terms(kernel), kernel)
+
+
+def _assert_terms_match_plan(got, kernel):
+    want = _build_plan(kernel)
+    assert [mults for mults, _, _ in got] == [group.mults for group in want]
+    for (_, cells, coeffs), group in zip(got, want):
+        assert np.array_equal(cells, group.cells)
+        assert np.array_equal(coeffs, group.coeffs)
 
 
 def test_multi_factor_groups_over_first_axis_slices_match_reference_bits(monkeypatch):
@@ -783,18 +787,30 @@ def test_evaluate_samples_walks_hermite_degrees_once(m, orders, bound):
     assert np.array_equal(got[0], want[0])
 
 
+def test_kernel_terms_memory_of_dense_order_4():
+    # The order-4 Gamma kernel at m = 24 is dense: 331 776 entries, 17 550
+    # terms.  Its first-axis slices are sized by argwhere's index words, n per
+    # nonzero entry; a slice sized by entries alone would be the whole kernel,
+    # and listing it would peak at about 5 chunk sizes.
+    kernel = gamma(_dense_with_gamma(24, [3], seed=50)[0]).kernel(4)
+    got = []
+    peak = _traced_peak(lambda: got.extend(chaos_module._kernel_terms(kernel)))
+    assert peak < 2 * grid_module.CHUNK_ENTRIES * 8
+    _assert_terms_match_plan(got, kernel)
+
+
 def test_evaluate_samples_memory_of_dense_order_3_with_gamma():
     # One block of 4096 paths at m = 24 is one chunk table of 0.19 chunk
     # sizes.  Listing the terms of the order-4 Gamma kernel from its 331 776
-    # entries peaks at about 5.06 chunk sizes; the cells-by-paths Hermite
+    # entries peaks at about 1.4 chunk sizes; with the cells-by-paths Hermite
     # copies and the prefix products of its (1, 1, 1, 1) group, 1771
-    # prefixes wide, stay below that.
+    # prefixes wide, the call peaks at about 3.9.
     exps = _dense_with_gamma(24, [3], seed=50)
     want = evaluate_samples_reference(exps, BLOCK_SIZE, IncrementStream(seed=51))
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8
     got = []
     peak = _traced_peak(lambda: got.extend(evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=51))))
-    assert peak < 5.5 * chunk_bytes
+    assert peak < 4.5 * chunk_bytes
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -810,9 +826,9 @@ def test_evaluate_batch_matches_reference_bits(case):
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
 def test_evaluate_batch_matches_term_reference_to_rounding(case):
-    # The multi-factor groups sum their terms a prefix at a time, where the
-    # earlier rule summed every group in term slabs; the values agree to
-    # rounding, and the one-factor groups keep their bits.
+    # The multi-factor groups sum their terms a prefix at a time and the
+    # one-factor groups in one pass, where the earlier rule summed every group
+    # in 1024-term slabs; the values agree to rounding.
     exps = _REFERENCE_CASES[case]()
     xi = sample_increments_block(exps[0].grid, IncrementStream(seed=44), 0, 5000)
     for e in exps:
@@ -824,9 +840,9 @@ def test_evaluate_batch_matches_term_reference_to_rounding(case):
     "case", ["dense_123_m8", "dense_2_m64", "dense_3_m24", "sparse_1234_m6", "diagonal_split_run_m1100"]
 )
 def test_a_path_value_does_not_depend_on_its_batch(case):
-    # The split run's 1060-term one-factor group is wider than one term slab:
-    # a slab sized by the batch would sum its terms in another order on a
-    # short batch or one row than on a full block.  The multi-factor groups,
+    # The split run's 1060-term one-factor group, wider than the earlier
+    # 1024-term slab, is summed in one pass along each row, in the same order
+    # on a short batch or one row as on a full block.  The multi-factor groups,
     # such as the 2016-term (1, 1) group at m = 64, sum their prefixes in one
     # order for any band width, one path included, where numpy's add.reduce
     # is pairwise on a single path.
@@ -838,6 +854,24 @@ def test_a_path_value_does_not_depend_on_its_batch(case):
         assert np.array_equal(evaluate_batch(e, xi[100:110]), want[100:110])
         assert np.array_equal(evaluate_batch(e, xi[BLOCK_SIZE:]), want[BLOCK_SIZE:])
         assert np.array_equal(evaluate(e, xi[2048]), want[2048])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(900, 2200), st.floats(0.3, 1.0), st.integers(0, 2**32 - 1))
+def test_one_factor_groups_across_the_old_slab_width(m, density, seed):
+    # An order-1 kernel is one one-factor group, as wide as its nonzero
+    # cells: here from about 270 to 2200 terms, so widths fall on both sides
+    # of 1024 and 2048.  300 paths are two bands of rows for a group wider
+    # than 1747 terms.
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, m) * (rng.uniform(size=m) < density)
+    grid = make_grid(m)
+    x = chaos_expansion(grid, [None, step_kernel(grid, 1, values)])
+    xi = sample_increments_block(x.grid, IncrementStream(seed=seed), 0, 300)
+    full = evaluate_batch(x, xi)
+    assert np.array_equal(full, evaluate_batch_reference(x, xi))
+    rows = np.sort(rng.choice(300, size=int(rng.integers(1, 300)), replace=False))
+    assert np.array_equal(evaluate_batch(x, xi[rows]), full[rows])
 
 
 def test_evaluate_samples_validates_counts(monkeypatch):
