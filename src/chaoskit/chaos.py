@@ -30,9 +30,10 @@ k_1 + ... + k_d = n,
 
 with H_k the monic probabilists' Hermite polynomials.  The terms of a kernel
 are its nonzero entries at nondecreasing index tuples, one per cell multiset,
-listed slice by slice along the first axis and grouped by multiplicity
-pattern.  Each evaluate_samples call compiles its expansions into their term
-groups and the Hermite degrees those read; nothing is cached on the kernels.
+listed by kernels.multiset_entries in either storage and grouped by
+multiplicity pattern.  Each evaluate_samples call compiles its expansions
+into their term groups and the Hermite degrees those read; nothing is cached
+on the kernels.
 A group on d >= 2 distinct cells becomes its distinct (d - 1)-cell prefixes
 and a sparse prefix-by-last-cell matrix of its coefficients, and only such a
 group imports scipy.sparse.  Per chunk of paths grid.run_chunks draws, one
@@ -81,6 +82,9 @@ from .kernels import (
     is_symmetric,
     kernel_from_dict,
     kernel_to_dict,
+    linear_combine,
+    multiset_entries,
+    scale_kernel,
     step_kernel,
     symmetrize,
 )
@@ -175,17 +179,13 @@ def add(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
         elif b is None:
             slots.append(a)
         else:
-            slots.append(step_kernel(x.grid, n, a.values + b.values, copy=False))
+            slots.append(linear_combine(1.0, a, 1.0, b))
     return _expansion(x.grid, slots)
 
 
 def scale(a: float, x: ChaosExpansion) -> ChaosExpansion:
     a = check_real("scale factor a", a)
-    slots = [
-        None if k is None else step_kernel(x.grid, n, a * k.values, copy=False)
-        for n, k in enumerate(x.kernels)
-    ]
-    return _expansion(x.grid, slots)
+    return _expansion(x.grid, [None if k is None else scale_kernel(a, k) for k in x.kernels])
 
 
 def shift(x: ChaosExpansion, offset: float) -> ChaosExpansion:
@@ -201,23 +201,15 @@ def _kernel_terms(kernel: StepKernel) -> list:
     """The chaos terms of a symmetric kernel as (mults, cells, coeffs) groups.
 
     A term is a nonzero entry at a nondecreasing index tuple (a cell multiset);
-    argwhere lists them lexicographically.  Its Hermite degrees mults are the
-    run lengths of equal indices, cells[:, r] is the cell of run r, and coeffs
-    is value * delta^(n/2) * n! / prod(k_r!).  Groups follow the first term of
-    each pattern.  The nonzero entries are listed a slice of the first axis
-    at a time, sized so that a dense slice's argwhere and nonzero index
-    arrays, about 2n words per entry, hold at most about CHUNK_ENTRIES words;
-    so no mask or index table spans all m^n entries.
+    kernels.multiset_entries lists them lexicographically in either storage,
+    with no mask or index table over all m^n entries.  Its Hermite degrees
+    mults are the run lengths of equal indices, cells[:, r] is the cell of run
+    r, and coeffs is value * delta^(n/2) * n! / prod(k_r!).  Groups follow the
+    first term of each pattern.
     """
-    n, m = kernel.order, kernel.grid.m
-    step = chunk_rows(2 * n * m ** (n - 1))
-    parts = []
-    for lo in range(0, m, step):
-        part = np.argwhere(kernel.values[lo : lo + step])
-        part[:, 0] += lo
-        parts.append(part[np.all(part[:, 1:] >= part[:, :-1], axis=1)])
-    rows = np.concatenate(parts)
-    values = kernel.values[tuple(rows.T)] * (kernel.grid.delta ** (n / 2.0) * math.factorial(n))
+    n = kernel.order
+    rows, values = multiset_entries(kernel)
+    values = values * (kernel.grid.delta ** (n / 2.0) * math.factorial(n))
     # Bit r of a term's pattern code is set when a new run starts at index r + 1.
     codes = (rows[:, 1:] != rows[:, :-1]) @ (1 << np.arange(n - 1))
     _, first = np.unique(codes, return_index=True)
@@ -419,18 +411,12 @@ def _accumulate(grid: Grid, terms) -> ChaosExpansion:
     """
     acc: dict = {}
     for coef, f, g, ell in terms:
-        term = symmetrize(contract(f, g, ell))
+        term = scale_kernel(coef, symmetrize(contract(f, g, ell)))
         slot = term.order
-        if slot in acc:
-            acc[slot] = acc[slot] + coef * term.values
-        else:
-            acc[slot] = coef * term.values
+        acc[slot] = linear_combine(1.0, acc[slot], 1.0, term) if slot in acc else term
     if not acc:
         return constant(grid, 0.0)
-    slots = [None] * (max(acc) + 1)
-    for slot, vals in acc.items():
-        slots[slot] = step_kernel(grid, slot, vals, copy=False)
-    return _expansion(grid, slots)
+    return _expansion(grid, [acc.get(slot) for slot in range(max(acc) + 1)])
 
 
 def multiply(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:

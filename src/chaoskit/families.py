@@ -33,7 +33,8 @@ import numpy as np
 from .chaos import ChaosExpansion, single_chaos
 from .grid import Grid, IncrementStream, Workspace, check_int, check_real, check_run_counts
 from .grid import make_grid, run_chunks
-from .kernels import StepKernel, check_dense_entries, inner_product, is_symmetric, step_kernel
+from .kernels import StepKernel, check_dense_entries, inner_product, is_symmetric, scale_kernel
+from .kernels import step_kernel
 
 
 def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
@@ -49,13 +50,13 @@ def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
         raise ValueError("cells must be distinct")
     if cells.min() < 0 or cells.max() >= grid.m:
         raise ValueError(f"cells must lie in [0, {grid.m})")
-    check_dense_entries(grid.m, 2, "kernel")
+    check_dense_entries(grid.m, 1, "kernel")  # the m stored entries, before allocating them
     n = cells.size
     # 2 ||f||^2 = 2 delta^2 n a^2 = c
     a = math.sqrt(c / (2.0 * n)) / grid.delta
-    values = np.zeros((grid.m, grid.m))
-    values[cells, cells] = a
-    return single_chaos(step_kernel(grid, 2, values, copy=False))
+    values = np.zeros(grid.m)
+    values[cells] = a
+    return single_chaos(step_kernel(grid, 2, values, copy=False, diagonal=True))
 
 
 def half_support_second_chaos(n_blocks: int, c: float, side: str = "left") -> ChaosExpansion:
@@ -92,9 +93,7 @@ def custom_single_chaos(
         if current <= 0.0:
             raise ValueError("cannot normalize a zero kernel")
         factor = math.sqrt(normalize_to / current)
-        kernel = step_kernel(
-            kernel.grid, kernel.order, factor * kernel.values, copy=False
-        )
+        kernel = scale_kernel(factor, kernel)
     return single_chaos(kernel)
 
 

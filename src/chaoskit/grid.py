@@ -177,8 +177,9 @@ def check_int(name: str, value, minimum: int = 0) -> int:
     raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def check_real(name: str, value, *, positive: bool = False) -> float:
-    """value as a float; ValueError unless it is a finite non-bool real number, > 0 if positive.
+def check_real(name: str, value, *, positive: bool = False, nonnegative: bool = False) -> float:
+    """value as a float; ValueError unless it is a finite non-bool real number,
+    > 0 if positive and >= 0 if nonnegative.
 
     This is the package's one real-number rule: a bool is not a number, a
     string is never parsed into one, and NaN and inf are never accepted.
@@ -188,9 +189,10 @@ def check_real(name: str, value, *, positive: bool = False) -> float:
             number = float(value)
         except OverflowError:  # an integer or fraction beyond the float range
             number = math.inf
-        if math.isfinite(number) and (number > 0.0 or not positive):
+        low = positive and number <= 0.0 or nonnegative and number < 0.0
+        if math.isfinite(number) and not low:
             return number
-    rule = "a positive finite real number" if positive else "a finite real number"
+    rule = f"a {'positive ' if positive else 'non-negative ' if nonnegative else ''}finite real number"
     raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 

@@ -49,7 +49,9 @@ def integrals_independent(
     """
     if f.order < 1 or g.order < 1:
         raise ValueError("independence test requires kernel orders >= 1")
-    tol = DEFAULT_REL_TOL * kernel_norm(f) * kernel_norm(g) if tol is None else check_real("tol", tol)
+    if tol is None:
+        tol = DEFAULT_REL_TOL * kernel_norm(f) * kernel_norm(g)
+    tol = check_real("tol", tol, nonnegative=True)
     witness = kernel_norm(contract(f, g, 1))
     return IndependenceResult(independent=witness <= tol, witness_norm=witness)
 
@@ -64,7 +66,7 @@ def strongly_independent(
     """
     if x.grid != y.grid:
         raise ValueError("grid mismatch")
-    tol = None if tol is None else check_real("tol", tol)
+    tol = None if tol is None else check_real("tol", tol, nonnegative=True)
     independent = True
     worst_pair = None
     worst_norm = 0.0

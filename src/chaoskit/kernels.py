@@ -1,12 +1,21 @@
 """Step kernels on the grid and their L2([0,1]^n) algebra.
 
 An order-n step kernel is a function on [0,1]^n that is constant on products
-of grid cells, stored as a dense (m, ..., m) array.  Inner products and
-contractions carry the cell measure delta = 1/m per integrated coordinate:
+of grid cells.  Inner products and contractions carry the cell measure
+delta = 1/m per integrated coordinate:
 
     <f, g>        = delta^n * sum f * g
     (f ox_l g)    = delta^l * sum over l shared trailing coordinates
     symmetrize(f) = average of f over all coordinate permutations
+
+Two storages: dense, all m^n values as an (m, ..., m) array, and diagonal,
+for order n >= 2 only, the length-m vector a of f = sum_i a_i e_i^(x)n.  On
+diagonal (or order-1) vectors a, b the algebra stays on vectors: <f, g> =
+delta^n sum a_i b_i, f ox_r g = delta^r sum a_i b_i e_i^(x)(p+q-2r) for
+r >= 1 only (a scalar at order 0, a plain vector at order 1), and symmetrize
+is the identity.  The outer product (r = 0) and any mix with a dense kernel
+of order >= 2 go through `dense`, the one function that expands a diagonal
+kernel.  MAX_ENTRIES counts stored entries, m for a diagonal kernel.
 """
 
 from __future__ import annotations
@@ -18,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, check_int, check_real, make_grid, real_array
+from .grid import Grid, check_int, check_real, chunk_rows, make_grid, real_array
 
-# Dense storage guard: reject kernels with more than this many entries.
+# Storage guard: reject kernels with more than this many stored entries.
 MAX_ENTRIES = 10**8
 
 # Symmetry checks use this absolute tolerance on kernel values.
@@ -29,7 +38,7 @@ SYMMETRY_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class StepKernel:
-    """Dense order-n step kernel.  values has shape (m,) * order; order 0 is a scalar.
+    """Order-n step kernel.  values has shape (m,) * order, or (m,) if diagonal.
 
     Kernels stored inside chaos expansions are symmetric; raw contraction
     output is not symmetrized until `symmetrize` is applied.
@@ -38,10 +47,11 @@ class StepKernel:
     grid: Grid
     order: int
     values: np.ndarray
+    diagonal: bool = False
 
 
 def check_dense_entries(m: int, order: int, what: str) -> None:
-    """Reject `what`, a dense order-`order` kernel on m cells, above MAX_ENTRIES entries."""
+    """Reject `what`, m^order stored entries on m cells, above MAX_ENTRIES entries."""
     if m**order > MAX_ENTRIES:
         raise ValueError(
             f"{what} too large: m^order = {m}^{order} = {m**order} entries "
@@ -49,19 +59,36 @@ def check_dense_entries(m: int, order: int, what: str) -> None:
         )
 
 
-def step_kernel(grid: Grid, order: int, values, *, copy: bool = True) -> StepKernel:
-    """Validated kernel constructor; accepts a scalar for order 0."""
+def step_kernel(grid: Grid, order: int, values, *, copy: bool = True, diagonal: bool = False) -> StepKernel:
+    """Validated kernel constructor; accepts a scalar for order 0.
+
+    diagonal=True stores an order >= 2 kernel as its length-m vector; orders
+    0 and 1 ignore it, their dense form already being that vector.
+    """
     order = check_int("kernel order", order)
-    check_dense_entries(grid.m, order, "kernel")
+    diagonal = bool(diagonal) and order >= 2
+    stored = 1 if diagonal else order
+    check_dense_entries(grid.m, stored, "kernel")
     arr = real_array("kernel values", values)
-    if arr.shape != (grid.m,) * order:
+    if arr.shape != (grid.m,) * stored:
         raise ValueError(f"values shape {arr.shape} does not match order-{order} kernel on m={grid.m}")
     # ascontiguousarray promotes 0-d to shape (1,); reshape restores it.
     arr = np.ascontiguousarray(arr).reshape(arr.shape)
     if copy and arr is values:
         arr = arr.copy()
     arr.flags.writeable = False
-    return StepKernel(grid=grid, order=order, values=arr)
+    return StepKernel(grid=grid, order=order, values=arr, diagonal=diagonal)
+
+
+def dense(kernel: StepKernel) -> StepKernel:
+    """kernel in dense storage: a diagonal kernel expanded to its (m,) * order array."""
+    if not kernel.diagonal:
+        return kernel
+    m, n = kernel.grid.m, kernel.order
+    check_dense_entries(m, n, "dense kernel")
+    vals = np.zeros((m,) * n)
+    vals[(np.arange(m),) * n] = kernel.values
+    return step_kernel(kernel.grid, n, vals, copy=False)
 
 
 def zero_kernel(grid: Grid, order: int) -> StepKernel:
@@ -118,7 +145,7 @@ def _symmetrized_values(values: np.ndarray, m: int, order: int) -> np.ndarray:
 
 def symmetrize(kernel: StepKernel) -> StepKernel:
     """Symmetrization: average over all orderings of the n coordinates."""
-    if kernel.order <= 1:
+    if kernel.order <= 1 or kernel.diagonal:
         return kernel
     if kernel.order == 2:
         sym = (kernel.values + kernel.values.T) / 2.0
@@ -128,7 +155,7 @@ def symmetrize(kernel: StepKernel) -> StepKernel:
 
 
 def is_symmetric(kernel: StepKernel, atol: float = SYMMETRY_ATOL) -> bool:
-    atol = check_real("atol", atol)
+    atol = check_real("atol", atol, nonnegative=True)
     if kernel.order <= 1:
         return True
     return bool(
@@ -148,7 +175,13 @@ def contract(f: StepKernel, g: StepKernel, ell: int) -> StepKernel:
     if ell > min(f.order, g.order):
         raise ValueError(f"contraction depth {ell} out of range for orders ({f.order}, {g.order})")
     out_order = f.order + g.order - 2 * ell
+    vectors = [k.values for k in (f, g) if k.diagonal or k.order == 1]
+    if ell >= 1 and len(vectors) == 2 and (f.diagonal or g.diagonal):
+        a, b = vectors
+        vals = (np.vdot(a, b) if out_order == 0 else a * b) * f.grid.delta**ell
+        return step_kernel(f.grid, out_order, vals, copy=False, diagonal=True)
     check_dense_entries(f.grid.m, out_order, "contraction output")
+    f, g = dense(f), dense(g)
     if ell == 0:
         vals = np.multiply.outer(f.values, g.values)
     else:
@@ -164,6 +197,8 @@ def inner_product(f: StepKernel, g: StepKernel) -> float:
     _require_same_grid(f, g)
     if f.order != g.order:
         raise ValueError(f"order mismatch: {f.order} vs {g.order}")
+    if f.diagonal != g.diagonal:
+        f, g = dense(f), dense(g)
     return float(f.grid.delta**f.order * np.vdot(f.values, g.values))
 
 
@@ -177,23 +212,59 @@ def linear_combine(a: float, f: StepKernel, b: float, g: StepKernel) -> StepKern
     if f.order != g.order:
         raise ValueError(f"order mismatch: {f.order} vs {g.order}")
     a, b = check_real("a", a), check_real("b", b)
-    return step_kernel(f.grid, f.order, a * f.values + b * g.values, copy=False)
+    if f.diagonal != g.diagonal:
+        f, g = dense(f), dense(g)
+    vals = a * f.values
+    vals += b * g.values
+    return step_kernel(f.grid, f.order, vals, copy=False, diagonal=f.diagonal)
+
+
+def scale_kernel(a: float, f: StepKernel) -> StepKernel:
+    """a*f in f's storage."""
+    a = check_real("a", a)
+    return step_kernel(f.grid, f.order, a * f.values, copy=False, diagonal=f.diagonal)
+
+
+def multiset_entries(kernel: StepKernel) -> tuple:
+    """(rows, values): an order >= 1 kernel's nonzero entries at nondecreasing index tuples.
+
+    One entry per cell multiset, listed lexicographically: rows is its
+    (T, order) index array and values its kernel values.  A diagonal kernel
+    lists its nonzero cells i as (i, ..., i).  A dense kernel is read a slice
+    of the first axis at a time, sized so that a slice's argwhere and nonzero
+    index arrays, about 2n words per entry, hold at most about CHUNK_ENTRIES
+    words; so no mask or index table spans all m^n entries.
+    """
+    n, m = kernel.order, kernel.grid.m
+    if kernel.diagonal:
+        cells = np.flatnonzero(kernel.values)
+        return np.repeat(cells[:, None], n, axis=1), kernel.values[cells]
+    step = chunk_rows(2 * n * m ** (n - 1))
+    parts = []
+    for lo in range(0, m, step):
+        part = np.argwhere(kernel.values[lo : lo + step])
+        part[:, 0] += lo
+        parts.append(part[np.all(part[:, 1:] >= part[:, :-1], axis=1)])
+    rows = np.concatenate(parts)
+    return rows, kernel.values[tuple(rows.T)]
 
 
 def kernel_to_dict(kernel: StepKernel) -> dict:
-    """JSON-ready form: order, grid size, and row-major values."""
+    """JSON-ready form: order, grid size, and row-major values or the diagonal vector."""
     return {
         "order": kernel.order,
         "m": kernel.grid.m,
-        "values": kernel.values.ravel(order="C").tolist(),
+        "diagonal" if kernel.diagonal else "values": kernel.values.ravel(order="C").tolist(),
     }
 
 
 def kernel_from_dict(data: dict, *, require_symmetric: bool = True) -> StepKernel:
     grid = make_grid(data["m"])
     order = check_int("kernel order", data["order"])
-    values = np.reshape(data["values"], (grid.m,) * order)
-    kernel = step_kernel(grid, order, values, copy=False)
+    if "diagonal" in data:
+        kernel = step_kernel(grid, order, data["diagonal"], copy=False, diagonal=True)
+    else:
+        kernel = step_kernel(grid, order, np.reshape(data["values"], (grid.m,) * order), copy=False)
     if require_symmetric and not is_symmetric(kernel):
         raise ValueError("loaded kernel is not symmetric")
     return kernel

@@ -47,6 +47,7 @@ from chaoskit import (
 from chaoskit import chaos as chaos_module
 from chaoskit import grid as grid_module
 from chaoskit import kernels as kernels_module
+from chaoskit.kernels import dense
 from chaoskit.grid import BLOCK_SIZE
 from chaoskit.harness import EXACT_IDENTITY_RTOL
 from oracles import (
@@ -58,6 +59,15 @@ from oracles import (
     evaluate_samples_reference,
     fourth_cumulant_reference,
 )
+
+
+def _dense(x):
+    """x with every kernel in dense storage, the one storage the oracles read."""
+    return ChaosExpansion(x.grid, tuple(None if k is None else dense(k) for k in x.kernels))
+
+
+def _dense_all(exps):
+    return [_dense(e) for e in exps]
 
 
 def _sym_kernel(rng, grid, order, scale_=1.0):
@@ -612,7 +622,7 @@ _REFERENCE_CASES = {
 def test_evaluate_samples_matches_reference_bits(case, workers):
     exps = _REFERENCE_CASES[case]()
     # 5000 paths leave a tail block after the first 4096
-    want = evaluate_samples_reference(exps, 5000, IncrementStream(seed=43, stream_id=3))
+    want = evaluate_samples_reference(_dense_all(exps), 5000, IncrementStream(seed=43, stream_id=3))
     got = evaluate_samples(exps, 5000, IncrementStream(seed=43, stream_id=3), workers=workers)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -626,7 +636,7 @@ def test_evaluate_samples_chunk_seams_match_reference_bits(case, workers, monkey
     # 300 rows a chunk: of 5000 paths, the 4096-path block is 13 chunks and
     # the 904-path tail 4, each ending in a ragged chunk
     monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 300 * m + m // 2)
-    want = evaluate_samples_reference(exps, 5000, IncrementStream(seed=43, stream_id=3))
+    want = evaluate_samples_reference(_dense_all(exps), 5000, IncrementStream(seed=43, stream_id=3))
     got = evaluate_samples(exps, 5000, IncrementStream(seed=43, stream_id=3), workers=workers)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -659,7 +669,7 @@ def test_evaluate_samples_products_are_bounded_in_rows():
     # spanned the chunk's rows.  In bands of CHUNK_ENTRIES entries the
     # evaluation holds a few chunk-sized arrays and the bits do not move.
     exps = _dense_with_gamma(64, [1, 2], seed=50)
-    want = evaluate_samples_reference(exps, BLOCK_SIZE, IncrementStream(seed=51))
+    want = evaluate_samples_reference(_dense_all(exps), BLOCK_SIZE, IncrementStream(seed=51))
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8
     tracemalloc.start()
     try:
@@ -688,7 +698,7 @@ def test_kernel_terms_match_reference_plan(chunk_entries, monkeypatch):
 
 
 def _assert_terms_match_plan(got, kernel):
-    want = _build_plan(kernel)
+    want = _build_plan(dense(kernel))
     assert [mults for mults, _, _ in got] == [group.mults for group in want]
     for (_, cells, coeffs), group in zip(got, want):
         assert np.array_equal(cells, group.cells)
@@ -700,7 +710,7 @@ def test_multi_factor_groups_over_first_axis_slices_match_reference_bits(monkeyp
     # first-axis slice at a time, run_chunks walks 2 rows a chunk, and most
     # multi-factor groups sum their prefixes one path a band.
     exps = _sparse_with_gamma(9, [1, 2, 3], seed=52)
-    want = evaluate_samples_reference(exps, 300, IncrementStream(seed=57))
+    want = evaluate_samples_reference(_dense_all(exps), 300, IncrementStream(seed=57))
     monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 20)
     _, groups = chaos_module._compile(exps)
     for mults, prefixes, terms in (g for exp_groups in groups for g in exp_groups if len(g[0]) > 1):
@@ -779,7 +789,7 @@ def test_evaluate_samples_walks_hermite_degrees_once(m, orders, bound):
     # rows; a walk per degree would hold its own H_2 and H_3 beside them.
     # Without H_1 the walk's top degree overwrites the table.
     exps = [_diagonal_orders(m, orders)]
-    want = evaluate_samples_reference(exps, BLOCK_SIZE, IncrementStream(seed=56))
+    want = evaluate_samples_reference(_dense_all(exps), BLOCK_SIZE, IncrementStream(seed=56))
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8
     got = []
     peak = _traced_peak(lambda: got.extend(evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=56))))
@@ -806,7 +816,7 @@ def test_evaluate_samples_memory_of_dense_order_3_with_gamma():
     # copies and the prefix products of its (1, 1, 1, 1) group, 1771
     # prefixes wide, the call peaks at about 3.9.
     exps = _dense_with_gamma(24, [3], seed=50)
-    want = evaluate_samples_reference(exps, BLOCK_SIZE, IncrementStream(seed=51))
+    want = evaluate_samples_reference(_dense_all(exps), BLOCK_SIZE, IncrementStream(seed=51))
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8
     got = []
     peak = _traced_peak(lambda: got.extend(evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=51))))
@@ -820,8 +830,8 @@ def test_evaluate_batch_matches_reference_bits(case):
     exps = _REFERENCE_CASES[case]()
     xi = sample_increments_block(exps[0].grid, IncrementStream(seed=44), 0, 5000)
     for e in exps:
-        assert np.array_equal(evaluate_batch(e, xi), evaluate_batch_reference(e, xi))
-        assert np.array_equal(evaluate_batch(e, xi[:1]), evaluate_batch_reference(e, xi[:1]))
+        assert np.array_equal(evaluate_batch(e, xi), evaluate_batch_reference(_dense(e), xi))
+        assert np.array_equal(evaluate_batch(e, xi[:1]), evaluate_batch_reference(_dense(e), xi[:1]))
 
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
@@ -832,7 +842,7 @@ def test_evaluate_batch_matches_term_reference_to_rounding(case):
     exps = _REFERENCE_CASES[case]()
     xi = sample_increments_block(exps[0].grid, IncrementStream(seed=44), 0, 5000)
     for e in exps:
-        got, want = evaluate_batch(e, xi), evaluate_batch_terms_reference(e, xi)
+        got, want = evaluate_batch(e, xi), evaluate_batch_terms_reference(_dense(e), xi)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -25,7 +25,9 @@ from chaoskit import (
     symmetrize,
 )
 from chaoskit import grid as grid_module
+from chaoskit import kernels as kernels_module
 from chaoskit.grid import BLOCK_SIZE
+from chaoskit.kernels import dense
 from oracles import (
     batch_mean_se,
     simulate_counterexample_block_reference,
@@ -46,8 +48,8 @@ def test_half_support_moments(n, c):
 def test_half_support_side_placement():
     left = half_support_second_chaos(2, 1.0, "left")
     right = half_support_second_chaos(2, 1.0, "right")
-    lv = left.kernels[2].values
-    rv = right.kernels[2].values
+    lv = dense(left.kernels[2]).values
+    rv = dense(right.kernels[2]).values
     assert lv[0, 0] > 0 and lv[1, 1] > 0 and lv[2, 2] == 0 and lv[3, 3] == 0
     assert rv[0, 0] == 0 and rv[1, 1] == 0 and rv[2, 2] > 0 and rv[3, 3] > 0
     res = strongly_independent(left, right)
@@ -70,7 +72,7 @@ def test_diagonal_second_chaos_amplitude():
     g = make_grid(4)
     x = diagonal_second_chaos(g, [1, 3], 0.5)
     a = math.sqrt(0.5 / 4.0) / g.delta
-    vals = x.kernels[2].values
+    vals = dense(x.kernels[2]).values
     assert vals[1, 1] == pytest.approx(a, rel=1e-14)
     assert vals[3, 3] == pytest.approx(a, rel=1e-14)
     assert vals[0, 0] == 0.0 and vals[2, 2] == 0.0
@@ -106,11 +108,32 @@ def test_diagonal_second_chaos_cells_are_integers():
 
 
 def test_diagonal_second_chaos_rejects_oversized_grid_before_allocating(monkeypatch):
-    # m = 12000 would need a 1.15 GB dense (m, m) kernel
+    # m = 12000 would need a 1.15 GB dense (m, m) kernel; the diagonal kernel
+    # stores its 12000 entries, and a grid above MAX_ENTRIES stored entries
+    # is rejected before anything is allocated.
+    sizes = []
+    zeros = np.zeros
+
+    def recording_zeros(shape, *args, **kwargs):
+        sizes.append(int(np.prod(shape)))
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    tracemalloc.start()
+    try:
+        x = diagonal_second_chaos(make_grid(12_000), [0], 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sizes == [12_000]  # no (m, m) array
+    assert x.kernels[2].values.shape == (12_000,)
+    assert peak < 12_000 * 8 * 4
+
     def no_alloc(*args, **kwargs):
         raise AssertionError("an oversized kernel must not be allocated")
 
     monkeypatch.setattr(np, "zeros", no_alloc)
+    monkeypatch.setattr(kernels_module, "MAX_ENTRIES", 11_999)
     with pytest.raises(ValueError, match="dense-storage"):
         diagonal_second_chaos(make_grid(12_000), [0], 1.0)
 

@@ -90,6 +90,19 @@ def test_only_hermite_calls_the_checked_hermite_entries():
     assert offenders == []
 
 
+def test_only_kernels_reads_the_kernel_storage():
+    # Whether a kernel is stored dense or diagonal is read in kernels alone;
+    # every other module goes through its algebra and kernels.dense.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "diagonal":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def _names(tree) -> set:
     """Every name a module spells: bare names, attributes and imported aliases."""
     out = set()

@@ -53,6 +53,7 @@ STREAM = IncrementStream(seed=1)
 F1 = step_kernel(G4, 1, np.arange(4.0))
 F2 = step_kernel(G4, 2, np.eye(4))
 X = single_chaos(F1)
+LEFT, RIGHT = (half_support_second_chaos(2, 0.5, side) for side in ("left", "right"))
 # Dyadic, so a float32 copy holds the same values.
 SAMPLES = np.array([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
@@ -101,6 +102,16 @@ POSITIVE = {
     ),
     "ExperimentConfig.c1": (lambda v: _config("decouple", c1=v, c2=0.5), "c1", 0.5),
     "ExperimentConfig.c3": (lambda v: _config("three_way", c1=0.25, c2=0.25, c3=v), "c3", 0.5),
+}
+
+# Tolerances, which must also be >= 0: a negative one gave wrong verdicts
+# (the identity "not symmetric", disjoint diagonal summands "not independent").
+NON_NEGATIVE = {
+    "is_symmetric": (lambda v: is_symmetric(F2, atol=v), "atol", 0.0),
+    "integrals_independent": (
+        lambda v: integrals_independent(LEFT.kernels[2], RIGHT.kernels[2], tol=v), "tol", 0.0
+    ),
+    "strongly_independent": (lambda v: strongly_independent(LEFT, RIGHT, tol=v), "tol", 0.0),
 }
 
 ARRAYS = {
@@ -169,6 +180,16 @@ def test_real_argument_rejects_non_finite_non_reals(entry, bad):
 def test_positive_argument_rejects_non_positive_values(entry, bad):
     call, name, _ = POSITIVE[entry]
     _rejects(call, name, bad)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, -1])
+@pytest.mark.parametrize("entry", NON_NEGATIVE)
+def test_tolerance_rejects_negative_values_and_accepts_zero(entry, bad):
+    call, name, zero = NON_NEGATIVE[entry]
+    with pytest.raises(ValueError, match=rf"\b{name} must be a non-negative"):
+        call(bad)
+    verdict = call(zero)
+    assert verdict is True or verdict.independent
 
 
 @pytest.mark.parametrize("kind", ["bool", "str", "nan", "inf"])
