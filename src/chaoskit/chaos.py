@@ -41,15 +41,18 @@ hermite_rows walk computes those degrees over every cell, and the degrees
 multi-factor groups read are copied once into cells-by-paths arrays.  Every
 expansion reads its terms from these shared rows in bands of paths whose
 products hold at most about CHUNK_ENTRIES entries: a one-factor group by one
-gather and row sum over all its terms, a multi-factor group by one sparse
-product over its last factor, its prefix factors and a sum over its prefixes
-in order.  So a path's value does not depend on the paths it is evaluated
-with: evaluate_batch and evaluate are the same evaluator on a single
-expansion.
+row sum over all its terms, a multi-factor group by one sparse product over
+its last factor, its prefix factors and a sum over its prefixes in order.  A
+one-factor group whose coefficients are all exactly equal sums H_k over its
+cells, by a column slice when they are one run, and multiplies the sum once;
+the expansions of a call that read the same degree and cells share it.  That
+has the bits of summing the products whenever the coefficient is a power of
+two.  So a path's value does not depend on the paths it is evaluated with:
+evaluate_batch and evaluate are the same evaluator on a single expansion.
 The kept Hermite rows, their copies and the products but the sparse ones are
 grid.Workspace arrays, and the walk writes the highest degree over the chunk
-table unless H_1 is that table, so the diagonal families hold one table plus
-one product band per thread.
+table unless H_1 is that table.  A band is gathered only for unequal
+coefficients or cells with gaps, so the diagonal families hold one table.
 """
 
 from __future__ import annotations
@@ -247,10 +250,23 @@ def _last_factor_product(mults: tuple, cells: np.ndarray, coeffs: np.ndarray, m:
 def _compile(exps: Sequence[ChaosExpansion]) -> tuple:
     # (degrees, groups): the ascending Hermite degrees some term reads, and per
     # expansion its _kernel_terms groups, by order, each multi-factor group
-    # as its _last_factor_product.
+    # as its _last_factor_product.  A one-factor group keeps its cells as a
+    # vector, and with one coefficient becomes ((k,), cells, coefficient):
+    # its cells a slice when they are one run, one object per (k, cells).
+    shared: dict = {}
+
+    def one_factor(mults: tuple, cells: np.ndarray, coeffs: np.ndarray) -> tuple:
+        cells = cells[:, 0]
+        if np.any(coeffs != coeffs[0]):
+            return mults, cells, coeffs
+        key = (mults, cells.tobytes())
+        if cells[-1] - cells[0] == cells.size - 1:  # ascending cells, so one run
+            cells = slice(int(cells[0]), int(cells[-1]) + 1)
+        return mults, shared.setdefault(key, cells), float(coeffs[0])
+
     groups = tuple(
         tuple(
-            g if len(g[0]) == 1 else _last_factor_product(*g, e.grid.m)
+            one_factor(*g) if len(g[0]) == 1 else _last_factor_product(*g, e.grid.m)
             for n, k in enumerate(e.kernels)
             if n >= 1 and k is not None
             for g in _kernel_terms(k)
@@ -266,16 +282,19 @@ def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspac
 
     One hermite_rows walk computes every degree in degrees over all of z, and
     the degrees multi-factor groups read are copied once into cells-by-paths
-    arrays.  A one-factor group gathers its cells' entries of the rows and
-    sums all its terms along each row; a multi-factor group sums its terms
-    over their last factor by one sparse product, multiplies in its prefix
-    factors as row gathers and adds its prefixes up in order.  Both rules fix
-    the order of a row's partial sums, so a path's value does not depend on
-    the rows it is evaluated with.  Both walk bands of rows, so no product
-    holds more than about CHUNK_ENTRIES entries; a row's sum never spans two
-    bands.  H_1 is z itself, other kept degrees, their copies and the
-    products but the sparse ones live in workspace arrays, and without H_1
-    the top degree overwrites z.
+    arrays.  A one-factor group gathers its cells' entries of the rows,
+    multiplies them by its coefficients and sums all its terms along each
+    row.  With one coefficient a it adds a times the row sum of its cells,
+    made once per call for the groups that share them, so a power-of-two a
+    keeps the bits of the products.  A multi-factor group sums its terms over
+    their last factor by one sparse product, multiplies in its prefix factors
+    as row gathers and adds its prefixes up in order.  Each rule fixes the
+    order of a row's partial sums, so a path's value does not depend on the
+    rows it is evaluated with.  Gathers and products walk bands of rows, so
+    none holds more than about CHUNK_ENTRIES entries; a row's sum never spans
+    two bands.  H_1 is z itself, other kept degrees, their copies and the
+    bands live in workspace arrays, and without H_1 the top degree overwrites
+    z.
     """
     if z.shape[0] == 0 or not degrees:
         return
@@ -289,30 +308,37 @@ def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspac
     }
     for k, col in hcols.items():
         col[...] = hrows[k].T
+    row_sums: dict = {}  # by the id of a shared cell index
     for out, exp_groups in zip(outs, groups):
         for group in exp_groups:
-            if len(group[0]) == 1:
-                _add_one_factor(group, hrows, out, workspace)
-            else:
+            (k, *prefix), cells, coeffs = group
+            if prefix:
                 _add_last_factor_product(group, hcols, out, workspace)
+            elif isinstance(coeffs, float):
+                if id(cells) not in row_sums:
+                    row_sums[id(cells)] = _row_sum(hrows[k], cells, None, workspace)
+                out += coeffs * row_sums[id(cells)]
+            else:
+                out += _row_sum(hrows[k], cells, coeffs, workspace)
 
 
-def _add_one_factor(group: tuple, hrows: dict, out: np.ndarray, workspace: Workspace) -> None:
-    # All of a one-factor group's terms in one pass, a band of rows at a time,
-    # each row's products summed along the row.  Its band views die with this
-    # call, so a later group that outgrows the band buffer frees the old one.
-    (k,), cells, coeffs = group
-    n_rows, width = out.shape[0], cells.shape[0]
-    band = chunk_rows(width)
-    for a in range(0, n_rows, band):
-        rows = slice(a, a + band)
-        prod = workspace.array("band", (min(band, n_rows - a), width))
+def _row_sum(h: np.ndarray, cells, coeffs, workspace: Workspace) -> np.ndarray:
+    # Each row of h summed over the cells, a slice in place, an index vector
+    # gathered a band of rows at a time and multiplied by the coeffs given.
+    if isinstance(cells, slice):
+        return h[:, cells].sum(axis=1)
+    total = np.empty(h.shape[0])
+    band = chunk_rows(cells.size)
+    for a in range(0, h.shape[0], band):
+        prod = workspace.array("band", (min(band, h.shape[0] - a), cells.size))
         # np.take fills the C-order band; an axis-1 fancy index returns F
         # order, which changes the row-sum order and so the bits.
-        np.take(hrows[k][rows], cells[:, 0], axis=1, out=prod, mode="clip")
-        prod *= coeffs
+        np.take(h[a : a + band], cells, axis=1, out=prod, mode="clip")
+        if coeffs is not None:
+            prod *= coeffs
         # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
-        out[rows] += prod.sum(axis=1)
+        prod.sum(axis=1, out=total[a : a + band])
+    return total
 
 
 def _add_last_factor_product(group: tuple, hcols: dict, out: np.ndarray, workspace: Workspace) -> None:

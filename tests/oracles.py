@@ -8,9 +8,10 @@ trusted.
 The reference evaluator is the straightforward per-expansion form of the
 pathwise evaluator, with its own per-term plan builder (`_build_plan`, which
 collects cell multisets by sorting every nonzero index tuple).  It sums a
-one-factor term group in one pass over all its terms, and a multi-factor
-term group one prefix (the leading cells of its terms) at a time, in plain
-loops.  The library's evaluator must reproduce it bit for bit.  The earlier
+one-factor term group in one pass over all its terms, summing before it
+multiplies when they carry one coefficient, and a multi-factor term group
+one prefix (the leading cells of its terms) at a time, in plain loops.  The
+library's evaluator must reproduce it bit for bit.  The earlier
 1024-term slab rule for every group stays as
 `evaluate_batch_terms_reference`, which the library matches to rounding.
 
@@ -192,18 +193,23 @@ def evaluate_batch_reference(x, increments: np.ndarray) -> np.ndarray:
 
     Hermite rows cover all m columns.  A one-factor group's terms are summed
     in one pass for every batch size, the term gather an axis-1 fancy index
-    copied back to C order.  A multi-factor group is summed one prefix (the
-    leading cells of its terms) at a time: the prefix's terms add
-    coeff * H at their last cell in term order, its prefix factors multiply
-    that sum in cell order, and the prefix sums add up in order.  So the
-    partial sums land in the order the library fixes.
+    copied back to C order; when its coefficients are all exactly equal, the
+    gathered rows are summed first and multiplied by that coefficient once.
+    A multi-factor group is summed one prefix (the leading cells of its
+    terms) at a time: the prefix's terms add coeff * H at their last cell in
+    term order, its prefix factors multiply that sum in cell order, and the
+    prefix sums add up in order.  So the partial sums land in the order the
+    library fixes.
     """
     out, groups, htab = _reference_rows(x, increments)
     if out.size == 0:
         return out
     for group in groups:
         if len(group.mults) == 1:
-            _add_slabs(group, htab, out, len(group.cells))
+            if np.all(group.coeffs == group.coeffs[0]):
+                out += group.coeffs[0] * htab[group.mults[0]][:, group.cells[:, 0]].copy().sum(axis=1)
+            else:
+                _add_slabs(group, htab, out, len(group.cells))
             continue
         cells, coeffs, last = group.cells, group.coeffs, htab[group.mults[-1]]
         starts = [t for t in range(len(cells)) if t == 0 or list(cells[t, :-1]) != list(cells[t - 1, :-1])]

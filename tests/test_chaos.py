@@ -758,14 +758,16 @@ def test_evaluate_samples_memory_is_bounded_in_m():
 
 def test_evaluate_samples_memory_per_worker():
     # The decouple expansions at n = 256 over three blocks on two workers:
-    # each worker holds one chunk table (1024 paths at m = 512) and one
-    # product band (1024 paths by 256 terms), reused by every chunk it walks.
+    # each worker holds one chunk table (1024 paths at m = 512), reused by
+    # every chunk it walks.  Each group carries one coefficient on one run of
+    # cells, so it is summed from a column slice and no worker holds a
+    # product band (1024 paths by 256 terms, half a chunk size).
     exps = _half_support_couple(256)
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8
     peak = _traced_peak(
         lambda: evaluate_samples(exps, 3 * BLOCK_SIZE, IncrementStream(seed=53), workers=2)
     )
-    assert peak < 3.5 * chunk_bytes
+    assert peak < 2.5 * chunk_bytes
 
 
 def _diagonal_orders(m, orders):
@@ -846,13 +848,59 @@ def test_evaluate_batch_matches_term_reference_to_rounding(case):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("case", ["half_support_n4", "half_support_n256"])
+def test_power_of_two_coefficients_keep_the_product_bits(case):
+    # Every group of the decouple couples carries one coefficient, 1/(2 sqrt n)
+    # on X and Y and 1/(2n) on their Gammas, a power of two at n = 4 and 256.
+    # Then a * sum_j H_j is sum_j a * H_j bit for bit, so summing before
+    # multiplying leaves the values of the product rule, which the term
+    # reference applies to these groups of fewer than 1024 terms.
+    exps = _REFERENCE_CASES[case]()
+    xi = sample_increments_block(exps[0].grid, IncrementStream(seed=44), 0, 5000)
+    for e in exps:
+        (exp_groups,) = chaos_module._compile([e])[1]
+        assert all(math.frexp(coeff)[0] == 0.5 for _, _, coeff in exp_groups)
+        assert np.array_equal(evaluate_batch(e, xi), evaluate_batch_terms_reference(_dense(e), xi))
+
+
+def test_coefficients_one_bit_apart_take_the_product_rule():
+    # Equal means exactly equal: a diagonal kernel whose last value is one
+    # ulp above the others keeps its coefficient vector and the product
+    # rule's bits.  The same kernel with equal values sums first, and its
+    # coefficient 0.3 / 8 is not a power of two, so its bits differ.
+    grid = make_grid(8)
+    xi = sample_increments_block(grid, IncrementStream(seed=58), 0, 5000)
+    values = np.full(8, 0.3)
+    equal = single_chaos(step_kernel(grid, 2, np.diag(values)))
+    values[-1] = np.nextafter(0.3, 1.0)
+    apart = single_chaos(step_kernel(grid, 2, np.diag(values)))
+    (((_, _, coeffs),),) = chaos_module._compile([apart])[1]
+    assert isinstance(coeffs, np.ndarray) and np.unique(coeffs).size == 2
+    assert np.array_equal(evaluate_batch(apart, xi), evaluate_batch_terms_reference(apart, xi))
+    (((_, _, coeff),),) = chaos_module._compile([equal])[1]
+    assert coeff == 0.3 / 8
+    assert np.array_equal(evaluate_batch(equal, xi), evaluate_batch_reference(equal, xi))
+    assert not np.array_equal(evaluate_batch(equal, xi), evaluate_batch_terms_reference(equal, xi))
+
+
 @pytest.mark.parametrize(
-    "case", ["dense_123_m8", "dense_2_m64", "dense_3_m24", "sparse_1234_m6", "diagonal_split_run_m1100"]
+    "case",
+    [
+        "dense_123_m8",
+        "dense_2_m64",
+        "dense_3_m24",
+        "sparse_1234_m6",
+        "diagonal_gaps_m8",
+        "diagonal_split_run_m1100",
+        "first_and_diagonal_m8",
+    ],
 )
 def test_a_path_value_does_not_depend_on_its_batch(case):
     # The split run's 1060-term one-factor group, wider than the earlier
     # 1024-term slab, is summed in one pass along each row, in the same order
-    # on a short batch or one row as on a full block.  The multi-factor groups,
+    # on a short batch or one row as on a full block; so are the groups with
+    # one coefficient on cells with gaps, gathered a band at a time, and the
+    # row sums that several expansions share.  The multi-factor groups,
     # such as the 2016-term (1, 1) group at m = 64, sum their prefixes in one
     # order for any band width, one path included, where numpy's add.reduce
     # is pairwise on a single path.
