@@ -16,10 +16,11 @@ fourth cumulant uses iterated Gamma functionals (Nourdin & Peccati 2010),
     Gamma_2(F) = <DF, D(-L)^{-1}(Gamma_1(F) - E Gamma_1(F))>,
 
 so for top order N no kernel above order 2N - 2 is formed; `multiply` is
-algebra for callers, not a step of any cumulant.  exact_summary(x, c) builds
-Gamma_1(x) once and reads E[x^2], k4, the residual E[(c - Gamma_1)^2] and
-the fourth-moment bound from it; fourth_cumulant and gamma_residual run the
-same steps on a Gamma_1 of their own.
+algebra for callers, not a step of any cumulant.  An expansion keeps its
+Gamma_1 once gamma(x) has built it, and fourth_cumulant, gamma_residual and
+exact_summary all read that one; kernels are read-only and an expansion is
+frozen, so the kept Gamma_1 has the bits of a new build.  For a dense top
+order N it holds m^(2N - 2) stored entries for as long as x lives.
 
 Pathwise evaluation uses the diagonal-free multiple-integral formula: for a
 symmetric kernel f and a cell multiset {j_1^(k_1), ..., j_d^(k_d)} with
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -103,6 +104,8 @@ class ChaosExpansion:
 
     grid: Grid
     kernels: tuple
+    # Gamma_1 of this expansion, kept by gamma() once built.
+    _gamma: ChaosExpansion | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def max_order(self) -> int:
@@ -475,7 +478,12 @@ def multiply(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
 
 def second_moment(x: ChaosExpansion) -> float:
     """E[x^2] = f_0^2 + sum_n n! <f_n, f_n>, exact."""
-    total = x.expectation ** 2
+    return _square_mean(x, x.expectation)
+
+
+def _square_mean(x: ChaosExpansion, f0: float) -> float:
+    # E[(f0 + x - E x)^2] = f0^2 + sum_n n! <f_n, f_n>.
+    total = f0 ** 2
     for n, k in enumerate(x.kernels):
         if n >= 1 and k is not None:
             total += math.factorial(n) * inner_product(k, k)
@@ -505,13 +513,8 @@ def fourth_cumulant(x: ChaosExpansion) -> float:
     kernel formed is Gamma_1's, of order 2N - 2.
     """
     _require_centered(x, "fourth_cumulant")
-    return _fourth_cumulant(x, gamma(x))
-
-
-def _fourth_cumulant(x: ChaosExpansion, g1: ChaosExpansion) -> float:
-    # k4 of centered x from its Gamma_1 = gamma(x).
     orders = [n for n in x.nonzero_orders() if n >= 1]
-    g1_centered = _expansion(x.grid, [None, *g1.kernels[1:]])
+    g1_centered = _expansion(x.grid, [None, *gamma(x).kernels[1:]])
     g2 = _cross_gamma(x, g1_centered, keep=frozenset(orders))
     total = 0.0
     for n in orders:
@@ -555,19 +558,21 @@ def cross_gamma(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
 
 
 def gamma(x: ChaosExpansion) -> ChaosExpansion:
-    """<Dx, D(-L)^{-1} x>; its expectation equals E[x^2] for centered x."""
-    return cross_gamma(x, x)
+    """<Dx, D(-L)^{-1} x>; its expectation equals E[x^2] for centered x.
+
+    Built on the first call and kept on x, so later calls return that object.
+    """
+    if x._gamma is None:
+        object.__setattr__(x, "_gamma", _cross_gamma(x, x))
+    return x._gamma
 
 
 def gamma_residual(x: ChaosExpansion, c: float) -> float:
     """E[(c - <Dx, D(-L)^{-1} x>)^2], exact through the expansion algebra."""
     c = check_real("target variance c", c)
-    return _gamma_residual(gamma(x), c)
-
-
-def _gamma_residual(g1: ChaosExpansion, c: float) -> float:
-    # E[(c - G)^2] for G = Gamma_1 of some expansion.
-    return second_moment(add(constant(g1.grid, c), scale(-1.0, g1)))
+    g1 = gamma(x)
+    # Negation is exact, so this has the bits of second_moment(c - g1).
+    return _square_mean(g1, c - g1.expectation)
 
 
 class ExactSummary(NamedTuple):
@@ -585,19 +590,11 @@ class ExactSummary(NamedTuple):
 
 
 def exact_summary(x: ChaosExpansion, c: float) -> ExactSummary:
-    """Variance, Gamma_1, k4 and Gamma residual of a centered x from one Gamma_1 build.
-
-    Each number has the bits of second_moment(x), gamma(x), fourth_cumulant(x)
-    and gamma_residual(x, c), which run the same steps on a Gamma_1 of their own.
-    """
+    """Variance, Gamma_1, k4 and Gamma residual of a centered x, read from gamma(x)."""
     _require_centered(x, "exact_summary")
     c = check_real("target variance c", c)
-    g1 = gamma(x)
     return ExactSummary(
-        var=second_moment(x),
-        gamma=g1,
-        k4=_fourth_cumulant(x, g1),
-        residual=_gamma_residual(g1, c),
+        var=second_moment(x), gamma=gamma(x), k4=fourth_cumulant(x), residual=gamma_residual(x, c)
     )
 
 

@@ -514,6 +514,71 @@ def test_exact_summary_matches_the_separate_routes(orders):
         exact_summary(shift(x, 1.0), c)
 
 
+def _same_bits(got, want) -> bool:
+    return len(got.kernels) == len(want.kernels) and all(
+        (a is None and b is None)
+        or (a is not None and b is not None and a.diagonal == b.diagonal and np.array_equal(a.values, b.values))
+        for a, b in zip(got.kernels, want.kernels)
+    )
+
+
+def test_each_exact_functional_reads_one_gamma_build(monkeypatch):
+    x = _random_expansion(np.random.default_rng(60), make_grid(6), [3])
+    builds = []
+    cross_gamma_ = chaos_module._cross_gamma
+
+    def counting(a, b, *args, **kwargs):
+        builds.append(a is x and b is x)
+        return cross_gamma_(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(chaos_module, "_cross_gamma", counting)
+    fourth_cumulant(x)
+    gamma_residual(x, 0.5)
+    summary = exact_summary(x, 0.5)
+    fourth_moment_bound(x)
+    g1 = gamma(x)
+    assert builds.count(True) == 1
+    assert gamma(x) is g1 and summary.gamma is g1
+
+
+def test_gamma_from_two_threads_has_the_bits_of_one_build():
+    x = _random_expansion(np.random.default_rng(61), make_grid(8), [1, 2, 3])
+    want = gamma(chaos_expansion(x.grid, x.kernels))
+    got = grid_module.run_tasks(2, [lambda: gamma(x), lambda: gamma(x)])
+    assert all(_same_bits(g, want) for g in got)
+    assert _same_bits(gamma(x), want)
+
+
+@pytest.mark.parametrize("orders", [(2,), (1, 2, 3)])
+def test_the_kept_gamma_is_invisible(orders):
+    x = _random_expansion(np.random.default_rng([62, *orders]), make_grid(6), list(orders))
+    c = 0.75
+    g1 = gamma(x)
+    fresh = chaos_expansion(x.grid, x.kernels)
+    assert x == fresh
+    assert repr(x) == repr(fresh) and "_gamma" not in repr(x)
+    assert expansion_to_dict(x) == expansion_to_dict(fresh)
+    assert fourth_cumulant(x).hex() == fourth_cumulant(fresh).hex()
+    assert gamma_residual(x, c).hex() == gamma_residual(fresh, c).hex()
+    kept, new = exact_summary(x, c), exact_summary(fresh, c)
+    assert [kept.var.hex(), kept.k4.hex(), kept.residual.hex()] == [
+        new.var.hex(), new.k4.hex(), new.residual.hex()
+    ]
+    assert kept.gamma is g1 and _same_bits(kept.gamma, new.gamma)
+
+
+def test_k4_and_residual_after_gamma_stay_below_one_gamma_kernel():
+    # A dense order-3 x at m = 32 has an order-4 Gamma_1 of m^4 entries
+    # (8.4 MB).  Once gamma(x) is kept, fourth_cumulant and gamma_residual
+    # build no Gamma_1 of their own, and the residual copies none.
+    m = 32
+    x = _random_expansion(np.random.default_rng(63), make_grid(m), [3])
+    c = second_moment(x)
+    gamma(x)
+    peak = _traced_peak(lambda: (fourth_cumulant(x), gamma_residual(x, c)))
+    assert peak < m**4 * 8
+
+
 # ---------------------------------------------------------------------------
 # shared-sample evaluation
 
