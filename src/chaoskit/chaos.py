@@ -49,7 +49,8 @@ cells, by a column slice when they are one run, and multiplies the sum once;
 the expansions of a call that read the same degree and cells share it.  That
 has the bits of summing the products whenever the coefficient is a power of
 two.  So a path's value does not depend on the paths it is evaluated with:
-evaluate_batch and evaluate are the same evaluator on a single expansion.
+evaluate_batch runs the same evaluator on one expansion and increments the
+caller supplies.
 The kept Hermite rows, their copies and the products but the sparse ones are
 grid.Workspace arrays, and the walk writes the highest degree over the chunk
 table unless H_1 is that table.  A band is gathered only for unequal
@@ -67,7 +68,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .grid import (
-    GaussianSample,
     Grid,
     IncrementStream,
     Workspace,
@@ -380,18 +380,6 @@ def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate(x: ChaosExpansion, sample) -> float:
-    """I-sum of x at one increment vector (GaussianSample or length-m array)."""
-    if isinstance(sample, GaussianSample):
-        if sample.grid != x.grid:
-            raise ValueError("sample grid does not match expansion grid")
-        sample = sample.increments
-    row = real_array("sample", sample)
-    if row.shape != (x.grid.m,):
-        raise ValueError(f"expected {x.grid.m} increments, got shape {row.shape}")
-    return float(evaluate_batch(x, row[None, :])[0])
-
-
 def evaluate_samples(
     exps: Sequence[ChaosExpansion],
     n_samples: int,
@@ -596,6 +584,17 @@ def exact_summary(x: ChaosExpansion, c: float) -> ExactSummary:
     return ExactSummary(
         var=second_moment(x), gamma=gamma(x), k4=fourth_cumulant(x), residual=gamma_residual(x, c)
     )
+
+
+def fourth_moment_bound(x: ChaosExpansion) -> float:
+    """Kolmogorov bound sqrt(|k4|) / E[X^2] for X living in a single chaos."""
+    orders = [n for n in x.nonzero_orders() if n >= 1]
+    if x.expectation != 0.0 or len(orders) != 1:
+        raise ValueError("fourth_moment_bound requires a centered single-order expansion")
+    summary = exact_summary(x, 0.0)  # the residual's target plays no part in the bound
+    if summary.var <= 0.0:
+        raise ValueError("fourth_moment_bound requires a nonzero expansion")
+    return summary.bound
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ E[X^2] = c.  Writing n = |S|, evaluation reduces to
     X = sqrt(c / (2n)) * sum_{i in S} H_2(xi_i / sqrt(delta)),
 
 the fourth cumulant is 12 c^2 / n and E[(c - <DX, D(-L)^{-1}X>)^2] = 2 c^2 / n,
-so the family converges to N(0, c) at an explicit rate.  Two such elements on
-disjoint halves of the grid form a strongly independent couple.
+so the family converges to N(0, c) at an explicit rate.  diagonal_summands
+lays k such elements on the disjoint n-cell blocks of a k*n grid, the
+summands of every decoupling experiment; any two form a strongly independent
+couple.
 
 The counterexample pair is built from X1 = sqrt(2) (W(1) - W(1/2)) and
 Y1 = sqrt(2) int_0^{1/2} sign(W_s) dW_s, which are independent standard
@@ -59,19 +61,17 @@ def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
     return single_chaos(step_kernel(grid, 2, values, copy=False, diagonal=True))
 
 
-def half_support_second_chaos(n_blocks: int, c: float, side: str = "left") -> ChaosExpansion:
-    """Diagonal second-chaos element on one half of a 2*n_blocks grid.
+def diagonal_summands(n: int, split) -> list:
+    """Diagonal second-chaos summands on the disjoint n-cell blocks of a k*n grid.
 
-    E[X^2] = c exactly; the fourth cumulant is 12 c^2 / n_blocks; left and
-    right elements of the same grid are strongly independent.
+    Summand j = 0 .. k-1 has E[X_j^2] = split[j] on cells j*n .. (j+1)*n - 1,
+    where k = len(split); any two of them are strongly independent.
     """
-    n_blocks = check_int("n_blocks", n_blocks, 1)
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    grid = make_grid(2 * n_blocks)
-    offset = 0 if side == "left" else n_blocks
-    cells = np.arange(offset, offset + n_blocks)
-    return diagonal_second_chaos(grid, cells, c)
+    n = check_int("n", n, 1)
+    if not isinstance(split, (list, tuple)) or not split:
+        raise ValueError(f"split must be a nonempty list of variances, got {split!r}")
+    grid = make_grid(len(split) * n)
+    return [diagonal_second_chaos(grid, range(j * n, (j + 1) * n), c) for j, c in enumerate(split)]
 
 
 def custom_single_chaos(
@@ -110,33 +110,16 @@ def check_path_steps(path_steps) -> int:
 
 
 @dataclass(frozen=True)
-class CounterexampleSample:
-    """One draw of the rotated pair."""
-
-    x: float
-    y: float
-    path_steps: int
-
-
-@dataclass(frozen=True)
 class CounterexampleBatch:
     """All draws of the rotated pair, stored as arrays for statistics.
 
-    Indexing yields individual CounterexampleSample values.  The shared
-    Gaussian factor W(1) - W(1/2) of a draw equals (x + y) / 2.
+    Draw i is (x[i], y[i]); its shared Gaussian factor W(1) - W(1/2) equals
+    (x[i] + y[i]) / 2.
     """
 
     x: np.ndarray
     y: np.ndarray
     path_steps: int
-
-    def __len__(self) -> int:
-        return self.x.size
-
-    def __getitem__(self, i: int) -> CounterexampleSample:
-        return CounterexampleSample(
-            x=float(self.x[i]), y=float(self.y[i]), path_steps=self.path_steps
-        )
 
 
 def simulate_counterexample(

@@ -60,22 +60,6 @@ def make_grid(m: int) -> Grid:
 
 
 @dataclass(frozen=True)
-class GaussianSample:
-    """One realization of the m increments W(A_0), ..., W(A_{m-1})."""
-
-    grid: Grid
-    increments: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = real_array("increments", self.increments)
-        if arr.shape != (self.grid.m,):
-            raise ValueError(f"increments shape {arr.shape} does not match grid m={self.grid.m}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "increments", arr)
-
-
-@dataclass(frozen=True)
 class IncrementStream:
     """Addressable source of standard normal draws keyed by (seed, stream_id).
 
@@ -283,12 +267,6 @@ def run_chunks(
             chunk(start, table, workspace)
 
     run_tasks(workers, [partial(run, s) for s in range(0, n_samples, BLOCK_SIZE)])
-
-
-def sample_increments(grid: Grid, stream: IncrementStream, index: int = 0) -> GaussianSample:
-    """Increment vector for one sample index: m independent N(0, delta) draws."""
-    row = stream.standard_normal_block(grid.m, check_int("index", index), 1)[0]
-    return GaussianSample(grid=grid, increments=row * np.sqrt(grid.delta))
 
 
 def sample_increments_block(

@@ -46,8 +46,8 @@ from pathlib import Path
 import numpy as np
 
 from .chaos import add, evaluate_samples, exact_summary
-from .families import check_path_steps, diagonal_second_chaos, simulate_counterexample
-from .grid import IncrementStream, check_int, check_real, make_grid, run_tasks
+from .families import check_path_steps, diagonal_summands, simulate_counterexample
+from .grid import IncrementStream, check_int, check_real, run_tasks
 from .independence import class_a_diagnostic, strongly_independent
 from .kernels import check_dense_entries
 from .stein import (
@@ -208,12 +208,6 @@ def _timed_report(config: ExperimentConfig, schedule, record) -> ExperimentRepor
     return ExperimentReport(config=config.to_dict(), records=records, runtime_ms=runtime_ms)
 
 
-def _diagonal_summands(n: int, split: tuple) -> list:
-    """Diagonal second-chaos summands on the disjoint n-cell blocks of a k*n grid, E = split."""
-    grid = make_grid(len(split) * n)
-    return [diagonal_second_chaos(grid, range(j * n, (j + 1) * n), c) for j, c in enumerate(split)]
-
-
 def _call_tasks(tree, workers: int):
     """tree, a nest of dicts and lists, with each leaf task replaced by task().
 
@@ -252,7 +246,7 @@ def _run_k_way(config: ExperimentConfig, workers: int, layout) -> ExperimentRepo
     cs = config.split
 
     def record(n):
-        parts = _diagonal_summands(n, cs)
+        parts = diagonal_summands(n, cs)
         whole = exact_summary(functools.reduce(add, parts), 1.0)
         k4_sum, res_sum = whole.k4, whole.residual
         del whole  # only the summands' Gammas are sampled; free the sum's first
@@ -340,7 +334,7 @@ def run_three_way(config: ExperimentConfig, workers: int = 1) -> ExperimentRepor
 
 def run_class_a(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     def record(n):
-        x, y = _diagonal_summands(n, config.split)
+        x, y = diagonal_summands(n, config.split)
         si = strongly_independent(x, y)
         stream = IncrementStream(config.seed, stream_id=n)
         diag = class_a_diagnostic(

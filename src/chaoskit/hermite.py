@@ -4,16 +4,12 @@ H_0 = 1, H_1 = x, H_{k+1}(x) = x H_k(x) - k H_{k-1}(x).  Under a standard
 Gaussian these satisfy E[H_j(Z) H_k(Z)] = delta_{jk} k!, which is what turns
 products of independent cell increments into multiple-integral evaluations.
 hermite_rows is the one walk of the recurrence, which the evaluator runs on
-each chunk; hermite_eval and hermite_table are its checked public entries.
+each chunk over every cell; it takes its input as given and checks nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .grid import check_int, real_array
-
-MAX_DEGREE = 64
 
 
 def hermite_rows(x: np.ndarray, degrees, row=None) -> dict:
@@ -41,33 +37,3 @@ def hermite_rows(x: np.ndarray, degrees, row=None) -> dict:
         if j + 1 in wanted:
             rows[j + 1] = cur
     return rows
-
-
-def _check_degree(name: str, k) -> int:
-    k = check_int(name, k)
-    if k > MAX_DEGREE:
-        raise ValueError(f"degree {k} exceeds the supported maximum {MAX_DEGREE}")
-    return k
-
-
-def hermite_eval(k: int, x):
-    """H_k evaluated pointwise; x may be a real scalar or array, all finite."""
-    k = _check_degree("degree k", k)
-    arr = real_array("x", x).copy()  # the walk writes its x, and the caller's x is never written
-    scalar = arr.ndim == 0
-    if scalar:
-        arr = arr.reshape(1)  # one entry, so every step of the walk writes into an array
-    out = np.ones_like(arr) if k == 0 else hermite_rows(arr, (k,))[k]
-    return float(out[0]) if scalar else out
-
-
-def hermite_table(kmax: int, x) -> np.ndarray:
-    """Stack of H_0(x), ..., H_kmax(x); shape (kmax + 1,) + x.shape."""
-    kmax = _check_degree("degree kmax", kmax)
-    arr = real_array("x", x)
-    out = np.empty((kmax + 1, arr.size), dtype=np.float64)  # rows are arrays even for a scalar x
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = arr.ravel()
-        hermite_rows(out[1], range(1, kmax + 1), lambda k: out[k])
-    return out.reshape((kmax + 1,) + arr.shape)

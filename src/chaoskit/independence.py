@@ -61,8 +61,9 @@ def strongly_independent(
 ) -> StrongIndependenceResult:
     """Whether every kernel pair of x and y has vanishing first contraction.
 
-    Order-0 slots carry no randomness and are ignored.  The reported worst
-    pair maximizes the contraction norm relative to the kernel norms.
+    Each pair's verdict is integrals_independent(f, g, tol); order-0 slots
+    carry no randomness and are ignored.  The reported worst pair maximizes
+    the contraction norm relative to the kernel norms.
     """
     if x.grid != y.grid:
         raise ValueError("grid mismatch")
@@ -80,17 +81,14 @@ def strongly_independent(
             if m_ord < 1:
                 continue
             g = y.kernels[m_ord]
-            ng = kernel_norm(g)
-            witness = kernel_norm(contract(f, g, 1))
-            pair_tol = tol if tol is not None else DEFAULT_REL_TOL * nf * ng
-            if witness > pair_tol:
-                independent = False
-            scale = nf * ng
-            ratio = witness / scale if scale > 0 else 0.0
+            verdict = integrals_independent(f, g, tol)
+            independent = independent and verdict.independent
+            scale = nf * kernel_norm(g)
+            ratio = verdict.witness_norm / scale if scale > 0 else 0.0
             if ratio > worst_ratio:
                 worst_ratio = ratio
                 worst_pair = (n, m_ord)
-                worst_norm = witness
+                worst_norm = verdict.witness_norm
     return StrongIndependenceResult(
         independent=independent, worst_pair=worst_pair, worst_norm=worst_norm
     )

@@ -1,27 +1,25 @@
-"""Stein-equation machinery and normal-approximation diagnostics.
+"""Stein-equation machinery and normal-approximation estimators over samples.
 
 For a centered F with E[F^2] = c, the distance to N(0, c) is controlled by
 how far <DF, D(-L)^{-1} F> sits from the constant c.  This module provides
 the bounded solution of the Stein equation, Kolmogorov distances against a
-normal target, the fourth-moment bound sqrt(|k4|)/E[F^2] for a single-order
-F (read from chaos.exact_summary, which forms it), and Monte Carlo
-estimators of the criterion functionals.  The sample-level estimators take
-samples of X and of a residual R on the same paths, so one evaluation serves
-every parameter; `criterion_functionals` and `conditional_residual_estimate`
-evaluate X and R = c - <DX, D(-L)^{-1} X>, then call them.
+normal target, and Monte Carlo estimators of the criterion functionals.
+Every estimator takes sample arrays, never an expansion: samples of X and of
+a residual R on the same paths, so one evaluation serves every parameter.
+Callers evaluate X and R = c - <DX, D(-L)^{-1} X> through
+chaos.evaluate_samples, then pass the arrays here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erfcx, ndtr
 
-from .chaos import ChaosExpansion, evaluate_samples, exact_summary, gamma
-from .grid import IncrementStream, check_int, check_real, real_array
+from .grid import check_int, check_real, real_array
 
 # The closed form of the Stein solution multiplies exp((x^2 - z^2)/2) by a
 # normal tail; beyond this magnitude the intermediate terms are no longer
@@ -46,13 +44,6 @@ class CriterionEstimate:
     std_error: float
     n_samples: int
     parameter: float
-
-
-class CriterionFunctionals(NamedTuple):
-    """Characteristic-function and Stein-kernel criterion estimates."""
-
-    char_fn: tuple
-    stein: tuple
 
 
 def stein_solution(z: float, x):
@@ -107,17 +98,6 @@ def kolmogorov_distance_mc(samples: np.ndarray, variance: float) -> float:
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
-
-
-def fourth_moment_bound(x: ChaosExpansion) -> float:
-    """Kolmogorov bound sqrt(|k4|) / E[X^2] for X living in a single chaos."""
-    orders = [n for n in x.nonzero_orders() if n >= 1]
-    if x.expectation != 0.0 or len(orders) != 1:
-        raise ValueError("fourth_moment_bound requires a centered single-order expansion")
-    summary = exact_summary(x, 0.0)  # the residual's target plays no part in the bound
-    if summary.var <= 0.0:
-        raise ValueError("fourth_moment_bound requires a nonzero expansion")
-    return summary.bound
 
 
 # ---------------------------------------------------------------------------
@@ -208,39 +188,3 @@ def binned_residual_estimate(
     return CriterionEstimate(
         value=value, std_error=se, n_samples=n, parameter=float(n_bins)
     )
-
-
-def criterion_functionals(
-    x: ChaosExpansion,
-    c: float,
-    t_grid: Sequence[float],
-    z_grid: Sequence[float],
-    n_samples: int,
-    stream: IncrementStream,
-    workers: int = 1,
-) -> CriterionFunctionals:
-    """Monte Carlo criterion functionals |E[e^{itX}(c - G)]| and E[f_z'(X)(c - G)].
-
-    G = <DX, D(-L)^{-1} X> is expanded once and evaluated pathwise on the same
-    increments as X, so each estimate couples X with its own Gamma functional.
-    """
-    c = check_real("target variance c", c, positive=True)
-    x_vals, g_vals = evaluate_samples([x, gamma(x)], n_samples, stream, workers=workers)
-    resid = c - g_vals
-    char_fn = char_fn_estimates(x_vals, resid, t_grid)
-    stein = stein_estimates(x_vals, resid, z_grid)
-    return CriterionFunctionals(char_fn=char_fn, stein=stein)
-
-
-def conditional_residual_estimate(
-    x: ChaosExpansion,
-    c: float,
-    n_bins: int = 32,
-    n_samples: int = 100_000,
-    stream: IncrementStream = IncrementStream(seed=0),
-    workers: int = 1,
-) -> CriterionEstimate:
-    """Binned L2 proxy for ||E[c - G | X]|| with G = <DX, D(-L)^{-1} X>."""
-    c = check_real("target variance c", c, positive=True)
-    x_vals, g_vals = evaluate_samples([x, gamma(x)], n_samples, stream, workers=workers)
-    return binned_residual_estimate(x_vals, c - g_vals, n_bins)

@@ -52,19 +52,19 @@ from chaoskit.chaos import (
     cross_gamma,
     evaluate_samples,
     fourth_cumulant,
+    fourth_moment_bound,
     gamma,
     gamma_residual,
     multiply,
     second_moment,
 )
-from chaoskit.families import diagonal_second_chaos, half_support_second_chaos
+from chaoskit.families import diagonal_second_chaos
 from chaoskit.grid import BLOCK_SIZE, IncrementStream, make_grid
 from chaoskit.harness import EXACT_IDENTITY_RTOL, ExperimentConfig, ExperimentReport
 from chaoskit.independence import ClassADiagnostic, strongly_independent
 from chaoskit.kernels import StepKernel, contract, inner_product, symmetrize
 from chaoskit.stein import (
     CriterionEstimate,
-    fourth_moment_bound,
     kolmogorov_distance_mc,
     stein_solution,
 )
@@ -469,8 +469,9 @@ def run_decoupling_reference(config: ExperimentConfig, workers: int = 1) -> Expe
     start = time.perf_counter()
     records = []
     for n in config.n_schedule:
-        x = half_support_second_chaos(n, config.c1, "left")
-        y = half_support_second_chaos(n, config.c2, "right")
+        grid = make_grid(2 * n)
+        x = diagonal_second_chaos(grid, range(0, n), config.c1)
+        y = diagonal_second_chaos(grid, range(n, 2 * n), config.c2)
         s = add(x, y)
         var_x = second_moment(x)
         var_y = second_moment(y)
@@ -574,8 +575,9 @@ def run_class_a_reference(config: ExperimentConfig, workers: int = 1) -> Experim
     start = time.perf_counter()
     records = []
     for n in config.n_schedule:
-        x = half_support_second_chaos(n, config.c1, "left")
-        y = half_support_second_chaos(n, config.c2, "right")
+        grid = make_grid(2 * n)
+        x = diagonal_second_chaos(grid, range(0, n), config.c1)
+        y = diagonal_second_chaos(grid, range(n, 2 * n), config.c2)
         si = strongly_independent(x, y)
         stream = IncrementStream(config.seed, stream_id=n)
         diag = class_a_diagnostic(

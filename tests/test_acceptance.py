@@ -18,17 +18,18 @@ from chaoskit import (
     ExperimentConfig,
     IncrementStream,
     add,
+    binned_residual_estimate,
     chaos_expansion,
-    conditional_residual_estimate,
+    char_fn_estimates,
     constant,
-    criterion_functionals,
     cross_gamma,
+    diagonal_second_chaos,
+    diagonal_summands,
     evaluate_batch,
     evaluate_samples,
     fourth_cumulant,
     gamma,
     gamma_residual,
-    half_support_second_chaos,
     inner_product,
     kernel_norm,
     kolmogorov_distance_mc,
@@ -38,6 +39,7 @@ from chaoskit import (
     sample_increments_block,
     second_moment,
     single_chaos,
+    stein_estimates,
     step_kernel,
     stein_solution,
     strongly_independent,
@@ -54,6 +56,17 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num:02d} {name}: {status} ({detail})")
     assert ok, f"criterion {num} {name}: {detail}"
+
+
+def _left_half(n: int, c: float):
+    """The diagonal second-chaos element with E[X^2] = c on the left n cells of a 2n grid."""
+    return diagonal_second_chaos(make_grid(2 * n), range(n), c)
+
+
+def _with_residual(x, c: float, n_samples: int, stream):
+    """Samples of X and of c - <DX, D(-L)^{-1} X> on the same paths."""
+    x_vals, g_vals = evaluate_samples([x, gamma(x)], n_samples, stream)
+    return x_vals, c - g_vals
 
 
 def _sym_kernel(rng, grid, order):
@@ -197,8 +210,7 @@ def test_criterion_05_residual_additivity():
     worst_gap = 0.0
     constants = []
     for n in schedule:
-        x = half_support_second_chaos(n, c1, "left")
-        y = half_support_second_chaos(n, c2, "right")
+        x, y = diagonal_summands(n, (c1, c2))
         s = add(x, y)
         res_x = gamma_residual(x, c1)
         res_y = gamma_residual(y, c2)
@@ -207,8 +219,7 @@ def test_criterion_05_residual_additivity():
         constants.append(res_sum * n)
     const_spread = (max(constants) - min(constants)) / max(constants)
     # brute-force oracle at n = 4: sample (1 - Gamma(X+Y))^2 directly
-    x = half_support_second_chaos(4, c1, "left")
-    y = half_support_second_chaos(4, c2, "right")
+    x, y = diagonal_summands(4, (c1, c2))
     s = add(x, y)
     (g_vals,) = evaluate_samples([gamma(s)], 100_000, IncrementStream(seed=105))
     mc, se = batch_mean_se((1.0 - g_vals) ** 2)
@@ -243,11 +254,11 @@ def test_criterion_06_fourth_cumulants():
     c = 0.5
     worst_family = 0.0
     for n in (4, 16, 64, 256):
-        x = half_support_second_chaos(n, c, "left")
+        x = _left_half(n, c)
         want = 12.0 * c * c / n
         worst_family = max(worst_family, abs(fourth_cumulant(x) - want) / want)
     # MC oracle for the closed form at n = 4
-    x4 = half_support_second_chaos(4, c, "left")
+    x4 = _left_half(4, c)
     (vals,) = evaluate_samples([x4], 1_000_000, IncrementStream(seed=107))
     est, se = batch_fourth_cumulant_se(vals)
     mc_dev = abs(est - 12.0 * c * c / 4.0) / (3 * se)
@@ -270,7 +281,7 @@ def test_criterion_07_kolmogorov_bound():
     worst_margin = -float("inf")
     details = []
     for n in (12, 48, 192):
-        x = half_support_second_chaos(n, 1.0, "left")
+        x = _left_half(n, 1.0)
         (vals,) = evaluate_samples([x], 100_000, IncrementStream(seed=108, stream_id=n))
         d = kolmogorov_distance_mc(vals, second_moment(x))
         bound = math.sqrt(12.0 / n) + 0.02
@@ -321,28 +332,26 @@ def test_criterion_09_criterion_monotonicity():
     conditional = []
     final_ses = []
     for n in schedule:
-        x = half_support_second_chaos(n, 1.0, "left")
-        out = criterion_functionals(
-            x, 1.0, t_grid, z_grid, 100_000, IncrementStream(seed=109, stream_id=n)
-        )
-        for est in out.char_fn:
+        x = _left_half(n, 1.0)
+        x_vals, resid = _with_residual(x, 1.0, 100_000, IncrementStream(seed=109, stream_id=n))
+        char = char_fn_estimates(x_vals, resid, t_grid)
+        stein = stein_estimates(x_vals, resid, z_grid)
+        for est in char:
             char_by_t[est.parameter].append(est.value)
-        for est in out.stein:
+        for est in stein:
             stein_by_z[est.parameter].append(abs(est.value))
-        cond = conditional_residual_estimate(
-            x, 1.0, n_bins=32, n_samples=100_000,
-            stream=IncrementStream(seed=110, stream_id=n),
-        )
+        x_vals, resid = _with_residual(x, 1.0, 100_000, IncrementStream(seed=110, stream_id=n))
+        cond = binned_residual_estimate(x_vals, resid, 32)
         conditional.append(cond.value)
         if n == schedule[-1]:
             final_ses = (
-                [e.std_error for e in out.char_fn]
-                + [e.std_error for e in out.stein]
+                [e.std_error for e in char]
+                + [e.std_error for e in stein]
                 + [cond.std_error]
             )
             finals = (
-                [e.value for e in out.char_fn]
-                + [abs(e.value) for e in out.stein]
+                [e.value for e in char]
+                + [abs(e.value) for e in stein]
                 + [cond.value]
             )
     monotone = all(
@@ -356,17 +365,11 @@ def test_criterion_09_criterion_monotonicity():
     f = step_kernel(g, 1, np.ones(4))
     x1 = single_chaos(f)
     c = inner_product(f, f)
-    exact = criterion_functionals(
-        x1, c, t_grid, z_grid, 2000, IncrementStream(seed=111)
-    )
-    cond_exact = conditional_residual_estimate(
-        x1, c, n_bins=8, n_samples=2000, stream=IncrementStream(seed=112)
-    )
-    zeros = (
-        all(e.value == 0.0 for e in exact.char_fn)
-        and all(e.value == 0.0 for e in exact.stein)
-        and cond_exact.value == 0.0
-    )
+    x_vals, resid = _with_residual(x1, c, 2000, IncrementStream(seed=111))
+    exact = char_fn_estimates(x_vals, resid, t_grid) + stein_estimates(x_vals, resid, z_grid)
+    x_vals, resid = _with_residual(x1, c, 2000, IncrementStream(seed=112))
+    cond_exact = binned_residual_estimate(x_vals, resid, 8)
+    zeros = all(e.value == 0.0 for e in exact) and cond_exact.value == 0.0
     ok = monotone and within and zeros
     _report(
         9,

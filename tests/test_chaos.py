@@ -18,7 +18,7 @@ from chaoskit import (
     contract,
     cross_gamma,
     diagonal_second_chaos,
-    evaluate,
+    diagonal_summands,
     evaluate_batch,
     evaluate_samples,
     exact_summary,
@@ -28,12 +28,10 @@ from chaoskit import (
     fourth_moment_bound,
     gamma,
     gamma_residual,
-    half_support_second_chaos,
     inner_product,
     load_expansion,
     make_grid,
     multiply,
-    sample_increments,
     sample_increments_block,
     save_expansion,
     scale,
@@ -130,11 +128,21 @@ def test_linear_ops():
 # evaluation
 
 
+def _one_path(grid, stream, index):
+    """The increment vector of one sample index."""
+    return sample_increments_block(grid, stream, index, 1)[0]
+
+
+def _value_at(x, row):
+    """x at one increment vector, as a one-row batch."""
+    return float(evaluate_batch(x, row[None])[0])
+
+
 def test_evaluate_first_order_is_linear_form():
     g = make_grid(4)
     x = single_chaos(step_kernel(g, 1, np.ones(4)))
-    xi = sample_increments(g, IncrementStream(seed=1), 0)
-    assert evaluate(x, xi) == pytest.approx(xi.increments.sum(), rel=1e-14)
+    xi = _one_path(g, IncrementStream(seed=1), 0)
+    assert _value_at(x, xi) == pytest.approx(xi.sum(), rel=1e-14)
 
 
 def test_evaluate_second_order_diagonal():
@@ -143,9 +151,9 @@ def test_evaluate_second_order_diagonal():
     vals = np.zeros((4, 4))
     vals[1, 1] = 1.0
     x = single_chaos(step_kernel(g, 2, vals))
-    xi = sample_increments(g, IncrementStream(seed=2), 5)
-    want = xi.increments[1] ** 2 - g.delta
-    assert evaluate(x, xi) == pytest.approx(want, rel=1e-13)
+    xi = _one_path(g, IncrementStream(seed=2), 5)
+    want = xi[1] ** 2 - g.delta
+    assert _value_at(x, xi) == pytest.approx(want, rel=1e-13)
 
 
 def test_evaluate_second_order_off_diagonal():
@@ -154,9 +162,9 @@ def test_evaluate_second_order_off_diagonal():
     vals = np.zeros((4, 4))
     vals[0, 2] = vals[2, 0] = 1.0
     x = single_chaos(step_kernel(g, 2, vals))
-    xi = sample_increments(g, IncrementStream(seed=3), 0)
-    want = 2.0 * xi.increments[0] * xi.increments[2]
-    assert evaluate(x, xi) == pytest.approx(want, rel=1e-13)
+    xi = _one_path(g, IncrementStream(seed=3), 0)
+    want = 2.0 * xi[0] * xi[2]
+    assert _value_at(x, xi) == pytest.approx(want, rel=1e-13)
 
 
 def test_evaluate_third_order_mixed_multiplicity():
@@ -167,17 +175,17 @@ def test_evaluate_third_order_mixed_multiplicity():
     for pos in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
         vals[pos] = 1.0
     x = single_chaos(step_kernel(g, 3, vals))
-    xi = sample_increments(g, IncrementStream(seed=4), 0)
-    z = xi.increments / math.sqrt(g.delta)
+    xi = _one_path(g, IncrementStream(seed=4), 0)
+    z = xi / math.sqrt(g.delta)
     want = 3.0 * g.delta**1.5 * (z[0] ** 2 - 1.0) * z[1]
-    assert evaluate(x, xi) == pytest.approx(want, rel=1e-13)
+    assert _value_at(x, xi) == pytest.approx(want, rel=1e-13)
 
 
 def test_evaluate_constants_and_zero():
     g = make_grid(3)
-    xi = sample_increments(g, IncrementStream(seed=5), 0)
-    assert evaluate(constant(g, 2.5), xi) == 2.5
-    assert evaluate(constant(g, 0.0), xi) == 0.0
+    xi = _one_path(g, IncrementStream(seed=5), 0)
+    assert _value_at(constant(g, 2.5), xi) == 2.5
+    assert _value_at(constant(g, 0.0), xi) == 0.0
 
 
 def test_evaluate_batch_validates_shape():
@@ -186,7 +194,7 @@ def test_evaluate_batch_validates_shape():
     with pytest.raises(ValueError):
         evaluate_batch(x, np.zeros((5, 4)))
     with pytest.raises(ValueError):
-        evaluate(x, np.zeros(4))
+        evaluate_batch(x, np.zeros(3))  # one increment vector is a (1, m) batch
 
 
 def test_second_order_diagonal_moments_mc():
@@ -375,8 +383,7 @@ def test_fourth_cumulant_matches_reference_route_property(m, orders, seed):
 
 @pytest.mark.parametrize("n", [4, 16, 64, 256])
 def test_fourth_cumulant_reference_bits_on_decouple_couples(n):
-    x = half_support_second_chaos(n, 0.5, "left")
-    y = half_support_second_chaos(n, 0.5, "right")
+    x, y = diagonal_summands(n, (0.5, 0.5))
     for e in (x, y, add(x, y)):
         assert fourth_cumulant(e) == fourth_cumulant_reference(e)
 
@@ -487,9 +494,7 @@ def test_gamma_mc_consistency():
 
 
 def test_gamma_residual_closed_form():
-    from chaoskit import half_support_second_chaos
-
-    x = half_support_second_chaos(8, 0.5, "left")
+    x, _ = diagonal_summands(8, (0.5, 0.5))
     assert gamma_residual(x, 0.5) == pytest.approx(2 * 0.25 / 8, rel=1e-12)
 
 
@@ -512,6 +517,32 @@ def test_exact_summary_matches_the_separate_routes(orders):
             assert np.array_equal(got_k.values, want_k.values)
     with pytest.raises(ValueError, match="centered"):
         exact_summary(shift(x, 1.0), c)
+
+
+def test_fourth_moment_bound_family():
+    for n in (4, 16, 64):
+        x, _ = diagonal_summands(n, (1.0, 1.0))
+        assert fourth_moment_bound(x) == pytest.approx(math.sqrt(12.0 / n), rel=1e-10)
+
+
+def test_fourth_moment_bound_first_chaos_is_zero():
+    g = make_grid(4)
+    x = single_chaos(step_kernel(g, 1, [1.0, 0.0, -2.0, 0.5]))
+    assert fourth_moment_bound(x) == 0.0
+
+
+def test_fourth_moment_bound_validation():
+    g = make_grid(4)
+    rng = np.random.default_rng(43)
+    k1 = step_kernel(g, 1, rng.uniform(-1, 1, 4))
+    k2 = symmetrize(step_kernel(g, 2, rng.uniform(-1, 1, (4, 4))))
+    multi = chaos_expansion(g, [None, k1, k2])
+    with pytest.raises(ValueError):
+        fourth_moment_bound(multi)
+    with pytest.raises(ValueError):
+        fourth_moment_bound(constant(g, 0.0))
+    with pytest.raises(ValueError):
+        fourth_moment_bound(add(single_chaos(k1), constant(g, 1.0)))
 
 
 def _same_bits(got, want) -> bool:
@@ -610,8 +641,7 @@ def test_evaluate_samples_workspaces_are_per_thread(monkeypatch):
 
 
 def _half_support_couple(n):
-    x = half_support_second_chaos(n, 0.5, "left")
-    y = half_support_second_chaos(n, 0.5, "right")
+    x, y = diagonal_summands(n, (0.5, 0.5))
     return [x, y, gamma(x), gamma(y)]
 
 
@@ -815,7 +845,7 @@ def test_evaluate_samples_memory_is_bounded_in_m():
     # traced peak covers the whole call: the chunk walk holds one chunk table,
     # whose H_2 rows overwrite it, and one product band, and the plan's
     # compile pass builds no m x m mask.
-    exps = [half_support_second_chaos(2048, 0.5, side) for side in ("left", "right")]
+    exps = diagonal_summands(2048, (0.5, 0.5))
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8
     peak = _traced_peak(lambda: evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=47)))
     assert peak < 2 * chunk_bytes < BLOCK_SIZE * 4096 * 8 / 2
@@ -976,7 +1006,7 @@ def test_a_path_value_does_not_depend_on_its_batch(case):
         assert np.array_equal(evaluate_batch(e, xi), want)
         assert np.array_equal(evaluate_batch(e, xi[100:110]), want[100:110])
         assert np.array_equal(evaluate_batch(e, xi[BLOCK_SIZE:]), want[BLOCK_SIZE:])
-        assert np.array_equal(evaluate(e, xi[2048]), want[2048])
+        assert np.array_equal(evaluate_batch(e, xi[2048:2049]), want[2048:2049])
 
 
 @settings(max_examples=12, deadline=None)
@@ -998,7 +1028,7 @@ def test_one_factor_groups_across_the_old_slab_width(m, density, seed):
 
 
 def test_evaluate_samples_validates_counts(monkeypatch):
-    x = half_support_second_chaos(4, 0.5, "left")
+    x, _ = diagonal_summands(4, (0.5, 0.5))
     stream = IncrementStream(seed=1)
     want = evaluate_samples([x], 7, stream)[0]
     assert np.array_equal(evaluate_samples([x], np.int64(7), stream, workers=np.int64(2))[0], want)

@@ -24,9 +24,9 @@ from chaoskit import (
     add,
     contract,
     cross_gamma,
+    diagonal_summands,
     evaluate_batch,
     exact_summary,
-    half_support_second_chaos,
     inner_product,
     is_symmetric,
     kernel_from_dict,
@@ -153,7 +153,7 @@ def test_kernel_dict_round_trip_keeps_the_storage(diagonal):
 
 def test_decouple_summand_file_holds_its_vector(tmp_path):
     # n = 4096 on an m = 8192 grid: 8192 numbers, not the 6.7e7 of a dense kernel.
-    x = half_support_second_chaos(4096, 0.5, "right")
+    _, x = diagonal_summands(4096, (0.5, 0.5))
     path = tmp_path / "summand.json"
     save_expansion(x, path)
     data = json.loads(path.read_text())
@@ -171,8 +171,7 @@ def test_exact_summary_memory_is_linear_in_m():
     # is 2 MiB.
     n, m = 4096, 8192
     bound = 32 * m * 8
-    x = half_support_second_chaos(n, 0.5, "left")
-    y = half_support_second_chaos(n, 0.5, "right")
+    x, y = diagonal_summands(n, (0.5, 0.5))
     tracemalloc.start()
     try:
         summaries = [exact_summary(add(x, y), 1.0), exact_summary(x, 0.5), exact_summary(y, 0.5)]

@@ -8,13 +8,12 @@ import pytest
 
 from chaoskit import (
     CounterexampleBatch,
-    CounterexampleSample,
     IncrementStream,
     custom_single_chaos,
     diagonal_second_chaos,
+    diagonal_summands,
     fourth_cumulant,
     gamma_residual,
-    half_support_second_chaos,
     inner_product,
     integrals_independent,
     make_grid,
@@ -37,34 +36,39 @@ from oracles import (
 
 @pytest.mark.parametrize("n", [1, 4, 16, 64])
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
-def test_half_support_moments(n, c):
-    x = half_support_second_chaos(n, c, "left")
-    assert x.grid.m == 2 * n
-    assert second_moment(x) == pytest.approx(c, rel=1e-12)
-    assert fourth_cumulant(x) == pytest.approx(12.0 * c * c / n, rel=1e-10)
-    assert gamma_residual(x, c) == pytest.approx(2.0 * c * c / n, rel=1e-10)
+def test_diagonal_summands_moments(n, c):
+    for x in diagonal_summands(n, (c, c)):
+        assert x.grid.m == 2 * n
+        assert second_moment(x) == pytest.approx(c, rel=1e-12)
+        assert fourth_cumulant(x) == pytest.approx(12.0 * c * c / n, rel=1e-10)
+        assert gamma_residual(x, c) == pytest.approx(2.0 * c * c / n, rel=1e-10)
 
 
-def test_half_support_side_placement():
-    left = half_support_second_chaos(2, 1.0, "left")
-    right = half_support_second_chaos(2, 1.0, "right")
+def test_diagonal_summands_placement():
+    left, right = diagonal_summands(2, (1.0, 1.0))
     lv = dense(left.kernels[2]).values
     rv = dense(right.kernels[2]).values
     assert lv[0, 0] > 0 and lv[1, 1] > 0 and lv[2, 2] == 0 and lv[3, 3] == 0
     assert rv[0, 0] == 0 and rv[1, 1] == 0 and rv[2, 2] > 0 and rv[3, 3] > 0
     res = strongly_independent(left, right)
     assert res.independent and res.worst_norm == 0.0
+    # k summands on the k disjoint n-cell blocks of one k*n grid
+    parts = diagonal_summands(3, (0.2, 0.3, 0.5))
+    assert all(p.grid == make_grid(9) for p in parts)
+    for j, (p, c) in enumerate(zip(parts, (0.2, 0.3, 0.5))):
+        assert np.flatnonzero(p.kernels[2].values).tolist() == [3 * j, 3 * j + 1, 3 * j + 2]
+        assert second_moment(p) == pytest.approx(c, rel=1e-12)
 
 
-def test_half_support_validation():
+def test_diagonal_summands_validation():
+    for n in (0, -1, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="n must be"):
+            diagonal_summands(n, (0.5, 0.5))
+    for split in ((), [], 0.5, "0.5"):
+        with pytest.raises(ValueError, match="split must be"):
+            diagonal_summands(2, split)
     with pytest.raises(ValueError):
-        half_support_second_chaos(0, 1.0)
-    with pytest.raises(ValueError):
-        half_support_second_chaos(2.5, 1.0)
-    with pytest.raises(ValueError):
-        half_support_second_chaos(2, 1.0, side="middle")
-    with pytest.raises(ValueError):
-        half_support_second_chaos(2, -1.0)
+        diagonal_summands(2, (1.0, -1.0))
 
 
 def test_diagonal_second_chaos_amplitude():
@@ -169,9 +173,8 @@ def test_custom_single_chaos_validation():
         custom_single_chaos(2, k2, normalize_to=-1.0)
 
 
-def test_half_support_pair_is_independent_kernelwise():
-    left = half_support_second_chaos(4, 1.0, "left")
-    right = half_support_second_chaos(4, 1.0, "right")
+def test_diagonal_summands_are_independent_kernelwise():
+    left, right = diagonal_summands(4, (1.0, 1.0))
     res = integrals_independent(left.kernels[2], right.kernels[2])
     assert res.independent and res.witness_norm == 0.0
 
@@ -200,11 +203,11 @@ def test_counterexample_validation():
     for n_samples in (10.5, 3.0, True, "5", None):  # checked before any allocation
         with pytest.raises(ValueError, match="n_samples"):
             simulate_counterexample(200, n_samples, s)
-    assert len(simulate_counterexample(200, np.int64(7), s)) == 7
+    assert simulate_counterexample(200, np.int64(7), s).x.size == 7
     for workers in (0, -3, 2.5, True, None):  # no silent serial run
         with pytest.raises(ValueError, match="workers"):
             simulate_counterexample(200, 10, s, workers=workers)
-    assert len(simulate_counterexample(200, 7, s, workers=np.int64(2))) == 7
+    assert simulate_counterexample(200, 7, s, workers=np.int64(2)).x.size == 7
 
 
 def test_counterexample_x1_is_one_draw():
@@ -280,15 +283,11 @@ def test_counterexample_memory_is_bounded_in_path_steps():
     assert peak < 4 * chunk_bytes < BLOCK_SIZE * 10_001 * 8 / 16
 
 
-def test_counterexample_batch_indexing():
+def test_counterexample_batch_fields():
     batch = simulate_counterexample(200, 50, IncrementStream(seed=93))
     assert isinstance(batch, CounterexampleBatch)
-    assert len(batch) == 50
-    one = batch[7]
-    assert isinstance(one, CounterexampleSample)
-    assert one.x == batch.x[7]
-    assert one.y == batch.y[7]
-    assert one.path_steps == 200
+    assert batch.x.shape == batch.y.shape == (50,)
+    assert batch.path_steps == 200
     with pytest.raises(ValueError):
         batch.x[0] = 0.0  # frozen arrays
 

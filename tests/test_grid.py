@@ -7,15 +7,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from chaoskit import (
-    GaussianSample,
-    IncrementStream,
-    make_grid,
-    sample_increments,
-    sample_increments_block,
-)
+from chaoskit import IncrementStream, make_grid, sample_increments_block
 from chaoskit import grid as grid_module
 from chaoskit.grid import BLOCK_SIZE
+
+
+def _row(grid, stream, index):
+    """The increment vector of one sample index."""
+    return sample_increments_block(grid, stream, index, 1)[0]
 
 
 def test_make_grid_fields():
@@ -33,28 +32,20 @@ def test_make_grid_rejects_bad_sizes(bad):
 def test_sample_is_deterministic_in_seed_and_index():
     g = make_grid(4)
     stream = IncrementStream(seed=123)
-    a = sample_increments(g, stream, index=7)
-    b = sample_increments(g, stream, index=7)
-    assert np.array_equal(a.increments, b.increments)
+    a = _row(g, stream, 7)
+    b = _row(g, stream, 7)
+    assert np.array_equal(a, b)
     # and equals the matching row of a block draw
     block = sample_increments_block(g, stream, 0, 16)
-    assert np.array_equal(block[7], a.increments)
+    assert np.array_equal(block[7], a)
 
 
 def test_distinct_indices_seeds_and_streams_differ():
     g = make_grid(4)
     s = IncrementStream(seed=123)
-    assert not np.array_equal(
-        sample_increments(g, s, 0).increments, sample_increments(g, s, 1).increments
-    )
-    assert not np.array_equal(
-        sample_increments(g, s, 0).increments,
-        sample_increments(g, IncrementStream(seed=124), 0).increments,
-    )
-    assert not np.array_equal(
-        sample_increments(g, s, 0).increments,
-        sample_increments(g, s.substream(1), 0).increments,
-    )
+    assert not np.array_equal(_row(g, s, 0), _row(g, s, 1))
+    assert not np.array_equal(_row(g, s, 0), _row(g, IncrementStream(seed=124), 0))
+    assert not np.array_equal(_row(g, s, 0), _row(g, s.substream(1), 0))
 
 
 def test_samples_do_not_depend_on_draw_order():
@@ -65,8 +56,7 @@ def test_samples_do_not_depend_on_draw_order():
     indices = list(range(0, n, 997)) + [n - 1, BLOCK_SIZE, BLOCK_SIZE - 1]
     random.Random(0).shuffle(indices)
     for i in indices:
-        row = sample_increments(g, stream, i)
-        assert np.array_equal(row.increments, serial[i])
+        assert np.array_equal(_row(g, stream, i), serial[i])
 
 
 def test_concurrent_block_draws_match_serial():
@@ -99,12 +89,6 @@ def test_increment_moments():
     corr = np.corrcoef(xi.T)
     off_diag = corr[~np.eye(4, dtype=bool)]
     assert np.max(np.abs(off_diag)) <= 3.0 / np.sqrt(n)
-
-
-def test_gaussian_sample_validates_shape():
-    g = make_grid(4)
-    with pytest.raises(ValueError):
-        GaussianSample(grid=g, increments=np.zeros(3))
 
 
 def test_stream_validation():
@@ -173,7 +157,7 @@ def test_rows_of_one_block_share_the_cached_block(monkeypatch):
 
     monkeypatch.setattr(grid_module, "_block_generator", counting)
     grid_module._raw_block.cache_clear()
-    rows = [sample_increments(grid, stream, i).increments for i in range(10)]
+    rows = [_row(grid, stream, i) for i in range(10)]
     info = grid_module._raw_block.cache_info()
     assert opened == [(5, 2, 0)]
     assert (info.hits, info.misses, info.maxsize) == (0, 0, 1)

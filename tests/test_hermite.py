@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chaoskit import IncrementStream, hermite_eval, hermite_table
+from chaoskit import IncrementStream
 from chaoskit.hermite import hermite_rows
 from oracles import batch_mean_se, hermite_recurrence
 
@@ -21,29 +21,32 @@ EXPLICIT = {
 }
 
 
+def _h(k: int, x) -> np.ndarray:
+    """H_k(x) from one hermite_rows walk on a float64 copy of x, which the walk may overwrite."""
+    arr = np.array(x, dtype=np.float64, ndmin=1)
+    return np.ones_like(arr) if k == 0 else hermite_rows(arr, (k,))[k]
+
+
 def test_known_values():
-    assert hermite_eval(0, 1.7) == 1.0
-    assert hermite_eval(1, -2.5) == -2.5
-    assert hermite_eval(2, 2.0) == 3.0
-    assert hermite_eval(3, 1.0) == -2.0
+    assert _h(0, 1.7)[0] == 1.0
+    assert _h(1, -2.5)[0] == -2.5
+    assert _h(2, 2.0)[0] == 3.0
+    assert _h(3, 1.0)[0] == -2.0
 
 
 @pytest.mark.parametrize("k", sorted(EXPLICIT))
 def test_recurrence_matches_explicit_polynomials(k):
     x = np.linspace(-4.0, 4.0, 20)
-    got = hermite_eval(k, x)
+    got = _h(k, x)
     want = EXPLICIT[k](x)
     scale = np.maximum(np.abs(want), 1.0)
     assert np.max(np.abs(got - want) / scale) <= 1e-10
 
 
-def test_eval_matches_recurrence_bits():
+def test_single_degree_rows_match_recurrence_bits():
     x = np.concatenate([np.linspace(-6.0, 6.0, 97), np.random.default_rng(5).standard_normal(64)])
-    for k in range(65):
-        assert np.array_equal(hermite_eval(k, x), hermite_recurrence(k, x))
-        for v in (x[3], float(x[70]), np.float64(-0.25), np.array(1.5)):
-            got, want = hermite_eval(k, v), hermite_recurrence(k, v)
-            assert type(got) is float and got == want
+    for k in range(1, 65):
+        assert np.array_equal(_h(k, x), hermite_recurrence(k, x))
 
 
 @pytest.mark.parametrize(
@@ -77,41 +80,11 @@ def test_rows_match_recurrence_bits(degrees):
         assert k == on_x or not np.shares_memory(plain[k], fresh)
 
 
-def test_eval_and_table_never_write_their_input():
-    rng = np.random.default_rng(7)
-    for x in (0.75, np.float64(-1.25), np.array(1.5), rng.standard_normal(5), rng.standard_normal((3, 4))):
-        x0 = np.copy(x)
-        for k in range(7):
-            got = hermite_eval(k, x)
-            assert np.array_equal(got, hermite_recurrence(k, x0)) and got is not x
-            assert np.array_equal(x, x0)
-        table = hermite_table(6, x)
-        assert np.array_equal(table, [hermite_recurrence(k, x0) for k in range(7)])
-        assert np.array_equal(x, x0)
-
-
-def test_table_matches_pointwise_eval():
-    x = np.linspace(-3.0, 3.0, 11)
-    table = hermite_table(6, x)
-    assert table.shape == (7, 11)
-    for k in range(7):
-        assert np.array_equal(table[k], hermite_eval(k, x))
-
-
-def test_degree_guard():
-    assert np.isfinite(hermite_eval(64, 0.5))
-    with pytest.raises(ValueError):
-        hermite_eval(65, 0.5)
-    with pytest.raises(ValueError):
-        hermite_eval(-1, 0.5)
-    with pytest.raises(ValueError):
-        hermite_table(65, np.zeros(2))
-
-
 def test_gaussian_orthogonality_mc():
     # E[H_j(Z) H_k(Z)] = delta_jk k! within Monte Carlo resolution
     z = IncrementStream(seed=77).standard_normal_block(1, 0, 1_000_000)[:, 0]
-    table = hermite_table(4, z)
+    rows = hermite_rows(z, range(1, 5))
+    table = [np.ones_like(z)] + [rows[k] for k in range(1, 5)]
     for j in range(5):
         for k in range(j, 5):
             prods = table[j] * table[k]

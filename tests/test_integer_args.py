@@ -18,12 +18,10 @@ from chaoskit import (
     binned_residual_estimate,
     contract,
     custom_single_chaos,
-    half_support_second_chaos,
-    hermite_eval,
-    hermite_table,
+    diagonal_summands,
     kernel_from_dict,
     make_grid,
-    sample_increments,
+    sample_increments_block,
     simulate_counterexample,
     step_kernel,
 )
@@ -50,7 +48,7 @@ CASES = {
     "standard_normal_block.n_vars": (lambda v: STREAM.standard_normal_block(v, 0, 2), "n_vars", 2),
     "standard_normal_block.start": (lambda v: STREAM.standard_normal_block(2, v, 2), "start", 1),
     "standard_normal_block.count": (lambda v: STREAM.standard_normal_block(2, 0, v), "count", 2),
-    "sample_increments": (lambda v: sample_increments(G4, STREAM, v), "index", 1),
+    "sample_increments_block": (lambda v: sample_increments_block(G4, STREAM, v, 1), "start", 1),
     "step_kernel": (lambda v: step_kernel(G4, v, np.eye(4)), "order", 2),
     "contract": (lambda v: contract(F2, F2, v), "ell", 1),
     "kernel_from_dict.m": (
@@ -59,9 +57,7 @@ CASES = {
     "kernel_from_dict.order": (
         lambda v: kernel_from_dict({"order": v, "m": 2, "values": [0.0] * 4}), "order", 2
     ),
-    "hermite_eval": (lambda v: hermite_eval(v, X), "k", 3),
-    "hermite_table": (lambda v: hermite_table(v, X), "kmax", 3),
-    "half_support_second_chaos": (lambda v: half_support_second_chaos(v, 1.0), "n_blocks", 2),
+    "diagonal_summands": (lambda v: diagonal_summands(v, (0.5, 0.5)), "n", 2),
     "custom_single_chaos": (lambda v: custom_single_chaos(v, F1), "order", 1),
     "binned_residual_estimate": (lambda v: binned_residual_estimate(X, X, v), "n_bins", 2),
     "simulate_counterexample": (

@@ -18,22 +18,15 @@ import pytest
 
 from chaoskit import (
     ExperimentConfig,
-    GaussianSample,
-    IncrementStream,
     binned_residual_estimate,
     char_fn_estimates,
-    conditional_residual_estimate,
     constant,
-    criterion_functionals,
     custom_single_chaos,
     diagonal_second_chaos,
-    evaluate,
+    diagonal_summands,
     evaluate_batch,
     exact_summary,
     gamma_residual,
-    half_support_second_chaos,
-    hermite_eval,
-    hermite_table,
     integrals_independent,
     is_symmetric,
     kernel_from_dict,
@@ -49,11 +42,10 @@ from chaoskit import (
 )
 
 G4 = make_grid(4)
-STREAM = IncrementStream(seed=1)
 F1 = step_kernel(G4, 1, np.arange(4.0))
 F2 = step_kernel(G4, 2, np.eye(4))
 X = single_chaos(F1)
-LEFT, RIGHT = (half_support_second_chaos(2, 0.5, side) for side in ("left", "right"))
+LEFT, RIGHT = diagonal_summands(2, (0.5, 0.5))
 # Dyadic, so a float32 copy holds the same values.
 SAMPLES = np.array([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
@@ -76,8 +68,6 @@ SCALARS = {
     "stein_solution.z": (lambda v: stein_solution(v, SAMPLES), "z", 1.0),
     "char_fn_estimates": (lambda v: char_fn_estimates(SAMPLES, SAMPLES, [v]), "t_grid entry", 1.0),
     "stein_estimates": (lambda v: stein_estimates(SAMPLES, SAMPLES, [v]), "z_grid entry", 1.0),
-    "hermite_eval.x": (lambda v: hermite_eval(3, v), "x", 2.0),
-    "hermite_table.x": (lambda v: hermite_table(3, v), "x", 2.0),
     "ExperimentConfig.t_grid": (lambda v: _config(t_grid=(v,)), "t_grid entry", 2.0),
     "ExperimentConfig.z_grid": (lambda v: _config(z_grid=(v,)), "z_grid entry", 2.0),
     "ExperimentConfig.c1": (lambda v: _config(c1=v), "c1", 0.25),
@@ -87,16 +77,8 @@ SCALARS = {
 # Arguments that must also be > 0.
 POSITIVE = {
     "kolmogorov_distance_mc": (lambda v: kolmogorov_distance_mc(SAMPLES, v), "variance", 2.0),
-    "criterion_functionals": (
-        lambda v: criterion_functionals(X, v, [1.0], [0.0], 16, STREAM), "c", 1.0
-    ),
-    "conditional_residual_estimate": (
-        lambda v: conditional_residual_estimate(X, v, n_bins=2, n_samples=16, stream=STREAM),
-        "c",
-        1.0,
-    ),
     "diagonal_second_chaos": (lambda v: diagonal_second_chaos(G4, [0, 1], v), "c", 1.0),
-    "half_support_second_chaos": (lambda v: half_support_second_chaos(2, v), "c", 1.0),
+    "diagonal_summands": (lambda v: diagonal_summands(2, (0.5, v)), "c", 1.0),
     "custom_single_chaos": (
         lambda v: custom_single_chaos(1, F1, normalize_to=v), "normalize_to", 2.0
     ),
@@ -115,8 +97,6 @@ NON_NEGATIVE = {
 }
 
 ARRAYS = {
-    "GaussianSample": (lambda v: GaussianSample(G4, v), "increments", np.arange(4.0)),
-    "evaluate": (lambda v: evaluate(X, v), "sample", np.arange(4.0)),
     "evaluate_batch": (lambda v: evaluate_batch(X, v), "increments", np.arange(12.0).reshape(3, 4)),
     "step_kernel": (lambda v: step_kernel(G4, 2, v), "kernel values", np.eye(4)),
     "kernel_from_dict": (
@@ -125,8 +105,6 @@ ARRAYS = {
         np.arange(4.0),
     ),
     "stein_solution.x": (lambda v: stein_solution(0.5, v), "x", SAMPLES),
-    "hermite_eval.x": (lambda v: hermite_eval(3, v), "x", SAMPLES),
-    "hermite_table.x": (lambda v: hermite_table(3, v), "x", SAMPLES),
     "kolmogorov_distance_mc": (lambda v: kolmogorov_distance_mc(v, 1.0), "samples", SAMPLES),
     "char_fn_estimates.x_vals": (lambda v: char_fn_estimates(v, SAMPLES, [1.0]), "x_vals", SAMPLES),
     "char_fn_estimates.resid_vals": (

@@ -10,14 +10,11 @@ from scipy.stats import norm
 from chaoskit import (
     CriterionEstimate,
     IncrementStream,
-    add,
     binned_residual_estimate,
     char_fn_estimates,
-    conditional_residual_estimate,
-    constant,
-    criterion_functionals,
-    fourth_moment_bound,
-    half_support_second_chaos,
+    diagonal_summands,
+    evaluate_samples,
+    gamma,
     inner_product,
     kolmogorov_distance_mc,
     make_grid,
@@ -25,7 +22,6 @@ from chaoskit import (
     stein_estimates,
     stein_solution,
     step_kernel,
-    symmetrize,
 )
 from chaoskit import stein as stein_module
 
@@ -187,38 +183,6 @@ def test_kolmogorov_validation():
 
 
 # ---------------------------------------------------------------------------
-# fourth-moment bound
-
-
-def test_fourth_moment_bound_family():
-    for n in (4, 16, 64):
-        x = half_support_second_chaos(n, 1.0, "left")
-        assert fourth_moment_bound(x) == pytest.approx(math.sqrt(12.0 / n), rel=1e-10)
-
-
-def test_fourth_moment_bound_first_chaos_is_zero():
-    g = make_grid(4)
-    x = single_chaos(step_kernel(g, 1, [1.0, 0.0, -2.0, 0.5]))
-    assert fourth_moment_bound(x) == 0.0
-
-
-def test_fourth_moment_bound_validation():
-    g = make_grid(4)
-    rng = np.random.default_rng(43)
-    k1 = step_kernel(g, 1, rng.uniform(-1, 1, 4))
-    k2 = symmetrize(step_kernel(g, 2, rng.uniform(-1, 1, (4, 4))))
-    from chaoskit import chaos_expansion
-
-    multi = chaos_expansion(g, [None, k1, k2])
-    with pytest.raises(ValueError):
-        fourth_moment_bound(multi)
-    with pytest.raises(ValueError):
-        fourth_moment_bound(constant(g, 0.0))
-    with pytest.raises(ValueError):
-        fourth_moment_bound(add(single_chaos(k1), constant(g, 1.0)))
-
-
-# ---------------------------------------------------------------------------
 # criterion functionals
 
 
@@ -228,87 +192,76 @@ def _unit_first_chaos(m=4):
     return single_chaos(f), inner_product(f, f)
 
 
-def test_criterion_functionals_vanish_for_matched_gaussian():
+def _with_residual(x, c, n_samples, seed):
+    """Samples of X and of c - <DX, D(-L)^{-1} X> on the same paths."""
+    x_vals, g_vals = evaluate_samples([x, gamma(x)], n_samples, IncrementStream(seed=seed))
+    return x_vals, c - g_vals
+
+
+def test_criterion_estimates_vanish_for_matched_gaussian():
     # Gamma(I_1(f)) = <f, f> exactly, so the residual is identically zero
     x, c = _unit_first_chaos()
-    out = criterion_functionals(
-        x, c, t_grid=[0.5, 1.0], z_grid=[-1.0, 0.0], n_samples=2000,
-        stream=IncrementStream(seed=44),
-    )
-    assert len(out.char_fn) == 2 and len(out.stein) == 2
-    for est in (*out.char_fn, *out.stein):
+    x_vals, resid = _with_residual(x, c, 2000, 44)
+    char = char_fn_estimates(x_vals, resid, [0.5, 1.0])
+    stein = stein_estimates(x_vals, resid, [-1.0, 0.0])
+    assert len(char) == 2 and len(stein) == 2
+    for est in (*char, *stein):
         assert isinstance(est, CriterionEstimate)
         assert est.value == 0.0
         assert est.std_error == 0.0
         assert est.n_samples == 2000
-    assert [e.parameter for e in out.char_fn] == [0.5, 1.0]
-    assert [e.parameter for e in out.stein] == [-1.0, 0.0]
+    assert [e.parameter for e in char] == [0.5, 1.0]
+    assert [e.parameter for e in stein] == [-1.0, 0.0]
 
 
 def test_criterion_char_fn_at_t_zero_reads_off_variance_error():
     # at t = 0 the functional is |E[c' - G]| = |c' - c| when G is constant
     x, c = _unit_first_chaos()
     delta = 0.125
-    out = criterion_functionals(
-        x, c + delta, t_grid=[0.0], z_grid=[], n_samples=500,
-        stream=IncrementStream(seed=45),
-    )
-    assert out.char_fn[0].value == pytest.approx(delta, abs=1e-15)
-    assert out.stein == ()
+    x_vals, resid = _with_residual(x, c + delta, 500, 45)
+    assert char_fn_estimates(x_vals, resid, [0.0])[0].value == pytest.approx(delta, abs=1e-15)
+    assert stein_estimates(x_vals, resid, []) == ()
 
 
-def test_criterion_functionals_require_positive_target():
-    x, _ = _unit_first_chaos()
-    with pytest.raises(ValueError):
-        criterion_functionals(x, 0.0, [1.0], [0.0], 100, IncrementStream(seed=1))
-
-
-def test_criterion_functionals_family_magnitude():
+def test_criterion_estimates_family_magnitude():
     # for the c = 1 family the residual has variance 2/n; the t-functional is
     # bounded by E|R| so it should sit well under 3 sigma of that scale
-    x = half_support_second_chaos(8, 1.0, "left")
-    out = criterion_functionals(
-        x, 1.0, t_grid=[1.0], z_grid=[0.0], n_samples=50_000,
-        stream=IncrementStream(seed=46),
-    )
+    x, _ = diagonal_summands(8, (1.0, 1.0))
+    x_vals, resid = _with_residual(x, 1.0, 50_000, 46)
+    (char,) = char_fn_estimates(x_vals, resid, [1.0])
+    (stein,) = stein_estimates(x_vals, resid, [0.0])
     scale = math.sqrt(2.0 / 8.0)
-    assert 0.0 < out.char_fn[0].value <= scale
-    assert abs(out.stein[0].value) <= scale
-    assert out.char_fn[0].std_error < 0.01
+    assert 0.0 < char.value <= scale
+    assert abs(stein.value) <= scale
+    assert char.std_error < 0.01
 
 
 # ---------------------------------------------------------------------------
-# conditional residual
+# binned conditional residual
 
 
-def test_conditional_residual_zero_for_matched_gaussian():
+def test_binned_residual_zero_for_matched_gaussian():
     x, c = _unit_first_chaos()
-    est = conditional_residual_estimate(
-        x, c, n_bins=16, n_samples=4000, stream=IncrementStream(seed=47)
-    )
+    est = binned_residual_estimate(*_with_residual(x, c, 4000, 47), 16)
     assert est.value == 0.0
     assert est.std_error == 0.0
     assert est.parameter == 16.0
 
 
-def test_conditional_residual_sees_constant_offset():
+def test_binned_residual_sees_constant_offset():
     x, c = _unit_first_chaos()
     delta = 0.25
-    est = conditional_residual_estimate(
-        x, c + delta, n_bins=16, n_samples=4000, stream=IncrementStream(seed=48)
-    )
+    est = binned_residual_estimate(*_with_residual(x, c + delta, 4000, 48), 16)
     assert est.value == pytest.approx(delta, abs=1e-12)
 
 
-def test_conditional_residual_family_decay():
+def test_binned_residual_family_decay():
     # Gamma is affine in X for this family, so the proxy tracks
     # sqrt(E[R^2]) = sqrt(2 c^2 / n)
     vals = {}
     for n in (4, 16):
-        x = half_support_second_chaos(n, 0.5, "left")
-        est = conditional_residual_estimate(
-            x, 0.5, n_bins=32, n_samples=60_000, stream=IncrementStream(seed=49)
-        )
+        x, _ = diagonal_summands(n, (0.5, 0.5))
+        est = binned_residual_estimate(*_with_residual(x, 0.5, 60_000, 49), 32)
         vals[n] = est.value
         want = math.sqrt(2.0 * 0.25 / n)
         assert est.value == pytest.approx(want, rel=0.15)
@@ -402,18 +355,11 @@ def test_char_fn_estimates_rejects_an_overflowing_phase():
     assert math.isfinite(est.value) and math.isfinite(est.std_error)
 
 
-def test_conditional_residual_validation():
-    x, c = _unit_first_chaos()
-    with pytest.raises(ValueError):
-        conditional_residual_estimate(x, c, n_bins=0, n_samples=100,
-                                      stream=IncrementStream(seed=50))
-    with pytest.raises(ValueError):
-        conditional_residual_estimate(x, c, n_bins=200, n_samples=100,
-                                      stream=IncrementStream(seed=50))
-    with pytest.raises(ValueError):
-        conditional_residual_estimate(x, -1.0, n_bins=4, n_samples=100,
-                                      stream=IncrementStream(seed=50))
-    zero_x = constant(make_grid(2), 0.0)
-    with pytest.raises(ValueError):
-        conditional_residual_estimate(zero_x, 1.0, n_bins=4, n_samples=100,
-                                      stream=IncrementStream(seed=50))
+def test_binned_residual_validation():
+    x_vals, resid = _with_residual(*_unit_first_chaos(), 100, 50)
+    with pytest.raises(ValueError, match="n_bins"):
+        binned_residual_estimate(x_vals, resid, 0)
+    with pytest.raises(ValueError, match="n_bins <= n_samples"):
+        binned_residual_estimate(x_vals, resid, 200)
+    with pytest.raises(ValueError, match="degenerate"):  # X = 0 on every path
+        binned_residual_estimate(np.zeros(100), resid, 4)
