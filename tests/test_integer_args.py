@@ -16,13 +16,16 @@ from chaoskit import (
     ExperimentConfig,
     IncrementStream,
     binned_residual_estimate,
+    class_a_diagnostic,
     contract,
     custom_single_chaos,
     diagonal_summands,
+    evaluate_samples,
     kernel_from_dict,
     make_grid,
     sample_increments_block,
     simulate_counterexample,
+    single_chaos,
     step_kernel,
 )
 from chaoskit.grid import check_run_counts
@@ -32,6 +35,7 @@ STREAM = IncrementStream(seed=1)
 F1 = step_kernel(G4, 1, np.arange(4.0))
 F2 = step_kernel(G4, 2, np.eye(4))
 X = np.linspace(-1.0, 1.0, 8)
+LEFT, RIGHT = diagonal_summands(2, (0.5, 0.5))
 
 
 def _config(**kwargs):
@@ -49,6 +53,18 @@ CASES = {
     "standard_normal_block.start": (lambda v: STREAM.standard_normal_block(2, v, 2), "start", 1),
     "standard_normal_block.count": (lambda v: STREAM.standard_normal_block(2, 0, v), "count", 2),
     "sample_increments_block": (lambda v: sample_increments_block(G4, STREAM, v, 1), "start", 1),
+    "sample_increments_block.count": (
+        lambda v: sample_increments_block(G4, STREAM, 0, v), "count", 2
+    ),
+    "evaluate_samples.n_samples": (
+        lambda v: evaluate_samples([single_chaos(F1)], v, STREAM), "n_samples", 4
+    ),
+    "evaluate_samples.workers": (
+        lambda v: evaluate_samples([single_chaos(F1)], 4, STREAM, workers=v), "workers", 2
+    ),
+    "class_a_diagnostic": (
+        lambda v: class_a_diagnostic(LEFT, RIGHT, [1.0], v, STREAM), "n_samples", 4
+    ),
     "step_kernel": (lambda v: step_kernel(G4, v, np.eye(4)), "order", 2),
     "contract": (lambda v: contract(F2, F2, v), "ell", 1),
     "kernel_from_dict.m": (
@@ -62,6 +78,12 @@ CASES = {
     "binned_residual_estimate": (lambda v: binned_residual_estimate(X, X, v), "n_bins", 2),
     "simulate_counterexample": (
         lambda v: simulate_counterexample(v, 4, STREAM), "path_steps", 100
+    ),
+    "simulate_counterexample.n_samples": (
+        lambda v: simulate_counterexample(100, v, STREAM), "n_samples", 4
+    ),
+    "simulate_counterexample.workers": (
+        lambda v: simulate_counterexample(100, 4, STREAM, workers=v), "workers", 2
     ),
     "ExperimentConfig.n_schedule": (lambda v: _config(n_schedule=(v,)), "n_schedule entry", 4),
     "ExperimentConfig.mc_samples": (lambda v: _config(mc_samples=v), "mc_samples", 100),

@@ -19,7 +19,9 @@ import pytest
 from chaoskit import (
     ExperimentConfig,
     binned_residual_estimate,
+    IncrementStream,
     char_fn_estimates,
+    class_a_diagnostic,
     constant,
     custom_single_chaos,
     diagonal_second_chaos,
@@ -34,14 +36,17 @@ from chaoskit import (
     linear_combine,
     make_grid,
     scale,
+    shift,
     single_chaos,
     stein_estimates,
     stein_solution,
     step_kernel,
     strongly_independent,
 )
+from chaoskit.kernels import scale_kernel
 
 G4 = make_grid(4)
+STREAM = IncrementStream(seed=1)
 F1 = step_kernel(G4, 1, np.arange(4.0))
 F2 = step_kernel(G4, 2, np.eye(4))
 X = single_chaos(F1)
@@ -58,6 +63,8 @@ def _config(experiment="counterexample", **kwargs):
 SCALARS = {
     "constant": (lambda v: constant(G4, v), "value", 2.0),
     "scale": (lambda v: scale(v, X), "a", 2.0),
+    "scale_kernel": (lambda v: scale_kernel(v, F1), "a", 2.0),
+    "shift": (lambda v: shift(X, v), "value", 2.0),
     "gamma_residual": (lambda v: gamma_residual(X, v), "c", 1.0),
     "exact_summary": (lambda v: exact_summary(X, v), "c", 1.0),
     "linear_combine.a": (lambda v: linear_combine(v, F1, 1.0, F1), "a", 2.0),
@@ -68,6 +75,9 @@ SCALARS = {
     "stein_solution.z": (lambda v: stein_solution(v, SAMPLES), "z", 1.0),
     "char_fn_estimates": (lambda v: char_fn_estimates(SAMPLES, SAMPLES, [v]), "t_grid entry", 1.0),
     "stein_estimates": (lambda v: stein_estimates(SAMPLES, SAMPLES, [v]), "z_grid entry", 1.0),
+    "class_a_diagnostic": (
+        lambda v: class_a_diagnostic(LEFT, RIGHT, [v], 16, STREAM), "t_grid entry", 1.0
+    ),
     "ExperimentConfig.t_grid": (lambda v: _config(t_grid=(v,)), "t_grid entry", 2.0),
     "ExperimentConfig.z_grid": (lambda v: _config(z_grid=(v,)), "z_grid entry", 2.0),
     "ExperimentConfig.c1": (lambda v: _config(c1=v), "c1", 0.25),
@@ -83,6 +93,7 @@ POSITIVE = {
         lambda v: custom_single_chaos(1, F1, normalize_to=v), "normalize_to", 2.0
     ),
     "ExperimentConfig.c1": (lambda v: _config("decouple", c1=v, c2=0.5), "c1", 0.5),
+    "ExperimentConfig.c2": (lambda v: _config("decouple", c1=0.5, c2=v), "c2", 0.5),
     "ExperimentConfig.c3": (lambda v: _config("three_way", c1=0.25, c2=0.25, c3=v), "c3", 0.5),
 }
 
@@ -98,6 +109,7 @@ NON_NEGATIVE = {
 
 ARRAYS = {
     "evaluate_batch": (lambda v: evaluate_batch(X, v), "increments", np.arange(12.0).reshape(3, 4)),
+    "evaluate_batch.one_row": (lambda v: evaluate_batch(X, [v]), "increments", np.arange(4.0)),
     "step_kernel": (lambda v: step_kernel(G4, 2, v), "kernel values", np.eye(4)),
     "kernel_from_dict": (
         lambda v: kernel_from_dict({"order": 1, "m": 4, "values": np.asarray(v).tolist()}),
@@ -111,6 +123,12 @@ ARRAYS = {
         lambda v: char_fn_estimates(SAMPLES, v, [1.0]), "resid_vals", SAMPLES
     ),
     "stein_estimates.x_vals": (lambda v: stein_estimates(v, SAMPLES, [0.0]), "x_vals", SAMPLES),
+    "stein_estimates.resid_vals": (
+        lambda v: stein_estimates(SAMPLES, v, [0.0]), "resid_vals", SAMPLES
+    ),
+    "binned_residual_estimate.x_vals": (
+        lambda v: binned_residual_estimate(v, SAMPLES, 2), "x_vals", SAMPLES
+    ),
     "binned_residual_estimate.resid_vals": (
         lambda v: binned_residual_estimate(SAMPLES, v, 2), "resid_vals", SAMPLES
     ),
