@@ -35,26 +35,28 @@ listed by kernels.multiset_entries in either storage and grouped by
 multiplicity pattern.  Each evaluate_samples call compiles its expansions
 into their term groups and the Hermite degrees those read; nothing is cached
 on the kernels.
-A group on d >= 2 distinct cells becomes its distinct (d - 1)-cell prefixes
-and a sparse prefix-by-last-cell matrix of its coefficients, and only such a
-group imports scipy.sparse.  Per chunk of paths grid.run_chunks draws, one
-hermite_rows walk computes those degrees over every cell, and the degrees
-multi-factor groups read are copied once into cells-by-paths arrays.  Every
+A group on d >= 2 distinct cells becomes the runs of its terms that share
+their (d - 1)-cell prefix, in term order.  Per chunk of paths
+grid.run_chunks draws, one hermite_rows walk computes those degrees over
+every cell, and the degrees multi-factor groups read are copied once into
+cells-by-paths arrays.  Every
 expansion reads its terms from these shared rows in bands of paths whose
 products hold at most about CHUNK_ENTRIES entries: a one-factor group by one
-row sum over all its terms, a multi-factor group by one sparse product over
-its last factor, its prefix factors and a sum over its prefixes in order.  A
-one-factor group whose coefficients are all exactly equal sums H_k over its
-cells, by a column slice when they are one run, and multiplies the sum once;
-the expansions of a call that read the same degree and cells share it.  That
+row sum over all its terms, a multi-factor group prefix by prefix: the sum
+of its run's products over their last factor, in term order as a sparse
+matrix product makes it, times its prefix factors, added to the sum over
+the prefixes before it.  A one-factor group whose coefficients are all
+exactly equal sums H_k over its cells, by a column slice when they are one
+run, and multiplies the sum once; the expansions of a call that read the
+same degree and cells share it.  That
 has the bits of summing the products whenever the coefficient is a power of
 two.  So a path's value does not depend on the paths it is evaluated with:
 evaluate_batch runs the same evaluator on one expansion and increments the
 caller supplies.
-The kept Hermite rows, their copies and the products but the sparse ones are
-grid.Workspace arrays, and the walk writes the highest degree over the chunk
-table unless H_1 is that table.  A band is gathered only for unequal
-coefficients or cells with gaps, so the diagonal families hold one table.
+The kept Hermite rows, their copies and the products are grid.Workspace
+arrays, and the walk writes the highest degree over the chunk table unless
+H_1 is that table.  A band is gathered only for unequal coefficients or
+cells with gaps, so the diagonal families hold one table.
 """
 
 from __future__ import annotations
@@ -231,23 +233,25 @@ def _kernel_terms(kernel: StepKernel) -> list:
     return groups
 
 
-def _last_factor_product(mults: tuple, cells: np.ndarray, coeffs: np.ndarray, m: int) -> tuple:
-    """A multi-factor term group as (mults, prefixes, S), summed over its last factor.
+def _last_factor_product(mults: tuple, cells: np.ndarray, coeffs: np.ndarray) -> tuple:
+    """A multi-factor term group as (mults, runs, width), summed over its last factor.
 
-    prefixes is the P x (d - 1) array of the distinct leading cells of the
-    group's terms, and row p of the P x m sparse matrix S holds, at their last
-    cells, the coefficients of the terms with prefix p.  The terms are listed
-    lexicographically, so each prefix is one run of terms and the run starts
-    are S's indptr.
+    The terms are listed lexicographically, so the terms that share their
+    leading d - 1 cells, a prefix, are one run.  runs holds per prefix, in
+    order, (lead, last, coeff): lead the prefix's cells as ints, last its
+    terms' last cells (a slice when they are one run of cells) and coeff
+    their coefficients as a column; width is the longest run.
     """
-    # Only a plan with a multi-factor group loads scipy.sparse.
-    from scipy.sparse import csr_array
-
     lead = cells[:, :-1]
-    new_run = np.any(lead[1:] != lead[:-1], axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], new_run)))
-    indptr = np.append(starts, cells.shape[0])
-    return mults, lead[starts], csr_array((coeffs, cells[:, -1], indptr), shape=(starts.size, m))
+    starts = np.flatnonzero(np.concatenate(([True], np.any(lead[1:] != lead[:-1], axis=1))))
+    bounds = np.append(starts, cells.shape[0]).tolist()
+    runs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        last = cells[lo:hi, -1]
+        if last[-1] - last[0] == hi - lo - 1:  # ascending cells, so one run
+            last = slice(int(last[0]), int(last[-1]) + 1)
+        runs.append((tuple(lead[lo].tolist()), last, coeffs[lo:hi, None]))
+    return mults, tuple(runs), int(np.diff(bounds).max())
 
 
 def _compile(exps: Sequence[ChaosExpansion]) -> tuple:
@@ -269,7 +273,7 @@ def _compile(exps: Sequence[ChaosExpansion]) -> tuple:
 
     groups = tuple(
         tuple(
-            one_factor(*g) if len(g[0]) == 1 else _last_factor_product(*g, e.grid.m)
+            one_factor(*g) if len(g[0]) == 1 else _last_factor_product(*g)
             for n, k in enumerate(e.kernels)
             if n >= 1 and k is not None
             for g in _kernel_terms(k)
@@ -289,15 +293,14 @@ def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspac
     multiplies them by its coefficients and sums all its terms along each
     row.  With one coefficient a it adds a times the row sum of its cells,
     made once per call for the groups that share them, so a power-of-two a
-    keeps the bits of the products.  A multi-factor group sums its terms over
-    their last factor by one sparse product, multiplies in its prefix factors
-    as row gathers and adds its prefixes up in order.  Each rule fixes the
-    order of a row's partial sums, so a path's value does not depend on the
-    rows it is evaluated with.  Gathers and products walk bands of rows, so
-    none holds more than about CHUNK_ENTRIES entries; a row's sum never spans
-    two bands.  H_1 is z itself, other kept degrees, their copies and the
-    bands live in workspace arrays, and without H_1 the top degree overwrites
-    z.
+    keeps the bits of the products.  A multi-factor group sums each prefix's
+    terms over their last factor, multiplies in the prefix factors and adds
+    its prefixes up in order.  Each rule fixes the order of a row's partial
+    sums, so a path's value does not depend on the rows it is evaluated
+    with.  Gathers and products walk bands of rows, so none holds more than
+    about CHUNK_ENTRIES entries; a row's sum never spans two bands.  H_1 is
+    z itself, other kept degrees, their copies and the bands live in
+    workspace arrays, and without H_1 the top degree overwrites z.
     """
     if z.shape[0] == 0 or not degrees:
         return
@@ -345,26 +348,39 @@ def _row_sum(h: np.ndarray, cells, coeffs, workspace: Workspace) -> np.ndarray:
 
 
 def _add_last_factor_product(group: tuple, hcols: dict, out: np.ndarray, workspace: Workspace) -> None:
-    # Y = S @ H_{k_d}[:, band] sums each prefix's terms over their last cell
-    # in term order; each prefix factor multiplies Y in turn, and the prefixes
-    # add up in order.
-    mults, prefixes, S = group
+    # Per prefix, its terms' products c * H_{k_d}[last] add up in term order,
+    # a product then a sum each as a sparse matrix product makes them; the
+    # prefix factors multiply that sum in cell order, and the prefix sums add
+    # up in order.  Whether a sum starts at 0 or at its first term changes
+    # only the sign of a zero sum, which adding it to out, never -0, erases.
+    mults, runs, width = group
     n_rows = out.shape[0]
-    band = chunk_rows(prefixes.shape[0])
+    band = chunk_rows(width)
     for a in range(0, n_rows, band):
         rows = slice(a, a + band)
-        # The buffer of the one-factor groups' products; taken first, so a
-        # buffer that grows is freed before the sparse product is made.
-        factor = workspace.array("band", (prefixes.shape[0], min(band, n_rows - a)))
-        prod = S @ hcols[mults[-1]][:, rows]
-        for r, k in enumerate(mults[:-1]):
-            np.take(hcols[k][:, rows], prefixes[:, r], axis=0, out=factor, mode="clip")
-            prod *= factor
-        # add.accumulate sums along the prefixes one after another for any
-        # band width; add.reduce is pairwise on a one-path band.
-        np.add.accumulate(prod, axis=0, out=prod)
-        out[rows] += prod[-1]
-        del prod  # freed before the next band's product is made
+        h = hcols[mults[-1]][:, rows]
+        leads = [hcols[k][:, rows] for k in mults[:-1]]
+        # The buffer of the one-factor groups' products.
+        prods = workspace.array("band", (width, h.shape[1]))
+        y = workspace.array("prefix", h.shape[1:])
+        total = workspace.array("total", h.shape[1:])
+        total.fill(0.0)
+        for lead, last, coeff in runs:
+            terms = prods[: coeff.shape[0]]
+            if isinstance(last, slice):
+                np.multiply(h[last], coeff, out=terms)
+            else:
+                np.take(h, last, axis=0, out=terms, mode="clip")
+                terms *= coeff
+            if y.size > 1:  # rows added one after another
+                np.add.reduce(terms, axis=0, out=y)
+            else:  # add.reduce is pairwise along one path
+                np.add.accumulate(terms, axis=0, out=terms)
+                y[...] = terms[-1]
+            for rows_k, cell in zip(leads, lead):
+                y *= rows_k[cell]
+            total += y
+        out[rows] += total
 
 
 def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:

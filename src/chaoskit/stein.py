@@ -8,6 +8,10 @@ Every estimator takes sample arrays, never an expansion: samples of X and of
 a residual R on the same paths, so one evaluation serves every parameter.
 Callers evaluate X and R = c - <DX, D(-L)^{-1} X> through
 chaos.evaluate_samples, then pass the arrays here.
+
+The normal CDF and erfcx are numpy rational functions (the split of Cody,
+Math. Comp. 23, 1969), with coefficients fitted by tools/fit_erfcx.py, so
+the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfcx, ndtr
 
 from .grid import check_int, check_real, real_array
 
@@ -33,7 +36,72 @@ STEIN_MAX_ARG = 40.0
 RESID_MAX = 1e60
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+_SQRT_PI = math.sqrt(math.pi)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# erfcx(t) = exp(t^2) erfc(t) is _ERFCX_P(t) / _ERFCX_Q(t) on [0, 4] and
+# (1 + u _TAIL_P(u) / _TAIL_Q(u)) / (sqrt(pi) t) with u = 1/t^2 above 4;
+# coefficients lowest degree first.  Both fits are within 1e-16 relative.
+_ERFCX_P = (
+    1.0, 1.6077285402823729, 1.3021843413735579, 0.6497087873672936, 0.21243450817122225,
+    0.045185475730632446, 0.005788534554244734, 0.00034630493044359394, 4.457119669685451e-11,
+)
+_ERFCX_Q = (
+    1.0, 2.7361077073778812, 3.389551277308422, 2.490552905166075, 1.1914158675967994,
+    0.38164803694447336, 0.08039724813394855, 0.010259829063541736, 0.0006138131504409708,
+)
+_TAIL_P = (
+    -0.49999999999999994, -12.43031297773863, -99.09010586744594, -289.847966746381,
+    -251.4434483071408, -13.917523010799952,
+)
+_TAIL_Q = (1.0, 26.360625955476763, 233.97115066851748, 844.9253120303047, 1179.803787535798, 467.859183249559)
+
+
+def _polynomial(coeffs: tuple, t: np.ndarray) -> np.ndarray:
+    # sum_k coeffs[k] t^k by Horner's rule, in place on one new array.
+    out = np.full_like(t, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= t
+        out += c
+    return out
+
+
+def _rational(p: tuple, q: tuple, t: np.ndarray) -> np.ndarray:
+    out = _polynomial(p, t)
+    out /= _polynomial(q, t)
+    return out
+
+
+def _erfcx(t) -> np.ndarray:
+    """exp(t^2) erfc(t) for t >= 0 (an array or scalar), to a few ulps; wrong below 0."""
+    t = np.asarray(t, dtype=np.float64)
+    near = t <= 4.0
+    if np.all(near):
+        return _rational(_ERFCX_P, _ERFCX_Q, t)
+    out = np.empty_like(t)
+    out[near] = _rational(_ERFCX_P, _ERFCX_Q, t[near])
+    far = t[~near]
+    u = 1.0 / far
+    u *= u
+    out[~near] = (1.0 + u * _rational(_TAIL_P, _TAIL_Q, u)) / (_SQRT_PI * far)
+    return out
+
+
+def ndtr(x) -> np.ndarray:
+    """The standard normal CDF at every real x (an array or scalar).
+
+    Phi(-a) = exp(-a^2/2) erfcx(a/sqrt 2) / 2 and Phi(a) = 1 - Phi(-a) with
+    a = min(|x|, 40), past which Phi(-a) is 0 in doubles: within a few ulps
+    of Phi(-a) but for the rounding of a^2 in the exponent.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    a = np.minimum(np.abs(x), 40.0)
+    lower = _erfcx(a * _INV_SQRT2)
+    a *= a
+    a *= -0.5
+    lower *= np.exp(a)
+    lower *= 0.5
+    return np.where(x < 0.0, lower, 1.0 - lower)
 
 
 @dataclass(frozen=True)
@@ -63,20 +131,20 @@ def stein_solution(z: float, x):
     below = xs <= z
     # x <= z, x <= 0:  sqrt(pi/2) erfcx(-x/sqrt2) (1 - Phi(z))
     mask = below & (xs <= 0.0)
-    f[mask] = _SQRT_HALF_PI * erfcx(-xs[mask] * _INV_SQRT2) * q_z
+    f[mask] = _SQRT_HALF_PI * _erfcx(-xs[mask] * _INV_SQRT2) * q_z
     # 0 < x <= z:      sqrt(pi/2) Phi(x) erfcx(z/sqrt2) e^{(x^2-z^2)/2}
     mask = below & (xs > 0.0)
     if np.any(mask):
         xb = xs[mask]
-        f[mask] = _SQRT_HALF_PI * ndtr(xb) * erfcx(z * _INV_SQRT2) * np.exp((xb * xb - z * z) / 2.0)
+        f[mask] = _SQRT_HALF_PI * ndtr(xb) * _erfcx(z * _INV_SQRT2) * np.exp((xb * xb - z * z) / 2.0)
     # x > z, x >= 0:   sqrt(pi/2) erfcx(x/sqrt2) Phi(z)
     mask = (~below) & (xs >= 0.0)
-    f[mask] = _SQRT_HALF_PI * erfcx(xs[mask] * _INV_SQRT2) * phi_z
+    f[mask] = _SQRT_HALF_PI * _erfcx(xs[mask] * _INV_SQRT2) * phi_z
     # z < x < 0:       sqrt(pi/2) Phi(-x) erfcx(-z/sqrt2) e^{(x^2-z^2)/2}
     mask = (~below) & (xs < 0.0)
     if np.any(mask):
         xb = xs[mask]
-        f[mask] = _SQRT_HALF_PI * ndtr(-xb) * erfcx(-z * _INV_SQRT2) * np.exp((xb * xb - z * z) / 2.0)
+        f[mask] = _SQRT_HALF_PI * ndtr(-xb) * _erfcx(-z * _INV_SQRT2) * np.exp((xb * xb - z * z) / 2.0)
     fprime = xs * f + below.astype(np.float64) - phi_z
     if xs.ndim == 0:
         return float(f), float(fprime)
@@ -94,10 +162,14 @@ def kolmogorov_distance_mc(samples: np.ndarray, variance: float) -> float:
         raise ValueError("need at least one sample")
     variance = check_real("variance", variance, positive=True)
     n = arr.size
-    cdf = ndtr(np.sort(arr) / math.sqrt(variance))
-    upper = np.arange(1, n + 1) / n - cdf
-    lower = cdf - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max()))
+    cdf = np.sort(arr)
+    cdf /= math.sqrt(variance)
+    cdf = ndtr(cdf)
+    steps = np.arange(n + 1) / n  # the empirical CDF after 0, 1, ..., n samples
+    gap = np.subtract(steps[1:], cdf)
+    upper = gap.max()
+    lower = np.subtract(cdf, steps[:-1], out=gap).max()
+    return float(max(upper, lower))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +203,9 @@ def char_fn_estimates(
     for t in t_grid:
         # A phase t*x that overflows would make e^{itx} NaN.
         check_real(f"t_grid entry {t!r} times max |x_vals|", t * x_max)
-        vals = np.exp(1j * t * x_vals) * resid_vals
+        vals = np.multiply(1j * t, x_vals)
+        np.exp(vals, out=vals)
+        vals *= resid_vals
         se = math.sqrt((vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / n)
         estimates.append(CriterionEstimate(float(abs(vals.mean())), se, n, t))
     return tuple(estimates)

@@ -802,17 +802,24 @@ def _assert_terms_match_plan(got, kernel):
 
 def test_multi_factor_groups_over_first_axis_slices_match_reference_bits(monkeypatch):
     # With 20 entries a chunk, the m = 9 kernels list their terms one
-    # first-axis slice at a time, run_chunks walks 2 rows a chunk, and most
-    # multi-factor groups sum their prefixes one path a band.
+    # first-axis slice at a time, run_chunks walks 2 rows a chunk, and the
+    # multi-factor groups, whose longest runs hold 4 to 8 terms, sum their
+    # prefixes over bands of 2 to 5 paths.
     exps = _sparse_with_gamma(9, [1, 2, 3], seed=52)
     want = evaluate_samples_reference(_dense_all(exps), 300, IncrementStream(seed=57))
     monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 20)
     _, groups = chaos_module._compile(exps)
-    for mults, prefixes, terms in (g for exp_groups in groups for g in exp_groups if len(g[0]) > 1):
-        # Each prefix is one run of terms, its distinct leading cells in order.
-        assert prefixes.shape == (terms.shape[0], len(mults) - 1)
-        assert np.all(np.diff(terms.indptr) > 0)
-        assert np.array_equal(np.unique(prefixes, axis=0), prefixes)
+    for mults, runs, width in (g for exp_groups in groups for g in exp_groups if len(g[0]) > 1):
+        # Each prefix is one run of terms, its distinct leading cells in order,
+        # its last cells ascending and past its own.
+        leads = [lead for lead, _, _ in runs]
+        assert all(len(lead) == len(mults) - 1 for lead in leads)
+        assert leads == sorted(set(leads))
+        for lead, last, coeff in runs:
+            cells = np.arange(9)[last]
+            assert coeff.shape == (cells.size, 1) and 0 < cells.size <= width
+            assert np.all(np.diff(cells) > 0) and cells[0] > lead[-1]
+        assert width == max(coeff.shape[0] for _, _, coeff in runs)
     got = evaluate_samples(exps, 300, IncrementStream(seed=57))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -910,8 +917,8 @@ def test_evaluate_samples_memory_of_dense_order_3_with_gamma():
     # One block of 4096 paths at m = 24 is one chunk table of 0.19 chunk
     # sizes.  Listing the terms of the order-4 Gamma kernel from its 331 776
     # entries peaks at about 1.4 chunk sizes; with the cells-by-paths Hermite
-    # copies and the prefix products of its (1, 1, 1, 1) group, 1771
-    # prefixes wide, the call peaks at about 3.9.
+    # copies and the products of one prefix's run at a time, the call peaks
+    # at about 1.8.
     exps = _dense_with_gamma(24, [3], seed=50)
     want = evaluate_samples_reference(_dense_all(exps), BLOCK_SIZE, IncrementStream(seed=51))
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8

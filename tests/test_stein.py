@@ -143,6 +143,62 @@ def test_stein_solution_scalar_and_array_agree():
 # Kolmogorov distance
 
 
+# Unit roundoff of a double.
+_U = 2.0**-53
+
+
+def test_erfcx_matches_mpmath_and_scipy():
+    # Each rational fit is within 1e-16 relative.  Horner on coefficients of
+    # one sign at t >= 0 adds at most 2 * 8 roundings per polynomial (Higham's
+    # gamma_16), and the quotient one: 33 u.  The points around 4 straddle the
+    # switch from P/Q in t to the tail form in 1/t^2.
+    import mpmath
+    from scipy.special import erfcx
+
+    bound = 33 * _U
+    t = np.concatenate([np.linspace(0.0, 30.0, 3001), np.nextafter(4.0, [0.0, 8.0]), [4.0, 1e-300]])
+    got = stein_module._erfcx(t)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.exp(mpmath.mpf(v) ** 2) * mpmath.erfc(mpmath.mpf(v))) for v in t])
+    assert np.all(np.abs(got - want) <= bound * want)
+    assert np.all(np.abs(got - erfcx(t)) <= 2 * bound * want)
+
+
+def test_ndtr_matches_mpmath_and_scipy():
+    # Phi(-a) = exp(-a^2/2) erfcx(a/sqrt 2) / 2: erfcx's 33 u, u for a/sqrt 2
+    # (erfcx has condition <= 1), exp's own rounding and (a^2/2) u from the
+    # rounding of a^2, two products: (38 + x^2/2) u; 1 - Phi(-a) stays within
+    # it.  Below Phi = 2^-1022 the result is subnormal, so an absolute floor
+    # covers the last rounding there.  scipy rounds x/sqrt 2 before squaring,
+    # so it carries up to (8 + x^2) 2u of its own in the tails, and it
+    # returns 0 for subnormal results, so it is compared above 2^-1022 only.
+    import mpmath
+    from scipy.special import ndtr as scipy_ndtr
+
+    x = np.concatenate([np.linspace(-40.0, 40.0, 4001), [0.0, -0.0, 1e-300, -1e-300]])
+    got = stein_module.ndtr(x)
+    with mpmath.workdps(40):
+        want = [mpmath.ncdf(mpmath.mpf(v)) for v in x]
+    bound = (38 + x * x / 2) * _U
+    floor = 2.0**-1070
+    err = np.array([float(abs(mpmath.mpf(g) - w) - b * w) for g, w, b in zip(got, want, bound)])
+    assert np.all(err <= floor)
+    want = np.array([float(w) for w in want])
+    normal = want >= 2.0**-1022
+    gap = np.abs(got - scipy_ndtr(x))[normal]
+    assert np.all(gap <= ((bound + (8 + x * x) * 2 * _U) * want)[normal])
+
+
+def test_ndtr_limits_and_scalars():
+    # Any real x: the exponent is capped, so huge and infinite x give 0 and 1
+    # with no overflow warning, and a scalar gives a 0-d array.
+    x = np.array([-np.inf, -1e300, -41.0, 41.0, 1e300, np.inf])
+    assert stein_module.ndtr(x).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert stein_module.ndtr(0.0) == 0.5 and stein_module.ndtr(-0.0) == 0.5
+    assert stein_module.ndtr(1.5).shape == ()
+    assert float(stein_module.ndtr(1.5)) == stein_module.ndtr(np.array([1.5]))[0]
+
+
 def test_kolmogorov_permutation_invariant():
     rng = np.random.default_rng(40)
     x = rng.standard_normal(1000)
