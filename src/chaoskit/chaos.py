@@ -239,19 +239,17 @@ def _last_factor_product(mults: tuple, cells: np.ndarray, coeffs: np.ndarray) ->
     The terms are listed lexicographically, so the terms that share their
     leading d - 1 cells, a prefix, are one run.  runs holds per prefix, in
     order, (lead, last, coeff): lead the prefix's cells as ints, last its
-    terms' last cells (a slice when they are one run of cells) and coeff
-    their coefficients as a column; width is the longest run.
+    terms' last cells and coeff their coefficients as a column; width is the
+    longest run.
     """
     lead = cells[:, :-1]
     starts = np.flatnonzero(np.concatenate(([True], np.any(lead[1:] != lead[:-1], axis=1))))
     bounds = np.append(starts, cells.shape[0]).tolist()
-    runs = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        last = cells[lo:hi, -1]
-        if last[-1] - last[0] == hi - lo - 1:  # ascending cells, so one run
-            last = slice(int(last[0]), int(last[-1]) + 1)
-        runs.append((tuple(lead[lo].tolist()), last, coeffs[lo:hi, None]))
-    return mults, tuple(runs), int(np.diff(bounds).max())
+    last = np.ascontiguousarray(cells[:, -1])
+    runs = tuple(
+        (tuple(lead[lo].tolist()), last[lo:hi], coeffs[lo:hi, None]) for lo, hi in zip(bounds, bounds[1:])
+    )
+    return mults, runs, int(np.diff(bounds).max())
 
 
 def _compile(exps: Sequence[ChaosExpansion]) -> tuple:
@@ -367,14 +365,14 @@ def _add_last_factor_product(group: tuple, hcols: dict, out: np.ndarray, workspa
         total.fill(0.0)
         for lead, last, coeff in runs:
             terms = prods[: coeff.shape[0]]
-            if isinstance(last, slice):
-                np.multiply(h[last], coeff, out=terms)
-            else:
-                np.take(h, last, axis=0, out=terms, mode="clip")
-                terms *= coeff
-            if y.size > 1:  # rows added one after another
+            np.take(h, last, axis=0, out=terms, mode="clip")
+            terms *= coeff
+            # add.reduce adds the rows one after another, but along one path
+            # it sums pairwise; add.accumulate keeps the order there and is
+            # far slower on wide bands, as it walks each path's column alone.
+            if y.size > 1:
                 np.add.reduce(terms, axis=0, out=y)
-            else:  # add.reduce is pairwise along one path
+            else:
                 np.add.accumulate(terms, axis=0, out=terms)
                 y[...] = terms[-1]
             for rows_k, cell in zip(leads, lead):

@@ -76,8 +76,6 @@ def _erfcx(t) -> np.ndarray:
     """exp(t^2) erfc(t) for t >= 0 (an array or scalar), to a few ulps; wrong below 0."""
     t = np.asarray(t, dtype=np.float64)
     near = t <= 4.0
-    if np.all(near):
-        return _rational(_ERFCX_P, _ERFCX_Q, t)
     out = np.empty_like(t)
     out[near] = _rational(_ERFCX_P, _ERFCX_Q, t[near])
     far = t[~near]

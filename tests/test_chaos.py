@@ -815,8 +815,7 @@ def test_multi_factor_groups_over_first_axis_slices_match_reference_bits(monkeyp
         leads = [lead for lead, _, _ in runs]
         assert all(len(lead) == len(mults) - 1 for lead in leads)
         assert leads == sorted(set(leads))
-        for lead, last, coeff in runs:
-            cells = np.arange(9)[last]
+        for lead, cells, coeff in runs:
             assert coeff.shape == (cells.size, 1) and 0 < cells.size <= width
             assert np.all(np.diff(cells) > 0) and cells[0] > lead[-1]
         assert width == max(coeff.shape[0] for _, _, coeff in runs)
