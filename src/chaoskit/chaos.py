@@ -196,11 +196,6 @@ def scale(a: float, x: ChaosExpansion) -> ChaosExpansion:
     return _expansion(x.grid, [None if k is None else scale_kernel(a, k) for k in x.kernels])
 
 
-def shift(x: ChaosExpansion, offset: float) -> ChaosExpansion:
-    """x + offset as an expansion (adjusts the order-0 slot only)."""
-    return add(x, constant(x.grid, offset))
-
-
 # ---------------------------------------------------------------------------
 # Pathwise evaluation
 
@@ -588,6 +583,8 @@ class ExactSummary(NamedTuple):
     @property
     def bound(self) -> float:
         """sqrt(|k4|) / var: the fourth-moment Kolmogorov bound when x has one order."""
+        if self.var <= 0.0:
+            raise ValueError("the fourth-moment bound needs a nonzero variance, got var = 0")
         return math.sqrt(abs(self.k4)) / self.var
 
 
@@ -598,17 +595,6 @@ def exact_summary(x: ChaosExpansion, c: float) -> ExactSummary:
     return ExactSummary(
         var=second_moment(x), gamma=gamma(x), k4=fourth_cumulant(x), residual=gamma_residual(x, c)
     )
-
-
-def fourth_moment_bound(x: ChaosExpansion) -> float:
-    """Kolmogorov bound sqrt(|k4|) / E[X^2] for X living in a single chaos."""
-    orders = [n for n in x.nonzero_orders() if n >= 1]
-    if x.expectation != 0.0 or len(orders) != 1:
-        raise ValueError("fourth_moment_bound requires a centered single-order expansion")
-    summary = exact_summary(x, 0.0)  # the residual's target plays no part in the bound
-    if summary.var <= 0.0:
-        raise ValueError("fourth_moment_bound requires a nonzero expansion")
-    return summary.bound
 
 
 # ---------------------------------------------------------------------------

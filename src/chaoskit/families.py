@@ -35,8 +35,7 @@ import numpy as np
 from .chaos import ChaosExpansion, single_chaos
 from .grid import Grid, IncrementStream, Workspace, check_int, check_real, check_run_counts
 from .grid import make_grid, run_chunks
-from .kernels import StepKernel, check_dense_entries, inner_product, is_symmetric, scale_kernel
-from .kernels import step_kernel
+from .kernels import check_dense_entries, step_kernel
 
 
 def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
@@ -72,29 +71,6 @@ def diagonal_summands(n: int, split) -> list:
         raise ValueError(f"split must be a nonempty list of variances, got {split!r}")
     grid = make_grid(len(split) * n)
     return [diagonal_second_chaos(grid, range(j * n, (j + 1) * n), c) for j, c in enumerate(split)]
-
-
-def custom_single_chaos(
-    order: int, kernel: StepKernel, normalize_to: float | None = None
-) -> ChaosExpansion:
-    """Single-chaos expansion from a user kernel, optionally rescaled.
-
-    With normalize_to = v the kernel is scaled so that E[X^2] = n! ||f||^2 = v;
-    a zero kernel cannot be normalized.
-    """
-    order = check_int("order", order, 1)
-    if kernel.order != order:
-        raise ValueError(f"kernel has order {kernel.order}, expected {order}")
-    if not is_symmetric(kernel):
-        raise ValueError("kernel must be symmetric")
-    if normalize_to is not None:
-        normalize_to = check_real("normalize_to", normalize_to, positive=True)
-        current = math.factorial(order) * inner_product(kernel, kernel)
-        if current <= 0.0:
-            raise ValueError("cannot normalize a zero kernel")
-        factor = math.sqrt(normalize_to / current)
-        kernel = scale_kernel(factor, kernel)
-    return single_chaos(kernel)
 
 
 # ---------------------------------------------------------------------------

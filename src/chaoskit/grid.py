@@ -75,10 +75,6 @@ class IncrementStream:
         for name in ("seed", "stream_id"):
             object.__setattr__(self, name, check_int(name, getattr(self, name)))
 
-    def substream(self, tag: int) -> "IncrementStream":
-        """Stream reserved for an independent purpose under the same master seed."""
-        return IncrementStream(seed=self.seed, stream_id=tag)
-
     def standard_normal_block(
         self, n_vars: int, start: int, count: int, out: np.ndarray | None = None
     ) -> np.ndarray:
@@ -161,9 +157,9 @@ def check_int(name: str, value, minimum: int = 0) -> int:
     raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def check_real(name: str, value, *, positive: bool = False, nonnegative: bool = False) -> float:
+def check_real(name: str, value, *, positive: bool = False) -> float:
     """value as a float; ValueError unless it is a finite non-bool real number,
-    > 0 if positive and >= 0 if nonnegative.
+    > 0 if positive.
 
     This is the package's one real-number rule: a bool is not a number, a
     string is never parsed into one, and NaN and inf are never accepted.
@@ -173,10 +169,9 @@ def check_real(name: str, value, *, positive: bool = False, nonnegative: bool = 
             number = float(value)
         except OverflowError:  # an integer or fraction beyond the float range
             number = math.inf
-        low = positive and number <= 0.0 or nonnegative and number < 0.0
-        if math.isfinite(number) and not low:
+        if math.isfinite(number) and not (positive and number <= 0.0):
             return number
-    rule = f"a {'positive ' if positive else 'non-negative ' if nonnegative else ''}finite real number"
+    rule = f"a {'positive ' if positive else ''}finite real number"
     raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 

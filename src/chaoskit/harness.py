@@ -5,11 +5,15 @@ Each experiment produces one record per schedule entry with two sections:
 config) and `mc` values estimated by Monte Carlo (a pure function of config
 and seed).  Reports serialize to JSON or flattened CSV.
 
+run_experiment is the one entry point: it runs the experiment that
+config.experiment names, so a runner never sees another experiment's config.
+
 Experiments:
 
     decouple        left/right second-chaos couple: variance split c1 + c2 = 1,
                     fourth cumulants, Gamma residual additivity, fourth-moment
-                    bounds, Kolmogorov distances, criterion functionals
+                    bounds (ExactSummary.bound), Kolmogorov distances,
+                    criterion functionals
     three_way       the same decomposition across three disjoint summands
     class_a         characteristic-function cross diagnostic for a strongly
                     independent couple
@@ -22,12 +26,12 @@ layout: decouple spreads each per-summand list into `_x`/`_y` keys and
 carries the full criterion block, three_way keeps lists and the
 characteristic-function criterion only.
 
-Threads: a runner's `workers` bounds the threads of grid.run_tasks.  Every
-experiment draws and evaluates its Monte Carlo paths on them, block by block
-(evaluate_samples, simulate_counterexample).  In decouple and three_way, once
-a record's paths are evaluated, its estimator calls (each summand's
-Kolmogorov distance, char, Stein and binned estimates, and the sum's
-Kolmogorov distance) run on them too.  The exact algebra, class_a's
+Threads: run_experiment's `workers` bounds the threads of grid.run_tasks.
+Every experiment draws and evaluates its Monte Carlo paths on them, block by
+block (evaluate_samples, simulate_counterexample).  In decouple and
+three_way, once a record's paths are evaluated, its estimator calls (each
+summand's Kolmogorov distance, char, Stein and binned estimates, and the
+sum's Kolmogorov distance) run on them too.  The exact algebra, class_a's
 estimates and the counterexample's statistics run on the calling thread.
 Records are byte-identical for any worker count.
 """
@@ -298,7 +302,7 @@ def _dkol_tasks(samples, variances) -> dict:
     }
 
 
-def run_decoupling(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def _run_decoupling(config: ExperimentConfig, workers: int) -> ExperimentReport:
     def criteria(v, r):
         return {
             "char": lambda: [_est_dict(e, "t") for e in char_fn_estimates(v, r, config.t_grid)],
@@ -316,7 +320,7 @@ def run_decoupling(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     return _run_k_way(config, workers, layout)
 
 
-def run_three_way(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def _run_three_way(config: ExperimentConfig, workers: int) -> ExperimentReport:
     def char(v, r):
         return lambda: [_est_dict(e, "t") for e in char_fn_estimates(v, r, config.t_grid)]
 
@@ -332,7 +336,7 @@ def run_three_way(config: ExperimentConfig, workers: int = 1) -> ExperimentRepor
     return _run_k_way(config, workers, layout)
 
 
-def run_class_a(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def _run_class_a(config: ExperimentConfig, workers: int) -> ExperimentReport:
     def record(n):
         x, y = diagonal_summands(n, config.split)
         si = strongly_independent(x, y)
@@ -354,7 +358,7 @@ def run_class_a(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     return _timed_report(config, config.n_schedule, record)
 
 
-def run_counterexample(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def _run_counterexample(config: ExperimentConfig, workers: int) -> ExperimentReport:
     def record(path_steps):
         stream = IncrementStream(config.seed, stream_id=path_steps)
         batch = simulate_counterexample(path_steps, config.mc_samples, stream, workers=workers)
@@ -384,14 +388,15 @@ def run_counterexample(config: ExperimentConfig, workers: int = 1) -> Experiment
 
 
 _RUNNERS = {
-    "decouple": run_decoupling,
-    "three_way": run_three_way,
-    "class_a": run_class_a,
-    "counterexample": run_counterexample,
+    "decouple": _run_decoupling,
+    "three_way": _run_three_way,
+    "class_a": _run_class_a,
+    "counterexample": _run_counterexample,
 }
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+    """Run config.experiment's runner on up to `workers` threads."""
     return _RUNNERS[config.experiment](config, workers=workers)
 
 
@@ -412,7 +417,13 @@ def report_to_json(report: ExperimentReport) -> str:
 
 
 def report_from_json(text: str) -> ExperimentReport:
+    """The report in a report_to_json body; ValueError unless it is an object with every field."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"a report must be a JSON object, got {type(data).__name__}")
+    for key in ("config", "records", "runtime_ms"):
+        if key not in data:
+            raise ValueError(f"report is missing key {key!r}")
     return ExperimentReport(
         config=data["config"], records=data["records"], runtime_ms=data["runtime_ms"]
     )

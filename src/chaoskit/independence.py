@@ -15,11 +15,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .chaos import ChaosExpansion, add, cross_gamma, evaluate_samples
-from .grid import IncrementStream, check_real, check_run_counts
+from .grid import IncrementStream, check_run_counts
 from .kernels import StepKernel, contract, kernel_norm
 from .stein import char_fn_estimates
 
-# Default relative factor for deciding that a contraction norm is zero.
+# Relative factor for deciding that a contraction norm is zero.
 DEFAULT_REL_TOL = 1e-10
 
 
@@ -39,35 +39,28 @@ class ClassADiagnostic(NamedTuple):
     estimates: tuple
 
 
-def integrals_independent(
-    f: StepKernel, g: StepKernel, tol: float | None = None
-) -> IndependenceResult:
+def integrals_independent(f: StepKernel, g: StepKernel) -> IndependenceResult:
     """Whether I_p(f) and I_q(g) are independent: true iff ||f ox_1 g|| <= tol.
 
-    The default tolerance is DEFAULT_REL_TOL * ||f|| * ||g||, so scaling either
-    kernel does not flip the verdict.
+    The tolerance is DEFAULT_REL_TOL * ||f|| * ||g||, so scaling either kernel
+    does not flip the verdict.
     """
     if f.order < 1 or g.order < 1:
         raise ValueError("independence test requires kernel orders >= 1")
-    if tol is None:
-        tol = DEFAULT_REL_TOL * kernel_norm(f) * kernel_norm(g)
-    tol = check_real("tol", tol, nonnegative=True)
+    tol = DEFAULT_REL_TOL * kernel_norm(f) * kernel_norm(g)
     witness = kernel_norm(contract(f, g, 1))
     return IndependenceResult(independent=witness <= tol, witness_norm=witness)
 
 
-def strongly_independent(
-    x: ChaosExpansion, y: ChaosExpansion, tol: float | None = None
-) -> StrongIndependenceResult:
+def strongly_independent(x: ChaosExpansion, y: ChaosExpansion) -> StrongIndependenceResult:
     """Whether every kernel pair of x and y has vanishing first contraction.
 
-    Each pair's verdict is integrals_independent(f, g, tol); order-0 slots
+    Each pair's verdict is integrals_independent(f, g); order-0 slots
     carry no randomness and are ignored.  The reported worst pair maximizes
     the contraction norm relative to the kernel norms.
     """
     if x.grid != y.grid:
         raise ValueError("grid mismatch")
-    tol = None if tol is None else check_real("tol", tol, nonnegative=True)
     independent = True
     worst_pair = None
     worst_norm = 0.0
@@ -81,7 +74,7 @@ def strongly_independent(
             if m_ord < 1:
                 continue
             g = y.kernels[m_ord]
-            verdict = integrals_independent(f, g, tol)
+            verdict = integrals_independent(f, g)
             independent = independent and verdict.independent
             scale = nf * kernel_norm(g)
             ratio = verdict.witness_norm / scale if scale > 0 else 0.0

@@ -91,10 +91,6 @@ def dense(kernel: StepKernel) -> StepKernel:
     return step_kernel(kernel.grid, n, vals, copy=False)
 
 
-def zero_kernel(grid: Grid, order: int) -> StepKernel:
-    return step_kernel(grid, order, np.zeros((grid.m,) * order), copy=False)
-
-
 def _require_same_grid(f: StepKernel, g: StepKernel) -> None:
     if f.grid != g.grid:
         raise ValueError(f"grid mismatch: m={f.grid.m} vs m={g.grid.m}")
@@ -154,12 +150,11 @@ def symmetrize(kernel: StepKernel) -> StepKernel:
     return step_kernel(kernel.grid, kernel.order, sym, copy=False)
 
 
-def is_symmetric(kernel: StepKernel, atol: float = SYMMETRY_ATOL) -> bool:
-    atol = check_real("atol", atol, nonnegative=True)
+def is_symmetric(kernel: StepKernel) -> bool:
     if kernel.order <= 1:
         return True
     return bool(
-        np.max(np.abs(kernel.values - symmetrize(kernel).values)) <= atol
+        np.max(np.abs(kernel.values - symmetrize(kernel).values)) <= SYMMETRY_ATOL
     )
 
 

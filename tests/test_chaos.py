@@ -25,7 +25,6 @@ from chaoskit import (
     expansion_from_dict,
     expansion_to_dict,
     fourth_cumulant,
-    fourth_moment_bound,
     gamma,
     gamma_residual,
     inner_product,
@@ -36,7 +35,6 @@ from chaoskit import (
     save_expansion,
     scale,
     second_moment,
-    shift,
     single_chaos,
     step_kernel,
     symmetrize,
@@ -507,8 +505,7 @@ def test_exact_summary_matches_the_separate_routes(orders):
     assert summary.var == second_moment(x)
     assert summary.k4 == fourth_cumulant(x)
     assert summary.residual == gamma_residual(x, c)
-    if len(orders) == 1:
-        assert summary.bound == fourth_moment_bound(x)
+    assert summary.bound == math.sqrt(abs(fourth_cumulant(x))) / second_moment(x)
     want = gamma(x)
     assert len(summary.gamma.kernels) == len(want.kernels)
     for got_k, want_k in zip(summary.gamma.kernels, want.kernels):
@@ -516,33 +513,28 @@ def test_exact_summary_matches_the_separate_routes(orders):
         if got_k is not None:
             assert np.array_equal(got_k.values, want_k.values)
     with pytest.raises(ValueError, match="centered"):
-        exact_summary(shift(x, 1.0), c)
+        exact_summary(add(x, constant(x.grid, 1.0)), c)
 
 
 def test_fourth_moment_bound_family():
     for n in (4, 16, 64):
         x, _ = diagonal_summands(n, (1.0, 1.0))
-        assert fourth_moment_bound(x) == pytest.approx(math.sqrt(12.0 / n), rel=1e-10)
+        assert exact_summary(x, 1.0).bound == pytest.approx(math.sqrt(12.0 / n), rel=1e-10)
 
 
 def test_fourth_moment_bound_first_chaos_is_zero():
     g = make_grid(4)
     x = single_chaos(step_kernel(g, 1, [1.0, 0.0, -2.0, 0.5]))
-    assert fourth_moment_bound(x) == 0.0
+    assert exact_summary(x, 1.0).bound == 0.0
 
 
 def test_fourth_moment_bound_validation():
     g = make_grid(4)
-    rng = np.random.default_rng(43)
-    k1 = step_kernel(g, 1, rng.uniform(-1, 1, 4))
-    k2 = symmetrize(step_kernel(g, 2, rng.uniform(-1, 1, (4, 4))))
-    multi = chaos_expansion(g, [None, k1, k2])
-    with pytest.raises(ValueError):
-        fourth_moment_bound(multi)
-    with pytest.raises(ValueError):
-        fourth_moment_bound(constant(g, 0.0))
-    with pytest.raises(ValueError):
-        fourth_moment_bound(add(single_chaos(k1), constant(g, 1.0)))
+    k1 = step_kernel(g, 1, np.random.default_rng(43).uniform(-1, 1, 4))
+    with pytest.raises(ValueError, match="variance"):
+        exact_summary(constant(g, 0.0), 1.0).bound
+    with pytest.raises(ValueError, match="centered"):
+        exact_summary(add(single_chaos(k1), constant(g, 1.0)), 1.0)
 
 
 def _same_bits(got, want) -> bool:
@@ -566,7 +558,7 @@ def test_each_exact_functional_reads_one_gamma_build(monkeypatch):
     fourth_cumulant(x)
     gamma_residual(x, 0.5)
     summary = exact_summary(x, 0.5)
-    fourth_moment_bound(x)
+    exact_summary(x, 0.0).bound
     g1 = gamma(x)
     assert builds.count(True) == 1
     assert gamma(x) is g1 and summary.gamma is g1
@@ -1075,7 +1067,8 @@ def test_expansion_round_trip():
 
 def test_expansion_file_round_trip(tmp_path):
     rng = np.random.default_rng(31)
-    x = shift(_random_expansion(rng, make_grid(4), [1, 3]), 0.25)
+    g = make_grid(4)
+    x = add(_random_expansion(rng, g, [1, 3]), constant(g, 0.25))
     path = tmp_path / "expansion.json"
     save_expansion(x, path)
     back = load_expansion(path)

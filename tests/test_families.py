@@ -9,7 +9,6 @@ import pytest
 from chaoskit import (
     CounterexampleBatch,
     IncrementStream,
-    custom_single_chaos,
     diagonal_second_chaos,
     diagonal_summands,
     fourth_cumulant,
@@ -17,8 +16,10 @@ from chaoskit import (
     inner_product,
     integrals_independent,
     make_grid,
+    scale,
     second_moment,
     simulate_counterexample,
+    single_chaos,
     step_kernel,
     strongly_independent,
     symmetrize,
@@ -142,35 +143,18 @@ def test_diagonal_second_chaos_rejects_oversized_grid_before_allocating(monkeypa
         diagonal_second_chaos(make_grid(12_000), [0], 1.0)
 
 
-def test_custom_single_chaos_normalization():
+def test_single_chaos_scaled_to_a_target_variance():
     rng = np.random.default_rng(80)
     g = make_grid(4)
     k = symmetrize(step_kernel(g, 3, rng.uniform(-1, 1, (4, 4, 4))))
-    x = custom_single_chaos(3, k, normalize_to=2.0)
+    # E[I_3(k)^2] = 3! ||k||^2, so this factor makes the variance 2
+    x = scale(math.sqrt(2.0 / (6.0 * inner_product(k, k))), single_chaos(k))
     f = x.kernels[3]
     assert 6.0 * inner_product(f, f) == pytest.approx(2.0, rel=1e-13)
     assert second_moment(x) == pytest.approx(2.0, rel=1e-13)
-    # without normalization the kernel passes through untouched
-    y = custom_single_chaos(3, k)
+    # unscaled, the kernel passes through untouched
+    y = single_chaos(k)
     assert np.array_equal(y.kernels[3].values, k.values)
-
-
-def test_custom_single_chaos_validation():
-    g = make_grid(3)
-    rng = np.random.default_rng(81)
-    k2 = symmetrize(step_kernel(g, 2, rng.uniform(-1, 1, (3, 3))))
-    with pytest.raises(ValueError):
-        custom_single_chaos(3, k2)  # order mismatch
-    with pytest.raises(ValueError):
-        custom_single_chaos(0, step_kernel(g, 0, 1.0))
-    asym = step_kernel(g, 2, [[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]])
-    with pytest.raises(ValueError):
-        custom_single_chaos(2, asym)
-    zero = step_kernel(g, 2, np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        custom_single_chaos(2, zero, normalize_to=1.0)
-    with pytest.raises(ValueError):
-        custom_single_chaos(2, k2, normalize_to=-1.0)
 
 
 def test_diagonal_summands_are_independent_kernelwise():

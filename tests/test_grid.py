@@ -45,7 +45,7 @@ def test_distinct_indices_seeds_and_streams_differ():
     s = IncrementStream(seed=123)
     assert not np.array_equal(_row(g, s, 0), _row(g, s, 1))
     assert not np.array_equal(_row(g, s, 0), _row(g, IncrementStream(seed=124), 0))
-    assert not np.array_equal(_row(g, s, 0), _row(g, s.substream(1), 0))
+    assert not np.array_equal(_row(g, s, 0), _row(g, IncrementStream(seed=123, stream_id=1), 0))
 
 
 def test_samples_do_not_depend_on_draw_order():

@@ -362,6 +362,11 @@ def test_report_json_round_trip():
     assert back.config == report.config
     assert back.records == report.records
     assert back.runtime_ms == report.runtime_ms
+    # a report is outside input: a malformed body names what is wrong
+    with pytest.raises(ValueError, match="missing key 'records'"):
+        report_from_json('{"config": {}}')
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        report_from_json("[1]")
 
 
 def test_report_dict_shape():

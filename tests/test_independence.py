@@ -69,13 +69,6 @@ def test_independence_rejects_order_zero():
         integrals_independent(h, f)
 
 
-def test_explicit_tolerance_overrides_default():
-    g = make_grid(2)
-    f = step_kernel(g, 1, [0.0, 1.0])
-    assert not integrals_independent(f, f).independent
-    assert integrals_independent(f, f, tol=1.0).independent
-
-
 def test_default_verdict_is_scale_invariant():
     f, h = _disjoint_pair(seed=61)
     # perturb so the contraction is tiny but nonzero

@@ -18,7 +18,6 @@ from chaoskit import (
     binned_residual_estimate,
     class_a_diagnostic,
     contract,
-    custom_single_chaos,
     diagonal_summands,
     evaluate_samples,
     kernel_from_dict,
@@ -74,7 +73,6 @@ CASES = {
         lambda v: kernel_from_dict({"order": v, "m": 2, "values": [0.0] * 4}), "order", 2
     ),
     "diagonal_summands": (lambda v: diagonal_summands(v, (0.5, 0.5)), "n", 2),
-    "custom_single_chaos": (lambda v: custom_single_chaos(v, F1), "order", 1),
     "binned_residual_estimate": (lambda v: binned_residual_estimate(X, X, v), "n_bins", 2),
     "simulate_counterexample": (
         lambda v: simulate_counterexample(v, 4, STREAM), "path_steps", 100

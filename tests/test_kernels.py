@@ -22,7 +22,6 @@ from chaoskit import (
     save_kernel,
     step_kernel,
     symmetrize,
-    zero_kernel,
 )
 
 from oracles import symmetrize_reference
@@ -270,7 +269,7 @@ def test_kernel_rejects_bad_input():
         step_kernel(g, -1, 1.0)
     with pytest.raises(ValueError):
         step_kernel(g, 1, [np.nan, 0.0, 0.0])
-    assert np.all(zero_kernel(g, 2).values == 0.0)
+    assert np.all(step_kernel(g, 2, np.zeros((3, 3))).values == 0.0)
 
 
 def test_kernel_values_are_frozen():

@@ -7,6 +7,7 @@ library's private helpers shares the code it is meant to check.
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -152,13 +153,15 @@ def test_public_names_resolve():
 def test_retired_second_routes_stay_gone():
     # One route per job: each of these had a replacement on the route the
     # experiments take (see CHANGES.md).
-    from chaoskit import chaos, families, grid, hermite, stein
+    from chaoskit import chaos, families, grid, harness, hermite, independence, kernels, stein
 
     retired = {
-        chaos: ["evaluate"],
-        families: ["CounterexampleSample", "half_support_second_chaos"],
+        chaos: ["evaluate", "shift", "fourth_moment_bound"],
+        families: ["CounterexampleSample", "half_support_second_chaos", "custom_single_chaos"],
         grid: ["GaussianSample", "sample_increments"],
+        harness: ["run_decoupling", "run_three_way", "run_class_a", "run_counterexample"],
         hermite: ["hermite_eval", "hermite_table", "MAX_DEGREE", "_check_degree"],
+        kernels: ["zero_kernel"],
         stein: ["CriterionFunctionals", "conditional_residual_estimate", "criterion_functionals"],
     }
     for module, names in retired.items():
@@ -167,6 +170,16 @@ def test_retired_second_routes_stay_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in ("__len__", "__getitem__"):
         assert not hasattr(families.CounterexampleBatch, name), name
+    assert not hasattr(grid.IncrementStream, "substream")
+    # run_experiment dispatches on config.experiment, so no runner gets another's config
+    assert [name for name in chaoskit.__all__ if name.startswith("run_")] == ["run_experiment"]
+    # "is zero" and "is symmetric" each have one rule: no tolerance argument
+    for fn, params in (
+        (independence.integrals_independent, ["f", "g"]),
+        (independence.strongly_independent, ["x", "y"]),
+        (kernels.is_symmetric, ["kernel"]),
+    ):
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
 
 def _chaoskit_aliases(tree) -> dict:
