@@ -537,6 +537,16 @@ def test_fourth_moment_bound_validation():
         exact_summary(add(single_chaos(k1), constant(g, 1.0)), 1.0)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_bound_rejects_a_zero_expansion_of_any_order(order):
+    # A zero kernel leaves no chaos, so the variance is zero at every order.
+    g = make_grid(3)
+    x = single_chaos(step_kernel(g, order, np.zeros((3,) * order)))
+    assert x.nonzero_orders() == [] and second_moment(x) == 0.0
+    with pytest.raises(ValueError, match="nonzero variance"):
+        exact_summary(x, 1.0).bound
+
+
 def _same_bits(got, want) -> bool:
     return len(got.kernels) == len(want.kernels) and all(
         (a is None and b is None)

@@ -157,6 +157,15 @@ def test_single_chaos_scaled_to_a_target_variance():
     assert np.array_equal(y.kernels[3].values, k.values)
 
 
+def test_single_chaos_rejects_an_asymmetric_kernel():
+    g = make_grid(3)
+    asym = step_kernel(g, 2, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="order-2 kernel is not symmetric"):
+        single_chaos(asym)
+    # symmetrized: 1/2 at (0, 1) and (1, 0), so E[X^2] = 2! * 2 * (1/2)^2 * delta^2
+    assert second_moment(single_chaos(symmetrize(asym))) == pytest.approx(1.0 / 9.0, rel=1e-14)
+
+
 def test_diagonal_summands_are_independent_kernelwise():
     left, right = diagonal_summands(4, (1.0, 1.0))
     res = integrals_independent(left.kernels[2], right.kernels[2])

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 import chaoskit
 from chaoskit import (
+    EXPERIMENTS,
     ExperimentConfig,
     IncrementStream,
     ExperimentReport,
@@ -367,6 +369,72 @@ def test_report_json_round_trip():
         report_from_json('{"config": {}}')
     with pytest.raises(ValueError, match="must be a JSON object"):
         report_from_json("[1]")
+
+
+# Where each experiment's records carry their own layout: one key no other
+# experiment's records have.
+LAYOUT_MARKERS = {
+    "decouple": ("exact", "bound_x"),
+    "three_way": ("exact", "bound"),
+    "class_a": ("exact", "strongly_independent"),
+    "counterexample": ("mc", "corr_xy"),
+}
+
+
+def _small_config(experiment):
+    extra = {"path_steps": 200} if experiment == "counterexample" else {}
+    return ExperimentConfig(
+        experiment=experiment, n_schedule=(4, 8), mc_samples=200, seed=3, **extra
+    )
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_run_experiment_runs_the_configs_experiment(experiment):
+    # One entry point: the report echoes the config it was given, and every
+    # record has that experiment's layout and no other's.
+    config = _small_config(experiment)
+    report = run_experiment(config)
+    assert report.config == config.to_dict()
+    want = [200] if experiment == "counterexample" else [4, 8]
+    assert [record["n"] for record in report.records] == want
+    for record in report.records:
+        for other, (part, key) in LAYOUT_MARKERS.items():
+            assert (key in record[part]) == (other == experiment), (other, key)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_each_experiment_round_trips_through_json_and_csv(experiment):
+    report = run_experiment(_small_config(experiment))
+    back = report_from_json(report_to_json(report))
+    assert (back.config, back.records, back.runtime_ms) == (
+        report.config, report.records, report.runtime_ms
+    )
+    rows = list(csv.DictReader(io.StringIO(report_to_csv(report))))
+    assert [row["experiment"] for row in rows] == [experiment] * len(report.records)
+    assert [row["n"] for row in rows] == [str(record["n"]) for record in report.records]
+
+
+_FULL_REPORT = {"config": {}, "records": [], "runtime_ms": 0.0}
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("[1]", "must be a JSON object, got list"),
+        ("1", "must be a JSON object, got int"),
+        ('"report"', "must be a JSON object, got str"),
+        ("null", "must be a JSON object, got NoneType"),
+        ("true", "must be a JSON object, got bool"),
+        *[
+            (json.dumps({k: v for k, v in _FULL_REPORT.items() if k != key}), f"key '{key}'")
+            for key in _FULL_REPORT
+        ],
+    ],
+    ids=["list", "int", "str", "null", "bool", "no_config", "no_records", "no_runtime_ms"],
+)
+def test_report_from_json_rejects_malformed_bodies(body, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        report_from_json(body)
 
 
 def test_report_dict_shape():

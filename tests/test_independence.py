@@ -81,6 +81,46 @@ def test_default_verdict_is_scale_invariant():
     assert r1.independent == r2.independent
 
 
+# "Is zero" has one rule, DEFAULT_REL_TOL * ||f|| * ||g||: it must keep the
+# verdicts of exactly disjoint and of overlapping kernels at every scale.
+SCALES = [1e-60, 1e-8, 1.0, 1e8, 1e60]
+
+
+def _scaled(kernel, s):
+    return step_kernel(kernel.grid, kernel.order, kernel.values * s)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_integrals_independent_verdicts_hold_at_every_scale(s):
+    f, h = _disjoint_pair(seed=73)
+    f, h = _scaled(f, s), _scaled(h, s)
+    disjoint = integrals_independent(f, h)
+    assert disjoint.independent and disjoint.witness_norm == 0.0
+    overlap = integrals_independent(f, f)
+    assert not overlap.independent and overlap.witness_norm > 0.0
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_strongly_independent_verdicts_hold_at_every_scale(s):
+    f, h = _disjoint_pair(seed=74)
+    x, y = single_chaos(_scaled(f, s)), single_chaos(_scaled(h, s))
+    disjoint = strongly_independent(x, y)
+    assert disjoint.independent and disjoint.worst_norm == 0.0
+    overlap = strongly_independent(x, x)
+    assert not overlap.independent and overlap.worst_pair == (2, 2)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_class_a_diagnostic_is_exactly_zero_at_every_scale(s):
+    f, h = _disjoint_pair(seed=75)
+    out = class_a_diagnostic(
+        single_chaos(_scaled(f, s)), single_chaos(_scaled(h, s)), t_grid=[0.0, 1.0],
+        n_samples=16, stream=IncrementStream(seed=76),
+    )
+    assert out.max_modulus == 0.0
+    assert all(est.value == 0.0 and est.std_error == 0.0 for est in out.estimates)
+
+
 def test_strongly_independent_disjoint_couple():
     g = make_grid(4)
     rng = np.random.default_rng(62)

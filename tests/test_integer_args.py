@@ -22,6 +22,7 @@ from chaoskit import (
     evaluate_samples,
     kernel_from_dict,
     make_grid,
+    run_experiment,
     sample_increments_block,
     simulate_counterexample,
     single_chaos,
@@ -63,6 +64,16 @@ CASES = {
     ),
     "class_a_diagnostic": (
         lambda v: class_a_diagnostic(LEFT, RIGHT, [1.0], v, STREAM), "n_samples", 4
+    ),
+    "class_a_diagnostic.workers": (
+        lambda v: class_a_diagnostic(LEFT, RIGHT, [1.0], 4, STREAM, workers=v), "workers", 2
+    ),
+    "run_experiment.workers": (
+        lambda v: run_experiment(
+            ExperimentConfig("class_a", n_schedule=(4,), mc_samples=16), workers=v
+        ),
+        "workers",
+        2,
     ),
     "step_kernel": (lambda v: step_kernel(G4, v, np.eye(4)), "order", 2),
     "contract": (lambda v: contract(F2, F2, v), "ell", 1),

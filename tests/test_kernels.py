@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from chaoskit import (
     contract,
     inner_product,
+    is_symmetric,
     kernel_from_dict,
     kernel_norm,
     kernel_to_dict,
@@ -24,6 +25,7 @@ from chaoskit import (
     symmetrize,
 )
 
+from chaoskit.kernels import SYMMETRY_ATOL
 from oracles import symmetrize_reference
 
 
@@ -46,6 +48,20 @@ def small_kernels(max_order=4, max_m=4, min_order=1):
 
 # ---------------------------------------------------------------------------
 # symmetrize
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_is_symmetric_uses_the_symmetry_tolerance(order):
+    # "Is symmetric" has one rule: every entry within SYMMETRY_ATOL of the
+    # symmetrized kernel.
+    g = make_grid(3)
+    sym = _random_kernel(np.random.default_rng(90 + order), g, order, symmetric=True)
+    assert is_symmetric(sym)
+    corner = (0,) * (order - 1) + (1,)
+    for bump, verdict in ((0.1 * SYMMETRY_ATOL, True), (1e3 * SYMMETRY_ATOL, False)):
+        values = sym.values.copy()
+        values[corner] += bump
+        assert is_symmetric(step_kernel(g, order, values)) is verdict, bump
 
 
 def test_symmetrize_order2_example():

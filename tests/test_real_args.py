@@ -79,6 +79,7 @@ POSITIVE = {
     "kolmogorov_distance_mc": (lambda v: kolmogorov_distance_mc(SAMPLES, v), "variance", 2.0),
     "diagonal_second_chaos": (lambda v: diagonal_second_chaos(G4, [0, 1], v), "c", 1.0),
     "diagonal_summands": (lambda v: diagonal_summands(2, (0.5, v)), "c", 1.0),
+    "diagonal_summands.first": (lambda v: diagonal_summands(2, (v, 0.5)), "c", 1.0),
     "ExperimentConfig.c1": (lambda v: _config("decouple", c1=v, c2=0.5), "c1", 0.5),
     "ExperimentConfig.c2": (lambda v: _config("decouple", c1=0.5, c2=v), "c2", 0.5),
     "ExperimentConfig.c3": (lambda v: _config("three_way", c1=0.25, c2=0.25, c3=v), "c3", 0.5),
