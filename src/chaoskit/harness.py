@@ -15,8 +15,6 @@ Experiments:
                     bounds (ExactSummary.bound), Kolmogorov distances,
                     criterion functionals
     three_way       the same decomposition across three disjoint summands
-    class_a         characteristic-function cross diagnostic for a strongly
-                    independent couple
     counterexample  Euler simulation of the independent, not strongly independent pair
 
 decouple and three_way are k = 2 and k = 3 of one k-way runner: k diagonal
@@ -24,15 +22,17 @@ second-chaos summands on disjoint n-cell blocks of a k*n grid, with the
 variance split `ExperimentConfig.split`.  They differ only in their record
 layout: decouple spreads each per-summand list into `_x`/`_y` keys and
 carries the full criterion block, three_way keeps lists and the
-characteristic-function criterion only.
+characteristic-function criterion only.  Both end their exact section with
+an `independence` list: per summand pair, the strong-independence verdict and
+E[Gamma(X_i, X_j)^2], whose root bounds |E[e^{it(X_i+X_j)} Gamma(X_i, X_j)]|.
 
 Threads: run_experiment's `workers` bounds the threads of grid.run_tasks.
 Every experiment draws and evaluates its Monte Carlo paths on them, block by
 block (evaluate_samples, simulate_counterexample).  In decouple and
 three_way, once a record's paths are evaluated, its estimator calls (each
 summand's Kolmogorov distance, char, Stein and binned estimates, and the
-sum's Kolmogorov distance) run on them too.  The exact algebra, class_a's
-estimates and the counterexample's statistics run on the calling thread.
+sum's Kolmogorov distance) run on them too.  The exact algebra and the
+counterexample's statistics run on the calling thread.
 Records are byte-identical for any worker count.
 """
 
@@ -41,6 +41,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import time
@@ -49,10 +50,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .chaos import add, evaluate_samples, exact_summary
+from .chaos import add, cross_gamma, evaluate_samples, exact_summary, second_moment
 from .families import check_path_steps, diagonal_summands, simulate_counterexample
 from .grid import IncrementStream, check_int, check_real, run_tasks
-from .independence import class_a_diagnostic, strongly_independent
+from .independence import strongly_independent
 from .kernels import check_dense_entries
 from .stein import (
     STEIN_MAX_ARG,
@@ -62,8 +63,6 @@ from .stein import (
     kolmogorov_distance_mc,
     stein_estimates,
 )
-
-EXPERIMENTS = ("decouple", "counterexample", "class_a", "three_way")
 
 # Exact identities (cumulant additivity, Gamma residual additivity) must hold
 # to this relative tolerance or the run aborts.
@@ -238,14 +237,16 @@ def _run_k_way(config: ExperimentConfig, workers: int, layout) -> ExperimentRepo
 
     Per schedule entry it reads the exact per-summand lists (var, k4,
     gamma_residual, bound) from one exact_summary per summand, and the
-    totals from one of the sum, checks both additivities, then evaluates the
-    summands and their summaries' Gammas on one shared stream.
+    totals from one of the sum, checks both additivities, forms the
+    pairwise `independence` list, then evaluates the summands and their
+    summaries' Gammas on one shared stream.
     layout(exact, samples, resid_vals) returns the record's exact section
     and its mc section as a nest of estimator tasks (zero-argument calls),
     where samples[j] holds the draws of summand j and resid_vals[j] those of
     c_j - Gamma_j on the same paths.  The tasks run on up to `workers`
     threads once evaluate_samples has returned, so their temporaries never
-    sit on top of the evaluator's chunk buffers.
+    sit on top of the evaluator's chunk buffers.  layout never sees the
+    independence list: it is appended to the exact section afterwards.
     """
     cs = config.split
 
@@ -259,6 +260,7 @@ def _run_k_way(config: ExperimentConfig, workers: int, layout) -> ExperimentRepo
         residuals = [s.residual for s in summaries]
         add_gap = _check_additivity(res_sum, sum(residuals), "Gamma residual")
         k4_gap = _check_additivity(k4_sum, sum(k4), "fourth cumulant")
+        independence = _independence(parts)
         exact = {
             "var": [s.var for s in summaries],
             "k4": k4,
@@ -276,9 +278,25 @@ def _run_k_way(config: ExperimentConfig, workers: int, layout) -> ExperimentRepo
         samples = vals[: len(parts)]
         resid_vals = [c - g for c, g in zip(cs, vals[len(parts) :])]
         exact, mc = layout(exact, samples, resid_vals)
-        return exact, _call_tasks(mc, workers)
+        return {**exact, "independence": independence}, _call_tasks(mc, workers)
 
     return _timed_report(config, config.n_schedule, record)
+
+
+def _independence(parts) -> list:
+    """Per summand pair i < j, in the order (0, 1), (0, 2), (1, 2): the pair's
+    strongly_independent verdict and cross_gamma_residual = E[Gamma(X_i, X_j)^2]."""
+    entries = []
+    for i, j in itertools.combinations(range(len(parts)), 2):
+        si = strongly_independent(parts[i], parts[j])
+        entries.append({
+            "pair": [i, j],
+            "strongly_independent": bool(si.independent),
+            "worst_pair": list(si.worst_pair),
+            "worst_contraction_norm": si.worst_norm,
+            "cross_gamma_residual": second_moment(cross_gamma(parts[i], parts[j])),
+        })
+    return entries
 
 
 def _spread_xy(block: dict) -> dict:
@@ -336,28 +354,6 @@ def _run_three_way(config: ExperimentConfig, workers: int) -> ExperimentReport:
     return _run_k_way(config, workers, layout)
 
 
-def _run_class_a(config: ExperimentConfig, workers: int) -> ExperimentReport:
-    def record(n):
-        x, y = diagonal_summands(n, config.split)
-        si = strongly_independent(x, y)
-        stream = IncrementStream(config.seed, stream_id=n)
-        diag = class_a_diagnostic(
-            x, y, config.t_grid, config.mc_samples, stream, workers=workers
-        )
-        exact = {
-            "strongly_independent": bool(si.independent),
-            "worst_pair": list(si.worst_pair) if si.worst_pair is not None else None,
-            "worst_contraction_norm": si.worst_norm,
-        }
-        mc = {
-            "max_modulus": diag.max_modulus,
-            "moduli": [_est_dict(e, "t") for e in diag.estimates],
-        }
-        return exact, mc
-
-    return _timed_report(config, config.n_schedule, record)
-
-
 def _run_counterexample(config: ExperimentConfig, workers: int) -> ExperimentReport:
     def record(path_steps):
         stream = IncrementStream(config.seed, stream_id=path_steps)
@@ -390,9 +386,10 @@ def _run_counterexample(config: ExperimentConfig, workers: int) -> ExperimentRep
 _RUNNERS = {
     "decouple": _run_decoupling,
     "three_way": _run_three_way,
-    "class_a": _run_class_a,
     "counterexample": _run_counterexample,
 }
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:

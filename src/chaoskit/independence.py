@@ -4,20 +4,17 @@ Two multiple integrals I_p(f), I_q(g) of a common Gaussian field are
 independent exactly when the first contraction f ox_1 g vanishes; for
 expansions, strong independence asks this of every kernel pair.  For the
 characteristic-function factorization argument one also wants
-E[e^{it(X+Y)} <DX, D(-L)^{-1} Y>] = 0 along a grid of t, which the diagnostic
-below estimates by Monte Carlo.
+E[e^{it(X+Y)} <DX, D(-L)^{-1} Y>] = 0 at every t; by Cauchy-Schwarz its
+modulus is at most sqrt(E[<DX, D(-L)^{-1} Y>^2]), which the k-way
+experiments read exactly as `second_moment(cross_gamma(x, y))`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-import numpy as np
-
-from .chaos import ChaosExpansion, add, cross_gamma, evaluate_samples
-from .grid import IncrementStream, check_run_counts
+from .chaos import ChaosExpansion
 from .kernels import StepKernel, contract, kernel_norm
-from .stein import char_fn_estimates
 
 # Relative factor for deciding that a contraction norm is zero.
 DEFAULT_REL_TOL = 1e-10
@@ -32,11 +29,6 @@ class StrongIndependenceResult(NamedTuple):
     independent: bool
     worst_pair: tuple | None  # kernel orders (n, m) of the worst offender
     worst_norm: float
-
-
-class ClassADiagnostic(NamedTuple):
-    max_modulus: float
-    estimates: tuple
 
 
 def integrals_independent(f: StepKernel, g: StepKernel) -> IndependenceResult:
@@ -86,29 +78,3 @@ def strongly_independent(x: ChaosExpansion, y: ChaosExpansion) -> StrongIndepend
         independent=independent, worst_pair=worst_pair, worst_norm=worst_norm
     )
 
-
-def class_a_diagnostic(
-    x: ChaosExpansion,
-    y: ChaosExpansion,
-    t_grid: Sequence[float],
-    n_samples: int,
-    stream: IncrementStream,
-    workers: int = 1,
-) -> ClassADiagnostic:
-    """Estimate |E[e^{it(X+Y)} <DX, D(-L)^{-1} Y>]| along t_grid.
-
-    A vanishing diagnostic is what lets the characteristic function of X + Y
-    factor; for strongly independent couples the cross functional is the zero
-    expansion and every estimate is exactly zero.  Then nothing is drawn: the
-    cross functional is 0 on every path, so the estimates are taken on zero
-    arrays of length n_samples, which give the same values as drawn X + Y.
-    """
-    cg = cross_gamma(x, y)
-    if cg.nonzero_orders():
-        s_vals, cg_vals = evaluate_samples([add(x, y), cg], n_samples, stream, workers=workers)
-    else:
-        check_run_counts(n_samples, workers)
-        s_vals = cg_vals = np.zeros(n_samples)
-    estimates = char_fn_estimates(s_vals, cg_vals, t_grid)
-    max_modulus = max((e.value for e in estimates), default=0.0)
-    return ClassADiagnostic(max_modulus=float(max_modulus), estimates=estimates)

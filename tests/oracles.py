@@ -24,10 +24,12 @@ The reference fourth cumulant is the earlier two-branch route: contraction
 norms for a single order and E[X^4] - 3 E[X^2]^2 through `multiply(x, x)` for
 mixed orders, which forms order-2N kernels.
 
-The reference runners are the separate decouple, three_way and class_a
-record builders, with their per-parameter estimators and class-A
-diagnostic, as they stood before the k-way runner replaced them.  The
-library's runners must reproduce their records byte for byte.
+The reference runners are the separate decouple and three_way record
+builders, with their per-parameter estimators, as they stood before the
+k-way runner replaced them, and each record's exact `independence` list
+built pair by pair from the public strongly_independent, cross_gamma and
+second_moment.  The library's runners must reproduce their records byte for
+byte.
 
 The reference counterexample simulation walks each path one Euler step at a
 time over the same (index, path_steps/2 + 1) normal table the library reads.
@@ -42,12 +44,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from chaoskit.chaos import (
-    ChaosExpansion,
     add,
     cross_gamma,
     evaluate_samples,
@@ -60,7 +59,7 @@ from chaoskit.chaos import (
 from chaoskit.families import diagonal_second_chaos
 from chaoskit.grid import BLOCK_SIZE, IncrementStream, make_grid
 from chaoskit.harness import EXACT_IDENTITY_RTOL, ExperimentConfig, ExperimentReport
-from chaoskit.independence import ClassADiagnostic, strongly_independent
+from chaoskit.independence import strongly_independent
 from chaoskit.kernels import StepKernel, contract, inner_product, symmetrize
 from chaoskit.stein import (
     CriterionEstimate,
@@ -407,27 +406,6 @@ def _binned_residual_estimate(
     )
 
 
-def class_a_diagnostic(
-    x: ChaosExpansion,
-    y: ChaosExpansion,
-    t_grid: Sequence[float],
-    n_samples: int,
-    stream: IncrementStream,
-    workers: int = 1,
-) -> ClassADiagnostic:
-    """Estimate |E[e^{it(X+Y)} <DX, D(-L)^{-1} Y>]| along t_grid.
-
-    A vanishing diagnostic is what lets the characteristic function of X + Y
-    factor; for strongly independent couples the cross functional is the zero
-    expansion and every estimate is exactly zero.
-    """
-    cg = cross_gamma(x, y)
-    s_vals, cg_vals = evaluate_samples([add(x, y), cg], n_samples, stream, workers=workers)
-    estimates = tuple(_char_fn_estimate(s_vals, cg_vals, t) for t in t_grid)
-    max_modulus = max((e.value for e in estimates), default=0.0)
-    return ClassADiagnostic(max_modulus=float(max_modulus), estimates=estimates)
-
-
 def _est_dict(est: CriterionEstimate, param_name: str) -> dict:
     return {
         param_name: est.parameter,
@@ -464,6 +442,22 @@ def _check_additivity(total: float, parts: float, label: str) -> float:
     return gap
 
 
+def _independence_reference(parts) -> list:
+    """Exact entries of each summand pair i < j, i outer, from the public primitives."""
+    entries = []
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            si = strongly_independent(parts[i], parts[j])
+            entries.append({
+                "pair": [i, j],
+                "strongly_independent": bool(si.independent),
+                "worst_pair": list(si.worst_pair),
+                "worst_contraction_norm": si.worst_norm,
+                "cross_gamma_residual": second_moment(cross_gamma(parts[i], parts[j])),
+            })
+    return entries
+
+
 def run_decoupling_reference(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     start = time.perf_counter()
     records = []
@@ -496,6 +490,7 @@ def run_decoupling_reference(config: ExperimentConfig, workers: int = 1) -> Expe
             # the fourth-moment bound sqrt(|k4|) / E[X^2]
             "bound_x": math.sqrt(abs(k4_x)) / var_x,
             "bound_y": math.sqrt(abs(k4_y)) / var_y,
+            "independence": _independence_reference([x, y]),
         }
         stream = IncrementStream(config.seed, stream_id=n)
         x_vals, y_vals, gx_vals, gy_vals = evaluate_samples(
@@ -545,6 +540,7 @@ def run_three_way_reference(config: ExperimentConfig, workers: int = 1) -> Exper
             "gamma_residual_sum": res_sum,
             "additivity_gap_rel": add_gap,
             "bound": [math.sqrt(abs(k4)) / v for k4, v in zip(k4s, var)],
+            "independence": _independence_reference(parts),
         }
         stream = IncrementStream(config.seed, stream_id=n)
         vals = evaluate_samples(
@@ -571,28 +567,3 @@ def run_three_way_reference(config: ExperimentConfig, workers: int = 1) -> Exper
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentReport(config=config.to_dict(), records=records, runtime_ms=runtime_ms)
 
-
-def run_class_a_reference(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    start = time.perf_counter()
-    records = []
-    for n in config.n_schedule:
-        grid = make_grid(2 * n)
-        x = diagonal_second_chaos(grid, range(0, n), config.c1)
-        y = diagonal_second_chaos(grid, range(n, 2 * n), config.c2)
-        si = strongly_independent(x, y)
-        stream = IncrementStream(config.seed, stream_id=n)
-        diag = class_a_diagnostic(
-            x, y, config.t_grid, config.mc_samples, stream, workers=workers
-        )
-        exact = {
-            "strongly_independent": bool(si.independent),
-            "worst_pair": list(si.worst_pair) if si.worst_pair is not None else None,
-            "worst_contraction_norm": si.worst_norm,
-        }
-        mc = {
-            "max_modulus": diag.max_modulus,
-            "moduli": [_est_dict(e, "t") for e in diag.estimates],
-        }
-        records.append({"n": int(n), "exact": exact, "mc": mc})
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    return ExperimentReport(config=config.to_dict(), records=records, runtime_ms=runtime_ms)

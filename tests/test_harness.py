@@ -28,7 +28,7 @@ from chaoskit import (
 from chaoskit import chaos as chaos_module
 from chaoskit import cli, harness
 from chaoskit.cli import main as cli_main
-from oracles import run_class_a_reference, run_decoupling_reference, run_three_way_reference
+from oracles import run_decoupling_reference, run_three_way_reference
 
 
 def _small_decouple(**overrides):
@@ -75,7 +75,7 @@ def test_config_rejects_bad_split():
     with pytest.raises(ValueError):
         _small_decouple(c1=-0.5, c2=1.5)
     with pytest.raises(ValueError):
-        ExperimentConfig(experiment="class_a", c1=0.9, c2=0.2)
+        ExperimentConfig(experiment="three_way", c1=0.9, c2=0.2, c3=0.1)
     # exact split within the absolute tolerance is accepted
     _small_decouple(c1=0.3, c2=0.7)
 
@@ -83,7 +83,7 @@ def test_config_rejects_bad_split():
 def test_config_default_split_is_equal():
     # With no split entry the k summands share the variance equally.
     assert ExperimentConfig(experiment="three_way").split == (1.0 / 3, 1.0 / 3, 1.0 / 3)
-    for experiment in ("decouple", "class_a", "counterexample"):
+    for experiment in ("decouple", "counterexample"):
         cfg = ExperimentConfig(experiment=experiment)
         assert (cfg.c1, cfg.c2, cfg.c3) == (0.5, 0.5, None)
     # one entry given: the others follow the explicit-split rules
@@ -137,13 +137,13 @@ def test_config_rejects_unusable_grids_and_bins():
         _small_decouple(n_bins=4001)
     _small_decouple(n_bins=4000, z_grid=(-40.0, 40.0))
     # the Stein bound and the n_bins <= mc_samples bound apply where they are read
-    ExperimentConfig(experiment="class_a", z_grid=(100.0,), mc_samples=16)
+    ExperimentConfig(experiment="three_way", z_grid=(100.0,), mc_samples=16)
     ExperimentConfig(experiment="counterexample", mc_samples=16)
 
 
 def test_config_bounds_t_where_it_is_read():
     bound = harness.CHAR_FN_MAX_T
-    for experiment in ("decouple", "three_way", "class_a"):
+    for experiment in ("decouple", "three_way"):
         with pytest.raises(ValueError, match="t_grid"):
             ExperimentConfig(experiment=experiment, t_grid=(1.0, -2.0 * bound))
         ExperimentConfig(experiment=experiment, t_grid=(-bound, bound))
@@ -237,10 +237,11 @@ def test_decouple_workers_do_not_change_results():
 # other experiments
 
 
-@pytest.mark.parametrize("experiment,builds", [("decouple", 6), ("three_way", 8)])
+@pytest.mark.parametrize("experiment,builds", [("decouple", 7), ("three_way", 11)])
 def test_k_way_record_builds_each_gamma_once(experiment, builds, monkeypatch):
     # One exact_summary per summand and one for the sum, each forming Gamma_1
-    # and Gamma_2 once: 2 * (k + 1) cross-Gamma builds per record.
+    # and Gamma_2 once, and one cross Gamma per summand pair for the
+    # independence list: 2 * (k + 1) + k * (k - 1) / 2 builds per record.
     calls = []
     cross_gamma = chaos_module._cross_gamma
 
@@ -277,33 +278,26 @@ def test_three_way_records():
     assert last["exact"]["gamma_residual_sum"] < first["exact"]["gamma_residual_sum"]
 
 
-def test_class_a_exact_zero_cross_terms():
+@pytest.mark.parametrize(
+    "experiment,pairs", [("decouple", [[0, 1]]), ("three_way", [[0, 1], [0, 2], [1, 2]])]
+)
+def test_k_way_independence_list_is_exact_zeros_in_pair_order(experiment, pairs):
+    # The summands sit on disjoint cells: every pair is strongly independent
+    # and its cross Gamma is the zero expansion, so the bound on
+    # |E[e^{it(X_i + X_j)} Gamma(X_i, X_j)]| is exactly 0.
     cfg = ExperimentConfig(
-        experiment="class_a", n_schedule=(2, 4), mc_samples=3000,
+        experiment=experiment, n_schedule=(2, 4), mc_samples=3000,
         seed=3, t_grid=(0.5, 1.0), z_grid=(0.0,),
     )
     report = run_experiment(cfg)
     for rec in report.records:
-        assert rec["exact"]["strongly_independent"] is True
-        assert rec["exact"]["worst_contraction_norm"] == 0.0
-        assert rec["mc"]["max_modulus"] == 0.0
-        for entry in rec["mc"]["moduli"]:
-            assert entry["value"] == 0.0
-            assert entry["std_error"] == 0.0
-
-
-def test_class_a_disjoint_couple_draws_nothing(monkeypatch):
-    # The default couple sits on disjoint halves, so its cross functional is
-    # the zero expansion: the records come out without a draw and equal the
-    # drawn route (evaluate, then the estimators) byte for byte.
-    config = ExperimentConfig(experiment="class_a", mc_samples=3000, seed=12)
-    drawn = json.dumps(run_class_a_reference(config).records)
-
-    def no_draws(*args, **kwargs):
-        raise AssertionError("an exactly zero diagnostic must not sample")
-
-    monkeypatch.setattr(IncrementStream, "standard_normal_block", no_draws)
-    assert json.dumps(run_experiment(config).records) == drawn
+        entries = rec["exact"]["independence"]
+        assert [entry["pair"] for entry in entries] == pairs
+        for entry in entries:
+            assert entry["strongly_independent"] is True
+            assert entry["worst_pair"] == [2, 2]
+            assert entry["worst_contraction_norm"] == 0.0
+            assert entry["cross_gamma_residual"] == 0.0
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -314,7 +308,6 @@ def test_class_a_disjoint_couple_draws_nothing(monkeypatch):
         ("decouple", run_decoupling_reference, {"c1": 0.3, "c2": 0.7, "n_bins": 8}),
         ("three_way", run_three_way_reference, {"c1": 1 / 3, "c2": 1 / 3, "c3": 1 / 3}),
         ("three_way", run_three_way_reference, {"c1": 0.2, "c2": 0.3, "c3": 0.5}),
-        ("class_a", run_class_a_reference, {}),
     ],
 )
 def test_runner_records_match_reference(experiment, reference, split, workers):
@@ -376,7 +369,6 @@ def test_report_json_round_trip():
 LAYOUT_MARKERS = {
     "decouple": ("exact", "bound_x"),
     "three_way": ("exact", "bound"),
-    "class_a": ("exact", "strongly_independent"),
     "counterexample": ("mc", "corr_xy"),
 }
 
@@ -570,7 +562,7 @@ def test_cli_n_bins_flag(capsys):
         ["decouple", "--config", {"workers": "3"}],
         # c3 is a three_way field; elsewhere it would be echoed unused
         ["decouple", "--c3", "0.9"],
-        ["class_a", "--config", {"c3": 0.2}],
+        ["decouple", "--config", {"c3": 0.2}],
         # unused outside counterexample, but echoed: NaN failed only at serialization
         ["decouple", "--config", {"path_steps": math.nan}],
         # an unwritable --out failed only once the report was written
@@ -598,6 +590,18 @@ def test_cli_bad_config_fails_before_sampling(argv, tmp_path, capsys, monkeypatc
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_cli_rejects_a_retired_experiment(capsys, monkeypatch):
+    # An experiment name outside EXPERIMENTS fails in argparse, before any draw.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a rejected experiment must not sample")
+
+    monkeypatch.setattr(IncrementStream, "standard_normal_block", no_draws)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["class_a"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'class_a'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -656,7 +660,7 @@ def test_cli_workers_default_and_override(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "experiment,conf",
-    [("decouple", {"c1": "0.5"}), ("class_a", {"c2": False}), ("three_way", {"c3": "0.2"})],
+    [("decouple", {"c1": "0.5"}), ("decouple", {"c2": False}), ("three_way", {"c3": "0.2"})],
 )
 def test_cli_non_real_split_fails_before_sampling(experiment, conf, tmp_path, capsys, monkeypatch):
     path = tmp_path / "conf.json"

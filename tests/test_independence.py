@@ -5,9 +5,14 @@ import pytest
 
 from chaoskit import (
     IncrementStream,
+    add,
     chaos_expansion,
-    class_a_diagnostic,
+    char_fn_estimates,
     constant,
+    cross_gamma,
+    diagonal_summands,
+    evaluate_samples,
+    gamma,
     integrals_independent,
     make_grid,
     second_moment,
@@ -16,8 +21,6 @@ from chaoskit import (
     strongly_independent,
     symmetrize,
 )
-from oracles import batch_mean_se
-from oracles import class_a_diagnostic as class_a_diagnostic_drawn
 
 
 def _disjoint_pair(m=4, order=2, seed=60):
@@ -111,14 +114,14 @@ def test_strongly_independent_verdicts_hold_at_every_scale(s):
 
 
 @pytest.mark.parametrize("s", SCALES)
-def test_class_a_diagnostic_is_exactly_zero_at_every_scale(s):
+def test_cross_gamma_residual_is_exactly_zero_at_every_scale(s):
+    # The k-way records' independence entry: the verdict and the residual
+    # E[Gamma(X, Y)^2] that bounds |E[e^{it(X+Y)} Gamma(X, Y)]|.
     f, h = _disjoint_pair(seed=75)
-    out = class_a_diagnostic(
-        single_chaos(_scaled(f, s)), single_chaos(_scaled(h, s)), t_grid=[0.0, 1.0],
-        n_samples=16, stream=IncrementStream(seed=76),
-    )
-    assert out.max_modulus == 0.0
-    assert all(est.value == 0.0 and est.std_error == 0.0 for est in out.estimates)
+    x, y = single_chaos(_scaled(f, s)), single_chaos(_scaled(h, s))
+    verdict = strongly_independent(x, y)
+    assert verdict.independent and verdict.worst_norm == 0.0
+    assert second_moment(cross_gamma(x, y)) == 0.0
 
 
 def test_strongly_independent_disjoint_couple():
@@ -163,67 +166,32 @@ def test_strongly_independent_grid_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# class-A diagnostic
+# the cross functional <DX, D(-L)^{-1} Y> of the characteristic-function argument
 
 
-def test_class_a_diagnostic_exact_zero_for_disjoint():
+def test_disjoint_cross_functional_estimates_are_exact_zeros():
     f, h = _disjoint_pair(seed=65)
-    out = class_a_diagnostic(
-        single_chaos(f), single_chaos(h), t_grid=[0.5, 1.0, 2.0],
-        n_samples=2000, stream=IncrementStream(seed=66),
+    x, y = single_chaos(f), single_chaos(h)
+    s_vals, cg_vals = evaluate_samples(
+        [add(x, y), cross_gamma(x, y)], 2000, IncrementStream(seed=66)
     )
-    assert out.max_modulus == 0.0
-    assert len(out.estimates) == 3
-    for est, t in zip(out.estimates, [0.5, 1.0, 2.0]):
+    estimates = char_fn_estimates(s_vals, cg_vals, [0.5, 1.0, 2.0])
+    assert len(estimates) == 3
+    for est, t in zip(estimates, [0.5, 1.0, 2.0]):
         assert est.value == 0.0
         assert est.std_error == 0.0
         assert est.parameter == t
 
 
-@pytest.mark.parametrize("n_samples", [1, 2000])
-def test_class_a_diagnostic_zero_cross_functional_draws_nothing(n_samples, monkeypatch):
-    # Equal to evaluating and then estimating, n_samples included; a single
-    # path, which has no standard error, is rejected before any draw; bad
-    # counts are still rejected.
-    f, h = _disjoint_pair(seed=71)
-    x, y = single_chaos(f), single_chaos(h)
-    args = (x, y, [0.0, 1.0], n_samples, IncrementStream(seed=72))
-    drawn = class_a_diagnostic_drawn(*args) if n_samples > 1 else None
-
-    def no_draws(*args, **kwargs):
-        raise AssertionError("an exactly zero diagnostic must not sample")
-
-    monkeypatch.setattr(IncrementStream, "standard_normal_block", no_draws)
-    if drawn is None:
-        with pytest.raises(ValueError, match="two samples"):
-            class_a_diagnostic(*args, workers=2)
-    else:
-        out = class_a_diagnostic(*args, workers=2)
-        assert repr(out) == repr(drawn)
-        assert all(e.n_samples == n_samples for e in out.estimates)
-    with pytest.raises(ValueError, match="n_samples"):
-        class_a_diagnostic(*args[:3], 0, args[4])
-    with pytest.raises(ValueError, match="workers"):
-        class_a_diagnostic(*args, workers=0)
-
-
-def test_class_a_diagnostic_detects_self_coupling():
-    # X = Y: at t = 0 the diagnostic is |E[Gamma(X)]| = E[X^2]
+def test_self_coupling_cross_functional_is_gamma():
+    # X = Y: at t = 0 the estimate is |E[Gamma(X)]| = E[X^2]
     f, _ = _disjoint_pair(seed=67)
     x = single_chaos(f)
-    out = class_a_diagnostic(
-        x, x, t_grid=[0.0], n_samples=100_000, stream=IncrementStream(seed=68),
-    )
-    est = out.estimates[0]
+    s_vals, g_vals = evaluate_samples([add(x, x), gamma(x)], 100_000, IncrementStream(seed=68))
+    (est,) = char_fn_estimates(s_vals, g_vals, [0.0])
     assert abs(est.value - second_moment(x)) <= 3 * est.std_error
-    assert out.max_modulus == est.value > 0.0
-
-
-def test_class_a_diagnostic_empty_grid():
-    f, h = _disjoint_pair(seed=69)
-    out = class_a_diagnostic(
-        single_chaos(f), single_chaos(h), t_grid=[],
-        n_samples=100, stream=IncrementStream(seed=70),
-    )
-    assert out.max_modulus == 0.0
-    assert out.estimates == ()
+    assert est.value > 0.0
+    # and the exact residual of the pair is E[Gamma(X)^2]: 0.375 at n = 4, c = 0.5
+    left, _ = diagonal_summands(4, (0.5, 0.5))
+    assert not strongly_independent(left, left).independent
+    assert second_moment(cross_gamma(left, left)) == second_moment(gamma(left)) == 0.375

@@ -16,7 +16,6 @@ from chaoskit import (
     ExperimentConfig,
     IncrementStream,
     binned_residual_estimate,
-    class_a_diagnostic,
     contract,
     diagonal_summands,
     evaluate_samples,
@@ -35,7 +34,6 @@ STREAM = IncrementStream(seed=1)
 F1 = step_kernel(G4, 1, np.arange(4.0))
 F2 = step_kernel(G4, 2, np.eye(4))
 X = np.linspace(-1.0, 1.0, 8)
-LEFT, RIGHT = diagonal_summands(2, (0.5, 0.5))
 
 
 def _config(**kwargs):
@@ -62,15 +60,9 @@ CASES = {
     "evaluate_samples.workers": (
         lambda v: evaluate_samples([single_chaos(F1)], 4, STREAM, workers=v), "workers", 2
     ),
-    "class_a_diagnostic": (
-        lambda v: class_a_diagnostic(LEFT, RIGHT, [1.0], v, STREAM), "n_samples", 4
-    ),
-    "class_a_diagnostic.workers": (
-        lambda v: class_a_diagnostic(LEFT, RIGHT, [1.0], 4, STREAM, workers=v), "workers", 2
-    ),
     "run_experiment.workers": (
         lambda v: run_experiment(
-            ExperimentConfig("class_a", n_schedule=(4,), mc_samples=16), workers=v
+            ExperimentConfig("three_way", n_schedule=(4,), mc_samples=16), workers=v
         ),
         "workers",
         2,

@@ -159,8 +159,9 @@ def test_retired_second_routes_stay_gone():
         chaos: ["evaluate", "shift", "fourth_moment_bound"],
         families: ["CounterexampleSample", "half_support_second_chaos", "custom_single_chaos"],
         grid: ["GaussianSample", "sample_increments"],
-        harness: ["run_decoupling", "run_three_way", "run_class_a", "run_counterexample"],
+        harness: ["run_decoupling", "run_three_way", "run_class_a", "run_counterexample", "_run_class_a"],
         hermite: ["hermite_eval", "hermite_table", "MAX_DEGREE", "_check_degree"],
+        independence: ["class_a_diagnostic", "ClassADiagnostic"],
         kernels: ["zero_kernel"],
         stein: ["CriterionFunctionals", "conditional_residual_estimate", "criterion_functionals"],
     }
@@ -264,7 +265,6 @@ def test_library_and_cli_paths_load_no_scipy(tmp_path):
         "out = Path(sys.argv[1])\n"
         "for argv in (['decouple', '--n-schedule', '4', '--mc', '64', '--n-bins', '4'],\n"
         "             ['three_way', '--n-schedule', '4', '--mc', '64'],\n"
-        "             ['class_a', '--mc', '64'],\n"
         "             ['counterexample', '--path-steps', '100', '--mc', '64']):\n"
         "    code = cli.main(argv + ['--workers', '2', '--out', str(out / (argv[0] + '.json'))])\n"
         "    report(f'{argv[0]}:{code}')\n"
@@ -286,6 +286,6 @@ def test_library_and_cli_paths_load_no_scipy(tmp_path):
     # The CLI prints its summaries on the same stdout.
     steps = [line.split()[1:] for line in done.stdout.splitlines() if line.startswith("probe ")]
     assert [step for step, _ in steps] == [
-        "import", "decouple:0", "three_way:0", "class_a:0", "counterexample:0", "dense_order_2", "dense_order_3"
+        "import", "decouple:0", "three_way:0", "counterexample:0", "dense_order_2", "dense_order_3"
     ]
     assert all(loaded == "none" for _, loaded in steps), steps

@@ -19,9 +19,7 @@ import pytest
 from chaoskit import (
     ExperimentConfig,
     binned_residual_estimate,
-    IncrementStream,
     char_fn_estimates,
-    class_a_diagnostic,
     constant,
     diagonal_second_chaos,
     diagonal_summands,
@@ -41,10 +39,8 @@ from chaoskit import (
 from chaoskit.kernels import scale_kernel
 
 G4 = make_grid(4)
-STREAM = IncrementStream(seed=1)
 F1 = step_kernel(G4, 1, np.arange(4.0))
 X = single_chaos(F1)
-LEFT, RIGHT = diagonal_summands(2, (0.5, 0.5))
 # Dyadic, so a float32 copy holds the same values.
 SAMPLES = np.array([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
@@ -65,9 +61,6 @@ SCALARS = {
     "stein_solution.z": (lambda v: stein_solution(v, SAMPLES), "z", 1.0),
     "char_fn_estimates": (lambda v: char_fn_estimates(SAMPLES, SAMPLES, [v]), "t_grid entry", 1.0),
     "stein_estimates": (lambda v: stein_estimates(SAMPLES, SAMPLES, [v]), "z_grid entry", 1.0),
-    "class_a_diagnostic": (
-        lambda v: class_a_diagnostic(LEFT, RIGHT, [v], 16, STREAM), "t_grid entry", 1.0
-    ),
     "ExperimentConfig.t_grid": (lambda v: _config(t_grid=(v,)), "t_grid entry", 2.0),
     "ExperimentConfig.z_grid": (lambda v: _config(z_grid=(v,)), "z_grid entry", 2.0),
     "ExperimentConfig.c1": (lambda v: _config(c1=v), "c1", 0.25),
