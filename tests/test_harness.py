@@ -18,6 +18,7 @@ from chaoskit import (
     ExperimentConfig,
     IncrementStream,
     ExperimentReport,
+    diagonal_summands,
     report_from_json,
     report_to_csv,
     report_to_dict,
@@ -279,15 +280,24 @@ def test_three_way_records():
 
 
 @pytest.mark.parametrize(
-    "experiment,pairs", [("decouple", [[0, 1]]), ("three_way", [[0, 1], [0, 2], [1, 2]])]
+    "experiment,pairs,split",
+    [
+        ("decouple", [[0, 1]], {}),
+        ("three_way", [[0, 1], [0, 2], [1, 2]], {}),
+        ("decouple", [[0, 1]], {"c1": 0.3, "c2": 0.7}),
+        ("three_way", [[0, 1], [0, 2], [1, 2]], {"c1": 0.2, "c2": 0.3, "c3": 0.5}),
+    ],
+    ids=[
+        "decouple-pairs0", "three_way-pairs1", "decouple-unequal_split", "three_way-unequal_split"
+    ],
 )
-def test_k_way_independence_list_is_exact_zeros_in_pair_order(experiment, pairs):
+def test_k_way_independence_list_is_exact_zeros_in_pair_order(experiment, pairs, split):
     # The summands sit on disjoint cells: every pair is strongly independent
     # and its cross Gamma is the zero expansion, so the bound on
-    # |E[e^{it(X_i + X_j)} Gamma(X_i, X_j)]| is exactly 0.
+    # |E[e^{it(X_i + X_j)} Gamma(X_i, X_j)]| is exactly 0, for any split.
     cfg = ExperimentConfig(
         experiment=experiment, n_schedule=(2, 4), mc_samples=3000,
-        seed=3, t_grid=(0.5, 1.0), z_grid=(0.0,),
+        seed=3, t_grid=(0.5, 1.0), z_grid=(0.0,), **split
     )
     report = run_experiment(cfg)
     for rec in report.records:
@@ -300,6 +310,31 @@ def test_k_way_independence_list_is_exact_zeros_in_pair_order(experiment, pairs)
             assert entry["cross_gamma_residual"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "layout,expected",
+    [
+        ("aa", [(False, 0.375)]),
+        ("aba", [(True, 0.0), (False, 0.375), (True, 0.0)]),
+        ("aab", [(False, 0.375), (True, 0.0), (True, 0.0)]),
+    ],
+)
+def test_independence_list_reads_a_self_coupled_pair_without_a_draw(layout, expected, monkeypatch):
+    # X paired with itself (n = 4, c = 0.5) reads E[Gamma(X)^2] = 0.375 at its
+    # own pair and the others stay exact zeros; the list is algebra only.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the independence list must not sample")
+
+    monkeypatch.setattr(IncrementStream, "standard_normal_block", no_draws)
+    a, b = diagonal_summands(4, (0.5, 0.5))
+    entries = harness._independence([{"a": a, "b": b}[name] for name in layout])
+    assert [entry["pair"] for entry in entries] == [[0, 1], [0, 2], [1, 2]][: len(expected)]
+    for entry, (independent, residual) in zip(entries, expected):
+        assert entry["strongly_independent"] is independent
+        assert entry["worst_pair"] == [2, 2]
+        assert (entry["worst_contraction_norm"] == 0.0) is independent
+        assert entry["cross_gamma_residual"] == residual
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize(
     "experiment,reference,split",
@@ -308,6 +343,11 @@ def test_k_way_independence_list_is_exact_zeros_in_pair_order(experiment, pairs)
         ("decouple", run_decoupling_reference, {"c1": 0.3, "c2": 0.7, "n_bins": 8}),
         ("three_way", run_three_way_reference, {"c1": 1 / 3, "c2": 1 / 3, "c3": 1 / 3}),
         ("three_way", run_three_way_reference, {"c1": 0.2, "c2": 0.3, "c3": 0.5}),
+        (
+            "decouple",
+            run_decoupling_reference,
+            {"t_grid": (0.0, 0.25, 3.0), "z_grid": (-2.0, 0.5, 2.0)},
+        ),
     ],
 )
 def test_runner_records_match_reference(experiment, reference, split, workers):
@@ -699,6 +739,22 @@ def test_cli_three_way_defaults_to_thirds(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["config"]["c1"] == pytest.approx(1 / 3)
     assert data["config"]["c3"] == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("experiment,pairs", [("decouple", 1), ("three_way", 3)])
+def test_cli_default_independence_entries_are_exact_zeros(experiment, pairs, capsys):
+    # The list depends on the schedule and the split alone, so the CLI's
+    # defaults are read with fewer paths.
+    assert cli_main([experiment, "--mc", "2000", "--seed", "4242", "--workers", "2"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [rec["n"] for rec in records] == list(ExperimentConfig(experiment).n_schedule)
+    for rec in records:
+        entries = rec["exact"]["independence"]
+        assert len(entries) == pairs
+        for entry in entries:
+            assert entry["strongly_independent"] is True
+            assert entry["worst_contraction_norm"] == 0.0
+            assert entry["cross_gamma_residual"] == 0.0
 
 
 def test_cli_counterexample(capsys):

@@ -195,3 +195,72 @@ def test_self_coupling_cross_functional_is_gamma():
     left, _ = diagonal_summands(4, (0.5, 0.5))
     assert not strongly_independent(left, left).independent
     assert second_moment(cross_gamma(left, left)) == second_moment(gamma(left)) == 0.375
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_self_coupling_cross_gamma_residual_at_every_scale(s):
+    # The nonzero side of the independence entry: X paired with itself is not
+    # strongly independent, and its residual is E[Gamma(X)^2], scaling as s^4.
+    f, _ = _disjoint_pair(seed=76)
+    x, unit = single_chaos(_scaled(f, s)), single_chaos(f)
+    verdict = strongly_independent(x, x)
+    assert not verdict.independent and verdict.worst_pair == (2, 2)
+    residual = second_moment(cross_gamma(x, x))
+    assert residual == second_moment(gamma(x)) > 0.0
+    assert residual == pytest.approx(s**4 * second_moment(gamma(unit)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,c", [(1, 0.5), (2, 0.5), (4, 0.5), (16, 0.25), (64, 0.3)])
+def test_diagonal_summand_residuals_closed_form(n, c):
+    # A diagonal summand of variance c on n cells has Gamma = c + (c/n) sum of
+    # n centred chi-square cells: E[Gamma^2] = c^2 (1 + 2/n) paired with itself,
+    # and exactly 0 against the summand on the other block, in either order.
+    left, right = diagonal_summands(n, (c, 1.0 - c))
+    assert second_moment(cross_gamma(left, left)) == pytest.approx(c * c * (1 + 2 / n), rel=1e-12)
+    assert second_moment(cross_gamma(left, right)) == 0.0
+    assert second_moment(cross_gamma(right, left)) == 0.0
+
+
+def _first_chaos(cells, seed):
+    # a first-chaos kernel on the given cells of the m = 4 grid
+    vals = np.zeros(4)
+    vals[list(cells)] = np.random.default_rng(seed).uniform(0.5, 1.0, len(cells))
+    return step_kernel(make_grid(4), 1, vals)
+
+
+def _mixed_couple(layout):
+    f2, h2 = _disjoint_pair(seed=77)
+    g = f2.grid
+    low, high = _first_chaos((0, 1), 78), _first_chaos((2, 3), 79)
+    low_too = _first_chaos((0, 1), 80)
+    if layout == "disjoint":
+        return chaos_expansion(g, [None, low, f2]), chaos_expansion(g, [None, high, h2])
+    if layout == "shared first chaos":
+        return chaos_expansion(g, [None, low, f2]), chaos_expansion(g, [None, low_too, h2])
+    if layout == "shared second chaos":
+        return chaos_expansion(g, [None, high, f2]), chaos_expansion(g, [None, None, f2])
+    # first chaos of X on the cells of Y's second chaos
+    return chaos_expansion(g, [None, low, None]), chaos_expansion(g, [None, None, f2])
+
+
+@pytest.mark.parametrize(
+    "layout,worst_pair",
+    [
+        ("disjoint", None),
+        ("shared first chaos", (1, 1)),
+        ("shared second chaos", (2, 2)),
+        ("first against second", (1, 2)),
+    ],
+)
+def test_cross_gamma_residual_vanishes_with_the_verdict_on_mixed_orders(layout, worst_pair):
+    # The two exact fields of an independence entry agree across chaos orders:
+    # a zero residual with the verdict, and a positive one at the overlapping pair.
+    x, y = _mixed_couple(layout)
+    verdict = strongly_independent(x, y)
+    residual = second_moment(cross_gamma(x, y))
+    if worst_pair is None:
+        assert verdict.independent and verdict.worst_norm == 0.0
+        assert residual == 0.0
+    else:
+        assert not verdict.independent and verdict.worst_pair == worst_pair
+        assert verdict.worst_norm > 0.0 and residual > 0.0
