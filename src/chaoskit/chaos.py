@@ -40,8 +40,7 @@ their (d - 1)-cell prefix, in term order.  Per chunk of paths
 grid.run_chunks draws, one hermite_rows walk computes those degrees over
 every cell, and the degrees multi-factor groups read are copied once into
 cells-by-paths arrays.  Every
-expansion reads its terms from these shared rows in bands of paths whose
-products hold at most about CHUNK_ENTRIES entries: a one-factor group by one
+expansion reads its terms from these shared rows: a one-factor group by one
 row sum over all its terms, a multi-factor group prefix by prefix: the sum
 of its run's products over their last factor, in term order as a sparse
 matrix product makes it, times its prefix factors, added to the sum over
@@ -51,11 +50,12 @@ run, and multiplies the sum once; the expansions of a call that read the
 same degree and cells share it.  That
 has the bits of summing the products whenever the coefficient is a power of
 two.  So a path's value does not depend on the paths it is evaluated with:
-evaluate_batch runs the same evaluator on one expansion and increments the
-caller supplies.
+evaluate_batch walks the increments the caller supplies in chunks of the
+same size through the same evaluator, so its memory, too, is bounded in m
+and not in the number of paths.
 The kept Hermite rows, their copies and the products are grid.Workspace
 arrays, and the walk writes the highest degree over the chunk table unless
-H_1 is that table.  A band is gathered only for unequal coefficients or
+H_1 is that table.  Products are gathered only for unequal coefficients or
 cells with gaps, so the diagonal families hold one table.
 """
 
@@ -280,8 +280,9 @@ def _compile(exps: Sequence[ChaosExpansion]) -> tuple:
 def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspace: Workspace) -> None:
     """Add each compiled expansion's chaos terms at the rows of z = xi / sqrt(delta).
 
-    One hermite_rows walk computes every degree in degrees over all of z, and
-    the degrees multi-factor groups read are copied once into cells-by-paths
+    z is one chunk: at most chunk_rows(m) rows, at least one.  One
+    hermite_rows walk computes every degree in degrees over all of z, and the
+    degrees multi-factor groups read are copied once into cells-by-paths
     arrays.  A one-factor group gathers its cells' entries of the rows,
     multiplies them by its coefficients and sums all its terms along each
     row.  With one coefficient a it adds a times the row sum of its cells,
@@ -290,12 +291,12 @@ def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspac
     terms over their last factor, multiplies in the prefix factors and adds
     its prefixes up in order.  Each rule fixes the order of a row's partial
     sums, so a path's value does not depend on the rows it is evaluated
-    with.  Gathers and products walk bands of rows, so none holds more than
-    about CHUNK_ENTRIES entries; a row's sum never spans two bands.  H_1 is
-    z itself, other kept degrees, their copies and the bands live in
-    workspace arrays, and without H_1 the top degree overwrites z.
+    with.  A group reads at most m cells, so none of its gathers or products
+    holds more than the chunk's CHUNK_ENTRIES entries.  H_1 is z itself,
+    other kept degrees, their copies and the products live in workspace
+    arrays, and without H_1 the top degree overwrites z.
     """
-    if z.shape[0] == 0 or not degrees:
+    if not degrees:
         return
     hrows = hermite_rows(z, degrees, lambda k: workspace.array(f"H{k}", z.shape))
     hcols = {
@@ -323,21 +324,17 @@ def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspac
 
 def _row_sum(h: np.ndarray, cells, coeffs, workspace: Workspace) -> np.ndarray:
     # Each row of h summed over the cells, a slice in place, an index vector
-    # gathered a band of rows at a time and multiplied by the coeffs given.
+    # gathered and multiplied by the coeffs given.
     if isinstance(cells, slice):
         return h[:, cells].sum(axis=1)
-    total = np.empty(h.shape[0])
-    band = chunk_rows(cells.size)
-    for a in range(0, h.shape[0], band):
-        prod = workspace.array("band", (min(band, h.shape[0] - a), cells.size))
-        # np.take fills the C-order band; an axis-1 fancy index returns F
-        # order, which changes the row-sum order and so the bits.
-        np.take(h[a : a + band], cells, axis=1, out=prod, mode="clip")
-        if coeffs is not None:
-            prod *= coeffs
-        # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
-        prod.sum(axis=1, out=total[a : a + band])
-    return total
+    prod = workspace.array("products", (h.shape[0], cells.size))
+    # np.take fills the C-order products; an axis-1 fancy index returns F
+    # order, which changes the row-sum order and so the bits.
+    np.take(h, cells, axis=1, out=prod, mode="clip")
+    if coeffs is not None:
+        prod *= coeffs
+    # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
+    return prod.sum(axis=1)
 
 
 def _add_last_factor_product(group: tuple, hcols: dict, out: np.ndarray, workspace: Workspace) -> None:
@@ -347,45 +344,50 @@ def _add_last_factor_product(group: tuple, hcols: dict, out: np.ndarray, workspa
     # up in order.  Whether a sum starts at 0 or at its first term changes
     # only the sign of a zero sum, which adding it to out, never -0, erases.
     mults, runs, width = group
-    n_rows = out.shape[0]
-    band = chunk_rows(width)
-    for a in range(0, n_rows, band):
-        rows = slice(a, a + band)
-        h = hcols[mults[-1]][:, rows]
-        leads = [hcols[k][:, rows] for k in mults[:-1]]
-        # The buffer of the one-factor groups' products.
-        prods = workspace.array("band", (width, h.shape[1]))
-        y = workspace.array("prefix", h.shape[1:])
-        total = workspace.array("total", h.shape[1:])
-        total.fill(0.0)
-        for lead, last, coeff in runs:
-            terms = prods[: coeff.shape[0]]
-            np.take(h, last, axis=0, out=terms, mode="clip")
-            terms *= coeff
-            # add.reduce adds the rows one after another, but along one path
-            # it sums pairwise; add.accumulate keeps the order there and is
-            # far slower on wide bands, as it walks each path's column alone.
-            if y.size > 1:
-                np.add.reduce(terms, axis=0, out=y)
-            else:
-                np.add.accumulate(terms, axis=0, out=terms)
-                y[...] = terms[-1]
-            for rows_k, cell in zip(leads, lead):
-                y *= rows_k[cell]
-            total += y
-        out[rows] += total
+    h = hcols[mults[-1]]
+    # The buffer of the one-factor groups' products.
+    prods = workspace.array("products", (width, h.shape[1]))
+    y = workspace.array("prefix", out.shape)
+    total = workspace.array("total", out.shape)
+    total.fill(0.0)
+    for lead, last, coeff in runs:
+        terms = prods[: coeff.shape[0]]
+        np.take(h, last, axis=0, out=terms, mode="clip")
+        terms *= coeff
+        # add.reduce adds the rows one after another, but along one path
+        # it sums pairwise; add.accumulate keeps the order there and is
+        # far slower on wide chunks, as it walks each path's column alone.
+        if y.size > 1:
+            np.add.reduce(terms, axis=0, out=y)
+        else:
+            np.add.accumulate(terms, axis=0, out=terms)
+            y[...] = terms[-1]
+        for k, cell in zip(mults[:-1], lead):
+            y *= hcols[k][cell]
+        total += y
+    out += total
 
 
 def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
-    """Evaluate x pathwise on a (n_samples, m) array of increment vectors."""
-    arr = real_array("increments", increments)
-    if arr.ndim != 2 or arr.shape[1] != x.grid.m:
-        raise ValueError(
-            f"expected increments of shape (n_samples, {x.grid.m}), got {arr.shape}"
-        )
+    """Evaluate x pathwise on a (n_samples, m) array of increment vectors.
+
+    The rows are walked in chunks of chunk_rows(m), each checked by
+    real_array and divided into one Workspace table, so the caller's
+    increments are never written and no temporary grows with n_samples.
+    """
+    arr = np.asarray(increments)
+    real_array("increments", np.empty(0, dtype=arr.dtype))  # the dtype rule, at zero rows too
+    m = x.grid.m
+    if arr.ndim != 2 or arr.shape[1] != m:
+        raise ValueError(f"expected increments of shape (n_samples, {m}), got {arr.shape}")
+    degrees, groups = _compile([x])
     out = np.full(arr.shape[0], x.expectation, dtype=np.float64)
-    # Dividing makes a new array, so the caller's increments are never written.
-    _run_plan(*_compile([x]), arr / math.sqrt(x.grid.delta), [out], Workspace())
+    workspace = Workspace()
+    rows = chunk_rows(m)
+    for a in range(0, arr.shape[0], rows):
+        xi = real_array("increments", arr[a : a + rows])
+        z = np.divide(xi, math.sqrt(x.grid.delta), out=workspace.array("table", xi.shape))
+        _run_plan(degrees, groups, z, [out[a : a + rows]], workspace)
     return out
 
 

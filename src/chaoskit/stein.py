@@ -123,27 +123,23 @@ def stein_solution(z: float, x):
     xs = real_array("stein_solution x", x)
     if abs(z) > STEIN_MAX_ARG or np.any(np.abs(xs) > STEIN_MAX_ARG):
         raise ValueError(f"stein_solution arguments must satisfy |x|, |z| <= {STEIN_MAX_ARG}")
-    phi_z = ndtr(z)
-    q_z = ndtr(-z)
+    # f_z(x) = f_{-z}(-x): with (u, w) = (-x, -z) for x <= z and (x, z) for
+    # x >= z, u >= w and |u| = |x|, so two closed forms cover every x.  (z, x)
+    # and (-z, -x) take the same form at the same |x| and w, so f keeps the
+    # reflection bit for bit; at z = 0 both sides take x = 0, to the same bits.
     f = np.empty_like(xs)
-    below = xs <= z
-    # x <= z, x <= 0:  sqrt(pi/2) erfcx(-x/sqrt2) (1 - Phi(z))
-    mask = below & (xs <= 0.0)
-    f[mask] = _SQRT_HALF_PI * _erfcx(-xs[mask] * _INV_SQRT2) * q_z
-    # 0 < x <= z:      sqrt(pi/2) Phi(x) erfcx(z/sqrt2) e^{(x^2-z^2)/2}
-    mask = below & (xs > 0.0)
-    if np.any(mask):
-        xb = xs[mask]
-        f[mask] = _SQRT_HALF_PI * ndtr(xb) * _erfcx(z * _INV_SQRT2) * np.exp((xb * xb - z * z) / 2.0)
-    # x > z, x >= 0:   sqrt(pi/2) erfcx(x/sqrt2) Phi(z)
-    mask = (~below) & (xs >= 0.0)
-    f[mask] = _SQRT_HALF_PI * _erfcx(xs[mask] * _INV_SQRT2) * phi_z
-    # z < x < 0:       sqrt(pi/2) Phi(-x) erfcx(-z/sqrt2) e^{(x^2-z^2)/2}
-    mask = (~below) & (xs < 0.0)
-    if np.any(mask):
-        xb = xs[mask]
-        f[mask] = _SQRT_HALF_PI * ndtr(-xb) * _erfcx(-z * _INV_SQRT2) * np.exp((xb * xb - z * z) / 2.0)
-    fprime = xs * f + below.astype(np.float64) - phi_z
+    # u >= 0, x <= min(z, 0) or x >= max(z, 0):  sqrt(pi/2) erfcx(u/sqrt2) Phi(w)
+    lo, hi = xs <= min(z, 0.0), xs >= max(z, 0.0)
+    for side, w in ((lo, -z), (hi, z)):
+        f[side] = _SQRT_HALF_PI * _erfcx(np.abs(xs[side]) * _INV_SQRT2) * ndtr(w)
+    # w <= u < 0, x strictly between 0 and z:  sqrt(pi/2) Phi(-u) erfcx(-w/sqrt2)
+    # e^{(u^2-w^2)/2}, where -u = |x| and -w = |z|
+    mid = ~(lo | hi)
+    v = np.abs(xs[mid])
+    f[mid] = _SQRT_HALF_PI * ndtr(v) * _erfcx(abs(z) * _INV_SQRT2) * np.exp((v * v - z * z) / 2.0)
+    fprime = xs * f
+    fprime += xs <= z
+    fprime -= ndtr(z)
     if xs.ndim == 0:
         return float(f), float(fprime)
     return f, fprime

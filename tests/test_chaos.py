@@ -628,7 +628,7 @@ def test_evaluate_samples_worker_count_is_invisible():
 def test_evaluate_samples_workspaces_are_per_thread(monkeypatch):
     # Four threads, switching every microsecond, walk six blocks in 100-row
     # chunks: a workspace shared between threads would mix their chunk tables
-    # and product bands.
+    # and products.
     monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 100 * 8)
     exps = _diagonal_gaps()
     serial = evaluate_samples(exps, 6 * BLOCK_SIZE, IncrementStream(seed=54))
@@ -762,9 +762,10 @@ def test_evaluate_samples_draws_only_through_standard_normal_block(monkeypatch):
 
 def test_evaluate_samples_products_are_bounded_in_rows():
     # One block of 4096 paths at m = 64 is one chunk, and the (1, 1) groups
-    # have 2016 terms: a product of even 1024 of them would be 32 MiB if it
-    # spanned the chunk's rows.  In bands of CHUNK_ENTRIES entries the
-    # evaluation holds a few chunk-sized arrays and the bits do not move.
+    # have 2016 terms: a product of even 1024 of them would be 32 MiB over
+    # the chunk's rows.  Taking one prefix's run of at most 63 terms at a
+    # time, the evaluation holds a few chunk-sized arrays and the bits do
+    # not move.
     exps = _dense_with_gamma(64, [1, 2], seed=50)
     want = evaluate_samples_reference(_dense_all(exps), BLOCK_SIZE, IncrementStream(seed=51))
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8
@@ -806,7 +807,7 @@ def test_multi_factor_groups_over_first_axis_slices_match_reference_bits(monkeyp
     # With 20 entries a chunk, the m = 9 kernels list their terms one
     # first-axis slice at a time, run_chunks walks 2 rows a chunk, and the
     # multi-factor groups, whose longest runs hold 4 to 8 terms, sum their
-    # prefixes over bands of 2 to 5 paths.
+    # prefixes over chunks of 2 paths.
     exps = _sparse_with_gamma(9, [1, 2, 3], seed=52)
     want = evaluate_samples_reference(_dense_all(exps), 300, IncrementStream(seed=57))
     monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 20)
@@ -851,7 +852,7 @@ def _traced_peak(fn) -> int:
 def test_evaluate_samples_memory_is_bounded_in_m():
     # One block of 4096 paths at m = 4096 is 128 MiB of increments.  The
     # traced peak covers the whole call: the chunk walk holds one chunk table,
-    # whose H_2 rows overwrite it, and one product band, and the plan's
+    # whose H_2 rows overwrite it, and one product buffer, and the plan's
     # compile pass builds no m x m mask.
     exps = diagonal_summands(2048, (0.5, 0.5))
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8
@@ -864,13 +865,64 @@ def test_evaluate_samples_memory_per_worker():
     # each worker holds one chunk table (1024 paths at m = 512), reused by
     # every chunk it walks.  Each group carries one coefficient on one run of
     # cells, so it is summed from a column slice and no worker holds a
-    # product band (1024 paths by 256 terms, half a chunk size).
+    # product buffer (1024 paths by 256 terms, half a chunk size).
     exps = _half_support_couple(256)
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8
     peak = _traced_peak(
         lambda: evaluate_samples(exps, 3 * BLOCK_SIZE, IncrementStream(seed=53), workers=2)
     )
     assert peak < 2.5 * chunk_bytes
+
+
+@pytest.mark.parametrize("n_rows", [5000, 20_000])
+def test_evaluate_batch_memory_does_not_grow_with_the_batch(n_rows):
+    # The n = 256 diagonal summand at m = 512: 20 000 paths are 78 MiB of
+    # increments, and a copy of them divided by sqrt(delta) as large.  The
+    # walk divides one 1024-path chunk at a time into its workspace table.
+    x, _ = diagonal_summands(256, (0.5, 0.5))
+    xi = sample_increments_block(x.grid, IncrementStream(seed=59), 0, n_rows)
+    peak = _traced_peak(lambda: evaluate_batch(x, xi))
+    assert peak < 3 * grid_module.CHUNK_ENTRIES * 8
+
+
+def test_evaluate_batch_checks_every_chunk_and_writes_no_increments():
+    # Finiteness is checked chunk by chunk: a NaN in the last of three
+    # chunks still fails.  The dtype is checked before the walk, at zero
+    # rows too, and the caller's increments come back as they were.
+    x, _ = diagonal_summands(256, (0.5, 0.5))
+    xi = sample_increments_block(x.grid, IncrementStream(seed=60), 0, 2 * 1024 + 5)
+    kept = xi.copy()
+    evaluate_batch(x, xi)
+    assert np.array_equal(xi, kept)
+    xi[-1, -1] = math.nan
+    with pytest.raises(ValueError, match="increments must be finite"):
+        evaluate_batch(x, xi)
+    with pytest.raises(ValueError, match="increments must be real numbers"):
+        evaluate_batch(x, np.zeros((0, x.grid.m), dtype=bool))
+    assert evaluate_batch(x, np.zeros((0, x.grid.m))).shape == (0,)
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+@pytest.mark.parametrize("chunk_entries", [None, 20])
+def test_run_plan_gets_one_chunk_at_a_time(case, chunk_entries, monkeypatch):
+    # The evaluator's only memory unit is the chunk: both routes hand
+    # _run_plan at least one and at most max(1, CHUNK_ENTRIES // m) rows,
+    # and every row once.  That is why its gathers and products need no
+    # split of their own.  At 20 entries a chunk the m = 1100 case walks
+    # one row at a time.
+    if chunk_entries is not None:
+        monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", chunk_entries)
+    shapes = []
+    monkeypatch.setattr(chaos_module, "_run_plan", lambda d, g, z, outs, w: shapes.append(z.shape))
+    exps = _REFERENCE_CASES[case]()
+    m = exps[0].grid.m
+    most = max(1, grid_module.CHUNK_ENTRIES // m)
+    n_rows = 2 * most + 3
+    evaluate_samples(exps, n_rows, IncrementStream(seed=61))
+    xi = sample_increments_block(exps[0].grid, IncrementStream(seed=61), 0, n_rows)
+    evaluate_batch(exps[0], xi)
+    assert all(1 <= rows <= most and width == m for rows, width in shapes)
+    assert sum(rows for rows, _ in shapes) == 2 * n_rows
 
 
 def _diagonal_orders(m, orders):
@@ -1002,10 +1054,10 @@ def test_a_path_value_does_not_depend_on_its_batch(case):
     # The split run's 1060-term one-factor group, wider than the earlier
     # 1024-term slab, is summed in one pass along each row, in the same order
     # on a short batch or one row as on a full block; so are the groups with
-    # one coefficient on cells with gaps, gathered a band at a time, and the
+    # one coefficient on cells with gaps, gathered a chunk at a time, and the
     # row sums that several expansions share.  The multi-factor groups,
     # such as the 2016-term (1, 1) group at m = 64, sum their prefixes in one
-    # order for any band width, one path included, where numpy's add.reduce
+    # order for any chunk length, one path included, where numpy's add.reduce
     # is pairwise on a single path.
     exps = _REFERENCE_CASES[case]()
     stream = IncrementStream(seed=43, stream_id=3)
@@ -1022,8 +1074,8 @@ def test_a_path_value_does_not_depend_on_its_batch(case):
 def test_one_factor_groups_across_the_old_slab_width(m, density, seed):
     # An order-1 kernel is one one-factor group, as wide as its nonzero
     # cells: here from about 270 to 2200 terms, so widths fall on both sides
-    # of 1024 and 2048.  300 paths are two bands of rows for a group wider
-    # than 1747 terms.
+    # of 1024 and 2048.  300 paths are two chunks of rows on a grid of more
+    # than 1747 cells.
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, m) * (rng.uniform(size=m) < density)
     grid = make_grid(m)

@@ -1,11 +1,14 @@
-"""The README's library tour runs as written, and its CLI examples name the experiments that exist."""
+"""The README's library tour runs as written, its CLI examples name the
+experiments that exist, and its flag table names the CLI's flags and config fields."""
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 
-from chaoskit import EXPERIMENTS
+from chaoskit import EXPERIMENTS, ExperimentConfig
+from chaoskit.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,3 +24,33 @@ def test_library_tour_runs():
 def test_cli_examples_name_exactly_the_experiments():
     named = set(re.findall(r"^chaoskit (\w+)", README.read_text(), re.MULTILINE))
     assert named == set(EXPERIMENTS)
+
+
+def _flag_table() -> list:
+    # The rows of the table under "| flag | config field | meaning |" as
+    # lists of cells; a cell may hold an escaped pipe, as in `json\|csv`.
+    text = README.read_text()
+    table = text[text.index("| flag | config field | meaning |") :].split("\n\n", 1)[0]
+    rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in table.splitlines()[2:]]
+    assert rows and all(len(row) == 3 for row in rows)
+    return rows
+
+
+def test_flag_table_names_exactly_the_cli_flags():
+    documented = {flag for flag_cell, _, _ in _flag_table() for flag in re.findall(r"--[\w-]+", flag_cell)}
+    options = {
+        option
+        for action in build_parser()._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+    assert documented == options
+
+
+def test_flag_table_config_fields_exist():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for flag_cell, field_cell, _ in _flag_table():
+        if field_cell.strip() == "none":
+            continue
+        named = re.findall(r"`(\w+)`", field_cell)
+        assert named and set(named) <= fields, (flag_cell, field_cell)

@@ -139,6 +139,20 @@ def test_stein_solution_scalar_and_array_agree():
         assert fp == fpv[i]
 
 
+@pytest.mark.parametrize("z", [-40.0, -3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0, 40.0])
+def test_stein_solution_reflection(z):
+    # f_z(x) = f_{-z}(-x) holds bit for bit: (z, x) and (-z, -x) take the
+    # same closed form at the same |x| and w, at x = z and x = 0 too.
+    # f' = x f + 1_{x <= z} - Phi(z) is odd under the reflection away from
+    # the kink, up to the rounding of 1 - Phi(z) against Phi(-z).
+    x = np.concatenate([np.linspace(-40.0, 40.0, 801), [0.0, z]])
+    f, fp = stein_solution(z, x)
+    g, gp = stein_solution(-z, -x)
+    assert np.array_equal(f, g)
+    off = x != z
+    np.testing.assert_allclose(fp[off], -gp[off], rtol=0.0, atol=2.0**-51)
+
+
 # ---------------------------------------------------------------------------
 # Kolmogorov distance
 
