@@ -61,10 +61,8 @@ cells with gaps, so the diagonal families hold one table.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -73,6 +71,7 @@ from .grid import (
     Grid,
     IncrementStream,
     Workspace,
+    check_object,
     check_real,
     check_run_counts,
     chunk_rows,
@@ -156,8 +155,8 @@ def chaos_expansion(grid: Grid, kernels) -> ChaosExpansion:
 
 
 def _expansion(grid: Grid, slots: list) -> ChaosExpansion:
-    # Internal constructor for operation results whose kernels are symmetric
-    # by construction.
+    # Internal constructor for operation results, whose kernels are symmetric
+    # by construction, and for loaded kernels, which kernel_from_dict checked.
     return ChaosExpansion(grid=grid, kernels=_normalize_slots(grid, slots))
 
 
@@ -405,6 +404,7 @@ def evaluate_samples(
     always comes from stream index i, so results are identical for any worker
     count.
     """
+    check_run_counts(n_samples, workers)
     exps = list(exps)
     if not exps:
         return []
@@ -412,7 +412,6 @@ def evaluate_samples(
     for e in exps:
         if e.grid != grid:
             raise ValueError("all expansions must share one grid")
-    check_run_counts(n_samples, workers)
     degrees, groups = _compile(exps)
     outs = [np.full(n_samples, e.expectation, dtype=np.float64) for e in exps]
 
@@ -612,17 +611,15 @@ def expansion_to_dict(x: ChaosExpansion) -> dict:
 
 
 def expansion_from_dict(data: dict) -> ChaosExpansion:
+    """The expansion of an expansion_to_dict body.
+
+    Each kernel is read, and its symmetry checked once, by kernel_from_dict.
+    ValueError for a body that is not an object, lacks "m" or "kernels", or
+    holds a kernel that kernel_from_dict or the expansion's slots reject.
+    """
+    check_object("expansion", data, ("m", "kernels"))
+    if not isinstance(data["kernels"], list):
+        raise ValueError(f"expansion kernels must be a JSON array, got {type(data['kernels']).__name__}")
     grid = make_grid(data["m"])
-    slots = [
-        None if entry is None else kernel_from_dict(entry, require_symmetric=False)
-        for entry in data["kernels"]
-    ]
-    return chaos_expansion(grid, slots)
-
-
-def save_expansion(x: ChaosExpansion, path) -> None:
-    Path(path).write_text(json.dumps(expansion_to_dict(x)))
-
-
-def load_expansion(path) -> ChaosExpansion:
-    return expansion_from_dict(json.loads(Path(path).read_text()))
+    slots = [None if entry is None else kernel_from_dict(entry) for entry in data["kernels"]]
+    return _expansion(grid, slots)

@@ -1,12 +1,14 @@
 """Command line entry point: chaoskit <experiment> [options].
 
 Flags and --config fields set the ExperimentConfig of the run; explicit flags
-override the file.  --workers (or "workers" in the file) sets how many threads
-evaluate blocks of Monte Carlo paths and, in decouple and three_way, run each
-record's estimators.  It defaults to the number of CPUs the process may run
-on, and it is not a config field: the records are the same for any worker
-count, so the report does not echo it.  A bad config, worker count or --out
-destination exits 2 with one "error:" line on stderr before any draw.
+override the file.  --workers, --out and --format ("workers", "out" and "fmt"
+in the file) are read the same way, but they are options of the run, not
+config fields, so the report does not echo them: the threads that evaluate
+blocks of Monte Carlo paths and, in decouple and three_way, run each record's
+estimators (by default the CPUs the process may run on; the records are the
+same for any count), the report file (stdout without it) and its format.  A
+bad config, worker count, format or --out destination exits 2 with one
+"error:" line on stderr before any draw.
 `python -m chaoskit` runs the same entry point.
 """
 
@@ -22,7 +24,9 @@ from pathlib import Path
 from .grid import check_int
 from .harness import (
     EXPERIMENTS,
+    REPORT_FORMATS,
     ExperimentConfig,
+    check_format,
     report_to_csv,
     report_to_json,
     run_experiment,
@@ -75,18 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: CPUs available to this process)",
     )
     parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
+    parser.add_argument("--format", choices=REPORT_FORMATS, default=None, dest="fmt")
     return parser
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "experiment")
+_RUN_OPTIONS = ("workers", "out", "fmt")
 
 
 def _load_config_file(path: str) -> dict:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_FIELDS) - {"experiment", "workers"}
+    unknown = set(data) - set(_CONFIG_FIELDS + _RUN_OPTIONS) - {"experiment"}
     if unknown:
         raise ValueError(f"unknown config fields in {path}: {sorted(unknown)}")
     return data
@@ -107,19 +112,23 @@ def main(argv=None) -> int:
             file_conf = _load_config_file(args.config)
             file_conf.pop("experiment", None)  # the positional argument decides
             kwargs.update(file_conf)
-        for key in _CONFIG_FIELDS + ("workers",):
+        for key in _CONFIG_FIELDS + _RUN_OPTIONS:
             value = getattr(args, key, None)
             if value is not None:
                 kwargs[key] = value
         workers = check_int("workers", kwargs.pop("workers", _available_cpus()), 1)
+        out = kwargs.pop("out", None)
+        if out is not None and not isinstance(out, str):
+            raise ValueError(f"out must be a path string, got {out!r}")
+        fmt = check_format(kwargs.pop("fmt", "json"))
         config = ExperimentConfig(experiment=args.experiment, **kwargs)
-        if config.out is not None:
-            open(config.out, "a").close()  # an unwritable destination fails before the run
+        if out is not None:
+            open(out, "a").close()  # an unwritable destination fails before the run
         report = run_experiment(config, workers=workers)
-        if config.out is not None:
-            save_report(report, config.out, config.fmt)
-            print(config.out)
-        elif config.fmt == "csv":
+        if out is not None:
+            save_report(report, out, fmt)
+            print(out)
+        elif fmt == "csv":
             print(report_to_csv(report), end="")
         else:
             print(report_to_json(report))

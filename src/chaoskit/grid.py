@@ -189,6 +189,15 @@ def real_array(name: str, value) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
+def check_object(what: str, data, keys) -> None:
+    """Reject data, the JSON body of a `what`, unless it is an object holding every key in keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} is missing key {key!r}")
+
+
 def check_run_counts(n_samples, workers) -> None:
     """Reject a sample count or worker count that is not an integer >= 1."""
     check_int("n_samples", n_samples, 1)

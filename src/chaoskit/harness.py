@@ -52,7 +52,7 @@ import numpy as np
 
 from .chaos import add, cross_gamma, evaluate_samples, exact_summary, second_moment
 from .families import check_path_steps, diagonal_summands, simulate_counterexample
-from .grid import IncrementStream, check_int, check_real, run_tasks
+from .grid import IncrementStream, check_int, check_object, check_real, run_tasks
 from .independence import strongly_independent
 from .kernels import check_dense_entries
 from .stein import (
@@ -76,6 +76,9 @@ CHAR_FN_MAX_T = 1e6
 
 _SPLIT_ATOL = 1e-12
 
+# The formats a report is written in, by report_to_json and report_to_csv.
+REPORT_FORMATS = ("json", "csv")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -92,8 +95,6 @@ class ExperimentConfig:
     z_grid: tuple = (-1.0, 0.0, 1.0)
     path_steps: int = 1000
     n_bins: int = 32
-    out: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -107,11 +108,6 @@ class ExperimentConfig:
         schedule = tuple(check_int("n_schedule entry", n, 1) for n in self.n_schedule)
         if any(a <= b for b, a in zip(schedule, schedule[1:])):
             raise ValueError(f"n_schedule must be strictly increasing, got {schedule}")
-        # Entry n puts order-2 summands on a blocks*n-cell grid; checked here,
-        # not at the first oversized entry after the earlier ones have sampled.
-        blocks = 3 if self.experiment == "three_way" else 2
-        for n in schedule:
-            check_dense_entries(blocks * n, 2, f"n_schedule entry {n}'s order-2 kernel")
         object.__setattr__(self, "n_schedule", schedule)
         # Every report echoes both grids, so they must be finite even where unused.
         for name in ("t_grid", "z_grid"):
@@ -135,10 +131,6 @@ class ExperimentConfig:
         if self.experiment == "three_way":
             c3 = self.c3 if self.c3 is not None else 1.0 - self.c1 - self.c2
             object.__setattr__(self, "c3", check_real("c3", c3, positive=True))
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"format must be 'json' or 'csv', got {self.fmt!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a path string, got {self.out!r}")
         if self.experiment == "decouple":
             if self.n_bins > self.mc_samples:
                 raise ValueError(
@@ -155,6 +147,11 @@ class ExperimentConfig:
                 raise ValueError(f"variance split must sum to 1, got {self.split}")
             if any(abs(t) > CHAR_FN_MAX_T for t in self.t_grid):
                 raise ValueError(f"t_grid entries must satisfy |t| <= {CHAR_FN_MAX_T}, got {self.t_grid}")
+            # Entry n puts each diagonal summand's m = k*n stored entries on a
+            # k*n-cell grid; checked here, not at the first oversized entry
+            # after the earlier ones have sampled.
+            for n in self.n_schedule:
+                check_dense_entries(len(self.split) * n, 1, f"n_schedule entry {n}'s diagonal kernel")
 
     @property
     def split(self) -> tuple:
@@ -164,12 +161,8 @@ class ExperimentConfig:
         return (self.c1, self.c2)
 
     def to_dict(self) -> dict:
-        # The echo describes the experiment itself; output destination and
-        # format are presentation details and stay out of the report body.
         out = {}
         for f in fields(self):
-            if f.name in ("out", "fmt"):
-                continue
             v = getattr(self, f.name)
             out[f.name] = list(v) if isinstance(v, tuple) else v
         return out
@@ -416,11 +409,7 @@ def report_to_json(report: ExperimentReport) -> str:
 def report_from_json(text: str) -> ExperimentReport:
     """The report in a report_to_json body; ValueError unless it is an object with every field."""
     data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError(f"a report must be a JSON object, got {type(data).__name__}")
-    for key in ("config", "records", "runtime_ms"):
-        if key not in data:
-            raise ValueError(f"report is missing key {key!r}")
+    check_object("report", data, ("config", "records", "runtime_ms"))
     return ExperimentReport(
         config=data["config"], records=data["records"], runtime_ms=data["runtime_ms"]
     )
@@ -459,10 +448,14 @@ def report_to_csv(report: ExperimentReport) -> str:
     return buf.getvalue()
 
 
+def check_format(fmt) -> str:
+    """fmt; ValueError unless it names one of REPORT_FORMATS."""
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"format must be one of {REPORT_FORMATS}, got {fmt!r}")
+    return fmt
+
+
 def save_report(report: ExperimentReport, path, fmt: str = "json") -> None:
-    if fmt == "json":
-        Path(path).write_text(report_to_json(report))
-    elif fmt == "csv":
-        Path(path).write_text(report_to_csv(report))
-    else:
-        raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
+    """Write the report to path as report_to_json or, with fmt "csv", report_to_csv text."""
+    text = report_to_json(report) if check_format(fmt) == "json" else report_to_csv(report)
+    Path(path).write_text(text)

@@ -12,14 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def hermite_rows(x: np.ndarray, degrees, row=None) -> dict:
+def hermite_rows(x: np.ndarray, degrees, row) -> dict:
     """{k: H_k(x)} for the degrees (each >= 1), from one walk up to the top degree.
 
     x is a float64 array of at least one dimension, taken as given, and H_1 is
     x itself.  Every other degree asked for goes into row(k), a float64 array
-    of x's shape (a new array when row is None), but when 1 is not asked for
-    the top degree overwrites x, after every other step has read it.  Degrees
-    not asked for are temporaries, scaled in place when no later step reads them.
+    of x's shape, but when 1 is not asked for the top degree overwrites x,
+    after every other step has read it.  Degrees not asked for are
+    temporaries, scaled in place when no later step reads them.
     """
     wanted = set(degrees)
     top = max(wanted, default=1)
@@ -31,7 +31,7 @@ def hermite_rows(x: np.ndarray, degrees, row=None) -> dict:
         if j + 1 == top and 1 not in wanted:
             out = x
         else:
-            out = row(j + 1) if j + 1 in wanted and row is not None else None
+            out = row(j + 1) if j + 1 in wanted else None
         prev, cur = cur, np.multiply(x, cur, out=out)
         cur -= scaled
         if j + 1 in wanted:

@@ -20,14 +20,12 @@ kernel.  MAX_ENTRIES counts stored entries, m for a diagonal kernel.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, check_int, check_real, chunk_rows, make_grid, real_array
+from .grid import Grid, check_int, check_object, check_real, chunk_rows, make_grid, real_array
 
 # Storage guard: reject kernels with more than this many stored entries.
 MAX_ENTRIES = 10**8
@@ -253,21 +251,22 @@ def kernel_to_dict(kernel: StepKernel) -> dict:
     }
 
 
-def kernel_from_dict(data: dict, *, require_symmetric: bool = True) -> StepKernel:
+def kernel_from_dict(data: dict) -> StepKernel:
+    """The symmetric kernel of a kernel_to_dict body.
+
+    ValueError for a body that is not an object, lacks "order" or "m", holds
+    not exactly one of "values" and "diagonal", or is not symmetric.
+    """
+    check_object("kernel", data, ("order", "m"))
+    stored = [key for key in ("values", "diagonal") if key in data]
+    if len(stored) != 1:
+        raise ValueError(f"kernel must hold exactly one of the keys 'values' and 'diagonal', got {stored}")
     grid = make_grid(data["m"])
     order = check_int("kernel order", data["order"])
     if "diagonal" in data:
         kernel = step_kernel(grid, order, data["diagonal"], copy=False, diagonal=True)
     else:
         kernel = step_kernel(grid, order, np.reshape(data["values"], (grid.m,) * order), copy=False)
-    if require_symmetric and not is_symmetric(kernel):
+    if not is_symmetric(kernel):
         raise ValueError("loaded kernel is not symmetric")
     return kernel
-
-
-def save_kernel(kernel: StepKernel, path) -> None:
-    Path(path).write_text(json.dumps(kernel_to_dict(kernel)))
-
-
-def load_kernel(path, *, require_symmetric: bool = True) -> StepKernel:
-    return kernel_from_dict(json.loads(Path(path).read_text()), require_symmetric=require_symmetric)

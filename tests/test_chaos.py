@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -28,11 +30,9 @@ from chaoskit import (
     gamma,
     gamma_residual,
     inner_product,
-    load_expansion,
     make_grid,
     multiply,
     sample_increments_block,
-    save_expansion,
     scale,
     second_moment,
     single_chaos,
@@ -1127,13 +1127,11 @@ def test_expansion_round_trip():
         assert np.array_equal(back.kernels[n].values, x.kernels[n].values)
 
 
-def test_expansion_file_round_trip(tmp_path):
+def test_expansion_json_text_round_trip():
     rng = np.random.default_rng(31)
     g = make_grid(4)
     x = add(_random_expansion(rng, g, [1, 3]), constant(g, 0.25))
-    path = tmp_path / "expansion.json"
-    save_expansion(x, path)
-    back = load_expansion(path)
+    back = expansion_from_dict(json.loads(json.dumps(expansion_to_dict(x))))
     assert back.grid == x.grid
     assert back.expectation == x.expectation
     assert back.nonzero_orders() == x.nonzero_orders()
@@ -1148,8 +1146,39 @@ def test_expansion_load_validates_symmetry():
         "max_order": 2,
         "kernels": [None, None, {"order": 2, "m": 2, "values": [0.0, 1.0, 0.0, 0.0]}],
     }
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
         expansion_from_dict(data)
+
+
+_ORDER_1 = {"order": 1, "m": 2, "values": [0.5, 1.5]}
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ([], "expansion must be a JSON object, got list"),
+        ({"m": 4}, "expansion is missing key 'kernels'"),
+        ({"kernels": [None, _ORDER_1]}, "expansion is missing key 'm'"),
+        ({"m": 2, "kernels": 5}, "expansion kernels must be a JSON array, got int"),
+        ({"m": 2, "kernels": [None, [0.5, 1.5]]}, "kernel must be a JSON object, got list"),
+        ({"m": 2, "kernels": [None, {"order": 1, "m": 2}]}, "exactly one of the keys"),
+        (
+            {"m": 2, "kernels": [None, {**_ORDER_1, "diagonal": [0.5, 1.5]}]},
+            "got ['values', 'diagonal']",
+        ),
+        ({"m": 2, "kernels": [_ORDER_1]}, "kernel of order 1 stored at slot 0"),
+        ({"m": 3, "kernels": [None, _ORDER_1]}, "all kernels must share the expansion grid"),
+    ],
+    ids=[
+        "list", "no_kernels", "no_m", "kernels_not_list", "kernel_not_object", "no_values",
+        "values_and_diagonal", "wrong_slot", "other_grid",
+    ],
+)
+def test_expansion_from_dict_rejects_malformed_bodies(body, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        expansion_from_dict(body)
+    back = expansion_from_dict({"m": 2, "kernels": [None, _ORDER_1]})
+    assert np.array_equal(back.kernels[1].values, [0.5, 1.5])
 
 
 def test_expansion_load_checks_symmetry_once_per_kernel(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -28,6 +29,7 @@ from chaoskit import (
 )
 from chaoskit import chaos as chaos_module
 from chaoskit import cli, harness
+from chaoskit import kernels as kernels_module
 from chaoskit.cli import main as cli_main
 from oracles import run_decoupling_reference, run_three_way_reference
 
@@ -118,8 +120,6 @@ def test_config_misc_validation():
     with pytest.raises(ValueError):
         _small_decouple(seed=-1)
     with pytest.raises(ValueError):
-        _small_decouple(fmt="yaml")
-    with pytest.raises(ValueError):
         _small_decouple(t_grid=())
     with pytest.raises(ValueError):
         _small_decouple(n_bins=0)
@@ -163,12 +163,25 @@ def test_config_rejects_non_real_split(field, value):
         ExperimentConfig(experiment="counterexample", **{field: value})
 
 
-def test_config_echo_excludes_presentation_fields():
-    cfg = _small_decouple(out="x.json", fmt="csv")
-    echo = cfg.to_dict()
-    assert "out" not in echo and "fmt" not in echo
-    assert echo["experiment"] == "decouple"
-    assert echo["n_schedule"] == [4, 8]
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_config_echo_names_every_field(experiment):
+    # Every field is part of the experiment: the report echoes them all.
+    echo = ExperimentConfig(experiment).to_dict()
+    assert list(echo) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+def test_config_schedule_bound_counts_the_diagonal_entries():
+    # Each summand of entry n stores its k*n-cell diagonal vector, 12000
+    # numbers for decouple at n = 6000 (a dense order-2 kernel would hold
+    # 12000^2 = 1.44e8), and counterexample reads no schedule at all.
+    ExperimentConfig(experiment="decouple", n_schedule=(6000,), mc_samples=100)
+    ExperimentConfig(experiment="counterexample", n_schedule=(8000,))
+    ExperimentConfig(experiment="counterexample", n_schedule=(10**9,))
+    for experiment, k in (("decouple", 2), ("three_way", 3)):
+        n = kernels_module.MAX_ENTRIES // k
+        ExperimentConfig(experiment=experiment, n_schedule=(4, n))
+        with pytest.raises(ValueError, match=f"n_schedule entry {n + 1}'s diagonal kernel"):
+            ExperimentConfig(experiment=experiment, n_schedule=(4, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +608,8 @@ def test_cli_n_bins_flag(capsys):
         ["decouple", "--config", {"z_grid": 5}],
         ["decouple", "--config", {"n_schedule": None}],
         ["decouple", "--config", {"out": 5}],  # would fail only after the run
+        ["decouple", "--config", {"fmt": "yaml"}],
+        ["decouple", "--config", {"fmt": None}],
         ["decouple", "--workers", "0"],
         ["decouple", "--workers", "-1"],
         ["decouple", "--config", {"workers": 1.5}],
@@ -608,9 +623,11 @@ def test_cli_n_bins_flag(capsys):
         # an unwritable --out failed only once the report was written
         ["decouple", "--n-schedule", "2", "--mc", "500", "--out", "."],
         ["decouple", "--n-schedule", "2", "--mc", "500", "--out", "/nonexistent/r.json"],
-        # order-2 kernels above kernels.MAX_ENTRIES, rejected before n = 4 samples
-        ["decouple", "--n-schedule", "1000000"],
-        ["decouple", "--n-schedule", "4,6000"],
+        # diagonal kernels above kernels.MAX_ENTRIES stored entries, rejected
+        # before n = 4 samples
+        ["decouple", "--n-schedule", "50000001"],
+        ["decouple", "--n-schedule", "4,50000001"],
+        ["three_way", "--n-schedule", "4,33333334"],
     ],
 )
 def test_cli_bad_config_fails_before_sampling(argv, tmp_path, capsys, monkeypatch):
@@ -630,6 +647,32 @@ def test_cli_bad_config_fails_before_sampling(argv, tmp_path, capsys, monkeypatc
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_cli_out_and_format_stay_out_of_the_echo(tmp_path, monkeypatch, capsys):
+    # out and fmt are CLI options, taken from a --config file like workers:
+    # the report goes to harness.save_report with them and echoes neither.
+    saved = []
+    monkeypatch.setattr(cli, "save_report", lambda report, path, fmt: saved.append((report, path, fmt)))
+    out = str(tmp_path / "x.json")
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({
+        "n_schedule": [4, 8], "mc_samples": 4000, "seed": 7, "t_grid": [1.0], "z_grid": [0.0],
+        "n_bins": 8, "out": out, "fmt": "csv",
+    }))
+    assert cli_main(["decouple", "--config", str(conf)]) == 0
+    assert capsys.readouterr().out.strip() == out
+    [(report, path, fmt)] = saved
+    assert (path, fmt) == (out, "csv")
+    assert report.config == _small_decouple().to_dict()
+    assert "out" not in report.config and "fmt" not in report.config
+
+
+def test_cli_rejects_an_unknown_format_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(_cli_args("--format", "yaml"))
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'yaml'" in capsys.readouterr().err
 
 
 def test_cli_rejects_a_retired_experiment(capsys, monkeypatch):

@@ -24,7 +24,7 @@ EXPLICIT = {
 def _h(k: int, x) -> np.ndarray:
     """H_k(x) from one hermite_rows walk on a float64 copy of x, which the walk may overwrite."""
     arr = np.array(x, dtype=np.float64, ndmin=1)
-    return np.ones_like(arr) if k == 0 else hermite_rows(arr, (k,))[k]
+    return np.ones_like(arr) if k == 0 else hermite_rows(arr, (k,), lambda j: np.empty_like(arr))[k]
 
 
 def test_known_values():
@@ -71,9 +71,9 @@ def test_rows_match_recurrence_bits(degrees):
     assert rows[on_x] is x
     assert sorted(kept) == [k for k in degrees if k != on_x]
     assert all(rows[k] is kept[k] for k in kept)
-    # Without row, the kept degrees are new arrays with the same bits.
+    # Into new arrays, the kept degrees have the same bits.
     fresh = x0.copy()
-    plain = hermite_rows(fresh, degrees)
+    plain = hermite_rows(fresh, degrees, lambda k: np.empty_like(fresh))
     assert plain[on_x] is fresh
     for k in degrees:
         assert np.array_equal(plain[k], rows[k])
@@ -83,7 +83,7 @@ def test_rows_match_recurrence_bits(degrees):
 def test_gaussian_orthogonality_mc():
     # E[H_j(Z) H_k(Z)] = delta_jk k! within Monte Carlo resolution
     z = IncrementStream(seed=77).standard_normal_block(1, 0, 1_000_000)[:, 0]
-    rows = hermite_rows(z, range(1, 5))
+    rows = hermite_rows(z, range(1, 5), lambda k: np.empty_like(z))
     table = [np.ones_like(z)] + [rows[k] for k in range(1, 5)]
     for j in range(5):
         for k in range(j, 5):

@@ -60,6 +60,11 @@ CASES = {
     "evaluate_samples.workers": (
         lambda v: evaluate_samples([single_chaos(F1)], 4, STREAM, workers=v), "workers", 2
     ),
+    # with nothing to evaluate the counts are still checked
+    "evaluate_samples.empty.n_samples": (lambda v: evaluate_samples([], v, STREAM), "n_samples", 4),
+    "evaluate_samples.empty.workers": (
+        lambda v: evaluate_samples([], 4, STREAM, workers=v), "workers", 2
+    ),
     "run_experiment.workers": (
         lambda v: run_experiment(
             ExperimentConfig("three_way", n_schedule=(4,), mc_samples=16), workers=v
@@ -106,3 +111,10 @@ def test_integer_argument_rejects_non_integers(entry, bad):
 def test_integer_argument_accepts_numpy_integers(entry):
     call, _, good = CASES[entry]
     call(np.int64(good))
+
+
+@pytest.mark.parametrize("n_samples,workers", [(-5, 0), (0, 1), (4, 0)])
+def test_evaluate_samples_checks_the_counts_with_nothing_to_evaluate(n_samples, workers):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        evaluate_samples([], n_samples, STREAM, workers=workers)
+    assert evaluate_samples([], 4, STREAM, workers=2) == []

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,9 +20,7 @@ from chaoskit import (
     kernel_norm,
     kernel_to_dict,
     linear_combine,
-    load_kernel,
     make_grid,
-    save_kernel,
     step_kernel,
     symmetrize,
 )
@@ -310,33 +310,43 @@ def test_kernel_round_trip():
 
 
 def test_kernel_load_rejects_asymmetric():
-    g = make_grid(2)
-    k = step_kernel(g, 2, [[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
+    # A loaded kernel is checked for symmetry, from a dict or from JSON text.
+    k = step_kernel(make_grid(2), 2, [[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
         kernel_from_dict(kernel_to_dict(k))
-    # explicit opt-out for raw kernels
-    raw = kernel_from_dict(kernel_to_dict(k), require_symmetric=False)
-    assert np.array_equal(raw.values, k.values)
+    with pytest.raises(ValueError, match="not symmetric"):
+        kernel_from_dict(json.loads(json.dumps(kernel_to_dict(k))))
 
 
-def test_kernel_file_round_trip(tmp_path):
+def test_kernel_json_text_round_trip():
     rng = np.random.default_rng(9)
     for order in (0, 1, 3):
         k = symmetrize(_random_kernel(rng, make_grid(4), order))
-        path = tmp_path / f"kernel{order}.json"
-        save_kernel(k, path)
-        back = load_kernel(path)
+        back = kernel_from_dict(json.loads(json.dumps(kernel_to_dict(k))))
         assert back.order == k.order
         assert back.grid == k.grid
         assert np.array_equal(back.values, k.values)
 
 
-def test_kernel_file_load_rejects_asymmetric(tmp_path):
-    k = step_kernel(make_grid(2), 2, [[0.0, 1.0], [0.0, 0.0]])
-    path = tmp_path / "raw.json"
-    save_kernel(k, path)
-    with pytest.raises(ValueError):
-        load_kernel(path)
-    raw = load_kernel(path, require_symmetric=False)
-    assert raw.grid == k.grid
-    assert np.array_equal(raw.values, k.values)
+_KERNEL_BODY = {"order": 1, "m": 2, "values": [0.5, 1.5]}
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ([], "kernel must be a JSON object, got list"),
+        (None, "kernel must be a JSON object, got NoneType"),
+        ({"m": 2, "values": [0.5, 1.5]}, "kernel is missing key 'order'"),
+        ({"order": 1, "values": [0.5, 1.5]}, "kernel is missing key 'm'"),
+        ({"order": 1, "m": 2}, "exactly one of the keys 'values' and 'diagonal', got []"),
+        (
+            {**_KERNEL_BODY, "diagonal": [0.5, 1.5]},
+            "exactly one of the keys 'values' and 'diagonal', got ['values', 'diagonal']",
+        ),
+    ],
+    ids=["list", "null", "no_order", "no_m", "no_values", "values_and_diagonal"],
+)
+def test_kernel_from_dict_rejects_malformed_bodies(body, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kernel_from_dict(body)
+    assert np.array_equal(kernel_from_dict(_KERNEL_BODY).values, [0.5, 1.5])

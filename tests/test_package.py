@@ -7,6 +7,7 @@ library's private helpers shares the code it is meant to check.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -156,13 +157,13 @@ def test_retired_second_routes_stay_gone():
     from chaoskit import chaos, families, grid, harness, hermite, independence, kernels, stein
 
     retired = {
-        chaos: ["evaluate", "shift", "fourth_moment_bound"],
+        chaos: ["evaluate", "shift", "fourth_moment_bound", "save_expansion", "load_expansion"],
         families: ["CounterexampleSample", "half_support_second_chaos", "custom_single_chaos"],
         grid: ["GaussianSample", "sample_increments"],
         harness: ["run_decoupling", "run_three_way", "run_class_a", "run_counterexample", "_run_class_a"],
         hermite: ["hermite_eval", "hermite_table", "MAX_DEGREE", "_check_degree"],
         independence: ["class_a_diagnostic", "ClassADiagnostic"],
-        kernels: ["zero_kernel"],
+        kernels: ["zero_kernel", "save_kernel", "load_kernel"],
         stein: ["CriterionFunctionals", "conditional_residual_estimate", "criterion_functionals"],
     }
     for module, names in retired.items():
@@ -174,13 +175,42 @@ def test_retired_second_routes_stay_gone():
     assert not hasattr(grid.IncrementStream, "substream")
     # run_experiment dispatches on config.experiment, so no runner gets another's config
     assert [name for name in chaoskit.__all__ if name.startswith("run_")] == ["run_experiment"]
-    # "is zero" and "is symmetric" each have one rule: no tolerance argument
+    # out and fmt are CLI options: a library config has no destination it ignores
+    config_fields = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    assert not config_fields & {"out", "fmt"}
+    # "is zero" and "is symmetric" each have one rule: no tolerance argument;
+    # a loaded kernel is always checked for symmetry; the evaluator's Hermite
+    # rows always go where the caller says
     for fn, params in (
         (independence.integrals_independent, ["f", "g"]),
         (independence.strongly_independent, ["x", "y"]),
         (kernels.is_symmetric, ["kernel"]),
+        (kernels.kernel_from_dict, ["data"]),
+        (hermite.hermite_rows, ["x", "degrees", "row"]),
     ):
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
+    assert inspect.signature(hermite.hermite_rows).parameters["row"].default is inspect.Parameter.empty
+
+
+# Calls and modules through which code reads or writes a file.
+FILE_ACCESS = {
+    "open", "io", "pathlib", "Path", "read_text", "write_text", "read_bytes", "write_bytes",
+    "json.load", "json.dump", "np.load", "np.save", "np.savez", "np.loadtxt", "np.savetxt",
+    "np.fromfile", "tofile", "os.open", "shutil", "tempfile",
+}
+
+
+def test_only_harness_and_cli_touch_files():
+    # The algebra, sampling and estimators work on objects in memory: a
+    # caller serializes with the *_to_dict and *_from_dict pairs and json.
+    # Reports are written by harness.save_report, and cli reads --config.
+    touching = {}
+    for path in sorted(SRC.glob("*.py")):
+        found = _names(ast.parse(path.read_text(), filename=str(path))) & FILE_ACCESS
+        if found:
+            touching[path.name] = sorted(found)
+    assert set(touching) <= {"harness.py", "cli.py"}, touching
+    assert "write_text" in touching["harness.py"] and "open" in touching["cli.py"]
 
 
 def _chaoskit_aliases(tree) -> dict:
