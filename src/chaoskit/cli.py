@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-grid", type=_csv_floats, default=None, metavar="T1,T2,...")
     parser.add_argument("--z-grid", type=_csv_floats, default=None, metavar="Z1,Z2,...")
     parser.add_argument("--path-steps", type=int, default=None)
-    parser.add_argument("--n-bins", type=int, default=None, metavar="N", help="decouple only")
+    parser.add_argument("--n-bins", type=int, default=None, metavar="N")
     parser.add_argument(
         "--workers",
         type=int,

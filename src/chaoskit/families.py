@@ -57,7 +57,9 @@ def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
     a = math.sqrt(c / (2.0 * n)) / grid.delta
     values = np.zeros(grid.m)
     values[cells] = a
-    return single_chaos(step_kernel(grid, 2, values, copy=False, diagonal=True))
+    kernel = step_kernel(grid, 2, values, diagonal=True)
+    del values  # the kernel holds its own copy; free this one before single_chaos checks it
+    return single_chaos(kernel)
 
 
 def diagonal_summands(n: int, split) -> list:

@@ -19,10 +19,10 @@ Experiments:
 
 decouple and three_way are k = 2 and k = 3 of one k-way runner: k diagonal
 second-chaos summands on disjoint n-cell blocks of a k*n grid, with the
-variance split `ExperimentConfig.split`.  They differ only in their record
-layout: decouple spreads each per-summand list into `_x`/`_y` keys and
-carries the full criterion block, three_way keeps lists and the
-characteristic-function criterion only.  Both end their exact section with
+variance split `ExperimentConfig.split`.  Each record holds one list entry
+per summand (exact variance, cumulant, residual and bound; Kolmogorov
+distance and criterion block char, stein, conditional); decouple spreads
+each two-entry list into `_x`/`_y` keys.  Both end their exact section with
 an `independence` list: per summand pair, the strong-independence verdict and
 E[Gamma(X_i, X_j)^2], whose root bounds |E[e^{it(X_i+X_j)} Gamma(X_i, X_j)]|.
 
@@ -131,22 +131,17 @@ class ExperimentConfig:
         if self.experiment == "three_way":
             c3 = self.c3 if self.c3 is not None else 1.0 - self.c1 - self.c2
             object.__setattr__(self, "c3", check_real("c3", c3, positive=True))
-        if self.experiment == "decouple":
-            if self.n_bins > self.mc_samples:
-                raise ValueError(
-                    f"n_bins must not exceed mc_samples, got {self.n_bins} > {self.mc_samples}"
-                )
-            if any(abs(z) > STEIN_MAX_ARG for z in self.z_grid):
-                raise ValueError(
-                    f"z_grid entries must satisfy |z| <= {STEIN_MAX_ARG}, got {self.z_grid}"
-                )
         if self.experiment == "counterexample":
             check_path_steps(self.path_steps)
-        else:  # the experiments with summands read the split and t_grid
+        else:  # the experiments with summands read the split, both grids and n_bins
             if abs(sum(self.split) - 1.0) > _SPLIT_ATOL:
                 raise ValueError(f"variance split must sum to 1, got {self.split}")
             if any(abs(t) > CHAR_FN_MAX_T for t in self.t_grid):
                 raise ValueError(f"t_grid entries must satisfy |t| <= {CHAR_FN_MAX_T}, got {self.t_grid}")
+            if any(abs(z) > STEIN_MAX_ARG for z in self.z_grid):
+                raise ValueError(f"z_grid entries must satisfy |z| <= {STEIN_MAX_ARG}, got {self.z_grid}")
+            if self.n_bins > self.mc_samples:
+                raise ValueError(f"n_bins must not exceed mc_samples, got {self.n_bins} > {self.mc_samples}")
             # Entry n puts each diagonal summand's m = k*n stored entries on a
             # k*n-cell grid; checked here, not at the first oversized entry
             # after the earlier ones have sampled.
@@ -225,23 +220,28 @@ def _call_tasks(tree, workers: int):
     return rebuild(tree, lambda task: next(results))
 
 
-def _run_k_way(config: ExperimentConfig, workers: int, layout) -> ExperimentReport:
+def _run_k_way(config: ExperimentConfig, workers: int) -> ExperimentReport:
     """The decoupling experiment on k = len(config.split) disjoint summands.
 
     Per schedule entry it reads the exact per-summand lists (var, k4,
     gamma_residual, bound) from one exact_summary per summand, and the
     totals from one of the sum, checks both additivities, forms the
     pairwise `independence` list, then evaluates the summands and their
-    summaries' Gammas on one shared stream.
-    layout(exact, samples, resid_vals) returns the record's exact section
-    and its mc section as a nest of estimator tasks (zero-argument calls),
-    where samples[j] holds the draws of summand j and resid_vals[j] those of
-    c_j - Gamma_j on the same paths.  The tasks run on up to `workers`
-    threads once evaluate_samples has returned, so their temporaries never
-    sit on top of the evaluator's chunk buffers.  layout never sees the
-    independence list: it is appended to the exact section afterwards.
+    summaries' Gammas on one shared stream.  The mc section is a nest of
+    estimator tasks: per summand its Kolmogorov distance against its exact
+    variance and its criterion block, and the sum's distance against 1.  The
+    tasks run on up to `workers` threads once evaluate_samples has returned,
+    so their temporaries never sit on top of the evaluator's chunk buffers.
+    decouple spreads each two-entry list into `_x`/`_y` keys.
     """
     cs = config.split
+
+    def criteria(v, r):
+        return {
+            "char": lambda: [_est_dict(e, "t") for e in char_fn_estimates(v, r, config.t_grid)],
+            "stein": lambda: [_est_dict(e, "z") for e in stein_estimates(v, r, config.z_grid)],
+            "conditional": lambda: _est_dict(binned_residual_estimate(v, r, config.n_bins), "n_bins"),
+        }
 
     def record(n):
         parts = diagonal_summands(n, cs)
@@ -270,7 +270,15 @@ def _run_k_way(config: ExperimentConfig, workers: int, layout) -> ExperimentRepo
         )
         samples = vals[: len(parts)]
         resid_vals = [c - g for c, g in zip(cs, vals[len(parts) :])]
-        exact, mc = layout(exact, samples, resid_vals)
+        mc = {
+            "dkol": [
+                functools.partial(kolmogorov_distance_mc, v, var) for v, var in zip(samples, exact["var"])
+            ],
+            "dkol_sum": functools.partial(kolmogorov_distance_mc, sum(samples[1:], samples[0]), 1.0),
+            "crit": [criteria(v, r) for v, r in zip(samples, resid_vals)],
+        }
+        if config.experiment == "decouple":
+            exact, mc = _spread_xy(exact), _spread_xy(mc)
         return {**exact, "independence": independence}, _call_tasks(mc, workers)
 
     return _timed_report(config, config.n_schedule, record)
@@ -303,50 +311,6 @@ def _spread_xy(block: dict) -> dict:
     return out
 
 
-def _dkol_tasks(samples, variances) -> dict:
-    """Kolmogorov distance tasks: each summand against its variance, the sum against 1."""
-    return {
-        "dkol": [
-            functools.partial(kolmogorov_distance_mc, v, var) for v, var in zip(samples, variances)
-        ],
-        "dkol_sum": functools.partial(kolmogorov_distance_mc, sum(samples[1:], samples[0]), 1.0),
-    }
-
-
-def _run_decoupling(config: ExperimentConfig, workers: int) -> ExperimentReport:
-    def criteria(v, r):
-        return {
-            "char": lambda: [_est_dict(e, "t") for e in char_fn_estimates(v, r, config.t_grid)],
-            "stein": lambda: [_est_dict(e, "z") for e in stein_estimates(v, r, config.z_grid)],
-            "conditional": lambda: _est_dict(binned_residual_estimate(v, r, config.n_bins), "n_bins"),
-        }
-
-    def layout(exact, samples, resid_vals):
-        mc = {
-            **_dkol_tasks(samples, exact["var"]),
-            "crit": [criteria(v, r) for v, r in zip(samples, resid_vals)],
-        }
-        return _spread_xy(exact), _spread_xy(mc)
-
-    return _run_k_way(config, workers, layout)
-
-
-def _run_three_way(config: ExperimentConfig, workers: int) -> ExperimentReport:
-    def char(v, r):
-        return lambda: [_est_dict(e, "t") for e in char_fn_estimates(v, r, config.t_grid)]
-
-    def layout(exact, samples, resid_vals):
-        # Against the target c_j, where decouple uses the exact E[X_j^2]; the two
-        # can differ in the last bit, so each keeps its own.
-        mc = {
-            **_dkol_tasks(samples, config.split),
-            "char": [char(v, r) for v, r in zip(samples, resid_vals)],
-        }
-        return exact, mc
-
-    return _run_k_way(config, workers, layout)
-
-
 def _run_counterexample(config: ExperimentConfig, workers: int) -> ExperimentReport:
     def record(path_steps):
         stream = IncrementStream(config.seed, stream_id=path_steps)
@@ -377,8 +341,8 @@ def _run_counterexample(config: ExperimentConfig, workers: int) -> ExperimentRep
 
 
 _RUNNERS = {
-    "decouple": _run_decoupling,
-    "three_way": _run_three_way,
+    "decouple": _run_k_way,
+    "three_way": _run_k_way,
     "counterexample": _run_counterexample,
 }
 

@@ -30,6 +30,11 @@ from .grid import Grid, check_int, check_object, check_real, chunk_rows, make_gr
 # Storage guard: reject kernels with more than this many stored entries.
 MAX_ENTRIES = 10**8
 
+# Orders above this are rejected before any shape or factorial is formed: an
+# order-n kernel's second moment carries n!, and 170! is the largest
+# factorial that is a finite double.
+MAX_ORDER = 170
+
 # Symmetry checks use this absolute tolerance on kernel values.
 SYMMETRY_ATOL = 1e-12
 
@@ -57,13 +62,21 @@ def check_dense_entries(m: int, order: int, what: str) -> None:
         )
 
 
-def step_kernel(grid: Grid, order: int, values, *, copy: bool = True, diagonal: bool = False) -> StepKernel:
-    """Validated kernel constructor; accepts a scalar for order 0.
-
-    diagonal=True stores an order >= 2 kernel as its length-m vector; orders
-    0 and 1 ignore it, their dense form already being that vector.
-    """
+def _check_order(order) -> int:
+    """order as an int; ValueError unless it is an integer in [0, MAX_ORDER]."""
     order = check_int("kernel order", order)
+    if order > MAX_ORDER:
+        raise ValueError(f"kernel order must be at most {MAX_ORDER}, got {order}")
+    return order
+
+
+def _kernel(grid: Grid, order: int, values, diagonal: bool = False, copy: bool = False) -> StepKernel:
+    """step_kernel's checks; without copy, values may become the kernel's own array.
+
+    Algebra results and loaded bodies, arrays no caller holds, come through
+    here uncopied.
+    """
+    order = _check_order(order)
     diagonal = bool(diagonal) and order >= 2
     stored = 1 if diagonal else order
     check_dense_entries(grid.m, stored, "kernel")
@@ -71,11 +84,20 @@ def step_kernel(grid: Grid, order: int, values, *, copy: bool = True, diagonal: 
     if arr.shape != (grid.m,) * stored:
         raise ValueError(f"values shape {arr.shape} does not match order-{order} kernel on m={grid.m}")
     # ascontiguousarray promotes 0-d to shape (1,); reshape restores it.
-    arr = np.ascontiguousarray(arr).reshape(arr.shape)
-    if copy and arr is values:
-        arr = arr.copy()
+    arr = np.array(arr, order="C") if copy else np.ascontiguousarray(arr).reshape(arr.shape)
     arr.flags.writeable = False
     return StepKernel(grid=grid, order=order, values=arr, diagonal=diagonal)
+
+
+def step_kernel(grid: Grid, order: int, values, *, diagonal: bool = False) -> StepKernel:
+    """Validated kernel constructor; accepts a scalar for order 0.
+
+    The kernel holds its own copy of values, so a later write to the
+    caller's array never reaches it.  diagonal=True stores an order >= 2
+    kernel as its length-m vector; orders 0 and 1 ignore it, their dense
+    form already being that vector.
+    """
+    return _kernel(grid, order, values, diagonal, copy=True)
 
 
 def dense(kernel: StepKernel) -> StepKernel:
@@ -86,7 +108,7 @@ def dense(kernel: StepKernel) -> StepKernel:
     check_dense_entries(m, n, "dense kernel")
     vals = np.zeros((m,) * n)
     vals[(np.arange(m),) * n] = kernel.values
-    return step_kernel(kernel.grid, n, vals, copy=False)
+    return _kernel(kernel.grid, n, vals)
 
 
 def _require_same_grid(f: StepKernel, g: StepKernel) -> None:
@@ -145,7 +167,7 @@ def symmetrize(kernel: StepKernel) -> StepKernel:
         sym = (kernel.values + kernel.values.T) / 2.0
     else:
         sym = _symmetrized_values(kernel.values, kernel.grid.m, kernel.order)
-    return step_kernel(kernel.grid, kernel.order, sym, copy=False)
+    return _kernel(kernel.grid, kernel.order, sym)
 
 
 def is_symmetric(kernel: StepKernel) -> bool:
@@ -172,7 +194,7 @@ def contract(f: StepKernel, g: StepKernel, ell: int) -> StepKernel:
     if ell >= 1 and len(vectors) == 2 and (f.diagonal or g.diagonal):
         a, b = vectors
         vals = (np.vdot(a, b) if out_order == 0 else a * b) * f.grid.delta**ell
-        return step_kernel(f.grid, out_order, vals, copy=False, diagonal=True)
+        return _kernel(f.grid, out_order, vals, True)
     check_dense_entries(f.grid.m, out_order, "contraction output")
     f, g = dense(f), dense(g)
     if ell == 0:
@@ -182,7 +204,7 @@ def contract(f: StepKernel, g: StepKernel, ell: int) -> StepKernel:
         axes_g = list(range(g.order - ell, g.order))
         vals = np.tensordot(f.values, g.values, axes=(axes_f, axes_g))
         vals = np.asarray(vals, dtype=np.float64) * f.grid.delta**ell
-    return step_kernel(f.grid, out_order, vals, copy=False)
+    return _kernel(f.grid, out_order, vals)
 
 
 def inner_product(f: StepKernel, g: StepKernel) -> float:
@@ -209,13 +231,13 @@ def linear_combine(a: float, f: StepKernel, b: float, g: StepKernel) -> StepKern
         f, g = dense(f), dense(g)
     vals = a * f.values
     vals += b * g.values
-    return step_kernel(f.grid, f.order, vals, copy=False, diagonal=f.diagonal)
+    return _kernel(f.grid, f.order, vals, f.diagonal)
 
 
 def scale_kernel(a: float, f: StepKernel) -> StepKernel:
     """a*f in f's storage."""
     a = check_real("a", a)
-    return step_kernel(f.grid, f.order, a * f.values, copy=False, diagonal=f.diagonal)
+    return _kernel(f.grid, f.order, a * f.values, f.diagonal)
 
 
 def multiset_entries(kernel: StepKernel) -> tuple:
@@ -262,11 +284,11 @@ def kernel_from_dict(data: dict) -> StepKernel:
     if len(stored) != 1:
         raise ValueError(f"kernel must hold exactly one of the keys 'values' and 'diagonal', got {stored}")
     grid = make_grid(data["m"])
-    order = check_int("kernel order", data["order"])
+    order = _check_order(data["order"])
     if "diagonal" in data:
-        kernel = step_kernel(grid, order, data["diagonal"], copy=False, diagonal=True)
+        kernel = _kernel(grid, order, data["diagonal"], True)
     else:
-        kernel = step_kernel(grid, order, np.reshape(data["values"], (grid.m,) * order), copy=False)
+        kernel = _kernel(grid, order, np.reshape(data["values"], (grid.m,) * order))
     if not is_symmetric(kernel):
         raise ValueError("loaded kernel is not symmetric")
     return kernel

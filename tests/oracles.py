@@ -24,12 +24,13 @@ The reference fourth cumulant is the earlier two-branch route: contraction
 norms for a single order and E[X^4] - 3 E[X^2]^2 through `multiply(x, x)` for
 mixed orders, which forms order-2N kernels.
 
-The reference runners are the separate decouple and three_way record
-builders, with their per-parameter estimators, as they stood before the
-k-way runner replaced them, and each record's exact `independence` list
-built pair by pair from the public strongly_independent, cross_gamma and
-second_moment.  The library's runners must reproduce their records byte for
-byte.
+The reference k-way runner builds each decouple (k = 2) and three_way
+(k = 3) record from the public primitives, one per-summand list entry at a
+time, with its own per-parameter estimators; it spreads decouple's two-entry
+lists into `_x`/`_y` keys itself, and builds each record's exact
+`independence` list pair by pair from the public strongly_independent,
+cross_gamma and second_moment.  The library's runner must reproduce its
+records byte for byte.
 
 The reference counterexample simulation walks each path one Euler step at a
 time over the same (index, path_steps/2 + 1) normal table the library reads.
@@ -458,79 +459,38 @@ def _independence_reference(parts) -> list:
     return entries
 
 
-def run_decoupling_reference(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    start = time.perf_counter()
-    records = []
-    for n in config.n_schedule:
-        grid = make_grid(2 * n)
-        x = diagonal_second_chaos(grid, range(0, n), config.c1)
-        y = diagonal_second_chaos(grid, range(n, 2 * n), config.c2)
-        s = add(x, y)
-        var_x = second_moment(x)
-        var_y = second_moment(y)
-        k4_x = fourth_cumulant(x)
-        k4_y = fourth_cumulant(y)
-        k4_sum = fourth_cumulant(s)
-        res_x = gamma_residual(x, config.c1)
-        res_y = gamma_residual(y, config.c2)
-        res_sum = gamma_residual(s, 1.0)
-        add_gap = _check_additivity(res_sum, res_x + res_y, "Gamma residual")
-        k4_gap = _check_additivity(k4_sum, k4_x + k4_y, "fourth cumulant")
-        exact = {
-            "var_x": var_x,
-            "var_y": var_y,
-            "k4_x": k4_x,
-            "k4_y": k4_y,
-            "k4_sum": k4_sum,
-            "k4_additivity_gap_rel": k4_gap,
-            "gamma_residual_x": res_x,
-            "gamma_residual_y": res_y,
-            "gamma_residual_sum": res_sum,
-            "additivity_gap_rel": add_gap,
-            # the fourth-moment bound sqrt(|k4|) / E[X^2]
-            "bound_x": math.sqrt(abs(k4_x)) / var_x,
-            "bound_y": math.sqrt(abs(k4_y)) / var_y,
-            "independence": _independence_reference([x, y]),
-        }
-        stream = IncrementStream(config.seed, stream_id=n)
-        x_vals, y_vals, gx_vals, gy_vals = evaluate_samples(
-            [x, y, gamma(x), gamma(y)], config.mc_samples, stream, workers=workers
-        )
-        s_vals = x_vals + y_vals
-        mc = {
-            "dkol_x": kolmogorov_distance_mc(x_vals, var_x),
-            "dkol_y": kolmogorov_distance_mc(y_vals, var_y),
-            "dkol_sum": kolmogorov_distance_mc(s_vals, 1.0),
-            "crit_x": _criterion_block(
-                x_vals, gx_vals, config.c1, config.t_grid, config.z_grid, config.n_bins
-            ),
-            "crit_y": _criterion_block(
-                y_vals, gy_vals, config.c2, config.t_grid, config.z_grid, config.n_bins
-            ),
-        }
-        records.append({"n": int(n), "exact": exact, "mc": mc})
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    return ExperimentReport(config=config.to_dict(), records=records, runtime_ms=runtime_ms)
+def _spread_xy_reference(block: dict) -> dict:
+    """Each two-entry list `key` as `key_x` and `key_y` in its place."""
+    out = {}
+    for key, value in block.items():
+        if isinstance(value, list):
+            for suffix, entry in zip("xy", value):
+                out[f"{key}_{suffix}"] = entry
+        else:
+            out[key] = value
+    return out
 
 
-def run_three_way_reference(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def run_k_way_reference(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     start = time.perf_counter()
-    cs = (config.c1, config.c2, config.c3)
+    cs = config.split
+    k = len(cs)
     records = []
     for n in config.n_schedule:
-        grid = make_grid(3 * n)
+        grid = make_grid(k * n)
         parts = [
-            diagonal_second_chaos(grid, range(k * n, (k + 1) * n), cs[k])
-            for k in range(3)
+            diagonal_second_chaos(grid, range(j * n, (j + 1) * n), c) for j, c in enumerate(cs)
         ]
-        total = add(add(parts[0], parts[1]), parts[2])
+        total = parts[0]
+        for part in parts[1:]:
+            total = add(total, part)
+        var = [second_moment(p) for p in parts]
         k4s = [fourth_cumulant(p) for p in parts]
         k4_sum = fourth_cumulant(total)
-        residuals = [gamma_residual(p, cs[k]) for k, p in enumerate(parts)]
+        residuals = [gamma_residual(p, c) for p, c in zip(parts, cs)]
         res_sum = gamma_residual(total, 1.0)
         add_gap = _check_additivity(res_sum, sum(residuals), "Gamma residual")
         k4_gap = _check_additivity(k4_sum, sum(k4s), "fourth cumulant")
-        var = [second_moment(p) for p in parts]
         exact = {
             "var": var,
             "k4": k4s,
@@ -539,31 +499,28 @@ def run_three_way_reference(config: ExperimentConfig, workers: int = 1) -> Exper
             "gamma_residual": residuals,
             "gamma_residual_sum": res_sum,
             "additivity_gap_rel": add_gap,
+            # the fourth-moment bound sqrt(|k4|) / E[X^2]
             "bound": [math.sqrt(abs(k4)) / v for k4, v in zip(k4s, var)],
-            "independence": _independence_reference(parts),
         }
         stream = IncrementStream(config.seed, stream_id=n)
         vals = evaluate_samples(
             parts + [gamma(p) for p in parts], config.mc_samples, stream, workers=workers
         )
-        part_vals, gamma_vals = vals[:3], vals[3:]
-        sum_vals = part_vals[0] + part_vals[1] + part_vals[2]
+        part_vals, gamma_vals = vals[:k], vals[k:]
+        sum_vals = part_vals[0]
+        for v in part_vals[1:]:
+            sum_vals = sum_vals + v
         mc = {
-            "dkol": [
-                kolmogorov_distance_mc(part_vals[k], cs[k]) for k in range(3)
-            ],
+            "dkol": [kolmogorov_distance_mc(v, s2) for v, s2 in zip(part_vals, var)],
             "dkol_sum": kolmogorov_distance_mc(sum_vals, 1.0),
-            "char": [
-                [
-                    _est_dict(
-                        _char_fn_estimate(part_vals[k], cs[k] - gamma_vals[k], t), "t"
-                    )
-                    for t in config.t_grid
-                ]
-                for k in range(3)
+            "crit": [
+                _criterion_block(v, g, c, config.t_grid, config.z_grid, config.n_bins)
+                for v, g, c in zip(part_vals, gamma_vals, cs)
             ],
         }
+        if config.experiment == "decouple":
+            exact, mc = _spread_xy_reference(exact), _spread_xy_reference(mc)
+        exact["independence"] = _independence_reference(parts)
         records.append({"n": int(n), "exact": exact, "mc": mc})
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentReport(config=config.to_dict(), records=records, runtime_ms=runtime_ms)
-

@@ -31,7 +31,7 @@ from chaoskit import chaos as chaos_module
 from chaoskit import cli, harness
 from chaoskit import kernels as kernels_module
 from chaoskit.cli import main as cli_main
-from oracles import run_decoupling_reference, run_three_way_reference
+from oracles import run_k_way_reference
 
 
 def _small_decouple(**overrides):
@@ -137,9 +137,14 @@ def test_config_rejects_unusable_grids_and_bins():
     with pytest.raises(ValueError, match="n_bins"):
         _small_decouple(n_bins=4001)
     _small_decouple(n_bins=4000, z_grid=(-40.0, 40.0))
-    # the Stein bound and the n_bins <= mc_samples bound apply where they are read
-    ExperimentConfig(experiment="three_way", z_grid=(100.0,), mc_samples=16)
-    ExperimentConfig(experiment="counterexample", mc_samples=16)
+    # the Stein bound and the n_bins <= mc_samples bound apply where they are
+    # read: by both k-way experiments, not by counterexample
+    with pytest.raises(ValueError, match="z_grid"):
+        ExperimentConfig(experiment="three_way", z_grid=(100.0,), mc_samples=16)
+    with pytest.raises(ValueError, match="n_bins"):
+        ExperimentConfig(experiment="three_way", mc_samples=16)
+    ExperimentConfig(experiment="three_way", z_grid=(-40.0, 40.0), mc_samples=32)
+    ExperimentConfig(experiment="counterexample", z_grid=(100.0,), mc_samples=16)
 
 
 def test_config_bounds_t_where_it_is_read():
@@ -286,8 +291,13 @@ def test_three_way_records():
         assert e["additivity_gap_rel"] <= 1e-10
         for k4, c in zip(e["k4"], (1 / 3, 1 / 3, 1 / 3)):
             assert k4 == pytest.approx(12 * c * c / n, rel=1e-10)
-        assert len(rec["mc"]["dkol"]) == 3
-        assert len(rec["mc"]["char"]) == 3
+        m = rec["mc"]
+        assert len(m["dkol"]) == 3
+        assert len(m["crit"]) == 3
+        for crit in m["crit"]:
+            assert [e["t"] for e in crit["char"]] == [1.0]
+            assert [e["z"] for e in crit["stein"]] == [0.0]
+            assert crit["conditional"]["n_bins"] == 32.0
     first, last = report.records
     assert last["exact"]["gamma_residual_sum"] < first["exact"]["gamma_residual_sum"]
 
@@ -350,27 +360,43 @@ def test_independence_list_reads_a_self_coupled_pair_without_a_draw(layout, expe
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize(
-    "experiment,reference,split",
+    "experiment,split",
     [
-        ("decouple", run_decoupling_reference, {}),
-        ("decouple", run_decoupling_reference, {"c1": 0.3, "c2": 0.7, "n_bins": 8}),
-        ("three_way", run_three_way_reference, {"c1": 1 / 3, "c2": 1 / 3, "c3": 1 / 3}),
-        ("three_way", run_three_way_reference, {"c1": 0.2, "c2": 0.3, "c3": 0.5}),
-        (
-            "decouple",
-            run_decoupling_reference,
-            {"t_grid": (0.0, 0.25, 3.0), "z_grid": (-2.0, 0.5, 2.0)},
-        ),
+        ("decouple", {}),
+        ("decouple", {"c1": 0.3, "c2": 0.7, "n_bins": 8}),
+        ("three_way", {"c1": 1 / 3, "c2": 1 / 3, "c3": 1 / 3}),
+        ("three_way", {"c1": 0.2, "c2": 0.3, "c3": 0.5}),
+        ("decouple", {"t_grid": (0.0, 0.25, 3.0), "z_grid": (-2.0, 0.5, 2.0)}),
+        ("three_way", {"t_grid": (0.0, 0.25, 3.0), "z_grid": (-2.0, 0.5, 2.0), "n_bins": 8}),
     ],
 )
-def test_runner_records_match_reference(experiment, reference, split, workers):
-    # The k-way runner and the public estimators must reproduce the separate
-    # pre-k-way runners byte for byte, key order included.
+def test_runner_records_match_reference(experiment, split, workers):
+    # The k-way runner and the public estimators must reproduce the
+    # reference k-way runner byte for byte, key order included.
     config = ExperimentConfig(
         experiment=experiment, n_schedule=(4, 16, 64), mc_samples=5000, seed=11, **split
     )
     got = run_experiment(config, workers=workers).records
-    assert json.dumps(got) == json.dumps(reference(config, workers=workers).records)
+    assert json.dumps(got) == json.dumps(run_k_way_reference(config, workers=workers).records)
+
+
+def test_decouple_keys_spread_the_three_way_keys():
+    # One layout: every decouple key is a three_way key, its per-summand
+    # lists spread into `_x`/`_y` keys in place; the independence list stays.
+    def spread(block):
+        keys = []
+        for key, value in block.items():
+            listed = isinstance(value, list) and key != "independence"
+            keys += [f"{key}_x", f"{key}_y"] if listed else [key]
+        return keys
+
+    two, three = (
+        run_experiment(_small_decouple(experiment=experiment, n_schedule=(4,))).records[0]
+        for experiment in ("decouple", "three_way")
+    )
+    for part in ("exact", "mc"):
+        assert list(two[part]) == spread(three[part]), part
+    assert two["mc"]["crit_x"].keys() == three["mc"]["crit"][0].keys()
 
 
 def test_counterexample_record():
@@ -628,6 +654,9 @@ def test_cli_n_bins_flag(capsys):
         ["decouple", "--n-schedule", "50000001"],
         ["decouple", "--n-schedule", "4,50000001"],
         ["three_way", "--n-schedule", "4,33333334"],
+        # three_way reads the Stein grid and n_bins as decouple does
+        ["three_way", "--z-grid", "41"],
+        ["three_way", "--mc", "64", "--n-bins", "65"],
     ],
 )
 def test_cli_bad_config_fails_before_sampling(argv, tmp_path, capsys, monkeypatch):

@@ -67,7 +67,7 @@ CASES = {
     ),
     "run_experiment.workers": (
         lambda v: run_experiment(
-            ExperimentConfig("three_way", n_schedule=(4,), mc_samples=16), workers=v
+            ExperimentConfig("three_way", n_schedule=(4,), mc_samples=16, n_bins=4), workers=v
         ),
         "workers",
         2,

@@ -25,7 +25,8 @@ from chaoskit import (
     symmetrize,
 )
 
-from chaoskit.kernels import SYMMETRY_ATOL
+from chaoskit.chaos import gamma, gamma_residual, second_moment, single_chaos
+from chaoskit.kernels import MAX_ORDER, SYMMETRY_ATOL
 from oracles import symmetrize_reference
 
 
@@ -293,6 +294,42 @@ def test_kernel_values_are_frozen():
     f = step_kernel(g, 1, [1.0, 2.0])
     with pytest.raises(ValueError):
         f.values[0] = 5.0
+
+
+def test_step_kernel_keeps_its_own_copy():
+    # A write to the caller's array after construction never reaches the
+    # kernel, which the caller's array does not share memory with.
+    a = np.array([1.0, 2.0, 3.0])
+    f = step_kernel(make_grid(3), 1, a)
+    a[0] = 99.0
+    assert f.values.tolist() == [1.0, 2.0, 3.0]
+    assert a.flags.writeable and not np.shares_memory(a, f.values)
+    # On order 2 the kernel stays symmetric, and the Gamma kept on its
+    # expansion still matches the kernel.
+    sym = np.eye(3)
+    x = single_chaos(step_kernel(make_grid(3), 2, sym))
+    gamma(x)
+    sym[0, 1] = 5.0
+    assert is_symmetric(x.kernels[2])
+    assert gamma_residual(x, 1.0) == gamma_residual(single_chaos(x.kernels[2]), 1.0)
+    diag = np.ones(3)
+    d = step_kernel(make_grid(3), 2, diag, diagonal=True)
+    diag[:] = 0.0
+    assert d.values.tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("stored", ["diagonal", "values"])
+def test_kernel_order_is_bounded_before_any_shape(stored):
+    # 170! is the largest factorial that is a finite double: an order-10^6
+    # body is rejected by name before its shape tuple or any factorial is formed.
+    body = {"order": 10**6, "m": 2, stored: [1.0, 1.0]}
+    message = f"kernel order must be at most {MAX_ORDER}, got {10**6}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kernel_from_dict(body)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        step_kernel(make_grid(2), 10**6, [1.0, 1.0], diagonal=stored == "diagonal")
+    top = kernel_from_dict({"order": MAX_ORDER, "m": 2, "diagonal": [1.0, 1.0]})
+    assert math.isfinite(second_moment(single_chaos(top)))
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,10 @@ def test_retired_second_routes_stay_gone():
         chaos: ["evaluate", "shift", "fourth_moment_bound", "save_expansion", "load_expansion"],
         families: ["CounterexampleSample", "half_support_second_chaos", "custom_single_chaos"],
         grid: ["GaussianSample", "sample_increments"],
-        harness: ["run_decoupling", "run_three_way", "run_class_a", "run_counterexample", "_run_class_a"],
+        harness: [
+            "run_decoupling", "run_three_way", "run_class_a", "run_counterexample", "_run_class_a",
+            "_run_decoupling", "_run_three_way", "_dkol_tasks",
+        ],
         hermite: ["hermite_eval", "hermite_table", "MAX_DEGREE", "_check_degree"],
         independence: ["class_a_diagnostic", "ClassADiagnostic"],
         kernels: ["zero_kernel", "save_kernel", "load_kernel"],
@@ -180,8 +183,10 @@ def test_retired_second_routes_stay_gone():
     assert not config_fields & {"out", "fmt"}
     # "is zero" and "is symmetric" each have one rule: no tolerance argument;
     # a loaded kernel is always checked for symmetry; the evaluator's Hermite
-    # rows always go where the caller says
+    # rows always go where the caller says; a constructed kernel always holds
+    # its own copy of the caller's values
     for fn, params in (
+        (kernels.step_kernel, ["grid", "order", "values", "diagonal"]),
         (independence.integrals_independent, ["f", "g"]),
         (independence.strongly_independent, ["x", "y"]),
         (kernels.is_symmetric, ["kernel"]),

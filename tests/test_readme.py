@@ -1,13 +1,16 @@
 """The README's library tour runs as written, its CLI examples name the
-experiments that exist, and its flag table names the CLI's flags and config fields."""
+experiments that exist, its flag table names the CLI's flags and config
+fields, and its example CSV columns appear in real reports."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import re
 from pathlib import Path
 
-from chaoskit import EXPERIMENTS, ExperimentConfig
+from chaoskit import EXPERIMENTS, ExperimentConfig, report_to_csv, run_experiment
 from chaoskit.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -54,3 +57,20 @@ def test_flag_table_config_fields_exist():
             continue
         named = re.findall(r"`(\w+)`", field_cell)
         assert named and set(named) <= fields, (flag_cell, field_cell)
+
+
+def test_csv_column_examples_appear_in_reports():
+    # Each example column in the README's CSV sentence heads a column of a
+    # small run of decouple or three_way, and each of the two has an example.
+    text = README.read_text()
+    sentence = text[text.index("CSV output flattens") :].split("\n\n", 1)[0]
+    documented = re.findall(r"`([\w.]+)`", sentence)
+    assert documented
+    headers = {}
+    for experiment in ("decouple", "three_way"):
+        config = ExperimentConfig(experiment, n_schedule=(4,), mc_samples=64, n_bins=4)
+        csv_text = report_to_csv(run_experiment(config))
+        headers[experiment] = next(csv.reader(io.StringIO(csv_text)))
+    owners = {column: [e for e, header in headers.items() if column in header] for column in documented}
+    assert all(owners.values()), owners
+    assert {e for found in owners.values() for e in found} == set(headers), owners
