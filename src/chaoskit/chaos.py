@@ -90,7 +90,6 @@ from .kernels import (
     linear_combine,
     multiset_entries,
     scale_kernel,
-    step_kernel,
     symmetrize,
 )
 
@@ -101,12 +100,31 @@ MAX_PRODUCT_ORDER = 8
 
 @dataclass(frozen=True)
 class ChaosExpansion:
-    """Kernels indexed by order; a None slot is the zero kernel of that order."""
+    """Kernels indexed by order; a None slot is the zero kernel of that order.
+
+    The constructor checks that each kernel sits in its order's slot on the
+    expansion's grid, drops all-zero kernels and trims trailing empty slots.
+    Symmetry is left to chaos_expansion: algebra results are symmetric by
+    construction.
+    """
 
     grid: Grid
     kernels: tuple
     # Gamma_1 of this expansion, kept by gamma() once built.
     _gamma: ChaosExpansion | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        slots = []
+        for n, k in enumerate(self.kernels):
+            if k is not None:
+                if k.order != n:
+                    raise ValueError(f"kernel of order {k.order} stored at slot {n}")
+                if k.grid != self.grid:
+                    raise ValueError("all kernels must share the expansion grid")
+            slots.append(k if k is not None and np.any(k.values) else None)
+        while len(slots) > 1 and slots[-1] is None:
+            slots.pop()
+        object.__setattr__(self, "kernels", tuple(slots) or (None,))
 
     @property
     def max_order(self) -> int:
@@ -126,45 +144,18 @@ class ChaosExpansion:
         return [n for n, k in enumerate(self.kernels) if k is not None]
 
 
-def _normalize_slots(grid: Grid, slots: list) -> tuple:
-    """Drop all-zero kernels and trailing empty slots; keep at least order 0."""
-    cleaned = []
-    for n, k in enumerate(slots):
-        if k is None:
-            cleaned.append(None)
-            continue
-        if k.order != n:
-            raise ValueError(f"kernel of order {k.order} stored at slot {n}")
-        if k.grid != grid:
-            raise ValueError("all kernels must share the expansion grid")
-        cleaned.append(k if np.any(k.values) else None)
-    while len(cleaned) > 1 and cleaned[-1] is None:
-        cleaned.pop()
-    if not cleaned:
-        cleaned = [None]
-    return tuple(cleaned)
-
-
 def chaos_expansion(grid: Grid, kernels) -> ChaosExpansion:
     """Build an expansion from per-order kernels, checking symmetry."""
-    slots = _normalize_slots(grid, list(kernels))
-    for k in slots:
+    x = ChaosExpansion(grid, kernels)
+    for k in x.kernels:
         if k is not None and not is_symmetric(k):
             raise ValueError(f"order-{k.order} kernel is not symmetric")
-    return ChaosExpansion(grid=grid, kernels=slots)
-
-
-def _expansion(grid: Grid, slots: list) -> ChaosExpansion:
-    # Internal constructor for operation results, whose kernels are symmetric
-    # by construction, and for loaded kernels, which kernel_from_dict checked.
-    return ChaosExpansion(grid=grid, kernels=_normalize_slots(grid, slots))
+    return x
 
 
 def constant(grid: Grid, value: float) -> ChaosExpansion:
     """The deterministic expansion F = value."""
-    value = check_real("value", value)
-    k0 = step_kernel(grid, 0, value) if value != 0.0 else None
-    return ChaosExpansion(grid=grid, kernels=(k0,))
+    return ChaosExpansion(grid, (StepKernel(grid, 0, check_real("value", value)),))
 
 
 def single_chaos(kernel: StepKernel) -> ChaosExpansion:
@@ -187,12 +178,12 @@ def add(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
             slots.append(a)
         else:
             slots.append(linear_combine(1.0, a, 1.0, b))
-    return _expansion(x.grid, slots)
+    return ChaosExpansion(x.grid, slots)
 
 
 def scale(a: float, x: ChaosExpansion) -> ChaosExpansion:
     a = check_real("scale factor a", a)
-    return _expansion(x.grid, [None if k is None else scale_kernel(a, k) for k in x.kernels])
+    return ChaosExpansion(x.grid, [None if k is None else scale_kernel(a, k) for k in x.kernels])
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +434,7 @@ def _accumulate(grid: Grid, terms) -> ChaosExpansion:
         acc[slot] = linear_combine(1.0, acc[slot], 1.0, term) if slot in acc else term
     if not acc:
         return constant(grid, 0.0)
-    return _expansion(grid, [acc.get(slot) for slot in range(max(acc) + 1)])
+    return ChaosExpansion(grid, [acc.get(slot) for slot in range(max(acc) + 1)])
 
 
 def multiply(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
@@ -512,7 +503,7 @@ def fourth_cumulant(x: ChaosExpansion) -> float:
     """
     _require_centered(x, "fourth_cumulant")
     orders = [n for n in x.nonzero_orders() if n >= 1]
-    g1_centered = _expansion(x.grid, [None, *gamma(x).kernels[1:]])
+    g1_centered = ChaosExpansion(x.grid, [None, *gamma(x).kernels[1:]])
     g2 = _cross_gamma(x, g1_centered, keep=frozenset(orders))
     total = 0.0
     for n in orders:
@@ -622,4 +613,4 @@ def expansion_from_dict(data: dict) -> ChaosExpansion:
         raise ValueError(f"expansion kernels must be a JSON array, got {type(data['kernels']).__name__}")
     grid = make_grid(data["m"])
     slots = [None if entry is None else kernel_from_dict(entry) for entry in data["kernels"]]
-    return _expansion(grid, slots)
+    return ChaosExpansion(grid, slots)

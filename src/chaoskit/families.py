@@ -35,11 +35,14 @@ import numpy as np
 from .chaos import ChaosExpansion, single_chaos
 from .grid import Grid, IncrementStream, Workspace, check_int, check_real, check_run_counts
 from .grid import make_grid, run_chunks
-from .kernels import check_dense_entries, step_kernel
+from .kernels import StepKernel, check_dense_entries
 
 
 def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
-    """Second-chaos element a * sum_{i in cells} e_i (x) e_i with E[X^2] = c."""
+    """Second-chaos element a * sum_{i in cells} e_i (x) e_i with E[X^2] = c.
+
+    Its kernel keeps the diagonal vector built here, uncopied.
+    """
     c = check_real("target variance c", c, positive=True)
     cells = np.asarray(cells)
     if cells.size == 0:
@@ -57,9 +60,7 @@ def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
     a = math.sqrt(c / (2.0 * n)) / grid.delta
     values = np.zeros(grid.m)
     values[cells] = a
-    kernel = step_kernel(grid, 2, values, diagonal=True)
-    del values  # the kernel holds its own copy; free this one before single_chaos checks it
-    return single_chaos(kernel)
+    return single_chaos(StepKernel(grid, 2, values, True))
 
 
 def diagonal_summands(n: int, split) -> list:
@@ -80,10 +81,12 @@ def diagonal_summands(n: int, split) -> list:
 
 
 def check_path_steps(path_steps) -> int:
-    """path_steps as an int; ValueError unless it is an even integer >= 100."""
+    """path_steps as an int; ValueError unless it is an even integer >= 100
+    whose row of path_steps // 2 + 1 normals holds at most MAX_ENTRIES."""
     path_steps = check_int("path_steps", path_steps, 100)
     if path_steps % 2 != 0:
         raise ValueError(f"path_steps must be even, got {path_steps}")
+    check_dense_entries(path_steps // 2 + 1, 1, f"path_steps {path_steps}'s row of normals")
     return path_steps
 
 

@@ -29,7 +29,7 @@ import math
 import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
@@ -47,16 +47,21 @@ CHUNK_ENTRIES = 1 << 19
 
 @dataclass(frozen=True)
 class Grid:
-    """m equal cells on [0,1]; cell i is [i/m, (i+1)/m) with measure delta = 1/m."""
+    """m equal cells on [0,1]; cell i is [i/m, (i+1)/m) with measure delta = 1/m.
+
+    A grid is its m, an integer >= 1; delta is derived, never passed.
+    make_grid is this constructor.
+    """
 
     m: int
-    delta: float
+    delta: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "m", check_int("grid size m", self.m, 1))
+        object.__setattr__(self, "delta", 1.0 / self.m)
 
 
-def make_grid(m: int) -> Grid:
-    """Build the uniform m-cell grid on [0,1]."""
-    m = check_int("grid size m", m, 1)
-    return Grid(m=m, delta=1.0 / m)
+make_grid = Grid
 
 
 @dataclass(frozen=True)

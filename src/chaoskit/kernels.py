@@ -16,6 +16,10 @@ r >= 1 only (a scalar at order 0, a plain vector at order 1), and symmetrize
 is the identity.  The outer product (r = 0) and any mix with a dense kernel
 of order >= 2 go through `dense`, the one function that expands a diagonal
 kernel.  MAX_ENTRIES counts stored entries, m for a diagonal kernel.
+
+StepKernel(...) keeps, read-only, the float64 C-contiguous values array it
+is given, so the algebra's results are never copied and a later write to
+that array raises; step_kernel copies the caller's values first.
 """
 
 from __future__ import annotations
@@ -39,20 +43,6 @@ MAX_ORDER = 170
 SYMMETRY_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class StepKernel:
-    """Order-n step kernel.  values has shape (m,) * order, or (m,) if diagonal.
-
-    Kernels stored inside chaos expansions are symmetric; raw contraction
-    output is not symmetrized until `symmetrize` is applied.
-    """
-
-    grid: Grid
-    order: int
-    values: np.ndarray
-    diagonal: bool = False
-
-
 def check_dense_entries(m: int, order: int, what: str) -> None:
     """Reject `what`, m^order stored entries on m cells, above MAX_ENTRIES entries."""
     if m**order > MAX_ENTRIES:
@@ -70,34 +60,46 @@ def _check_order(order) -> int:
     return order
 
 
-def _kernel(grid: Grid, order: int, values, diagonal: bool = False, copy: bool = False) -> StepKernel:
-    """step_kernel's checks; without copy, values may become the kernel's own array.
+@dataclass(frozen=True)
+class StepKernel:
+    """Order-n step kernel.  values has shape (m,) * order, or (m,) if diagonal.
 
-    Algebra results and loaded bodies, arrays no caller holds, come through
-    here uncopied.
+    The constructor checks the order, the stored entries, the values (finite
+    reals) and their shape; diagonal=True is dropped below order 2.  Kernels
+    inside chaos expansions are symmetric; raw contraction output is not
+    symmetrized until `symmetrize` is applied.
     """
-    order = _check_order(order)
-    diagonal = bool(diagonal) and order >= 2
-    stored = 1 if diagonal else order
-    check_dense_entries(grid.m, stored, "kernel")
-    arr = real_array("kernel values", values)
-    if arr.shape != (grid.m,) * stored:
-        raise ValueError(f"values shape {arr.shape} does not match order-{order} kernel on m={grid.m}")
-    # ascontiguousarray promotes 0-d to shape (1,); reshape restores it.
-    arr = np.array(arr, order="C") if copy else np.ascontiguousarray(arr).reshape(arr.shape)
-    arr.flags.writeable = False
-    return StepKernel(grid=grid, order=order, values=arr, diagonal=diagonal)
+
+    grid: Grid
+    order: int
+    values: np.ndarray
+    diagonal: bool = False
+
+    def __post_init__(self) -> None:
+        order = _check_order(self.order)
+        diagonal = bool(self.diagonal) and order >= 2
+        stored = 1 if diagonal else order
+        check_dense_entries(self.grid.m, stored, "kernel")
+        arr = real_array("kernel values", self.values)
+        if arr.shape != (self.grid.m,) * stored:
+            raise ValueError(f"values shape {arr.shape} does not match order-{order} kernel on m={self.grid.m}")
+        arr = np.require(arr, requirements="C")  # the same object when already C-contiguous
+        arr.flags.writeable = False
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "diagonal", diagonal)
 
 
 def step_kernel(grid: Grid, order: int, values, *, diagonal: bool = False) -> StepKernel:
     """Validated kernel constructor; accepts a scalar for order 0.
 
-    The kernel holds its own copy of values, so a later write to the
-    caller's array never reaches it.  diagonal=True stores an order >= 2
-    kernel as its length-m vector; orders 0 and 1 ignore it, their dense
-    form already being that vector.
+    The order and the stored entries are checked before values is copied;
+    the kernel holds that copy, so the caller's array stays writable and a
+    later write to it never reaches the kernel.
     """
-    return _kernel(grid, order, values, diagonal, copy=True)
+    order = _check_order(order)
+    check_dense_entries(grid.m, 1 if diagonal and order >= 2 else order, "kernel")
+    return StepKernel(grid, order, np.array(values, order="C"), diagonal)
 
 
 def dense(kernel: StepKernel) -> StepKernel:
@@ -108,7 +110,7 @@ def dense(kernel: StepKernel) -> StepKernel:
     check_dense_entries(m, n, "dense kernel")
     vals = np.zeros((m,) * n)
     vals[(np.arange(m),) * n] = kernel.values
-    return _kernel(kernel.grid, n, vals)
+    return StepKernel(kernel.grid, n, vals)
 
 
 def _require_same_grid(f: StepKernel, g: StepKernel) -> None:
@@ -167,7 +169,7 @@ def symmetrize(kernel: StepKernel) -> StepKernel:
         sym = (kernel.values + kernel.values.T) / 2.0
     else:
         sym = _symmetrized_values(kernel.values, kernel.grid.m, kernel.order)
-    return _kernel(kernel.grid, kernel.order, sym)
+    return StepKernel(kernel.grid, kernel.order, sym)
 
 
 def is_symmetric(kernel: StepKernel) -> bool:
@@ -194,7 +196,7 @@ def contract(f: StepKernel, g: StepKernel, ell: int) -> StepKernel:
     if ell >= 1 and len(vectors) == 2 and (f.diagonal or g.diagonal):
         a, b = vectors
         vals = (np.vdot(a, b) if out_order == 0 else a * b) * f.grid.delta**ell
-        return _kernel(f.grid, out_order, vals, True)
+        return StepKernel(f.grid, out_order, vals, True)
     check_dense_entries(f.grid.m, out_order, "contraction output")
     f, g = dense(f), dense(g)
     if ell == 0:
@@ -204,7 +206,7 @@ def contract(f: StepKernel, g: StepKernel, ell: int) -> StepKernel:
         axes_g = list(range(g.order - ell, g.order))
         vals = np.tensordot(f.values, g.values, axes=(axes_f, axes_g))
         vals = np.asarray(vals, dtype=np.float64) * f.grid.delta**ell
-    return _kernel(f.grid, out_order, vals)
+    return StepKernel(f.grid, out_order, vals)
 
 
 def inner_product(f: StepKernel, g: StepKernel) -> float:
@@ -231,13 +233,13 @@ def linear_combine(a: float, f: StepKernel, b: float, g: StepKernel) -> StepKern
         f, g = dense(f), dense(g)
     vals = a * f.values
     vals += b * g.values
-    return _kernel(f.grid, f.order, vals, f.diagonal)
+    return StepKernel(f.grid, f.order, vals, f.diagonal)
 
 
 def scale_kernel(a: float, f: StepKernel) -> StepKernel:
     """a*f in f's storage."""
     a = check_real("a", a)
-    return _kernel(f.grid, f.order, a * f.values, f.diagonal)
+    return StepKernel(f.grid, f.order, a * f.values, f.diagonal)
 
 
 def multiset_entries(kernel: StepKernel) -> tuple:
@@ -286,9 +288,9 @@ def kernel_from_dict(data: dict) -> StepKernel:
     grid = make_grid(data["m"])
     order = _check_order(data["order"])
     if "diagonal" in data:
-        kernel = _kernel(grid, order, data["diagonal"], True)
+        kernel = StepKernel(grid, order, data["diagonal"], True)
     else:
-        kernel = _kernel(grid, order, np.reshape(data["values"], (grid.m,) * order))
+        kernel = StepKernel(grid, order, np.reshape(data["values"], (grid.m,) * order))
     if not is_symmetric(kernel):
         raise ValueError("loaded kernel is not symmetric")
     return kernel

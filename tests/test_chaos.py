@@ -109,6 +109,27 @@ def test_expansion_validates_symmetry_and_slots():
         chaos_expansion(g, [None, step_kernel(make_grid(3), 1, np.ones(3))])
 
 
+def test_raw_expansion_checks_its_slots():
+    # ChaosExpansion(...) keeps each kernel at its own order on its own grid:
+    # an order-1 kernel in slot 2 would read E[X^2] = 2 instead of 1.
+    g = make_grid(2)
+    k1 = step_kernel(g, 1, [1.0, 1.0])
+    with pytest.raises(ValueError, match="order 1 stored at slot 2"):
+        ChaosExpansion(g, (None, None, k1))
+    with pytest.raises(ValueError, match="grid"):
+        ChaosExpansion(g, (None, step_kernel(make_grid(3), 1, np.ones(3))))
+    # All-zero kernels and trailing empty slots go, as in chaos_expansion.
+    zero2 = step_kernel(g, 2, np.zeros((2, 2)))
+    for build in (ChaosExpansion, chaos_expansion):
+        x = build(g, [None, k1, zero2, None])
+        assert x.kernels == (None, k1) and second_moment(x) == 1.0
+        assert build(g, [None, None, zero2]).kernels == (None,)
+        assert build(g, []).kernels == (None,)
+    # Symmetry is chaos_expansion's check alone.
+    asym = step_kernel(g, 2, [[0.0, 1.0], [0.0, 0.0]])
+    assert ChaosExpansion(g, [None, None, asym]).max_order == 2
+
+
 def test_linear_ops():
     g = make_grid(2)
     x = single_chaos(step_kernel(g, 1, [1.0, 2.0]))

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from chaoskit import IncrementStream, make_grid, sample_increments_block
+from chaoskit import Grid, IncrementStream, make_grid, sample_increments_block
 from chaoskit import grid as grid_module
 from chaoskit.grid import BLOCK_SIZE
 
@@ -27,6 +27,18 @@ def test_make_grid_fields():
 def test_make_grid_rejects_bad_sizes(bad):
     with pytest.raises(ValueError):
         make_grid(bad)
+
+
+def test_grid_is_its_m():
+    # delta = 1/m is derived: a grid with another cell measure cannot be
+    # built, and Grid checks m as make_grid does, being the same constructor.
+    with pytest.raises(TypeError):
+        Grid(m=4, delta=0.3)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="grid size m"):
+            Grid(bad)
+    assert make_grid(4) == Grid(4) and Grid(4).delta == 0.25
+    assert Grid(np.int64(4)).m == 4 and type(Grid(np.int64(4)).m) is int
 
 
 def test_sample_is_deterministic_in_seed_and_index():

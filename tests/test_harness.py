@@ -112,6 +112,14 @@ def test_config_counterexample_path_steps():
         ExperimentConfig(experiment="counterexample", path_steps=50)
     # other experiments do not validate path_steps
     _small_decouple(path_steps=7)
+    # A path reads one row of path_steps // 2 + 1 normals, held to the
+    # kernels.MAX_ENTRIES rule; 2 * 10**9 steps would draw 8 GB rows.  Only
+    # configs are built here, never run.
+    largest = 2 * (kernels_module.MAX_ENTRIES - 1)
+    assert ExperimentConfig(experiment="counterexample", path_steps=largest).path_steps == largest
+    for rejected in (largest + 2, 2 * 10**9):
+        with pytest.raises(ValueError, match="row of normals too large"):
+            ExperimentConfig(experiment="counterexample", path_steps=rejected)
 
 
 def test_config_misc_validation():
@@ -657,6 +665,8 @@ def test_cli_n_bins_flag(capsys):
         # three_way reads the Stein grid and n_bins as decouple does
         ["three_way", "--z-grid", "41"],
         ["three_way", "--mc", "64", "--n-bins", "65"],
+        # a row of path_steps // 2 + 1 = 10^8 + 1 normals per path
+        ["counterexample", "--path-steps", "200000000", "--mc", "2"],
     ],
 )
 def test_cli_bad_config_fails_before_sampling(argv, tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chaoskit import (
+    StepKernel,
     contract,
     inner_product,
     is_symmetric,
@@ -316,6 +317,43 @@ def test_step_kernel_keeps_its_own_copy():
     d = step_kernel(make_grid(3), 2, diag, diagonal=True)
     diag[:] = 0.0
     assert d.values.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_raw_step_kernel_checks_itself():
+    g = make_grid(3)
+    with pytest.raises(ValueError, match="finite"):
+        StepKernel(g, 1, np.array([np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="shape"):
+        StepKernel(g, 2, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        StepKernel(g, 2, np.ones(4), True)
+    # Order 171 is rejected by name before the 171-entry shape tuple is formed.
+    with pytest.raises(ValueError, match=f"at most {MAX_ORDER}, got 171"):
+        StepKernel(g, 171, np.ones(3), True)
+    k = StepKernel(g, 1, [1, 2, 3])
+    assert k.values.dtype == np.float64 and not k.values.flags.writeable
+    assert k.values.tolist() == [1.0, 2.0, 3.0]
+    # diagonal storage is dropped below order 2, as step_kernel drops it
+    assert StepKernel(g, 1, np.ones(3), True).diagonal is False
+
+
+def test_raw_step_kernel_freezes_the_array_it_keeps():
+    # StepKernel keeps a float64 C-contiguous array as it is, so a write to
+    # the caller's array raises instead of changing the kernel; step_kernel
+    # copies and leaves the caller's array writable.
+    a = np.array([1.0, 2.0, 3.0])
+    kept = StepKernel(make_grid(3), 1, a)
+    with pytest.raises(ValueError):
+        a[0] = 99.0
+    assert kept.values is a and kept.values.tolist() == [1.0, 2.0, 3.0]
+    b = np.array([1.0, 2.0, 3.0])
+    copied = step_kernel(make_grid(3), 1, b)
+    b[0] = 99.0
+    assert copied.values.tolist() == [1.0, 2.0, 3.0] and not np.shares_memory(b, copied.values)
+    # A transposed array is not C-contiguous: the kernel keeps a C copy.
+    t = np.arange(9.0).reshape(3, 3).T
+    k = StepKernel(make_grid(3), 2, t)
+    assert k.values.flags.c_contiguous and t.flags.writeable and np.array_equal(k.values, t)
 
 
 @pytest.mark.parametrize("stored", ["diagonal", "values"])

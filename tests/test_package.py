@@ -157,7 +157,10 @@ def test_retired_second_routes_stay_gone():
     from chaoskit import chaos, families, grid, harness, hermite, independence, kernels, stein
 
     retired = {
-        chaos: ["evaluate", "shift", "fourth_moment_bound", "save_expansion", "load_expansion"],
+        chaos: [
+            "evaluate", "shift", "fourth_moment_bound", "save_expansion", "load_expansion", "_expansion",
+            "_normalize_slots",
+        ],
         families: ["CounterexampleSample", "half_support_second_chaos", "custom_single_chaos"],
         grid: ["GaussianSample", "sample_increments"],
         harness: [
@@ -166,7 +169,7 @@ def test_retired_second_routes_stay_gone():
         ],
         hermite: ["hermite_eval", "hermite_table", "MAX_DEGREE", "_check_degree"],
         independence: ["class_a_diagnostic", "ClassADiagnostic"],
-        kernels: ["zero_kernel", "save_kernel", "load_kernel"],
+        kernels: ["zero_kernel", "save_kernel", "load_kernel", "_kernel"],
         stein: ["CriterionFunctionals", "conditional_residual_estimate", "criterion_functionals"],
     }
     for module, names in retired.items():
@@ -176,6 +179,9 @@ def test_retired_second_routes_stay_gone():
     for name in ("__len__", "__getitem__"):
         assert not hasattr(families.CounterexampleBatch, name), name
     assert not hasattr(grid.IncrementStream, "substream")
+    # Each value type has one checked constructor: a grid is its m, and
+    # delta = 1/m is never passed.
+    assert [f.name for f in dataclasses.fields(grid.Grid) if f.init] == ["m"]
     # run_experiment dispatches on config.experiment, so no runner gets another's config
     assert [name for name in chaoskit.__all__ if name.startswith("run_")] == ["run_experiment"]
     # out and fmt are CLI options: a library config has no destination it ignores
