@@ -71,6 +71,7 @@ from .grid import (
     Grid,
     IncrementStream,
     Workspace,
+    check_grid,
     check_object,
     check_real,
     check_run_counts,
@@ -102,8 +103,9 @@ MAX_PRODUCT_ORDER = 8
 class ChaosExpansion:
     """Kernels indexed by order; a None slot is the zero kernel of that order.
 
-    The constructor checks that each kernel sits in its order's slot on the
-    expansion's grid, drops all-zero kernels and trims trailing empty slots.
+    The constructor checks that the grid is a Grid and each slot None or a
+    StepKernel, that each kernel sits in its order's slot on the expansion's
+    grid, drops all-zero kernels and trims trailing empty slots.
     Symmetry is left to chaos_expansion: algebra results are symmetric by
     construction.
     """
@@ -114,9 +116,12 @@ class ChaosExpansion:
     _gamma: ChaosExpansion | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_grid(self.grid)
         slots = []
         for n, k in enumerate(self.kernels):
             if k is not None:
+                if not isinstance(k, StepKernel):
+                    raise ValueError(f"kernel slot {n} must be None or a StepKernel, got {k!r}")
                 if k.order != n:
                     raise ValueError(f"kernel of order {k.order} stored at slot {n}")
                 if k.grid != self.grid:

@@ -22,7 +22,12 @@ W(1) - W(1/2) and each projects onto that factor with coefficient 1/2.
 The simulation reads half + 1 normals per path, half = path_steps/2, from
 grid.run_chunks: the left-half increments for the Euler sum of Y1, and X1
 itself as one normal, since W(1) - W(1/2) is independent of the left half.
-The sign table of a chunk is an array of the thread's grid.Workspace.
+A chunk's path levels are summed a band of increments at a time and kept
+only as their signs, one byte an entry, and the float sign table that the
+Euler sums read covers one band of grid.band_rows(half) paths, not the
+chunk.  The two bands share one array of the thread's grid.Workspace, so
+beside its chunk table a thread holds one band and a boolean table an eighth
+of the chunk's size.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from .chaos import ChaosExpansion, single_chaos
 from .grid import Grid, IncrementStream, Workspace, check_int, check_real, check_run_counts
-from .grid import make_grid, run_chunks
+from .grid import band_rows, make_grid, run_chunks
 from .kernels import StepKernel, check_dense_entries
 
 
@@ -130,6 +135,7 @@ def simulate_counterexample(
     dt = 1.0 / path_steps
     sqrt_dt = math.sqrt(dt)
     sqrt2 = math.sqrt(2.0)
+    rows = band_rows(half)  # paths per band of the float sign table
     x_out = np.empty(n_samples, dtype=np.float64)
     y_out = np.empty(n_samples, dtype=np.float64)
 
@@ -139,16 +145,36 @@ def simulate_counterexample(
         count = table.shape[0]
         dw = table[:, :half]
         dw *= sqrt_dt
-        # Left-point path levels W(t_1), ..., W(t_{half-1}) on (0, 1/2), summed
-        # straight into the sign table and then replaced by their signs.
-        signs = workspace.array("signs", (count, half))
-        signs[:, 0] = 1.0  # sign(W(0)) = sign(0) = +1
-        levels = signs[:, 1:]
-        np.cumsum(dw[:, : half - 1], axis=1, out=levels)
-        nonneg = levels >= 0.0
-        levels.fill(-1.0)
-        np.copyto(levels, 1.0, where=nonneg)
-        y1 = sqrt2 * np.einsum("ij,ij->i", signs, dw)
+        # Left-point path levels W(t_0) = 0, ..., W(t_{half-1}) on [0, 1/2),
+        # summed down all of the chunk's paths a band of increments at a
+        # time, since numpy holds the GIL in a cumsum over 500 rows or fewer.
+        # A block after the first reads the last level of the block before in
+        # place of the increment just before it (put back after its cumsum),
+        # so every level is its row's running sum bit for bit.  Only the
+        # signs are kept, one byte an entry.
+        nonneg = np.empty((count, half), dtype=bool)
+        cols = min(band_rows(count), half)
+        levels = workspace.array("band", (count, cols + 1))
+        levels[:, 0] = 0.0
+        np.cumsum(dw[:, :cols], axis=1, out=levels[:, 1:])
+        np.greater_equal(levels[:, :cols], 0.0, out=nonneg[:, :cols])
+        increment = workspace.array("increment", (count,))
+        for a in range(cols, half, cols):
+            w = min(cols, half - a)
+            increment[...] = dw[:, a - 1]
+            dw[:, a - 1] = levels[:, cols]
+            np.cumsum(dw[:, a - 1 : a + w], axis=1, out=levels[:, : w + 1])
+            dw[:, a - 1] = increment
+            np.greater_equal(levels[:, :w], 0.0, out=nonneg[:, a : a + w])
+        # Y1 / sqrt 2, the sum of sign(W(t_j)) dW_j, a band of paths at a time.
+        y1 = workspace.array("y1", (count,))
+        for lo in range(0, count, rows):
+            band = dw[lo : lo + rows]
+            signs = workspace.array("band", band.shape)
+            signs.fill(-1.0)
+            np.copyto(signs, 1.0, where=nonneg[lo : lo + rows])
+            np.einsum("ij,ij->i", signs, band, out=y1[lo : lo + rows])
+        y1 *= sqrt2
         x1 = table[:, half]
         x_out[start : start + count] = (x1 + y1) / sqrt2
         y_out[start : start + count] = (x1 - y1) / sqrt2

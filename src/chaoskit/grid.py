@@ -16,6 +16,11 @@ Workspace, so a run's memory is bounded whatever the number of variables
 per row.  Only random-access reads materialize a whole block.  A Workspace
 is the package's only per-thread scratch memory: run_chunks hands it to
 each chunk for its temporaries, and its buffers grow only when outgrown.
+The counterexample's passes inside a chunk, and the estimators over whole
+sample arrays, work one band of at most about BAND_ENTRIES float64 entries
+at a time (band_rows gives the rows), so their temporaries are a fixed size:
+only an array a pass returns or keeps for a whole-array reduction is as
+large as the sample.  The evaluator still works a whole chunk at a time.
 
 run_tasks is the one thread pool of the package: run_chunks hands it the
 blocks of a run, and the k-way experiments the estimator calls of a record.
@@ -43,6 +48,11 @@ BLOCK_SIZE = 4096
 # run_chunks hands out at most this many normals per chunk (4 MiB of float64),
 # or one row when a row is wider; chunk_rows gives the row count.
 CHUNK_ENTRIES = 1 << 19
+
+# The counterexample's level and sign passes, the sample estimators and
+# symmetrize work on at most this many float64 entries at a time (512 KiB),
+# or one row when a row is wider; band_rows gives the row count.
+BAND_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -162,6 +172,12 @@ def check_int(name: str, value, minimum: int = 0) -> int:
     raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def check_grid(value) -> None:
+    """Reject value, a grid argument, unless it is a Grid."""
+    if not isinstance(value, Grid):
+        raise ValueError(f"grid must be a Grid, got {value!r}")
+
+
 def check_real(name: str, value, *, positive: bool = False) -> float:
     """value as a float; ValueError unless it is a finite non-bool real number,
     > 0 if positive.
@@ -212,6 +228,11 @@ def check_run_counts(n_samples, workers) -> None:
 def chunk_rows(width: int) -> int:
     """Rows of a width-wide float64 table that fit in one chunk of CHUNK_ENTRIES."""
     return max(1, CHUNK_ENTRIES // width)
+
+
+def band_rows(width: int) -> int:
+    """Rows of a width-wide float64 table that fit in one band of BAND_ENTRIES."""
+    return max(1, BAND_ENTRIES // width)
 
 
 def run_tasks(workers: int, tasks: Sequence[Callable[[], object]]) -> list:

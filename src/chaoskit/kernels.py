@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, check_int, check_object, check_real, chunk_rows, make_grid, real_array
+from .grid import Grid, band_rows, check_grid, check_int, check_object, check_real, chunk_rows
+from .grid import make_grid, real_array
 
 # Storage guard: reject kernels with more than this many stored entries.
 MAX_ENTRIES = 10**8
@@ -64,10 +65,10 @@ def _check_order(order) -> int:
 class StepKernel:
     """Order-n step kernel.  values has shape (m,) * order, or (m,) if diagonal.
 
-    The constructor checks the order, the stored entries, the values (finite
-    reals) and their shape; diagonal=True is dropped below order 2.  Kernels
-    inside chaos expansions are symmetric; raw contraction output is not
-    symmetrized until `symmetrize` is applied.
+    The constructor checks the grid (a Grid), the order, the stored entries,
+    the values (finite reals) and their shape; diagonal=True is dropped below
+    order 2.  Kernels inside chaos expansions are symmetric; raw contraction
+    output is not symmetrized until `symmetrize` is applied.
     """
 
     grid: Grid
@@ -76,6 +77,7 @@ class StepKernel:
     diagonal: bool = False
 
     def __post_init__(self) -> None:
+        check_grid(self.grid)
         order = _check_order(self.order)
         diagonal = bool(self.diagonal) and order >= 2
         stored = 1 if diagonal else order
@@ -97,6 +99,7 @@ def step_kernel(grid: Grid, order: int, values, *, diagonal: bool = False) -> St
     the kernel holds that copy, so the caller's array stays writable and a
     later write to it never reaches the kernel.
     """
+    check_grid(grid)
     order = _check_order(order)
     check_dense_entries(grid.m, 1 if diagonal and order >= 2 else order, "kernel")
     return StepKernel(grid, order, np.array(values, order="C"), diagonal)
@@ -123,14 +126,14 @@ def _symmetrized_values(values: np.ndarray, m: int, order: int) -> np.ndarray:
 
     Positions sharing the same index multiset form one orbit, whose
     symmetrized value is the orbit mean.  A position's orbit key is the flat
-    index of its sorted index tuple, built a first-axis slice (about 2^16
-    entries) at a time by a min/max compare-exchange network on broadcast
-    digit ranges of the smallest unsigned type holding m: no kernel-size key
-    array, no sort.  One pass adds each slice into the orbit sums and counts
+    index of its sorted index tuple, built a first-axis slice (one band,
+    grid.band_rows) at a time by a min/max compare-exchange network on
+    broadcast digit ranges of the smallest unsigned type holding m: no
+    kernel-size key array, no sort.  One pass adds each slice into the orbit sums and counts
     in flat order (a bincount's additions); a second regathers the means.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    rows = max(1, (1 << 16) // m ** (order - 1))
+    rows = band_rows(m ** (order - 1))
     digit = np.min_scalar_type(m)
 
     def slice_keys(lo: int) -> np.ndarray:

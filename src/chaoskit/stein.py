@@ -12,6 +12,16 @@ chaos.evaluate_samples, then pass the arrays here.
 The normal CDF and erfcx are numpy rational functions (the split of Cody,
 Math. Comp. 23, 1969), with coefficients fitted by tools/fit_erfcx.py, so
 the module needs no scipy.
+
+ndtr, erfcx, the Kolmogorov distance and the Stein estimates work one band
+of grid.band_rows(1) entries at a time: ndtr and erfcx fill their output
+band by band, the Kolmogorov distance takes its maximum gap over the bands
+of its one sorted copy, and the Stein estimates fill one array of
+f_z'(X) R band by band.  Only the arrays that a whole-array reduction reads
+(a sort, a mean, a variance) are as large as the sample, so each holds a
+fixed number of band-sized temporaries whatever the sample size, and the
+bits are those of one pass over the whole array.  char_fn_estimates keeps
+its complex array whole, since its mean and variance read all of it.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import check_int, check_real, real_array
+from .grid import band_rows, check_int, check_real, real_array
 
 # The closed form of the Stein solution multiplies exp((x^2 - z^2)/2) by a
 # normal tail; beyond this magnitude the intermediate terms are no longer
@@ -72,17 +82,43 @@ def _rational(p: tuple, q: tuple, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _erfcx(t) -> np.ndarray:
-    """exp(t^2) erfc(t) for t >= 0 (an array or scalar), to a few ulps; wrong below 0."""
-    t = np.asarray(t, dtype=np.float64)
+def _banded(fill, x) -> np.ndarray:
+    # fill(x_band, out_band) over one band of x's entries at a time, into a
+    # new float64 array of x's shape (a 0-d array for a scalar x).
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    rows = band_rows(1)
+    for lo in range(0, flat_x.size, rows):
+        fill(flat_x[lo : lo + rows], flat_out[lo : lo + rows])
+    return out
+
+
+def _erfcx_band(t: np.ndarray, out: np.ndarray) -> None:
+    # t may be out: the far entries are read before any of them is written.
     near = t <= 4.0
-    out = np.empty_like(t)
     out[near] = _rational(_ERFCX_P, _ERFCX_Q, t[near])
     far = t[~near]
     u = 1.0 / far
     u *= u
     out[~near] = (1.0 + u * _rational(_TAIL_P, _TAIL_Q, u)) / (_SQRT_PI * far)
-    return out
+
+
+def _erfcx(t) -> np.ndarray:
+    """exp(t^2) erfc(t) for t >= 0 (an array or scalar), to a few ulps; wrong below 0."""
+    return _banded(_erfcx_band, t)
+
+
+def _ndtr_band(x: np.ndarray, out: np.ndarray) -> None:
+    a = np.abs(x)
+    np.minimum(a, 40.0, out=a)
+    np.multiply(a, _INV_SQRT2, out=out)
+    _erfcx_band(out, out)
+    a *= a
+    a *= -0.5
+    out *= np.exp(a, out=a)
+    out *= 0.5  # Phi(-a)
+    np.subtract(1.0, out, out=out, where=x >= 0.0)  # Phi(a) = 1 - Phi(-a) where x >= 0
 
 
 def ndtr(x) -> np.ndarray:
@@ -92,14 +128,7 @@ def ndtr(x) -> np.ndarray:
     a = min(|x|, 40), past which Phi(-a) is 0 in doubles: within a few ulps
     of Phi(-a) but for the rounding of a^2 in the exponent.
     """
-    x = np.asarray(x, dtype=np.float64)
-    a = np.minimum(np.abs(x), 40.0)
-    lower = _erfcx(a * _INV_SQRT2)
-    a *= a
-    a *= -0.5
-    lower *= np.exp(a)
-    lower *= 0.5
-    return np.where(x < 0.0, lower, 1.0 - lower)
+    return _banded(_ndtr_band, x)
 
 
 @dataclass(frozen=True)
@@ -121,8 +150,23 @@ def stein_solution(z: float, x):
     """
     z = check_real("stein_solution z", z)
     xs = real_array("stein_solution x", x)
-    if abs(z) > STEIN_MAX_ARG or np.any(np.abs(xs) > STEIN_MAX_ARG):
+    _check_stein_args((z,), xs)
+    f, fprime = _stein_solution(z, xs)
+    if xs.ndim == 0:
+        return float(f), float(fprime)
+    return f, fprime
+
+
+def _check_stein_args(zs: tuple, xs: np.ndarray) -> None:
+    # max and -min bound |x| without an |x| temporary.
+    if any(abs(z) > STEIN_MAX_ARG for z in zs) or (
+        xs.size and max(xs.max(), -xs.min()) > STEIN_MAX_ARG
+    ):
         raise ValueError(f"stein_solution arguments must satisfy |x|, |z| <= {STEIN_MAX_ARG}")
+
+
+def _stein_solution(z: float, xs: np.ndarray) -> tuple:
+    # stein_solution on checked arguments: (f_z(xs), f_z'(xs)) as arrays.
     # f_z(x) = f_{-z}(-x): with (u, w) = (-x, -z) for x <= z and (x, z) for
     # x >= z, u >= w and |u| = |x|, so two closed forms cover every x.  (z, x)
     # and (-z, -x) take the same form at the same |x| and w, so f keeps the
@@ -131,7 +175,10 @@ def stein_solution(z: float, x):
     # u >= 0, x <= min(z, 0) or x >= max(z, 0):  sqrt(pi/2) erfcx(u/sqrt2) Phi(w)
     lo, hi = xs <= min(z, 0.0), xs >= max(z, 0.0)
     for side, w in ((lo, -z), (hi, z)):
-        f[side] = _SQRT_HALF_PI * _erfcx(np.abs(xs[side]) * _INV_SQRT2) * ndtr(w)
+        t = np.abs(xs[side])
+        t *= _INV_SQRT2
+        _erfcx_band(t, t)
+        f[side] = _SQRT_HALF_PI * t * ndtr(w)
     # w <= u < 0, x strictly between 0 and z:  sqrt(pi/2) Phi(-u) erfcx(-w/sqrt2)
     # e^{(u^2-w^2)/2}, where -u = |x| and -w = |z|
     mid = ~(lo | hi)
@@ -140,8 +187,6 @@ def stein_solution(z: float, x):
     fprime = xs * f
     fprime += xs <= z
     fprime -= ndtr(z)
-    if xs.ndim == 0:
-        return float(f), float(fprime)
     return f, fprime
 
 
@@ -156,14 +201,22 @@ def kolmogorov_distance_mc(samples: np.ndarray, variance: float) -> float:
         raise ValueError("need at least one sample")
     variance = check_real("variance", variance, positive=True)
     n = arr.size
-    cdf = np.sort(arr)
-    cdf /= math.sqrt(variance)
-    cdf = ndtr(cdf)
-    steps = np.arange(n + 1) / n  # the empirical CDF after 0, 1, ..., n samples
-    gap = np.subtract(steps[1:], cdf)
-    upper = gap.max()
-    lower = np.subtract(cdf, steps[:-1], out=gap).max()
-    return float(max(upper, lower))
+    scale = math.sqrt(variance)
+    ordered = np.sort(arr)
+    rows = band_rows(1)
+    gap_max = -math.inf
+    for lo in range(0, n, rows):
+        band = ordered[lo : lo + rows]
+        band /= scale
+        cdf = ndtr(band)
+        # the empirical CDF after lo, lo + 1, ..., lo + len(band) samples
+        steps = np.arange(lo, lo + band.size + 1, dtype=np.float64)
+        steps /= n
+        # the band's sorted samples are read: it holds the gaps from here on
+        upper = np.subtract(steps[1:], cdf, out=band).max()
+        lower = np.subtract(cdf, steps[:-1], out=band).max()
+        gap_max = max(gap_max, upper, lower)
+    return float(gap_max)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +244,7 @@ def char_fn_estimates(
     """|E[e^{itX} R]| for each t in t_grid, each with a complex-mean standard error."""
     x_vals, resid_vals = _check_samples(x_vals, resid_vals)
     t_grid = tuple(check_real("t_grid entry", t) for t in t_grid)
-    x_max = float(np.max(np.abs(x_vals)))
+    x_max = float(max(x_vals.max(), -x_vals.min()))  # no |x| temporary
     n = x_vals.size
     estimates = []
     for t in t_grid:
@@ -211,11 +264,15 @@ def stein_estimates(
     """E[f_z'(X) R] for each z in z_grid, each with its standard error."""
     x_vals, resid_vals = _check_samples(x_vals, resid_vals)
     z_grid = tuple(check_real("z_grid entry", z) for z in z_grid)
+    _check_stein_args(z_grid, x_vals)
     n = x_vals.size
+    rows = band_rows(1)
+    vals = np.empty(n)  # f_z'(X) R, filled band by band for each z
     estimates = []
     for z in z_grid:
-        _, fprime = stein_solution(z, x_vals)
-        vals = fprime * resid_vals
+        for lo in range(0, n, rows):
+            _, fprime = _stein_solution(z, x_vals[lo : lo + rows])
+            np.multiply(fprime, resid_vals[lo : lo + rows], out=vals[lo : lo + rows])
         se = math.sqrt(vals.var(ddof=1) / n)
         estimates.append(CriterionEstimate(float(vals.mean()), se, n, z))
     return tuple(estimates)

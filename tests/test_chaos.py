@@ -118,6 +118,13 @@ def test_raw_expansion_checks_its_slots():
         ChaosExpansion(g, (None, None, k1))
     with pytest.raises(ValueError, match="grid"):
         ChaosExpansion(g, (None, step_kernel(make_grid(3), 1, np.ones(3))))
+    # The grid must be a Grid and each slot None or a StepKernel.
+    with pytest.raises(ValueError, match="grid must be a Grid, got 3"):
+        ChaosExpansion(3, [None])
+    with pytest.raises(ValueError, match="slot 0 must be None or a StepKernel, got 1.0"):
+        ChaosExpansion(g, [1.0])
+    with pytest.raises(ValueError, match="slot 1 must be None or a StepKernel"):
+        ChaosExpansion(g, (None, np.ones(2)))
     # All-zero kernels and trailing empty slots go, as in chaos_expansion.
     zero2 = step_kernel(g, 2, np.zeros((2, 2)))
     for build in (ChaosExpansion, chaos_expansion):

@@ -263,9 +263,30 @@ def test_counterexample_chunk_seams_match_block_reference(workers, monkeypatch):
     assert got.y.tobytes() == want_y.tobytes()
 
 
+@pytest.mark.parametrize("band_entries", [7, 7 * 100 + 3])
+def test_counterexample_bands_match_block_reference(band_entries, monkeypatch):
+    # 7 entries are fewer than a row's 100 increments, so every sign band is
+    # one path and every level block one increment; 703 make 7-path sign
+    # bands and 23-increment level blocks on a 30-path chunk, which ends in
+    # a ragged band of 2 (30 = 4 * 7 + 2), as do the ragged chunks of 16 and
+    # 10 paths that end the full block and the partial one.
+    n = BLOCK_SIZE + 100
+    monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 30 * 101 + 50)
+    monkeypatch.setattr(grid_module, "BAND_ENTRIES", band_entries)
+    stream = IncrementStream(seed=103)
+    want_x, want_y = simulate_counterexample_block_reference(200, n, stream)
+    got = simulate_counterexample(200, n, stream, workers=2)
+    assert got.x.tobytes() == want_x.tobytes()
+    assert got.y.tobytes() == want_y.tobytes()
+    ref_x, ref_y = simulate_counterexample_reference(200, 300, stream)
+    assert np.allclose(got.x[:300], ref_x, rtol=0.0, atol=1e-12)
+    assert np.allclose(got.y[:300], ref_y, rtol=0.0, atol=1e-12)
+
+
 def test_counterexample_memory_is_bounded_in_path_steps():
     # One block of 4096 paths at 20 000 steps is a 328 MB table of 10 001
-    # normals a path; the chunk walk holds a few chunk-sized arrays.
+    # normals a path; the chunk walk holds one chunk table, and its sign
+    # table and other temporaries cover one band of paths.
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8
     tracemalloc.start()
     try:
@@ -273,7 +294,7 @@ def test_counterexample_memory_is_bounded_in_path_steps():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * chunk_bytes < BLOCK_SIZE * 10_001 * 8 / 16
+    assert peak < 1.5 * chunk_bytes < BLOCK_SIZE * 10_001 * 8 / 16
 
 
 def test_counterexample_batch_fields():

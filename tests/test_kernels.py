@@ -321,6 +321,9 @@ def test_step_kernel_keeps_its_own_copy():
 
 def test_raw_step_kernel_checks_itself():
     g = make_grid(3)
+    for build in (StepKernel, step_kernel):
+        with pytest.raises(ValueError, match="grid must be a Grid, got 4"):
+            build(4, 0, 1.0)
     with pytest.raises(ValueError, match="finite"):
         StepKernel(g, 1, np.array([np.nan, 0.0, 0.0]))
     with pytest.raises(ValueError, match="shape"):

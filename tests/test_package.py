@@ -76,6 +76,25 @@ def test_only_grid_keeps_thread_local_state():
     assert offenders == []
 
 
+def test_only_grid_spells_buffer_sizes():
+    # grid.CHUNK_ENTRIES and grid.BAND_ENTRIES are the package's buffer
+    # sizes, each written once: every other module asks chunk_rows or
+    # band_rows, so no `1 << k` with a literal k appears outside grid.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.LShift)
+                and isinstance(node.left, ast.Constant)
+                and isinstance(node.right, ast.Constant)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_stein_imports_nothing_from_chaos():
     # stein is estimators over sample arrays: callers evaluate expansions
     # through chaos and pass the samples in, so of the package stein reads

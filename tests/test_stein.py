@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from chaoskit import (
     stein_solution,
     step_kernel,
 )
+from chaoskit import grid as grid_module
 from chaoskit import stein as stein_module
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -211,6 +213,56 @@ def test_ndtr_limits_and_scalars():
     assert stein_module.ndtr(0.0) == 0.5 and stein_module.ndtr(-0.0) == 0.5
     assert stein_module.ndtr(1.5).shape == ()
     assert float(stein_module.ndtr(1.5)) == stein_module.ndtr(np.array([1.5]))[0]
+
+
+def test_ndtr_is_the_same_band_by_band(monkeypatch):
+    # 7-entry bands: 25 entries end in a ragged band of 4, and the entries
+    # cover the cap at 40, both zeros and both sides of erfcx's switch at 4.
+    specials = [-41.0, -40.0, -4.0 * math.sqrt(2.0), -1e-300, -0.0, 0.0, 1e-300, 4.0, 40.0, 41.0, 0.5]
+    x = np.concatenate([specials, 5.0 * np.random.default_rng(43).standard_normal(14)])
+    inputs = (x, x[::2], x[:24].reshape(4, 6), x[:21], x[0], np.empty(0))
+    want = [stein_module.ndtr(v) for v in inputs] + [stein_module._erfcx(np.abs(x))]
+    monkeypatch.setattr(grid_module, "BAND_ENTRIES", 7)
+    got = [stein_module.ndtr(v) for v in inputs] + [stein_module._erfcx(np.abs(x))]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert stein_module.ndtr(-0.0) == 0.5 and stein_module.ndtr(-40.0) < 1e-300
+
+
+@pytest.mark.parametrize("n", [96, 98])  # ragged and whole 7-entry bands
+def test_sample_estimators_are_the_same_band_by_band(n, monkeypatch):
+    # With fewer than BAND_ENTRIES samples the whole sample is one band, so
+    # the default size gives the bits of one pass over the whole array.
+    rng = np.random.default_rng(44)
+    x, r = rng.standard_normal(n), rng.standard_normal(n)
+    z_grid = (-2.0, -0.5, 0.0, 0.3, 1.0)
+    want = (kolmogorov_distance_mc(x, 1.0), kolmogorov_distance_mc(x, 0.7), stein_estimates(x, r, z_grid))
+    monkeypatch.setattr(grid_module, "BAND_ENTRIES", 7)
+    got = (kolmogorov_distance_mc(x, 1.0), kolmogorov_distance_mc(x, 0.7), stein_estimates(x, r, z_grid))
+    assert got == want
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimator_memory_is_one_sample_plus_bands():
+    # kolmogorov_distance_mc keeps one sorted copy and stein_estimates one
+    # array of f_z'(X) R (and the variance reads its deviations once the
+    # bands are done); every other temporary is band-sized, so each peak
+    # stays well below the several sample sizes of a whole-sample pass.
+    n = 100_000
+    rng = np.random.default_rng(45)
+    x, r = rng.standard_normal(n), rng.standard_normal(n)
+    sample_bytes, band_bytes = n * 8, grid_module.BAND_ENTRIES * 8
+    assert _traced_peak(lambda: kolmogorov_distance_mc(x, 1.0)) < sample_bytes + 6 * band_bytes
+    assert _traced_peak(lambda: stein_estimates(x, r, (-1.0, 0.0, 1.0))) < sample_bytes + 6 * band_bytes
+    assert sample_bytes + 6 * band_bytes < 6 * sample_bytes
 
 
 def test_kolmogorov_permutation_invariant():
