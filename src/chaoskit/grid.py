@@ -200,14 +200,18 @@ def real_array(name: str, value) -> np.ndarray:
     """value as a float64 array; ValueError unless it holds integers or reals, all finite.
 
     The array rule beside check_real: bools and strings are not numbers.  A
-    float64 array comes back as the same object.
+    float64 array comes back as the same object.  Integers are always
+    finite; float values are checked through their min and max, both NaN
+    when any entry is, so no mask of the entries is formed.
     """
     arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
+    kind = arr.dtype.kind
+    if kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
-    if not np.all(np.isfinite(arr)):
+    arr = arr.astype(np.float64, copy=False)
+    if kind == "f" and arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise ValueError(f"{name} must be finite, got a NaN or inf entry")
-    return arr.astype(np.float64, copy=False)
+    return arr
 
 
 def check_object(what: str, data, keys) -> None:

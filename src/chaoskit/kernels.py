@@ -20,6 +20,16 @@ kernel.  MAX_ENTRIES counts stored entries, m for a diagonal kernel.
 StepKernel(...) keeps, read-only, the float64 C-contiguous values array it
 is given, so the algebra's results are never copied and a later write to
 that array raises; step_kernel copies the caller's values first.
+
+Each dense step holds at most its inputs, its output and temporaries of
+grid.band_rows size (a band, or one first-axis row when a row is wider),
+and symmetrize also its orbit counts, in the smallest unsigned type that
+holds them (one byte an entry up to order 5): contract scales its fresh
+tensordot result in place, symmetrize averages in its output array, and
+linear_combine and is_symmetric work one band at a time.  Every value has
+the bits of the whole-array arithmetic.  So a Gamma functional of a dense
+order-N input peaks below 2.6 sizes of its order-(2N - 2) kernel, while
+that kernel's contraction, orbit sums and counts are alive at once.
 """
 
 from __future__ import annotations
@@ -122,15 +132,22 @@ def _require_same_grid(f: StepKernel, g: StepKernel) -> None:
 
 
 def _symmetrized_values(values: np.ndarray, m: int, order: int) -> np.ndarray:
-    """Average of `values` over all coordinate permutations.
+    """Average of `values` over all coordinate permutations, for order >= 3.
 
     Positions sharing the same index multiset form one orbit, whose
     symmetrized value is the orbit mean.  A position's orbit key is the flat
     index of its sorted index tuple, built a first-axis slice (one band,
     grid.band_rows) at a time by a min/max compare-exchange network on
     broadcast digit ranges of the smallest unsigned type holding m: no
-    kernel-size key array, no sort.  One pass adds each slice into the orbit sums and counts
-    in flat order (a bincount's additions); a second regathers the means.
+    kernel-size key array, no sort.  One pass adds each slice into the orbit
+    sums and counts in flat order (a bincount's additions).  The counts take
+    the smallest unsigned type holding min(order!, m^order), which bounds
+    every orbit's size: one byte an entry up to order 5.  A second pass regathers
+    the means into the sums array itself.  A key is the flat index of its
+    orbit's representative, whose sorted tuple is its own, so the pass reads
+    only entries it writes with their own values, and may overwrite the rest
+    as it goes.  So beside `values` it holds one kernel-size float64 array,
+    the counts and band-sized temporaries.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     rows = band_rows(m ** (order - 1))
@@ -150,15 +167,16 @@ def _symmetrized_values(values: np.ndarray, m: int, order: int) -> np.ndarray:
         return key
 
     sums = np.zeros(values.size)
-    counts = np.zeros(values.size, dtype=np.int64)
+    counts = np.zeros(values.size, dtype=np.min_scalar_type(min(math.factorial(order), m**order)))
+    one = counts.dtype.type(1)  # a Python 1 would send np.add.at down its slow casting path
     for lo in range(0, m, rows):
         key = slice_keys(lo).ravel()
         np.add.at(sums, key, values[lo : lo + rows].ravel())
-        np.add.at(counts, key, 1)
-    np.maximum(counts, 1, out=counts)
+        np.add.at(counts, key, one)
+    np.maximum(counts, one, out=counts)
     sums /= counts  # the orbit means, in place
     del counts
-    out = np.empty(values.shape)
+    out = sums.reshape(values.shape)
     for lo in range(0, m, rows):
         np.take(sums, slice_keys(lo), out=out[lo : lo + rows])
     return out
@@ -169,18 +187,24 @@ def symmetrize(kernel: StepKernel) -> StepKernel:
     if kernel.order <= 1 or kernel.diagonal:
         return kernel
     if kernel.order == 2:
-        sym = (kernel.values + kernel.values.T) / 2.0
+        sym = kernel.values + kernel.values.T
+        sym /= 2.0
     else:
         sym = _symmetrized_values(kernel.values, kernel.grid.m, kernel.order)
     return StepKernel(kernel.grid, kernel.order, sym)
 
 
 def is_symmetric(kernel: StepKernel) -> bool:
+    """Whether every value is within SYMMETRY_ATOL of the symmetrized kernel's."""
     if kernel.order <= 1:
         return True
-    return bool(
-        np.max(np.abs(kernel.values - symmetrize(kernel).values)) <= SYMMETRY_ATOL
-    )
+    flat, sym = kernel.values.reshape(-1), symmetrize(kernel).values.reshape(-1)
+    rows = band_rows(1)
+    gap = 0.0
+    for lo in range(0, flat.size, rows):
+        diff = np.subtract(flat[lo : lo + rows], sym[lo : lo + rows])
+        gap = max(gap, np.abs(diff, out=diff).max())
+    return bool(gap <= SYMMETRY_ATOL)
 
 
 def contract(f: StepKernel, g: StepKernel, ell: int) -> StepKernel:
@@ -207,8 +231,8 @@ def contract(f: StepKernel, g: StepKernel, ell: int) -> StepKernel:
     else:
         axes_f = list(range(f.order - ell, f.order))
         axes_g = list(range(g.order - ell, g.order))
-        vals = np.tensordot(f.values, g.values, axes=(axes_f, axes_g))
-        vals = np.asarray(vals, dtype=np.float64) * f.grid.delta**ell
+        vals = np.asarray(np.tensordot(f.values, g.values, axes=(axes_f, axes_g)), dtype=np.float64)
+        vals *= f.grid.delta**ell  # the tensordot result is fresh: scale it in place
     return StepKernel(f.grid, out_order, vals)
 
 
@@ -234,8 +258,13 @@ def linear_combine(a: float, f: StepKernel, b: float, g: StepKernel) -> StepKern
     a, b = check_real("a", a), check_real("b", b)
     if f.diagonal != g.diagonal:
         f, g = dense(f), dense(g)
-    vals = a * f.values
-    vals += b * g.values
+    vals = np.empty(f.values.shape)  # an array even at order 0, where a * f.values is a scalar
+    out, fv, gv = vals.reshape(-1), f.values.reshape(-1), g.values.reshape(-1)
+    rows = band_rows(1)
+    for lo in range(0, out.size, rows):
+        band = out[lo : lo + rows]
+        np.multiply(a, fv[lo : lo + rows], out=band)
+        band += b * gv[lo : lo + rows]
     return StepKernel(f.grid, f.order, vals, f.diagonal)
 
 

@@ -16,12 +16,14 @@ the module needs no scipy.
 ndtr, erfcx, the Kolmogorov distance and the Stein estimates work one band
 of grid.band_rows(1) entries at a time: ndtr and erfcx fill their output
 band by band, the Kolmogorov distance takes its maximum gap over the bands
-of its one sorted copy, and the Stein estimates fill one array of
-f_z'(X) R band by band.  Only the arrays that a whole-array reduction reads
-(a sort, a mean, a variance) are as large as the sample, so each holds a
-fixed number of band-sized temporaries whatever the sample size, and the
-bits are those of one pass over the whole array.  char_fn_estimates keeps
-its complex array whole, since its mean and variance read all of it.
+of its one sorted copy, and the Stein estimates fill, band by band, one
+array of sqrt(pi/2) erfcx(|X|/sqrt2), the factor of f_z(X) that every z
+reads, and one of f_z'(X) R for each z in turn.  Beside those, only the
+arrays that a whole-array reduction reads (a sort, a mean, a variance) are
+as large as the sample, so each holds a fixed number of band-sized
+temporaries whatever the sample size, and the bits are those of one pass
+over the whole array.  char_fn_estimates keeps its complex array whole,
+since its mean and variance read all of it.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def stein_solution(z: float, x):
     z = check_real("stein_solution z", z)
     xs = real_array("stein_solution x", x)
     _check_stein_args((z,), xs)
-    f, fprime = _stein_solution(z, xs)
+    f, fprime = _stein_solution(z, xs, _banded(_stein_tail_band, xs))
     if xs.ndim == 0:
         return float(f), float(fprime)
     return f, fprime
@@ -165,29 +167,43 @@ def _check_stein_args(zs: tuple, xs: np.ndarray) -> None:
         raise ValueError(f"stein_solution arguments must satisfy |x|, |z| <= {STEIN_MAX_ARG}")
 
 
-def _stein_solution(z: float, xs: np.ndarray) -> tuple:
-    # stein_solution on checked arguments: (f_z(xs), f_z'(xs)) as arrays.
-    # f_z(x) = f_{-z}(-x): with (u, w) = (-x, -z) for x <= z and (x, z) for
-    # x >= z, u >= w and |u| = |x|, so two closed forms cover every x.  (z, x)
-    # and (-z, -x) take the same form at the same |x| and w, so f keeps the
-    # reflection bit for bit; at z = 0 both sides take x = 0, to the same bits.
-    f = np.empty_like(xs)
-    # u >= 0, x <= min(z, 0) or x >= max(z, 0):  sqrt(pi/2) erfcx(u/sqrt2) Phi(w)
-    lo, hi = xs <= min(z, 0.0), xs >= max(z, 0.0)
-    for side, w in ((lo, -z), (hi, z)):
-        t = np.abs(xs[side])
-        t *= _INV_SQRT2
-        _erfcx_band(t, t)
-        f[side] = _SQRT_HALF_PI * t * ndtr(w)
-    # w <= u < 0, x strictly between 0 and z:  sqrt(pi/2) Phi(-u) erfcx(-w/sqrt2)
-    # e^{(u^2-w^2)/2}, where -u = |x| and -w = |z|
-    mid = ~(lo | hi)
-    v = np.abs(xs[mid])
-    f[mid] = _SQRT_HALF_PI * ndtr(v) * _erfcx(abs(z) * _INV_SQRT2) * np.exp((v * v - z * z) / 2.0)
+def _stein_tail_band(x: np.ndarray, out: np.ndarray) -> None:
+    # sqrt(pi/2) erfcx(|x|/sqrt2): the factor of f_z(x) that depends on x
+    # alone wherever x is not strictly between 0 and z.
+    np.abs(x, out=out)
+    out *= _INV_SQRT2
+    _erfcx_band(out, out)
+    out *= _SQRT_HALF_PI
+
+
+def _stein_solution(z: float, xs: np.ndarray, tail: np.ndarray) -> tuple:
+    # stein_solution on checked arguments, given tail, _stein_tail_band of
+    # xs: (f_z(xs), f_z'(xs)) as arrays, f' from the equation itself.
+    f = _stein_f(z, xs, tail)
     fprime = xs * f
     fprime += xs <= z
     fprime -= ndtr(z)
     return f, fprime
+
+
+def _stein_f(z: float, xs: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    # f_z(x) = f_{-z}(-x): with (u, w) = (-x, -z) for x <= z and (x, z) for
+    # x >= z, u >= w and |u| = |x|, so two closed forms cover every x.  (z, x)
+    # and (-z, -x) take the same form at the same |x| and w, so f keeps the
+    # reflection bit for bit; at z = 0 both sides take x = 0, to the same bits.
+    lo, hi = xs <= min(z, 0.0), xs >= max(z, 0.0)
+    # w <= u < 0, x strictly between 0 and z:  sqrt(pi/2) Phi(-u) erfcx(-w/sqrt2)
+    # e^{(u^2-w^2)/2}, where -u = |x| and -w = |z|.  Formed before f, so f
+    # and the temporaries of this ndtr are not held at once.
+    mid = ~(lo | hi)
+    v = np.abs(xs[mid])
+    v = _SQRT_HALF_PI * ndtr(v) * _erfcx(abs(z) * _INV_SQRT2) * np.exp((v * v - z * z) / 2.0)
+    f = np.empty_like(xs)
+    f[mid] = v
+    # u >= 0, x <= min(z, 0) or x >= max(z, 0):  sqrt(pi/2) erfcx(u/sqrt2) Phi(w)
+    for side, w in ((lo, -z), (hi, z)):
+        np.multiply(tail, ndtr(w), out=f, where=side)
+    return f
 
 
 def kolmogorov_distance_mc(samples: np.ndarray, variance: float) -> float:
@@ -267,15 +283,30 @@ def stein_estimates(
     _check_stein_args(z_grid, x_vals)
     n = x_vals.size
     rows = band_rows(1)
+    tail = _banded(_stein_tail_band, x_vals)  # read for every z
     vals = np.empty(n)  # f_z'(X) R, filled band by band for each z
     estimates = []
     for z in z_grid:
         for lo in range(0, n, rows):
-            _, fprime = _stein_solution(z, x_vals[lo : lo + rows])
-            np.multiply(fprime, resid_vals[lo : lo + rows], out=vals[lo : lo + rows])
+            band = slice(lo, lo + rows)
+            # one statement, so a band's f_z and f_z' are freed before the next band's
+            np.multiply(_stein_solution(z, x_vals[band], tail[band])[1], resid_vals[band], out=vals[band])
         se = math.sqrt(vals.var(ddof=1) / n)
         estimates.append(CriterionEstimate(float(vals.mean()), se, n, z))
     return tuple(estimates)
+
+
+def _stable_argsort(x: np.ndarray) -> np.ndarray:
+    # np.argsort(x, kind="stable"), from the faster default sort when no two
+    # entries compare equal (-0.0 and 0.0 do), since distinct values have one
+    # ranking.  The sorted neighbours are compared a band at a time.
+    order = np.argsort(x)
+    rows = band_rows(1)
+    for lo in range(0, x.size - 1, rows):
+        ranked = x[order[lo : lo + rows + 1]]
+        if np.any(ranked[1:] == ranked[:-1]):
+            return np.argsort(x, kind="stable")
+    return order
 
 
 def binned_residual_estimate(
@@ -289,7 +320,7 @@ def binned_residual_estimate(
         raise ValueError(f"need n_bins <= n_samples, got n_bins={n_bins}, n={n}")
     if np.min(x_vals) == np.max(x_vals):
         raise ValueError("degenerate binning: all conditioning samples are equal")
-    order = np.argsort(x_vals, kind="stable")
+    order = _stable_argsort(x_vals)
     edges = np.linspace(0, n, n_bins + 1).astype(np.int64)
     value_sq = 0.0
     var_sq = 0.0
@@ -300,8 +331,9 @@ def binned_residual_estimate(
         if nb == 0:
             raise ValueError("degenerate binning: empty bin")
         w = nb / n
-        mb = resid_vals[sel].mean()
-        vb = resid_vals[sel].var(ddof=1) / nb if nb > 1 else 0.0
+        resid = resid_vals[sel]
+        mb = resid.mean()
+        vb = resid.var(ddof=1) / nb if nb > 1 else 0.0
         value_sq += w * mb * mb
         var_sq += (2.0 * w * mb) ** 2 * vb
         fallback_var += w * w * vb

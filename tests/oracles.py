@@ -17,8 +17,16 @@ library's evaluator must reproduce it bit for bit.  The earlier
 
 The reference symmetrizer is the earlier order >= 3 orbit-mean pass: it
 builds every position's orbit key by divmod into index digits and a sort of
-each digit column, and groups with `bincount`.  The library's `symmetrize`
-must reproduce it bit for bit.
+each digit column, and groups with `bincount`; at order 2 it is the mean of
+the values and their transpose.  The library's `symmetrize` must reproduce
+it bit for bit.
+
+The reference dense kernel algebra (`contract_reference`,
+`linear_combine_reference`, `is_symmetric_reference`) is the earlier
+whole-array arithmetic: a scaled copy of the tensordot result, a full-size
+b * g beside a * f, and the largest gap taken over a whole difference
+array.  The library, which scales in place and works the rest a band at a
+time, must reproduce it bit for bit.
 
 The reference fourth cumulant is the earlier two-branch route: contraction
 norms for a single order and E[X^4] - 3 E[X^2]^2 through `multiply(x, x)` for
@@ -61,7 +69,7 @@ from chaoskit.families import diagonal_second_chaos
 from chaoskit.grid import BLOCK_SIZE, IncrementStream, make_grid
 from chaoskit.harness import EXACT_IDENTITY_RTOL, ExperimentConfig, ExperimentReport
 from chaoskit.independence import strongly_independent
-from chaoskit.kernels import StepKernel, contract, inner_product, symmetrize
+from chaoskit.kernels import SYMMETRY_ATOL, StepKernel, contract, dense, inner_product, symmetrize
 from chaoskit.stein import (
     CriterionEstimate,
     kolmogorov_distance_mc,
@@ -140,8 +148,10 @@ def _build_plan(kernel: StepKernel) -> list:
 
 
 def symmetrize_reference(kernel: StepKernel) -> np.ndarray:
-    """Orbit means of an order >= 3 kernel by digit sort and bincount."""
+    """Orbit means of a dense order >= 2 kernel: by digit sort and bincount from order 3."""
     m, order = kernel.grid.m, kernel.order
+    if order == 2:
+        return (kernel.values + kernel.values.T) / 2.0
     size = kernel.values.size
     flat = np.ascontiguousarray(kernel.values, dtype=np.float64).ravel()
     key = np.empty(size, dtype=np.int64)
@@ -163,6 +173,39 @@ def symmetrize_reference(kernel: StepKernel) -> np.ndarray:
     np.maximum(counts, 1, out=counts)
     sums /= counts
     return sums[key].reshape(kernel.values.shape)
+
+
+def contract_reference(f: StepKernel, g: StepKernel, ell: int) -> np.ndarray:
+    """Values of f ox_ell g: the vector rule on diagonal pairs, else a scaled dense tensordot."""
+    out_order = f.order + g.order - 2 * ell
+    vectors = [k.values for k in (f, g) if k.diagonal or k.order == 1]
+    if ell >= 1 and len(vectors) == 2 and (f.diagonal or g.diagonal):
+        a, b = vectors
+        return np.asarray((np.vdot(a, b) if out_order == 0 else a * b) * f.grid.delta**ell)
+    f, g = dense(f), dense(g)
+    if ell == 0:
+        return np.multiply.outer(f.values, g.values)
+    axes_f = list(range(f.order - ell, f.order))
+    axes_g = list(range(g.order - ell, g.order))
+    vals = np.tensordot(f.values, g.values, axes=(axes_f, axes_g))
+    return np.asarray(np.asarray(vals, dtype=np.float64) * f.grid.delta**ell)
+
+
+def linear_combine_reference(a: float, f: StepKernel, b: float, g: StepKernel) -> np.ndarray:
+    """Values of a*f + b*g, in f's storage unless the storages differ."""
+    if f.diagonal != g.diagonal:
+        f, g = dense(f), dense(g)
+    vals = a * f.values
+    vals += b * g.values
+    return np.asarray(vals)
+
+
+def is_symmetric_reference(kernel: StepKernel) -> bool:
+    """Whether the largest gap to the symmetrized values is within SYMMETRY_ATOL."""
+    if kernel.order <= 1:
+        return True
+    sym = kernel.values if kernel.diagonal else symmetrize_reference(kernel)
+    return bool(np.max(np.abs(kernel.values - sym)) <= SYMMETRY_ATOL)
 
 
 def _reference_rows(x, increments: np.ndarray) -> tuple:
@@ -372,7 +415,7 @@ def _stein_estimate(
     )
 
 
-def _binned_residual_estimate(
+def binned_residual_estimate_reference(
     x_vals: np.ndarray, resid_vals: np.ndarray, n_bins: int
 ) -> CriterionEstimate:
     """L2 proxy for ||E[R | X]||: equal-count bins on X, root-mean-square of bin means."""
@@ -428,7 +471,7 @@ def _criterion_block(
         "char": [_est_dict(_char_fn_estimate(x_vals, resid, t), "t") for t in t_grid],
         "stein": [_est_dict(_stein_estimate(x_vals, resid, z), "z") for z in z_grid],
         "conditional": _est_dict(
-            _binned_residual_estimate(x_vals, resid, n_bins), "n_bins"
+            binned_residual_estimate_reference(x_vals, resid, n_bins), "n_bins"
         ),
     }
 

@@ -26,9 +26,10 @@ from chaoskit import (
     symmetrize,
 )
 
-from chaoskit.chaos import gamma, gamma_residual, second_moment, single_chaos
+from chaoskit import grid as grid_module
+from chaoskit.chaos import chaos_expansion, exact_summary, gamma, gamma_residual, second_moment, single_chaos
 from chaoskit.kernels import MAX_ORDER, SYMMETRY_ATOL
-from oracles import symmetrize_reference
+from oracles import contract_reference, is_symmetric_reference, linear_combine_reference, symmetrize_reference
 
 
 def _random_kernel(rng, grid, order, symmetric=False):
@@ -106,25 +107,43 @@ def test_symmetrize_matches_permutation_average(order, m):
     assert np.max(np.abs(symmetrize(k).values - brute)) <= 1e-13
 
 
-def test_symmetrize_memory_is_bounded_at_order_4():
-    # An order-4 kernel at m = 32 has 2^20 entries (8 MiB).  The orbit sums
-    # and counts take one such array each, and the counts are freed before
-    # the result is made, so two are alive at a time.  The orbit keys exist
-    # only a slice of 2^16 entries at a time; keeping them whole would add
-    # a third kernel-size array.
-    k = _random_kernel(np.random.default_rng(70), make_grid(32), 4)
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        symmetrize(k)
-        _, peak = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * k.values.nbytes
+
+
+_BAND_BYTES = grid_module.BAND_ENTRIES * 8
+
+
+@pytest.mark.parametrize("m,order", [(32, 4), (12, 6)])
+def test_symmetrize_memory_is_its_output_a_quarter_and_bands(m, order):
+    # At m = 32 an order-4 kernel has 2^20 entries (8 MiB).  The orbit sums
+    # become the output, the counts take one byte an entry up to order 5 and
+    # two at order 6, and the orbit keys exist only a band at a time (one
+    # first-axis row, 1/12 of the kernel, at m = 12 and order 6), so beside
+    # its input symmetrize holds at most 1.25 kernel sizes and a few bands;
+    # int64 counts or a separate output array would add a kernel size.
+    k = _random_kernel(np.random.default_rng(70), make_grid(m), order)
+    size = k.values.nbytes
+    bands = 4 * max(_BAND_BYTES, size // m)
+    assert _traced_peak(lambda: symmetrize(k)) < 1.25 * size + bands < 1.75 * size
+    # A transposed input is copied first: that copy is the input's size.
+    view = step_kernel(make_grid(m), order, k.values).values.T
+    assert _traced_peak(lambda: symmetrize(StepKernel(k.grid, order, view))) < 2.25 * size + bands
+    k2 = _random_kernel(np.random.default_rng(71), make_grid(512), 2)
+    assert _traced_peak(lambda: symmetrize(k2)) < k2.values.nbytes + _BAND_BYTES
 
 
 @pytest.mark.parametrize(
     "m,order",
     [
+        (1, 2),
+        (7, 2),
+        (300, 2),
         (1, 3),
         (1, 6),
         (3, 3),
@@ -134,7 +153,8 @@ def test_symmetrize_memory_is_bounded_at_order_4():
         (17, 5),  # one first-axis index a slice: 17^4 > 2^16
         (4, 5),
         (10, 6),  # one first-axis index a slice: 10^5 > 2^16
-        (3, 6),
+        (3, 6),  # uint16 counts: 6! = 720 < 3^6
+        (2, 6),  # uint8 counts: 2^6 < 6!
     ],
 )
 def test_symmetrize_matches_reference_bits(m, order):
@@ -157,8 +177,53 @@ def test_symmetrize_matches_reference_bits_on_small_kernels(kernel):
     assert symmetrize(kernel).values.tobytes() == symmetrize_reference(kernel).tobytes()
 
 
+@pytest.mark.parametrize("m,order", [(3, 2), (3, 3), (20, 4)])  # (20, 4): 2.4 bands
+def test_is_symmetric_matches_reference_on_both_sides_of_the_tolerance(m, order):
+    g = make_grid(m)
+    sym = _random_kernel(np.random.default_rng(92 + order), g, order, symmetric=True)
+    last = (m - 1,) * (order - 1) + (m - 2,)
+    for corner in ((0,) * (order - 1) + (1,), last):
+        for bump, verdict in ((0.5 * SYMMETRY_ATOL, True), (4.0 * SYMMETRY_ATOL, False)):
+            values = sym.values.copy()
+            values[corner] += bump
+            k = step_kernel(g, order, values)
+            assert is_symmetric(k) is is_symmetric_reference(k) is verdict, (corner, bump)
+    d = step_kernel(g, order, np.arange(m, dtype=float), diagonal=True)
+    assert is_symmetric(d) is is_symmetric_reference(d) is True
+
+
 # ---------------------------------------------------------------------------
 # contract
+
+
+def _algebra_kernels(m: int, seed: int) -> list:
+    # Dense kernels of orders 0 to 4 and diagonal ones of orders 2 and 3.
+    rng = np.random.default_rng(seed)
+    g = make_grid(m)
+    kernels = [step_kernel(g, n, rng.uniform(-1.0, 1.0, (m,) * n)) for n in range(5)]
+    kernels += [step_kernel(g, n, rng.uniform(-1.0, 1.0, m), diagonal=True) for n in (2, 3)]
+    return kernels
+
+
+def test_contract_matches_reference_bits():
+    # Every depth from 0 to the smaller order, dense and diagonal inputs mixed.
+    kernels = _algebra_kernels(5, 93)
+    for f, g in itertools.product(kernels, repeat=2):
+        for ell in range(min(f.order, g.order) + 1):
+            got, want = contract(f, g, ell).values, contract_reference(f, g, ell)
+            assert got.shape == want.shape, (f.order, f.diagonal, g.order, g.diagonal, ell)
+            assert got.tobytes() == want.tobytes(), (f.order, f.diagonal, g.order, g.diagonal, ell)
+
+
+def test_contract_memory_is_its_output_and_inputs():
+    # tensordot copies g with its contracted axes first; the result is scaled
+    # in place, where a scaled copy would add a second output.
+    rng = np.random.default_rng(94)
+    g = make_grid(32)
+    f, h = (step_kernel(g, 3, rng.uniform(-1.0, 1.0, (32,) * 3)) for _ in range(2))
+    out_bytes = 32**4 * 8
+    peak = _traced_peak(lambda: contract(f, h, 1))
+    assert peak < out_bytes + f.values.nbytes + h.values.nbytes < 2 * out_bytes
 
 
 def test_contract_outer_product_example():
@@ -277,6 +342,55 @@ def test_linear_combine():
     h = step_kernel(g, 1, [3.0, -1.0])
     out = linear_combine(2.0, f, -1.0, h)
     assert np.array_equal(out.values, [-1.0, 5.0])
+
+
+def test_linear_combine_matches_reference_bits():
+    # Orders 0 to 4 (order 4 at m = 20 spans 2.4 bands), both storages and mixed.
+    for m in (5, 20):
+        kernels = _algebra_kernels(m, 95 + m)
+        others = _algebra_kernels(m, 96 + m)
+        for f, g in itertools.product(kernels, others):
+            if f.order != g.order:
+                continue
+            for a, b in ((0.7, -1.3), (1.0, 1.0), (-2.5, 0.0)):
+                got = linear_combine(a, f, b, g)
+                want = linear_combine_reference(a, f, b, g)
+                assert got.diagonal is (f.diagonal and g.diagonal)
+                assert got.values.shape == want.shape
+                assert got.values.tobytes() == want.tobytes(), (m, f.order, f.diagonal, g.diagonal)
+
+
+def test_linear_combine_memory_is_its_output_and_bands():
+    rng = np.random.default_rng(97)
+    g = make_grid(32)
+    f, h = (step_kernel(g, 4, rng.uniform(-1.0, 1.0, (32,) * 4)) for _ in range(2))
+    peak = _traced_peak(lambda: linear_combine(0.7, f, -1.3, h))
+    assert peak < f.values.nbytes + 2 * _BAND_BYTES
+
+
+def _random_expansion(m: int, order: int):
+    # A dense symmetric single-order input with E[X^2] = 1, as the dense
+    # algebra benchmark builds its inputs.
+    rng = np.random.default_rng([m, order])
+    grid = make_grid(m)
+    raw = rng.standard_normal((m,) * order)
+    sym = sum(np.transpose(raw, p) for p in itertools.permutations(range(order)))
+    sym /= math.factorial(order)
+    moment = math.factorial(order) * grid.delta**order * float(np.sum(sym * sym))
+    slots = [None] * order + [step_kernel(grid, order, sym * math.sqrt(1.0 / moment))]
+    return chaos_expansion(grid, slots)
+
+
+@pytest.mark.parametrize("m,order", [(12, 4), (32, 3)])
+def test_exact_summary_memory_is_within_its_largest_gamma_kernel(m, order):
+    # The largest kernel formed is Gamma's, of order 2N - 2: the contraction
+    # that makes it, its orbit sums (which become the symmetrized kernel) and
+    # the orbit counts (1/8 or 1/4 of its size) are alive at once.  A scaled
+    # copy of the contraction, int64 counts or a separate output array would
+    # each add a kernel size.
+    x = _random_expansion(m, order)
+    largest = m ** (2 * order - 2) * 8
+    assert _traced_peak(lambda: exact_summary(x, 1.0)) <= 2.6 * largest
 
 
 def test_kernel_rejects_bad_input():

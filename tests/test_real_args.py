@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from chaoskit import (
     stein_solution,
     step_kernel,
 )
+from chaoskit.grid import real_array
 from chaoskit.kernels import scale_kernel
 
 G4 = make_grid(4)
@@ -179,3 +181,40 @@ def test_real_array_accepts_numpy_floats_and_integers_with_the_same_bits(entry):
     expected = _bits(call(good))
     for value in same:
         assert _bits(call(value)) == expected, np.asarray(value).dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_real_array_finds_a_non_finite_entry_at_either_end(bad, position, dtype):
+    values = np.zeros((4, 250), dtype=dtype)
+    values.flat[position] = bad
+    with pytest.raises(ValueError, match=re.escape("x must be finite, got a NaN or inf entry")):
+        real_array("x", values)
+    with pytest.raises(ValueError, match=re.escape("x must be finite, got a NaN or inf entry")):
+        real_array("x", values.flat[position])  # 0-d
+
+
+def test_real_array_keeps_finite_zero_d_empty_and_integer_arrays():
+    assert real_array("x", 2.5).shape == () and float(real_array("x", 2.5)) == 2.5
+    for empty in (np.array([]), np.zeros((0, 3)), np.array([], dtype=np.int64)):
+        out = real_array("x", empty)
+        assert out.dtype == np.float64 and out.shape == empty.shape
+    for ints in (np.array([-3, 0, 7]), np.array([0, 255], dtype=np.uint8), np.array([2**62], dtype=np.uint64)):
+        out = real_array("x", ints)
+        assert out.dtype == np.float64 and out.tolist() == [float(v) for v in ints.tolist()]
+    big = np.array([1e300, -1e300, 0.0])
+    assert real_array("x", big) is big
+
+
+def test_real_array_check_forms_no_mask():
+    # The finiteness check reads the min and max; a mask of the entries would
+    # take one byte an entry.
+    values = np.random.default_rng(52).standard_normal(1 << 20)
+    tracemalloc.start()
+    try:
+        assert real_array("x", values) is values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.size // 64

@@ -26,6 +26,7 @@ from chaoskit import (
 )
 from chaoskit import grid as grid_module
 from chaoskit import stein as stein_module
+from oracles import binned_residual_estimate_reference
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -358,8 +359,36 @@ def test_criterion_estimates_family_magnitude():
     assert char.std_error < 0.01
 
 
+def test_stein_estimates_are_the_mean_and_variance_of_the_stein_solution():
+    # The erfcx factor is formed once per sample array and read for every z;
+    # each estimate still has the bits of f_z'(X) R over the whole array.
+    # The samples span three bands; z lies below, at and above every sample.
+    n = 2 * grid_module.BAND_ENTRIES + 123
+    rng = np.random.default_rng(50)
+    x, r = rng.standard_normal(n), rng.standard_normal(n)
+    z_grid = (float(x.min()) - 0.5, float(x.min()), float(x[n // 2]), 0.0, float(x.max()), 6.0)
+    for est, z in zip(stein_estimates(x, r, z_grid), z_grid):
+        vals = stein_solution(z, x)[1] * r
+        assert (est.value, est.std_error) == (float(vals.mean()), math.sqrt(vals.var(ddof=1) / n)), z
+
+
 # ---------------------------------------------------------------------------
 # binned conditional residual
+
+
+@pytest.mark.parametrize("n_bins", [1, 7, 64])
+def test_binned_residual_ranks_ties_as_a_stable_sort(n_bins):
+    # x rounded to one decimal ties almost every sample with a neighbour, and
+    # -0.0 ties with 0.0; ranked by the default sort, those ties would move
+    # residuals between bins.  The estimate keeps the stable ranking's bits.
+    rng = np.random.default_rng(51)
+    x, r = np.round(rng.standard_normal(100_000), 1), rng.standard_normal(100_000)
+    signed_zero = np.where(rng.random(1000) < 0.5, -0.0, 0.0)
+    signed_zero[:2] = (-0.5, 0.5)
+    for xs, rs in ((x, r), (signed_zero, r[:1000])):
+        assert binned_residual_estimate(xs, rs, n_bins) == binned_residual_estimate_reference(xs, rs, n_bins)
+    distinct = rng.standard_normal(100_000)
+    assert binned_residual_estimate(distinct, r, n_bins) == binned_residual_estimate_reference(distinct, r, n_bins)
 
 
 def test_binned_residual_zero_for_matched_gaussian():
