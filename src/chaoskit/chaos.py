@@ -37,9 +37,9 @@ into their term groups and the Hermite degrees those read; nothing is cached
 on the kernels.
 A group on d >= 2 distinct cells becomes the runs of its terms that share
 their (d - 1)-cell prefix, in term order.  Per chunk of paths
-grid.run_chunks draws, one hermite_rows walk computes those degrees over
-every cell, and the degrees multi-factor groups read are copied once into
-cells-by-paths arrays.  Every
+grid.run_chunks draws, one band of grid.band_rows(m) paths, one
+hermite_rows walk computes those degrees over every cell, and the degrees
+multi-factor groups read are copied once into cells-by-paths arrays.  Every
 expansion reads its terms from these shared rows: a one-factor group by one
 row sum over all its terms, a multi-factor group prefix by prefix: the sum
 of its run's products over their last factor, in term order as a sparse
@@ -50,13 +50,13 @@ run, and multiplies the sum once; the expansions of a call that read the
 same degree and cells share it.  That
 has the bits of summing the products whenever the coefficient is a power of
 two.  So a path's value does not depend on the paths it is evaluated with:
-evaluate_batch walks the increments the caller supplies in chunks of the
+evaluate_batch walks the increments the caller supplies in bands of the
 same size through the same evaluator, so its memory, too, is bounded in m
 and not in the number of paths.
 The kept Hermite rows, their copies and the products are grid.Workspace
-arrays, and the walk writes the highest degree over the chunk table unless
-H_1 is that table.  Products are gathered only for unequal coefficients or
-cells with gaps, so the diagonal families hold one table.
+arrays a band each, and the walk writes the highest degree over the band's
+table unless H_1 is that table.  Products are gathered only for unequal
+coefficients or cells with gaps, so the diagonal families hold one table.
 """
 
 from __future__ import annotations
@@ -71,11 +71,11 @@ from .grid import (
     Grid,
     IncrementStream,
     Workspace,
+    band_rows,
     check_grid,
     check_object,
     check_real,
     check_run_counts,
-    chunk_rows,
     make_grid,
     real_array,
     run_chunks,
@@ -275,7 +275,7 @@ def _compile(exps: Sequence[ChaosExpansion]) -> tuple:
 def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspace: Workspace) -> None:
     """Add each compiled expansion's chaos terms at the rows of z = xi / sqrt(delta).
 
-    z is one chunk: at most chunk_rows(m) rows, at least one.  One
+    z is one band: at most band_rows(m) rows, at least one.  One
     hermite_rows walk computes every degree in degrees over all of z, and the
     degrees multi-factor groups read are copied once into cells-by-paths
     arrays.  A one-factor group gathers its cells' entries of the rows,
@@ -287,7 +287,7 @@ def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspac
     its prefixes up in order.  Each rule fixes the order of a row's partial
     sums, so a path's value does not depend on the rows it is evaluated
     with.  A group reads at most m cells, so none of its gathers or products
-    holds more than the chunk's CHUNK_ENTRIES entries.  H_1 is z itself,
+    holds more than the band's BAND_ENTRIES entries.  H_1 is z itself,
     other kept degrees, their copies and the products live in workspace
     arrays, and without H_1 the top degree overwrites z.
     """
@@ -351,7 +351,7 @@ def _add_last_factor_product(group: tuple, hcols: dict, out: np.ndarray, workspa
         terms *= coeff
         # add.reduce adds the rows one after another, but along one path
         # it sums pairwise; add.accumulate keeps the order there and is
-        # far slower on wide chunks, as it walks each path's column alone.
+        # far slower on wide bands, as it walks each path's column alone.
         if y.size > 1:
             np.add.reduce(terms, axis=0, out=y)
         else:
@@ -366,7 +366,7 @@ def _add_last_factor_product(group: tuple, hcols: dict, out: np.ndarray, workspa
 def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
     """Evaluate x pathwise on a (n_samples, m) array of increment vectors.
 
-    The rows are walked in chunks of chunk_rows(m), each checked by
+    The rows are walked in bands of band_rows(m), each checked by
     real_array and divided into one Workspace table, so the caller's
     increments are never written and no temporary grows with n_samples.
     """
@@ -378,7 +378,7 @@ def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
     degrees, groups = _compile([x])
     out = np.full(arr.shape[0], x.expectation, dtype=np.float64)
     workspace = Workspace()
-    rows = chunk_rows(m)
+    rows = band_rows(m)
     for a in range(0, arr.shape[0], rows):
         xi = real_array("increments", arr[a : a + rows])
         z = np.divide(xi, math.sqrt(x.grid.delta), out=workspace.array("table", xi.shape))
@@ -395,8 +395,8 @@ def evaluate_samples(
     """Evaluate several expansions on one shared stream of increment vectors.
 
     Returns one (n_samples,) array per expansion.  Blocks of BLOCK_SIZE paths
-    run on up to `workers` threads (an integer >= 1), each walked in chunks of
-    at most about CHUNK_ENTRIES increments that grid.run_chunks draws; sample i
+    run on up to `workers` threads (an integer >= 1), each walked in bands of
+    at most about BAND_ENTRIES increments that grid.run_chunks draws; sample i
     always comes from stream index i, so results are identical for any worker
     count.
     """
@@ -418,7 +418,7 @@ def evaluate_samples(
         parts = [out[start : start + z.shape[0]] for out in outs]
         _run_plan(degrees, groups, z, parts, workspace)
 
-    run_chunks(stream, n_samples, grid.m, workers, chunk)
+    run_chunks(stream, n_samples, grid.m, band_rows(grid.m), workers, chunk)
     return outs
 
 

@@ -20,14 +20,15 @@ standard normal couple, yet it is not strongly independent: Y1 has no
 first-chaos part, so the first-chaos components of X and Y are both
 W(1) - W(1/2) and each projects onto that factor with coefficient 1/2.
 The simulation reads half + 1 normals per path, half = path_steps/2, from
-grid.run_chunks: the left-half increments for the Euler sum of Y1, and X1
-itself as one normal, since W(1) - W(1/2) is independent of the left half.
-A chunk's path levels are summed a band of increments at a time and kept
-only as their signs, one byte an entry, and the float sign table that the
-Euler sums read covers one band of grid.band_rows(half) paths, not the
-chunk.  The two bands share one array of the thread's grid.Workspace, so
-beside its chunk table a thread holds one band and a boolean table an eighth
-of the chunk's size.
+grid.run_chunks, a chunk of grid.chunk_rows(half + 1) paths at a time: the
+left-half increments for the Euler sum of Y1, and X1 itself as one normal,
+since W(1) - W(1/2) is independent of the left half.  path_steps is bounded
+so that one path's row fits in a chunk.  A chunk's path levels are summed a
+band of increments at a time and kept only as their signs, one byte an
+entry, and the float sign table that the Euler sums read covers one band of
+grid.band_rows(half) paths, not the chunk.  The two bands share one array of
+the thread's grid.Workspace, so beside its chunk table a thread holds one
+band and a boolean table an eighth of the chunk's size.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid as grid_module
 from .chaos import ChaosExpansion, single_chaos
 from .grid import Grid, IncrementStream, Workspace, check_int, check_real, check_run_counts
-from .grid import band_rows, make_grid, run_chunks
+from .grid import band_rows, chunk_rows, make_grid, run_chunks
 from .kernels import StepKernel, check_dense_entries
 
 
@@ -54,8 +56,9 @@ def diagonal_second_chaos(grid: Grid, cells, c: float) -> ChaosExpansion:
         raise ValueError("need at least one cell")
     if cells.dtype.kind not in "iu":  # a float is never truncated, a bool never read as 0/1
         raise ValueError(f"cells must be integers, got dtype {cells.dtype}")
-    cells = cells.astype(np.int64)
-    if np.unique(cells).size != cells.size:
+    # Sorted neighbours, not np.unique, which loads numpy.ma (about 1 MiB).
+    cells = np.sort(cells.astype(np.int64).ravel())
+    if np.any(cells[1:] == cells[:-1]):
         raise ValueError("cells must be distinct")
     if cells.min() < 0 or cells.max() >= grid.m:
         raise ValueError(f"cells must lie in [0, {grid.m})")
@@ -87,11 +90,17 @@ def diagonal_summands(n: int, split) -> list:
 
 def check_path_steps(path_steps) -> int:
     """path_steps as an int; ValueError unless it is an even integer >= 100
-    whose row of path_steps // 2 + 1 normals holds at most MAX_ENTRIES."""
+    whose row of path_steps // 2 + 1 normals fits in one chunk of
+    grid.CHUNK_ENTRIES, so a worker's table stays one chunk."""
     path_steps = check_int("path_steps", path_steps, 100)
     if path_steps % 2 != 0:
         raise ValueError(f"path_steps must be even, got {path_steps}")
-    check_dense_entries(path_steps // 2 + 1, 1, f"path_steps {path_steps}'s row of normals")
+    entries = grid_module.CHUNK_ENTRIES
+    if path_steps // 2 + 1 > entries:
+        raise ValueError(
+            f"path_steps must be at most {2 * (entries - 1)}, so that a path's row of "
+            f"path_steps/2 + 1 normals fits in one chunk of {entries}; got {path_steps}"
+        )
     return path_steps
 
 
@@ -179,7 +188,7 @@ def simulate_counterexample(
         x_out[start : start + count] = (x1 + y1) / sqrt2
         y_out[start : start + count] = (x1 - y1) / sqrt2
 
-    run_chunks(stream, n_samples, half + 1, workers, chunk)
+    run_chunks(stream, n_samples, half + 1, chunk_rows(half + 1), workers, chunk)
     x_out.flags.writeable = False
     y_out.flags.writeable = False
     return CounterexampleBatch(x=x_out, y=y_out, path_steps=path_steps)

@@ -11,16 +11,19 @@ starts a block, or continues where the calling thread's last read of that
 block ended, draws its rows straight into the returned array, so a sampler
 that walks a block in order never holds more of it than the rows it asked
 for.  run_chunks, the one Monte Carlo sampler, walks blocks that way in
-chunks of at most about CHUNK_ENTRIES normals, each drawn into its thread's
+chunks of the rows its caller asks for, each drawn into its thread's
 Workspace, so a run's memory is bounded whatever the number of variables
 per row.  Only random-access reads materialize a whole block.  A Workspace
 is the package's only per-thread scratch memory: run_chunks hands it to
 each chunk for its temporaries, and its buffers grow only when outgrown.
-The counterexample's passes inside a chunk, and the estimators over whole
-sample arrays, work one band of at most about BAND_ENTRIES float64 entries
-at a time (band_rows gives the rows), so their temporaries are a fixed size:
-only an array a pass returns or keeps for a whole-array reduction is as
-large as the sample.  The evaluator still works a whole chunk at a time.
+The evaluator asks for one band of at most about BAND_ENTRIES float64
+entries a chunk (band_rows gives the rows), so its table, Hermite rows and
+products are a band each.  The counterexample asks for one chunk of at most
+about CHUNK_ENTRIES normals (chunk_rows), since its cumsums down a chunk's
+paths need more paths than a band holds to release the GIL; its passes
+inside a chunk, and the estimators over whole sample arrays, work a band at
+a time, so their temporaries are a fixed size: only an array a pass returns
+or keeps for a whole-array reduction is as large as the sample.
 
 run_tasks is the one thread pool of the package: run_chunks hands it the
 blocks of a run, and the k-way experiments the estimator calls of a record.
@@ -45,13 +48,15 @@ import numpy as np
 # before it.
 BLOCK_SIZE = 4096
 
-# run_chunks hands out at most this many normals per chunk (4 MiB of float64),
-# or one row when a row is wider; chunk_rows gives the row count.
+# The counterexample draws at most this many normals a chunk (4 MiB of
+# float64), or one row when a row is wider; chunk_rows gives the row count.
+# Listing a kernel's terms reads its index arrays in slices of this size.
 CHUNK_ENTRIES = 1 << 19
 
-# The counterexample's level and sign passes, the sample estimators and
-# symmetrize work on at most this many float64 entries at a time (512 KiB),
-# or one row when a row is wider; band_rows gives the row count.
+# The evaluator's chunks, the counterexample's level and sign passes, the
+# sample estimators and symmetrize work on at most this many float64 entries
+# at a time (512 KiB), or one row when a row is wider; band_rows gives the
+# row count.
 BAND_ENTRIES = 1 << 16
 
 
@@ -276,19 +281,18 @@ class Workspace(threading.local):
 
 
 def run_chunks(
-    stream: IncrementStream, n_samples: int, n_vars: int, workers: int, chunk: Callable
+    stream: IncrementStream, n_samples: int, n_vars: int, rows: int, workers: int, chunk: Callable
 ) -> None:
     """Call chunk(start, table, workspace) over the stream's rows 0 .. n_samples-1.
 
     Blocks of BLOCK_SIZE rows run as run_tasks tasks on up to `workers`
-    threads.  One thread walks a block's chunks in order, each
-    chunk_rows(n_vars) rows but the last, and draws a chunk's n_vars-wide
-    rows start .. start+len(table)-1 into table, its "table" array of
-    workspace, continuing its open block generator.  chunk may overwrite
-    table and take its temporaries from workspace under other names, but
-    must keep no view of either: the thread's next chunk reuses them.
+    threads.  One thread walks a block's chunks in order, each `rows` rows
+    but the last, and draws a chunk's n_vars-wide rows
+    start .. start+len(table)-1 into table, its "table" array of workspace,
+    continuing its open block generator.  chunk may overwrite table and take
+    its temporaries from workspace under other names, but must keep no view
+    of either: the thread's next chunk reuses them.
     """
-    rows = chunk_rows(n_vars)
     # With fresh arrays per chunk the allocator hands the freed pages back to
     # the kernel and every chunk faults them in again.
     workspace = Workspace()

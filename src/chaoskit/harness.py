@@ -231,8 +231,11 @@ def _run_k_way(config: ExperimentConfig, workers: int) -> ExperimentReport:
     estimator tasks: per summand its Kolmogorov distance against its exact
     variance and its criterion block, and the sum's distance against 1.  The
     tasks run on up to `workers` threads once evaluate_samples has returned,
-    so their temporaries never sit on top of the evaluator's chunk buffers.
-    decouple spreads each two-entry list into `_x`/`_y` keys.
+    so their temporaries never sit on top of the evaluator's band buffers.
+    They read 2k sample arrays: each summand's samples, and its residual
+    c - Gamma formed in place over its Gamma samples; the sum of the
+    summands is formed inside its own task.  decouple spreads each two-entry
+    list into `_x`/`_y` keys.
     """
     cs = config.split
 
@@ -268,13 +271,16 @@ def _run_k_way(config: ExperimentConfig, workers: int) -> ExperimentReport:
         vals = evaluate_samples(
             parts + [s.gamma for s in summaries], config.mc_samples, stream, workers=workers
         )
-        samples = vals[: len(parts)]
-        resid_vals = [c - g for c, g in zip(cs, vals[len(parts) :])]
+        samples, resid_vals = vals[: len(parts)], vals[len(parts) :]
+        del vals
+        for c, g in zip(cs, resid_vals):
+            np.subtract(c, g, out=g)  # c - Gamma over the Gamma samples
         mc = {
             "dkol": [
                 functools.partial(kolmogorov_distance_mc, v, var) for v, var in zip(samples, exact["var"])
             ],
-            "dkol_sum": functools.partial(kolmogorov_distance_mc, sum(samples[1:], samples[0]), 1.0),
+            # The sum exists only while its task runs.
+            "dkol_sum": lambda: kolmogorov_distance_mc(sum(samples[1:], samples[0]), 1.0),
             "crit": [criteria(v, r) for v, r in zip(samples, resid_vals)],
         }
         if config.experiment == "decouple":

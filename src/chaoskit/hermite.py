@@ -4,7 +4,8 @@ H_0 = 1, H_1 = x, H_{k+1}(x) = x H_k(x) - k H_{k-1}(x).  Under a standard
 Gaussian these satisfy E[H_j(Z) H_k(Z)] = delta_{jk} k!, which is what turns
 products of independent cell increments into multiple-integral evaluations.
 hermite_rows is the one walk of the recurrence, which the evaluator runs on
-each chunk over every cell; it takes its input as given and checks nothing.
+each band of paths over every cell; it takes its input as given and checks
+nothing.
 """
 
 from __future__ import annotations

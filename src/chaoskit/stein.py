@@ -22,8 +22,8 @@ reads, and one of f_z'(X) R for each z in turn.  Beside those, only the
 arrays that a whole-array reduction reads (a sort, a mean, a variance) are
 as large as the sample, so each holds a fixed number of band-sized
 temporaries whatever the sample size, and the bits are those of one pass
-over the whole array.  char_fn_estimates keeps its complex array whole,
-since its mean and variance read all of it.
+over the whole array.  char_fn_estimates keeps one complex array whole,
+since its mean and variance read all of it, and refills it for each t.
 """
 
 from __future__ import annotations
@@ -262,11 +262,13 @@ def char_fn_estimates(
     t_grid = tuple(check_real("t_grid entry", t) for t in t_grid)
     x_max = float(max(x_vals.max(), -x_vals.min()))  # no |x| temporary
     n = x_vals.size
-    estimates = []
     for t in t_grid:
         # A phase t*x that overflows would make e^{itx} NaN.
         check_real(f"t_grid entry {t!r} times max |x_vals|", t * x_max)
-        vals = np.multiply(1j * t, x_vals)
+    vals = np.empty(n, dtype=np.complex128)  # e^{itX} R, one t after another
+    estimates = []
+    for t in t_grid:
+        np.multiply(1j * t, x_vals, out=vals)
         np.exp(vals, out=vals)
         vals *= resid_vals
         se = math.sqrt((vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / n)

@@ -28,6 +28,10 @@ b * g beside a * f, and the largest gap taken over a whole difference
 array.  The library, which scales in place and works the rest a band at a
 time, must reproduce it bit for bit.
 
+The reference characteristic-function estimates are the earlier loop that
+formed a fresh complex array for each t; the library, which refills one
+array, must reproduce them bit for bit.
+
 The reference fourth cumulant is the earlier two-branch route: contraction
 norms for a single order and E[X^4] - 3 E[X^2]^2 through `multiply(x, x)` for
 mixed orders, which forms order-2N kernels.
@@ -400,6 +404,20 @@ def _char_fn_estimate(
     return CriterionEstimate(
         value=float(abs(mean)), std_error=se, n_samples=n, parameter=float(t)
     )
+
+
+def char_fn_estimates_reference(x_vals: np.ndarray, resid_vals: np.ndarray, t_grid) -> tuple:
+    """The earlier char_fn_estimates loop: a fresh e^{itX} R array for each t,
+    formed before the previous t's array is freed."""
+    n = x_vals.size
+    estimates = []
+    for t in t_grid:
+        vals = np.multiply(1j * t, x_vals)
+        np.exp(vals, out=vals)
+        vals *= resid_vals
+        se = math.sqrt((vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / n)
+        estimates.append(CriterionEstimate(float(abs(vals.mean())), se, n, t))
+    return tuple(estimates)
 
 
 def _stein_estimate(

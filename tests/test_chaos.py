@@ -655,9 +655,9 @@ def test_evaluate_samples_worker_count_is_invisible():
 
 def test_evaluate_samples_workspaces_are_per_thread(monkeypatch):
     # Four threads, switching every microsecond, walk six blocks in 100-row
-    # chunks: a workspace shared between threads would mix their chunk tables
+    # bands: a workspace shared between threads would mix their band tables
     # and products.
-    monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 100 * 8)
+    monkeypatch.setattr(grid_module, "BAND_ENTRIES", 100 * 8)
     exps = _diagonal_gaps()
     serial = evaluate_samples(exps, 6 * BLOCK_SIZE, IncrementStream(seed=54))
     interval = sys.getswitchinterval()
@@ -758,9 +758,9 @@ def test_evaluate_samples_matches_reference_bits(case, workers):
 def test_evaluate_samples_chunk_seams_match_reference_bits(case, workers, monkeypatch):
     exps = _REFERENCE_CASES[case]()
     m = exps[0].grid.m
-    # 300 rows a chunk: of 5000 paths, the 4096-path block is 13 chunks and
-    # the 904-path tail 4, each ending in a ragged chunk
-    monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 300 * m + m // 2)
+    # 300 rows a band: of 5000 paths, the 4096-path block is 13 bands and
+    # the 904-path tail 4, each ending in a ragged band
+    monkeypatch.setattr(grid_module, "BAND_ENTRIES", 300 * m + m // 2)
     want = evaluate_samples_reference(_dense_all(exps), 5000, IncrementStream(seed=43, stream_id=3))
     got = evaluate_samples(exps, 5000, IncrementStream(seed=43, stream_id=3), workers=workers)
     for g, w in zip(got, want):
@@ -783,27 +783,28 @@ def test_evaluate_samples_draws_only_through_standard_normal_block(monkeypatch):
     exps = _half_support_couple(256)
     evaluate_samples(exps, 5000, IncrementStream(seed=46), workers=2)
     assert sum(sizes) == 5000 * 512
-    assert len(sizes) == 5  # 1024-row chunks: four in the first block, one in the tail
+    assert max(sizes) == grid_module.BAND_ENTRIES
+    assert len(sizes) == 40  # 128-row bands: 32 in the first block, 8 in the 904-row tail
     info = grid_module._raw_block.cache_info()
     assert (info.hits, info.misses, info.maxsize) == (0, 0, 1)
 
 
 def test_evaluate_samples_products_are_bounded_in_rows():
-    # One block of 4096 paths at m = 64 is one chunk, and the (1, 1) groups
+    # One block of 4096 paths at m = 64 is four bands, and the (1, 1) groups
     # have 2016 terms: a product of even 1024 of them would be 32 MiB over
-    # the chunk's rows.  Taking one prefix's run of at most 63 terms at a
-    # time, the evaluation holds a few chunk-sized arrays and the bits do
-    # not move.
+    # the block's rows.  Taking one prefix's run of at most 63 terms at a
+    # time, the evaluation holds a few band-sized arrays (the table, H_2,
+    # the cells-by-paths H_1 and the products) and the bits do not move.
     exps = _dense_with_gamma(64, [1, 2], seed=50)
     want = evaluate_samples_reference(_dense_all(exps), BLOCK_SIZE, IncrementStream(seed=51))
-    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+    band_bytes = grid_module.BAND_ENTRIES * 8
     tracemalloc.start()
     try:
         got = evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=51))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * chunk_bytes < BLOCK_SIZE * 1024 * 8
+    assert peak < 5 * band_bytes < BLOCK_SIZE * 1024 * 8
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -833,12 +834,13 @@ def _assert_terms_match_plan(got, kernel):
 
 def test_multi_factor_groups_over_first_axis_slices_match_reference_bits(monkeypatch):
     # With 20 entries a chunk, the m = 9 kernels list their terms one
-    # first-axis slice at a time, run_chunks walks 2 rows a chunk, and the
-    # multi-factor groups, whose longest runs hold 4 to 8 terms, sum their
-    # prefixes over chunks of 2 paths.
+    # first-axis slice at a time; with 20 entries a band, run_chunks walks
+    # 2 rows a band, and the multi-factor groups, whose longest runs hold 4
+    # to 8 terms, sum their prefixes over bands of 2 paths.
     exps = _sparse_with_gamma(9, [1, 2, 3], seed=52)
     want = evaluate_samples_reference(_dense_all(exps), 300, IncrementStream(seed=57))
     monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 20)
+    monkeypatch.setattr(grid_module, "BAND_ENTRIES", 20)
     _, groups = chaos_module._compile(exps)
     for mults, runs, width in (g for exp_groups in groups for g in exp_groups if len(g[0]) > 1):
         # Each prefix is one run of terms, its distinct leading cells in order,
@@ -879,44 +881,49 @@ def _traced_peak(fn) -> int:
 
 def test_evaluate_samples_memory_is_bounded_in_m():
     # One block of 4096 paths at m = 4096 is 128 MiB of increments.  The
-    # traced peak covers the whole call: the chunk walk holds one chunk table,
-    # whose H_2 rows overwrite it, and one product buffer, and the plan's
-    # compile pass builds no m x m mask.
+    # traced peak covers the whole call: the band walk holds one band table,
+    # whose H_2 rows overwrite it, beside the two 32 KiB outputs; each
+    # summand sums a column slice, so no product buffer is formed, and the
+    # plan's compile pass builds no m x m mask.
     exps = diagonal_summands(2048, (0.5, 0.5))
-    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+    band_bytes = grid_module.BAND_ENTRIES * 8
     peak = _traced_peak(lambda: evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=47)))
-    assert peak < 2 * chunk_bytes < BLOCK_SIZE * 4096 * 8 / 2
+    assert peak < 1.5 * band_bytes < BLOCK_SIZE * 4096 * 8 / 2
 
 
 def test_evaluate_samples_memory_per_worker():
-    # The decouple expansions at n = 256 over three blocks on two workers:
-    # each worker holds one chunk table (1024 paths at m = 512), reused by
-    # every chunk it walks.  Each group carries one coefficient on one run of
-    # cells, so it is summed from a column slice and no worker holds a
-    # product buffer (1024 paths by 256 terms, half a chunk size).
+    # The decouple expansions at n = 256 (both summands and their Gammas)
+    # over three blocks on two workers: beside the four outputs, each worker
+    # holds one band table (128 paths at m = 512), reused by every band it
+    # walks.  Each group carries one coefficient on one run of cells, so it
+    # is summed from a column slice and no worker holds a product buffer.
+    # The slack of half a band covers the compiled plan, the row sums and
+    # the threads.
     exps = _half_support_couple(256)
-    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+    n_samples = 3 * BLOCK_SIZE
+    band_bytes = grid_module.BAND_ENTRIES * 8
     peak = _traced_peak(
-        lambda: evaluate_samples(exps, 3 * BLOCK_SIZE, IncrementStream(seed=53), workers=2)
+        lambda: evaluate_samples(exps, n_samples, IncrementStream(seed=53), workers=2)
     )
-    assert peak < 2.5 * chunk_bytes
+    assert peak < len(exps) * n_samples * 8 + 2 * band_bytes + band_bytes / 2
 
 
 @pytest.mark.parametrize("n_rows", [5000, 20_000])
 def test_evaluate_batch_memory_does_not_grow_with_the_batch(n_rows):
     # The n = 256 diagonal summand at m = 512: 20 000 paths are 78 MiB of
     # increments, and a copy of them divided by sqrt(delta) as large.  The
-    # walk divides one 1024-path chunk at a time into its workspace table.
+    # walk divides one 128-path band at a time into its workspace table, so
+    # beside the output it holds about one band.
     x, _ = diagonal_summands(256, (0.5, 0.5))
     xi = sample_increments_block(x.grid, IncrementStream(seed=59), 0, n_rows)
     peak = _traced_peak(lambda: evaluate_batch(x, xi))
-    assert peak < 3 * grid_module.CHUNK_ENTRIES * 8
+    assert peak < n_rows * 8 + 1.5 * grid_module.BAND_ENTRIES * 8
 
 
 def test_evaluate_batch_checks_every_chunk_and_writes_no_increments():
-    # Finiteness is checked chunk by chunk: a NaN in the last of three
-    # chunks still fails.  The dtype is checked before the walk, at zero
-    # rows too, and the caller's increments come back as they were.
+    # Finiteness is checked band by band: a NaN in the last of seventeen
+    # 128-row bands still fails.  The dtype is checked before the walk, at
+    # zero rows too, and the caller's increments come back as they were.
     x, _ = diagonal_summands(256, (0.5, 0.5))
     xi = sample_increments_block(x.grid, IncrementStream(seed=60), 0, 2 * 1024 + 5)
     kept = xi.copy()
@@ -931,20 +938,20 @@ def test_evaluate_batch_checks_every_chunk_and_writes_no_increments():
 
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
-@pytest.mark.parametrize("chunk_entries", [None, 20])
-def test_run_plan_gets_one_chunk_at_a_time(case, chunk_entries, monkeypatch):
-    # The evaluator's only memory unit is the chunk: both routes hand
-    # _run_plan at least one and at most max(1, CHUNK_ENTRIES // m) rows,
+@pytest.mark.parametrize("band_entries", [None, 20])
+def test_run_plan_gets_one_band_at_a_time(case, band_entries, monkeypatch):
+    # The evaluator's only memory unit is the band: both routes hand
+    # _run_plan at least one and at most max(1, BAND_ENTRIES // m) rows,
     # and every row once.  That is why its gathers and products need no
-    # split of their own.  At 20 entries a chunk the m = 1100 case walks
+    # split of their own.  At 20 entries a band the cases at m >= 24 walk
     # one row at a time.
-    if chunk_entries is not None:
-        monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", chunk_entries)
+    if band_entries is not None:
+        monkeypatch.setattr(grid_module, "BAND_ENTRIES", band_entries)
     shapes = []
     monkeypatch.setattr(chaos_module, "_run_plan", lambda d, g, z, outs, w: shapes.append(z.shape))
     exps = _REFERENCE_CASES[case]()
     m = exps[0].grid.m
-    most = max(1, grid_module.CHUNK_ENTRIES // m)
+    most = max(1, grid_module.BAND_ENTRIES // m)
     n_rows = 2 * most + 3
     evaluate_samples(exps, n_rows, IncrementStream(seed=61))
     xi = sample_increments_block(exps[0].grid, IncrementStream(seed=61), 0, n_rows)
@@ -966,19 +973,21 @@ def _diagonal_orders(m, orders):
 
 
 @pytest.mark.parametrize(
-    "m, orders, bound", [(64, [1, 2, 3, 4], 3.0), (128, [3], 3.1), (64, [4], 2.1)]
+    "m, orders, bound", [(64, [1, 2, 3, 4], 7.5), (128, [3], 4.5), (64, [4], 5.5)]
 )
 def test_evaluate_samples_walks_hermite_degrees_once(m, orders, bound):
-    # One block of 4096 paths is one chunk table.  With orders 1-4, H_1 is the
-    # table and H_2 .. H_4 come from one walk of the recurrence into workspace
-    # rows; a walk per degree would hold its own H_2 and H_3 beside them.
-    # Without H_1 the walk's top degree overwrites the table.
+    # One block of 4096 paths is walked a band table at a time.  With orders
+    # 1-4, H_1 is the table and H_2 .. H_4 come from one walk of the
+    # recurrence into workspace rows, beside the products of the unequal
+    # coefficients and two walk temporaries; a walk per degree would hold
+    # its own H_2 and H_3 beside them.  Without H_1 the walk's top degree
+    # overwrites the table.
     exps = [_diagonal_orders(m, orders)]
     want = evaluate_samples_reference(_dense_all(exps), BLOCK_SIZE, IncrementStream(seed=56))
-    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+    band_bytes = grid_module.BAND_ENTRIES * 8
     got = []
     peak = _traced_peak(lambda: got.extend(evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=56))))
-    assert peak < bound * chunk_bytes
+    assert peak < bound * band_bytes
     assert np.array_equal(got[0], want[0])
 
 
@@ -995,17 +1004,17 @@ def test_kernel_terms_memory_of_dense_order_4():
 
 
 def test_evaluate_samples_memory_of_dense_order_3_with_gamma():
-    # One block of 4096 paths at m = 24 is one chunk table of 0.19 chunk
-    # sizes.  Listing the terms of the order-4 Gamma kernel from its 331 776
-    # entries peaks at about 1.4 chunk sizes; with the cells-by-paths Hermite
-    # copies and the products of one prefix's run at a time, the call peaks
-    # at about 1.8.
+    # One block of 4096 paths at m = 24 is walked in bands of 2730 paths.
+    # Listing the terms of the order-4 Gamma kernel from its 331 776
+    # entries peaks at about 1.4 chunk sizes; with the band's cells-by-paths
+    # Hermite copies and the products of one prefix's run at a time, the
+    # call peaks at about 1.6.
     exps = _dense_with_gamma(24, [3], seed=50)
     want = evaluate_samples_reference(_dense_all(exps), BLOCK_SIZE, IncrementStream(seed=51))
     chunk_bytes = grid_module.CHUNK_ENTRIES * 8
     got = []
     peak = _traced_peak(lambda: got.extend(evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=51))))
-    assert peak < 4.5 * chunk_bytes
+    assert peak < 2 * chunk_bytes
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 

@@ -112,6 +112,26 @@ def test_diagonal_second_chaos_cells_are_integers():
         assert np.array_equal(diagonal_second_chaos(g, cells, 0.5).kernels[2].values, want)
 
 
+def test_diagonal_second_chaos_rejects_repeated_cells():
+    # Checked on the sorted cells, so a repeat anywhere in the list counts.
+    g = make_grid(6)
+    for cells in ([0, 0], [3, 1, 3], [5, 2, 4, 2], np.array([[1, 4], [4, 0]])):
+        with pytest.raises(ValueError, match="cells must be distinct"):
+            diagonal_second_chaos(g, cells, 1.0)
+    want = diagonal_second_chaos(g, [1, 3, 4], 0.5).kernels[2].values
+    assert np.array_equal(diagonal_second_chaos(g, [4, 1, 3], 0.5).kernels[2].values, want)
+
+
+def test_counterexample_row_fits_in_one_chunk(monkeypatch):
+    # path_steps // 2 + 1 normals a row, at most grid.CHUNK_ENTRIES: 200
+    # steps read 101, so with 101 entries a chunk 200 runs and 202 do not.
+    s = IncrementStream(seed=93)
+    monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 101)
+    assert simulate_counterexample(200, 5, s).x.size == 5
+    with pytest.raises(ValueError, match="path_steps must be at most 200, .* one chunk of 101; got 202"):
+        simulate_counterexample(202, 5, s)
+
+
 def test_diagonal_second_chaos_rejects_oversized_grid_before_allocating(monkeypatch):
     # m = 12000 would need a 1.15 GB dense (m, m) kernel; the diagonal kernel
     # stores its 12000 entries, and a grid above MAX_ENTRIES stored entries

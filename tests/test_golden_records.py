@@ -1,13 +1,14 @@
 """The records of three small runs, pinned against golden reports in tests/data.
 
-tools/golden_records.py wrote each tests/data/golden_<experiment>.json at
-seed 4242 with 1 and 2 workers: the config the report echoed, its records
+`tools/golden_records.py --write` wrote each tests/data/golden_<experiment>.json
+at seed 4242 with 1 and 2 workers: the config the report echoed, its records
 and their sha256.  Each test rebuilds the config from the file, runs it and
-compares the records.  test_runner_records_match_reference checks the
+compares the records by assert_same_records, the rule the script also checks
+by when run without --write.  test_runner_records_match_reference checks the
 runners against an oracle built from the same primitives, so a change to
 the evaluator or the draws moves both; this test holds the numbers
-themselves.  A change that moves records on purpose reruns the script and
-logs the move.
+themselves.  A change that moves records on purpose reruns the script with
+--write and logs the move.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ REL_TOL = 1e-12
 ABS_FLOOR = 1e-15
 
 
-def _assert_same(got, want, path: str = "records") -> None:
+def assert_same_records(got, want, path: str = "records") -> None:
     """Keys, ints, bools, strings and None exactly; floats to REL_TOL or ABS_FLOOR."""
     if isinstance(want, float):
         assert isinstance(got, float), f"{path}: {got!r} is not a float"
@@ -40,11 +41,11 @@ def _assert_same(got, want, path: str = "records") -> None:
     elif isinstance(want, dict):
         assert isinstance(got, dict) and list(got) == list(want), f"{path}: keys {list(got)} != {list(want)}"
         for key, value in want.items():
-            _assert_same(got[key], value, f"{path}.{key}")
+            assert_same_records(got[key], value, f"{path}.{key}")
     elif isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want), f"{path}: {got!r} != {want!r}"
         for i, value in enumerate(want):
-            _assert_same(got[i], value, f"{path}.{i}")
+            assert_same_records(got[i], value, f"{path}.{i}")
     else:
         assert type(got) is type(want) and got == want, f"{path}: {got!r} != {want!r}"
 
@@ -58,4 +59,4 @@ def test_records_match_golden_report(experiment, workers):
     digest = hashlib.sha256(json.dumps(body["records"], sort_keys=True).encode()).hexdigest()
     print(f"{experiment} workers={workers}: records sha256 {digest} (golden {golden['sha256']})")
     assert body["config"] == golden["config"]
-    _assert_same(body["records"], golden["records"])
+    assert_same_records(body["records"], golden["records"])

@@ -131,11 +131,10 @@ def test_draws_into_a_given_array():
     assert np.isnan(buf[:3]).all() and np.isnan(buf[18:]).all()
 
 
-def test_run_chunks_draws_each_block_into_one_table_buffer(monkeypatch):
-    # 4 rows of 5 normals a chunk: a 4096-row block of 1024 chunks and a
-    # 10-row tail ending in a ragged chunk (10 = 2 * 4 + 2).  On one worker
-    # every chunk's table is a view of the same buffer.
-    monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 4 * 5 + 2)
+def test_run_chunks_draws_each_block_into_one_table_buffer():
+    # 4 rows of 5 normals a chunk, as the caller asks: a 4096-row block of
+    # 1024 chunks and a 10-row tail ending in a ragged chunk (10 = 2 * 4 + 2).
+    # On one worker every chunk's table is a view of the same buffer.
     stream = IncrementStream(seed=9, stream_id=1)
     n = BLOCK_SIZE + 10
     tables = {}
@@ -146,7 +145,7 @@ def test_run_chunks_draws_each_block_into_one_table_buffer(monkeypatch):
         tables[start] = table
         got[start : start + table.shape[0]] = table
 
-    grid_module.run_chunks(stream, n, 5, 1, chunk)
+    grid_module.run_chunks(stream, n, 5, 4, 1, chunk)
     assert sorted(tables) == list(range(0, BLOCK_SIZE, 4)) + list(range(BLOCK_SIZE, n, 4))
     assert tables[BLOCK_SIZE + 8].shape == (2, 5)
     first = tables[0]

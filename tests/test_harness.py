@@ -29,6 +29,7 @@ from chaoskit import (
 )
 from chaoskit import chaos as chaos_module
 from chaoskit import cli, harness
+from chaoskit import grid as grid_module
 from chaoskit import kernels as kernels_module
 from chaoskit.cli import main as cli_main
 from oracles import run_k_way_reference
@@ -112,13 +113,13 @@ def test_config_counterexample_path_steps():
         ExperimentConfig(experiment="counterexample", path_steps=50)
     # other experiments do not validate path_steps
     _small_decouple(path_steps=7)
-    # A path reads one row of path_steps // 2 + 1 normals, held to the
-    # kernels.MAX_ENTRIES rule; 2 * 10**9 steps would draw 8 GB rows.  Only
-    # configs are built here, never run.
-    largest = 2 * (kernels_module.MAX_ENTRIES - 1)
+    # A path reads one row of path_steps // 2 + 1 normals, which must fit in
+    # one chunk of grid.CHUNK_ENTRIES; 2 * (MAX_ENTRIES - 1) steps, once
+    # admitted, drew 800 MB rows.  Only configs are built here, never run.
+    largest = 2 * (grid_module.CHUNK_ENTRIES - 1)
     assert ExperimentConfig(experiment="counterexample", path_steps=largest).path_steps == largest
-    for rejected in (largest + 2, 2 * 10**9):
-        with pytest.raises(ValueError, match="row of normals too large"):
+    for rejected in (largest + 2, 2 * (kernels_module.MAX_ENTRIES - 1), 2 * 10**9):
+        with pytest.raises(ValueError, match=f"path_steps must be at most {largest}, .* one chunk"):
             ExperimentConfig(experiment="counterexample", path_steps=rejected)
 
 
@@ -667,6 +668,8 @@ def test_cli_n_bins_flag(capsys):
         ["three_way", "--mc", "64", "--n-bins", "65"],
         # a row of path_steps // 2 + 1 = 10^8 + 1 normals per path
         ["counterexample", "--path-steps", "200000000", "--mc", "2"],
+        # one normal more a row than a chunk of grid.CHUNK_ENTRIES = 2^19 holds
+        ["counterexample", "--path-steps", "1048576", "--mc", "2"],
     ],
 )
 def test_cli_bad_config_fails_before_sampling(argv, tmp_path, capsys, monkeypatch):
@@ -837,6 +840,17 @@ def test_cli_default_independence_entries_are_exact_zeros(experiment, pairs, cap
             assert entry["strongly_independent"] is True
             assert entry["worst_contraction_norm"] == 0.0
             assert entry["cross_gamma_residual"] == 0.0
+
+
+def test_cli_counterexample_runs_the_largest_path_steps(capsys):
+    # 1048574 steps read rows of 2^19 normals, one chunk of
+    # grid.CHUNK_ENTRIES; two more are rejected before sampling (above).
+    largest = 2 * (grid_module.CHUNK_ENTRIES - 1)
+    assert largest == 1048574
+    code = cli_main(["counterexample", "--path-steps", str(largest), "--mc", "2", "--workers", "1"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["records"][0]["n"] == largest
 
 
 def test_cli_counterexample(capsys):

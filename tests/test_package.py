@@ -308,6 +308,29 @@ def test_no_module_imports_scipy():
     assert offenders == []
 
 
+def test_k_way_runs_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (about 1 MiB of RSS) on its first call; the
+    # summand builders check their cells without it, so a fresh interpreter
+    # running the small decouple and three_way configs never loads it.
+    probe = (
+        "import sys\n"
+        "from chaoskit import cli\n"
+        "for argv in (['decouple', '--n-schedule', '4,16', '--mc', '64', '--n-bins', '4'],\n"
+        "             ['three_way', '--n-schedule', '4', '--mc', '64']):\n"
+        "    code = cli.main(argv + ['--workers', '2', '--out', sys.argv[1] + '/' + argv[0] + '.json'])\n"
+        "    print('probe', argv[0], code, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    steps = [line.split()[1:] for line in done.stdout.splitlines() if line.startswith("probe ")]
+    assert steps == [["decouple", "0", "False"], ["three_way", "0", "False"]]
+
+
 def test_library_and_cli_paths_load_no_scipy(tmp_path):
     # The import, each experiment at a tiny config and the multi-factor
     # evaluator on dense order-2 and order-3 kernels: after each step the

@@ -26,7 +26,7 @@ from chaoskit import (
 )
 from chaoskit import grid as grid_module
 from chaoskit import stein as stein_module
-from oracles import binned_residual_estimate_reference
+from oracles import binned_residual_estimate_reference, char_fn_estimates_reference
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -264,6 +264,21 @@ def test_estimator_memory_is_one_sample_plus_bands():
     assert _traced_peak(lambda: kolmogorov_distance_mc(x, 1.0)) < sample_bytes + 6 * band_bytes
     assert _traced_peak(lambda: stein_estimates(x, r, (-1.0, 0.0, 1.0))) < sample_bytes + 6 * band_bytes
     assert sample_bytes + 6 * band_bytes < 6 * sample_bytes
+
+
+def test_char_fn_estimates_refill_one_complex_array():
+    # One complex array of 16 bytes a sample serves every t, and each
+    # variance reads one float copy of its real or imaginary part: about 3
+    # sample sizes, where a fresh array per t, formed before the last one
+    # is freed, peaked at 4.2.  The bits are those of the fresh arrays.
+    n = 100_000
+    rng = np.random.default_rng(46)
+    x, r = rng.standard_normal(n), rng.standard_normal(n)
+    t_grid = (0.5, 1.0, 2.0, -3.0)
+    got = []
+    peak = _traced_peak(lambda: got.extend(char_fn_estimates(x, r, t_grid)))
+    assert peak <= 3.2 * n * 8
+    assert tuple(got) == char_fn_estimates_reference(x, r, t_grid)
 
 
 def test_kolmogorov_permutation_invariant():
