@@ -57,6 +57,28 @@ The kept Hermite rows, their copies and the products are grid.Workspace
 arrays a band each, and the walk writes the highest degree over the band's
 table unless H_1 is that table.  Products are gathered only for unequal
 coefficients or cells with gaps, so the diagonal families hold one table.
+
+Dense kernels take a second route, chosen per kernel from its nonzero count
+by kernels.polynomial_route: dense storage, order q >= 2 and more than a
+quarter of the m^q entries nonzero.  Diagonal storage, order 1 and sparser
+dense kernels keep the term route above and its bits.  A kernel on the
+polynomial route is summed in its Wick form,
+
+    I_q(f) = sum_k c_(q,k) delta^k <tr^k f, xi^(x)(q - 2k)>,
+    c_(q,k) = (-1)^k q! / (k! (q - 2k)! 2^k),
+
+with tr^k summing k pairs of coordinates over the diagonal
+(kernels.wick_terms).  _compile folds an expansion's such kernels into
+coefficient tensors h_0 .. h_N, h_N the top kernel's own read-only values
+and the lower ones small sums of traces, and each band is summed as
+sum_r <h_r, xi^(x)r> by Horner's rule: per sub-band of
+band_rows(m^(N - 1)) paths one GEMM xi @ h_N, then stacked matmuls down to
+one number per path.  That costs m^N multiply-adds a path.  Every GEMM
+gets exactly that many rows, the ragged last sub-band copied into a
+zero-padded workspace array, since BLAS sums a product of one to three
+rows in another order than the same rows inside a larger one; so here too
+a path's value does not depend on its batch, and the route agrees with the
+term route to rounding.  BLAS threads are left as the caller set them.
 """
 
 from __future__ import annotations
@@ -90,8 +112,10 @@ from .kernels import (
     kernel_to_dict,
     linear_combine,
     multiset_entries,
+    polynomial_route,
     scale_kernel,
     symmetrize,
+    wick_terms,
 )
 
 # Products above this output order are rejected; dense kernels of higher order
@@ -242,10 +266,41 @@ def _last_factor_product(mults: tuple, cells: np.ndarray, coeffs: np.ndarray) ->
     return mults, runs, int(np.diff(bounds).max())
 
 
+class _Polynomial(NamedTuple):
+    """An expansion's polynomial-route kernels as sum_r <h_r, xi^(x)r>, r = 0 .. N.
+
+    tensors holds h_1 .. h_N, each flat over its m^r entries (None where
+    no kernel has a term), but h_N, the top kernel's own values, as the
+    (m, m^(N - 1)) matrix one GEMM reads; constant is h_0; rows, the fixed
+    row count of every GEMM, is band_rows(m^(N - 1)); root_delta turns z
+    back into increments.
+    """
+
+    tensors: tuple
+    constant: float
+    rows: int
+    root_delta: float
+
+
+def _polynomial(kernels: list) -> _Polynomial:
+    # The kernels' kernels.wick_terms added up by r, lowest order first, so
+    # h_N stays the top kernel's read-only values and no kernel is copied.
+    h: dict = {}
+    for kernel in kernels:
+        for r, t in wick_terms(kernel):
+            h[r] = h[r] + t if r in h else t
+    grid, top = kernels[0].grid, kernels[-1].order
+    tensors = tuple(None if r not in h else np.reshape(h[r], -1) for r in range(1, top))
+    tensors += (np.reshape(h[top], (grid.m, -1)),)
+    return _Polynomial(tensors, float(h.get(0, 0.0)), band_rows(grid.m ** (top - 1)), math.sqrt(grid.delta))
+
+
 def _compile(exps: Sequence[ChaosExpansion]) -> tuple:
-    # (degrees, groups): the ascending Hermite degrees some term reads, and per
-    # expansion its _kernel_terms groups, by order, each multi-factor group
-    # as its _last_factor_product.  A one-factor group keeps its cells as a
+    # (degrees, polynomials, groups): the ascending Hermite degrees some term
+    # reads; per expansion the _Polynomial of its kernels.polynomial_route
+    # kernels, or None; and per expansion the _kernel_terms groups of its
+    # other kernels, by order, each multi-factor group as its
+    # _last_factor_product.  A one-factor group keeps its cells as a
     # vector, and with one coefficient becomes ((k,), cells, coefficient):
     # its cells a slice when they are one run, one object per (k, cells).
     shared: dict = {}
@@ -259,23 +314,29 @@ def _compile(exps: Sequence[ChaosExpansion]) -> tuple:
             cells = slice(int(cells[0]), int(cells[-1]) + 1)
         return mults, shared.setdefault(key, cells), float(coeffs[0])
 
-    groups = tuple(
-        tuple(
-            one_factor(*g) if len(g[0]) == 1 else _last_factor_product(*g)
-            for n, k in enumerate(e.kernels)
-            if n >= 1 and k is not None
-            for g in _kernel_terms(k)
+    polynomials, groups = [], []
+    for e in exps:
+        kernels = [k for k in e.kernels[1:] if k is not None]
+        route = [polynomial_route(k) for k in kernels]
+        polynomials.append(_polynomial([k for k, p in zip(kernels, route) if p]) if any(route) else None)
+        groups.append(
+            tuple(
+                one_factor(*g) if len(g[0]) == 1 else _last_factor_product(*g)
+                for k, p in zip(kernels, route)
+                if not p
+                for g in _kernel_terms(k)
+            )
         )
-        for e in exps
-    )
     degrees = tuple(sorted({k for exp_groups in groups for mults, _, _ in exp_groups for k in mults}))
-    return degrees, groups
+    return degrees, tuple(polynomials), tuple(groups)
 
 
-def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspace: Workspace) -> None:
-    """Add each compiled expansion's chaos terms at the rows of z = xi / sqrt(delta).
+def _run_plan(plan: tuple, z: np.ndarray, outs: list, workspace: Workspace) -> None:
+    """Add each compiled expansion's chaos at the rows of z = xi / sqrt(delta).
 
-    z is one band: at most band_rows(m) rows, at least one.  One
+    z is one band: at most band_rows(m) rows, at least one.  plan is a
+    _compile result.  Each expansion's _Polynomial goes first, by Horner's
+    rule in sub-bands of its fixed row count (_add_polynomial).  Then one
     hermite_rows walk computes every degree in degrees over all of z, and the
     degrees multi-factor groups read are copied once into cells-by-paths
     arrays.  A one-factor group gathers its cells' entries of the rows,
@@ -291,6 +352,10 @@ def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspac
     other kept degrees, their copies and the products live in workspace
     arrays, and without H_1 the top degree overwrites z.
     """
+    degrees, polynomials, groups = plan
+    for out, poly in zip(outs, polynomials):
+        if poly is not None:
+            _add_polynomial(poly, z, out, workspace)
     if not degrees:
         return
     hrows = hermite_rows(z, degrees, lambda k: workspace.array(f"H{k}", z.shape))
@@ -315,6 +380,31 @@ def _run_plan(degrees: tuple, groups: tuple, z: np.ndarray, outs: list, workspac
                 out += coeffs * row_sums[id(cells)]
             else:
                 out += _row_sum(hrows[k], cells, coeffs, workspace)
+
+
+def _add_polynomial(poly: _Polynomial, z: np.ndarray, out: np.ndarray, workspace: Workspace) -> None:
+    # h_0 + <xi, h_1 + <xi, ... + <xi, h_N>>> by Horner's rule, poly.rows
+    # paths at a time: one GEMM xi @ h_N into a workspace array, then per
+    # order one stacked matmul that contracts each path's tensor with its
+    # own xi.  Every GEMM gets exactly poly.rows rows, the ragged last
+    # sub-band zero-padded: BLAS sums a product of one to three rows in
+    # another order, and a path's value must not depend on its batch.
+    rows, m = poly.rows, z.shape[1]
+    *lower, top = poly.tensors
+    xi = workspace.array("xi", (rows, m))
+    for lo in range(0, z.shape[0], rows):
+        n = min(rows, z.shape[0] - lo)
+        np.multiply(z[lo : lo + n], poly.root_delta, out=xi[:n])
+        xi[n:] = 0.0
+        acc = np.matmul(xi, top, out=workspace.array("horner", (rows, top.shape[1])))
+        for r in range(len(lower), 0, -1):
+            if lower[r - 1] is not None:
+                acc += lower[r - 1]
+            step = workspace.array(f"horner{r % 2}", (rows, 1, m ** (r - 1)))
+            acc = np.matmul(xi[:, None, :], acc.reshape(rows, m, -1), out=step).reshape(rows, -1)
+        values = acc[:n, 0]
+        values += poly.constant
+        out[lo : lo + n] += values
 
 
 def _row_sum(h: np.ndarray, cells, coeffs, workspace: Workspace) -> np.ndarray:
@@ -375,14 +465,14 @@ def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:
     m = x.grid.m
     if arr.ndim != 2 or arr.shape[1] != m:
         raise ValueError(f"expected increments of shape (n_samples, {m}), got {arr.shape}")
-    degrees, groups = _compile([x])
+    plan = _compile([x])
     out = np.full(arr.shape[0], x.expectation, dtype=np.float64)
     workspace = Workspace()
     rows = band_rows(m)
     for a in range(0, arr.shape[0], rows):
         xi = real_array("increments", arr[a : a + rows])
         z = np.divide(xi, math.sqrt(x.grid.delta), out=workspace.array("table", xi.shape))
-        _run_plan(degrees, groups, z, [out[a : a + rows]], workspace)
+        _run_plan(plan, z, [out[a : a + rows]], workspace)
     return out
 
 
@@ -408,15 +498,15 @@ def evaluate_samples(
     for e in exps:
         if e.grid != grid:
             raise ValueError("all expansions must share one grid")
-    degrees, groups = _compile(exps)
+    plan = _compile(exps)
     outs = [np.full(n_samples, e.expectation, dtype=np.float64) for e in exps]
 
     def chunk(start: int, z: np.ndarray, workspace: Workspace) -> None:
-        # Threads share the read-only term groups and write disjoint row ranges.
+        # Threads share the read-only plan and write disjoint row ranges.
         z *= np.sqrt(grid.delta)  # the round trip through xi is part of the bits
         z /= math.sqrt(grid.delta)
         parts = [out[start : start + z.shape[0]] for out in outs]
-        _run_plan(degrees, groups, z, parts, workspace)
+        _run_plan(plan, z, parts, workspace)
 
     run_chunks(stream, n_samples, grid.m, band_rows(grid.m), workers, chunk)
     return outs

@@ -19,16 +19,22 @@ def hermite_rows(x: np.ndarray, degrees, row) -> dict:
     x is a float64 array of at least one dimension, taken as given, and H_1 is
     x itself.  Every other degree asked for goes into row(k), a float64 array
     of x's shape, but when 1 is not asked for the top degree overwrites x,
-    after every other step has read it.  Degrees not asked for are
-    temporaries, scaled in place when no later step reads them.
+    after every other step has read it.  row(0) is the walk's one scratch
+    array, asked for once when the top degree is 3 or more.  Degrees not
+    asked for are temporaries, scaled in place when no later step reads them.
     """
     wanted = set(degrees)
     top = max(wanted, default=1)
     rows = {1: x} if 1 in wanted else {}
+    scratch = row(0) if top >= 3 else None
     prev, cur = 1.0, x  # H_0 stays a float, so no ones array is made
     for j in range(1, top):
-        # The last read of H_{j-1}: scale it in place unless it is H_0, x or a kept row.
-        scaled = prev * j if j <= 2 or j - 1 in wanted else np.multiply(prev, j, out=prev)
+        # The last read of H_{j-1}: scaled in place, but into the scratch
+        # array when it is x or a kept row, and as a float when it is H_0.
+        if j == 1:
+            scaled = prev
+        else:
+            scaled = np.multiply(prev, j, out=scratch if j == 2 or j - 1 in wanted else prev)
         if j + 1 == top and 1 not in wanted:
             out = x
         else:

@@ -298,6 +298,41 @@ def multiset_entries(kernel: StepKernel) -> tuple:
     return rows, kernel.values[tuple(rows.T)]
 
 
+def polynomial_route(kernel: StepKernel) -> bool:
+    """Whether the evaluator sums kernel as a polynomial in the increments.
+
+    True for dense storage of order >= 2 with more than a quarter of its
+    m^n entries nonzero; such a kernel costs m^n multiply-adds a path on
+    that route.  Diagonal storage, order 0 or 1 and sparser dense kernels
+    are summed term by term from multiset_entries.
+    """
+    return (
+        not kernel.diagonal
+        and kernel.order >= 2
+        and 4 * int(np.count_nonzero(kernel.values)) > kernel.values.size
+    )
+
+
+def wick_terms(kernel: StepKernel) -> list:
+    """[(r, h_r)]: I_n(f) = sum_r <h_r, xi^(x)r> for a symmetric dense kernel f, n >= 1.
+
+    This is the Wick form of the multiple integral against increments xi of
+    variance delta: h_(n - 2k) = c_(n,k) delta^k tr^k f with
+    c_(n,k) = (-1)^k n! / (k! (n - 2k)! 2^k), for k = 0 .. n // 2, where
+    tr^k sums k pairs of coordinates over the diagonal.  h_n is f's own
+    read-only values array; the traces are fresh arrays of order n - 2k,
+    a float at r = 0.
+    """
+    n, delta = kernel.order, kernel.grid.delta
+    terms = [(n, kernel.values)]
+    traced = kernel.values
+    for k in range(1, n // 2 + 1):
+        traced = np.trace(traced, axis1=0, axis2=1)
+        coeff = (-1) ** k * math.factorial(n) / (math.factorial(k) * math.factorial(n - 2 * k) * 2**k)
+        terms.append((n - 2 * k, traced * (coeff * delta**k)))
+    return terms
+
+
 def kernel_to_dict(kernel: StepKernel) -> dict:
     """JSON-ready form: order, grid size, and row-major values or the diagonal vector."""
     return {

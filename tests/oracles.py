@@ -15,6 +15,12 @@ library's evaluator must reproduce it bit for bit.  The earlier
 1024-term slab rule for every group stays as
 `evaluate_batch_terms_reference`, which the library matches to rounding.
 
+The Wick reference evaluates each kernel by the Wick form of the multiple
+integral, I_q(f) = sum_k c_(q,k) delta^k <tr^k f, xi^(x)(q - 2k)> with
+c_(q,k) = (-1)^k q! / (k! (q - 2k)! 2^k), term by term with plain einsum: no
+Horner scheme and no BLAS.  The library's polynomial route, which sums the
+same polynomial by Horner's rule in GEMMs, must match it to rounding.
+
 The reference symmetrizer is the earlier order >= 3 orbit-mean pass: it
 builds every position's orbit key by divmod into index digits and a sort of
 each digit column, and groups with `bincount`; at order 2 it is the mean of
@@ -278,13 +284,44 @@ def evaluate_batch_terms_reference(x, increments: np.ndarray) -> np.ndarray:
     """evaluate_batch_reference with every group, multi-factor ones too, summed in 1024-term slabs.
 
     This is the earlier rule of the library, which agrees with the prefix
-    rule and the one-pass rule to rounding only.
+    rule and the one-pass rule to rounding only.  Every sum runs along a
+    row, so taking the rows 64 at a time, for speed, moves no bit.
     """
     out, groups, htab = _reference_rows(x, increments)
-    if out.size == 0:
-        return out
-    for group in groups:
-        _add_slabs(group, htab, out, 1024)
+    for a in range(0, out.size, 64):
+        rows = {k: h[a : a + 64] for k, h in htab.items()}
+        for group in groups:
+            _add_slabs(group, rows, out[a : a + 64], 1024)
+    return out
+
+
+def evaluate_batch_wick_reference(x, increments: np.ndarray) -> np.ndarray:
+    """Pathwise I-sum of one expansion by the Wick form, per kernel and per trace depth.
+
+    tr^k sums k pairs of coordinates over the diagonal (einsum's repeated
+    subscripts), and each <t, xi^(x)r> is one einsum over every index and
+    path, with optimize=False so that no BLAS product is formed.
+    """
+    xi = np.asarray(increments, dtype=np.float64)
+    out = np.full(xi.shape[0], x.expectation, dtype=np.float64)
+    delta = x.grid.delta
+    for q, kernel in enumerate(x.kernels):
+        if q == 0 or kernel is None:
+            continue
+        values = dense(kernel).values
+        for k in range(q // 2 + 1):
+            r = q - 2 * k
+            pairs = [a for a in range(k) for _ in range(2)]
+            free = list(range(k, k + r))
+            traced = np.einsum(values, pairs + free, free, optimize=False)
+            coeff = (-1) ** k * math.factorial(q) / (math.factorial(k) * math.factorial(r) * 2**k)
+            if r == 0:
+                out += coeff * delta**k * float(traced)
+                continue
+            operands = [traced, free]
+            for axis in free:
+                operands += [xi, [k + r, axis]]
+            out += coeff * delta**k * np.einsum(*operands, [k + r], optimize=False)
     return out
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chaoskit import (
@@ -52,6 +52,7 @@ from oracles import (
     batch_mean_se,
     evaluate_batch_reference,
     evaluate_batch_terms_reference,
+    evaluate_batch_wick_reference,
     evaluate_samples_reference,
     fourth_cumulant_reference,
 )
@@ -64,6 +65,30 @@ def _dense(x):
 
 def _dense_all(exps):
     return [_dense(e) for e in exps]
+
+
+# The polynomial route sums in another order than the term rule, so its
+# values match the term reference to rounding, at the tolerance of
+# test_evaluate_batch_matches_term_reference_to_rounding.
+POLYNOMIAL_RTOL = 1e-13
+
+
+def _on_polynomial_route(x) -> bool:
+    return any(k is not None and kernels_module.polynomial_route(k) for k in x.kernels)
+
+
+def _assert_reference(x, got, xi):
+    """got, x's values at the increments xi, against the references.
+
+    An expansion with a kernel on the polynomial route agrees with the term
+    reference within POLYNOMIAL_RTOL of its largest value; any other keeps
+    the bits of the prefix-rule reference.
+    """
+    if _on_polynomial_route(x):
+        want = evaluate_batch_terms_reference(_dense(x), xi)
+        assert np.max(np.abs(got - want)) <= POLYNOMIAL_RTOL * np.max(np.abs(want))
+    else:
+        assert np.array_equal(got, evaluate_batch_reference(_dense(x), xi))
 
 
 def _sym_kernel(rng, grid, order, scale_=1.0):
@@ -680,17 +705,20 @@ def _dense_with_gamma(m, orders, seed):
     return [x, gamma(x)]
 
 
-def _sparse_with_gamma(m, orders, seed):
-    # Exactly symmetric kernels with about half their cell multisets zero:
-    # every entry takes the value drawn at its sorted index tuple.
-    rng = np.random.default_rng(seed)
-    grid = make_grid(m)
-    slots = [None] * (max(orders) + 1)
-    for n in orders:
-        shape = (m,) * n
-        draws = rng.uniform(-1.0, 1.0, shape) * (rng.uniform(size=shape) < 0.5)
+def _sparse_expansion(rng, grid, densities):
+    # Exactly symmetric kernels, order n with about a share 1 - densities[n]
+    # of its cell multisets zero: every entry takes the value drawn at its
+    # sorted index tuple.
+    slots = [None] * (max(densities) + 1)
+    for n, density in sorted(densities.items()):
+        shape = (grid.m,) * n
+        draws = rng.uniform(-1.0, 1.0, shape) * (rng.uniform(size=shape) < density)
         slots[n] = step_kernel(grid, n, draws[tuple(np.sort(np.indices(shape), axis=0))])
-    x = chaos_expansion(grid, slots)
+    return chaos_expansion(grid, slots)
+
+
+def _sparse_with_gamma(m, orders, seed, density=0.5):
+    x = _sparse_expansion(np.random.default_rng(seed), make_grid(m), dict.fromkeys(orders, density))
     return [x, gamma(x)]
 
 
@@ -747,10 +775,11 @@ _REFERENCE_CASES = {
 def test_evaluate_samples_matches_reference_bits(case, workers):
     exps = _REFERENCE_CASES[case]()
     # 5000 paths leave a tail block after the first 4096
-    want = evaluate_samples_reference(_dense_all(exps), 5000, IncrementStream(seed=43, stream_id=3))
-    got = evaluate_samples(exps, 5000, IncrementStream(seed=43, stream_id=3), workers=workers)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    stream = IncrementStream(seed=43, stream_id=3)
+    got = evaluate_samples(exps, 5000, stream, workers=workers)
+    xi = sample_increments_block(exps[0].grid, stream, 0, 5000)
+    for e, g in zip(exps, got):
+        _assert_reference(e, g, xi)
 
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
@@ -761,10 +790,11 @@ def test_evaluate_samples_chunk_seams_match_reference_bits(case, workers, monkey
     # 300 rows a band: of 5000 paths, the 4096-path block is 13 bands and
     # the 904-path tail 4, each ending in a ragged band
     monkeypatch.setattr(grid_module, "BAND_ENTRIES", 300 * m + m // 2)
-    want = evaluate_samples_reference(_dense_all(exps), 5000, IncrementStream(seed=43, stream_id=3))
-    got = evaluate_samples(exps, 5000, IncrementStream(seed=43, stream_id=3), workers=workers)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    stream = IncrementStream(seed=43, stream_id=3)
+    got = evaluate_samples(exps, 5000, stream, workers=workers)
+    xi = sample_increments_block(exps[0].grid, stream, 0, 5000)
+    for e, g in zip(exps, got):
+        _assert_reference(e, g, xi)
 
 
 def test_evaluate_samples_draws_only_through_standard_normal_block(monkeypatch):
@@ -789,24 +819,35 @@ def test_evaluate_samples_draws_only_through_standard_normal_block(monkeypatch):
     assert (info.hits, info.misses, info.maxsize) == (0, 0, 1)
 
 
-def test_evaluate_samples_products_are_bounded_in_rows():
-    # One block of 4096 paths at m = 64 is four bands, and the (1, 1) groups
-    # have 2016 terms: a product of even 1024 of them would be 32 MiB over
-    # the block's rows.  Taking one prefix's run of at most 63 terms at a
-    # time, the evaluation holds a few band-sized arrays (the table, H_2,
-    # the cells-by-paths H_1 and the products) and the bits do not move.
-    exps = _dense_with_gamma(64, [1, 2], seed=50)
-    want = evaluate_samples_reference(_dense_all(exps), BLOCK_SIZE, IncrementStream(seed=51))
+@pytest.mark.parametrize(
+    "exps",
+    [
+        pytest.param(lambda: _dense_with_gamma(64, [1, 2], seed=50), id="polynomial"),
+        pytest.param(lambda: _sparse_with_gamma(64, [1, 2], seed=50, density=0.2)[:1], id="terms"),
+    ],
+)
+def test_evaluate_samples_products_are_bounded_in_rows(exps):
+    # One block of 4096 paths at m = 64 is four bands.  The dense order-2
+    # kernels take the polynomial route: per band one 1024 x 64 GEMM into a
+    # band-sized array beside the band's increments.  The sparse one, a
+    # fifth of its entries nonzero, stays on the term route, whose (1, 1)
+    # group a product over all its terms would hold at the block's rows;
+    # taking one prefix's run at a time, the evaluation holds a few
+    # band-sized arrays (the table, H_2, the cells-by-paths H_1 and the
+    # products) and the bits do not move.
+    exps = exps()
+    stream = IncrementStream(seed=51)
     band_bytes = grid_module.BAND_ENTRIES * 8
     tracemalloc.start()
     try:
-        got = evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=51))
+        got = evaluate_samples(exps, BLOCK_SIZE, stream)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 5 * band_bytes < BLOCK_SIZE * 1024 * 8
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    xi = sample_increments_block(exps[0].grid, stream, 0, BLOCK_SIZE)
+    for e, g in zip(exps, got):
+        _assert_reference(e, g, xi)
 
 
 @pytest.mark.parametrize("chunk_entries", [None, 20])
@@ -835,13 +876,17 @@ def _assert_terms_match_plan(got, kernel):
 def test_multi_factor_groups_over_first_axis_slices_match_reference_bits(monkeypatch):
     # With 20 entries a chunk, the m = 9 kernels list their terms one
     # first-axis slice at a time; with 20 entries a band, run_chunks walks
-    # 2 rows a band, and the multi-factor groups, whose longest runs hold 4
-    # to 8 terms, sum their prefixes over bands of 2 paths.
-    exps = _sparse_with_gamma(9, [1, 2, 3], seed=52)
+    # 2 rows a band, and the multi-factor groups sum their prefixes over
+    # bands of 2 paths.  The kernels of orders 2-4 have at most a fifth of
+    # their entries nonzero, below the polynomial route's quarter, so all
+    # take the term route.
+    exps = [_sparse_with_gamma(9, [1, 2, 3, 4], seed=52, density=0.1)[0]]
     want = evaluate_samples_reference(_dense_all(exps), 300, IncrementStream(seed=57))
     monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 20)
     monkeypatch.setattr(grid_module, "BAND_ENTRIES", 20)
-    _, groups = chaos_module._compile(exps)
+    _, polynomials, groups = chaos_module._compile(exps)
+    assert polynomials == (None,)
+    assert {len(mults) for mults, _, _ in groups[0]} == {1, 2, 3, 4}
     for mults, runs, width in (g for exp_groups in groups for g in exp_groups if len(g[0]) > 1):
         # Each prefix is one run of terms, its distinct leading cells in order,
         # its last cells ascending and past its own.
@@ -948,7 +993,7 @@ def test_run_plan_gets_one_band_at_a_time(case, band_entries, monkeypatch):
     if band_entries is not None:
         monkeypatch.setattr(grid_module, "BAND_ENTRIES", band_entries)
     shapes = []
-    monkeypatch.setattr(chaos_module, "_run_plan", lambda d, g, z, outs, w: shapes.append(z.shape))
+    monkeypatch.setattr(chaos_module, "_run_plan", lambda plan, z, outs, w: shapes.append(z.shape))
     exps = _REFERENCE_CASES[case]()
     m = exps[0].grid.m
     most = max(1, grid_module.BAND_ENTRIES // m)
@@ -973,13 +1018,13 @@ def _diagonal_orders(m, orders):
 
 
 @pytest.mark.parametrize(
-    "m, orders, bound", [(64, [1, 2, 3, 4], 7.5), (128, [3], 4.5), (64, [4], 5.5)]
+    "m, orders, bound", [(64, [1, 2, 3, 4], 6.5), (128, [3], 4.5), (64, [4], 5.5)]
 )
 def test_evaluate_samples_walks_hermite_degrees_once(m, orders, bound):
     # One block of 4096 paths is walked a band table at a time.  With orders
     # 1-4, H_1 is the table and H_2 .. H_4 come from one walk of the
     # recurrence into workspace rows, beside the products of the unequal
-    # coefficients and two walk temporaries; a walk per degree would hold
+    # coefficients and the walk's one scratch row; a walk per degree would hold
     # its own H_2 and H_3 beside them.  Without H_1 the walk's top degree
     # overwrites the table.
     exps = [_diagonal_orders(m, orders)]
@@ -1005,18 +1050,21 @@ def test_kernel_terms_memory_of_dense_order_4():
 
 def test_evaluate_samples_memory_of_dense_order_3_with_gamma():
     # One block of 4096 paths at m = 24 is walked in bands of 2730 paths.
-    # Listing the terms of the order-4 Gamma kernel from its 331 776
-    # entries peaks at about 1.4 chunk sizes; with the band's cells-by-paths
-    # Hermite copies and the products of one prefix's run at a time, the
-    # call peaks at about 1.6.
+    # Both kernels are dense, so neither lists its terms (the order-4 Gamma
+    # kernel's 331 776 entries would take 1.4 chunk sizes).  The polynomial
+    # route holds the band table, each GEMM's product of at most a band
+    # (4 paths by 24^3 for the Gamma) and smaller contractions: the call
+    # peaks at about 2.3 band sizes.
     exps = _dense_with_gamma(24, [3], seed=50)
-    want = evaluate_samples_reference(_dense_all(exps), BLOCK_SIZE, IncrementStream(seed=51))
-    chunk_bytes = grid_module.CHUNK_ENTRIES * 8
+    stream = IncrementStream(seed=51)
+    band_bytes = grid_module.BAND_ENTRIES * 8
     got = []
-    peak = _traced_peak(lambda: got.extend(evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=51))))
-    assert peak < 2 * chunk_bytes
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    peak = _traced_peak(lambda: got.extend(evaluate_samples(exps, BLOCK_SIZE, stream)))
+    assert peak < 3 * band_bytes
+    xi = sample_increments_block(exps[0].grid, stream, 0, BLOCK_SIZE)
+    for e, g in zip(exps, got):
+        assert _on_polynomial_route(e)
+        _assert_reference(e, g, xi)
 
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
@@ -1024,8 +1072,8 @@ def test_evaluate_batch_matches_reference_bits(case):
     exps = _REFERENCE_CASES[case]()
     xi = sample_increments_block(exps[0].grid, IncrementStream(seed=44), 0, 5000)
     for e in exps:
-        assert np.array_equal(evaluate_batch(e, xi), evaluate_batch_reference(_dense(e), xi))
-        assert np.array_equal(evaluate_batch(e, xi[:1]), evaluate_batch_reference(_dense(e), xi[:1]))
+        _assert_reference(e, evaluate_batch(e, xi), xi)
+        _assert_reference(e, evaluate_batch(e, xi[:1]), xi[:1])
 
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
@@ -1050,7 +1098,7 @@ def test_power_of_two_coefficients_keep_the_product_bits(case):
     exps = _REFERENCE_CASES[case]()
     xi = sample_increments_block(exps[0].grid, IncrementStream(seed=44), 0, 5000)
     for e in exps:
-        (exp_groups,) = chaos_module._compile([e])[1]
+        (exp_groups,) = chaos_module._compile([e])[2]
         assert all(math.frexp(coeff)[0] == 0.5 for _, _, coeff in exp_groups)
         assert np.array_equal(evaluate_batch(e, xi), evaluate_batch_terms_reference(_dense(e), xi))
 
@@ -1066,10 +1114,10 @@ def test_coefficients_one_bit_apart_take_the_product_rule():
     equal = single_chaos(step_kernel(grid, 2, np.diag(values)))
     values[-1] = np.nextafter(0.3, 1.0)
     apart = single_chaos(step_kernel(grid, 2, np.diag(values)))
-    (((_, _, coeffs),),) = chaos_module._compile([apart])[1]
+    (((_, _, coeffs),),) = chaos_module._compile([apart])[2]
     assert isinstance(coeffs, np.ndarray) and np.unique(coeffs).size == 2
     assert np.array_equal(evaluate_batch(apart, xi), evaluate_batch_terms_reference(apart, xi))
-    (((_, _, coeff),),) = chaos_module._compile([equal])[1]
+    (((_, _, coeff),),) = chaos_module._compile([equal])[2]
     assert coeff == 0.3 / 8
     assert np.array_equal(evaluate_batch(equal, xi), evaluate_batch_reference(equal, xi))
     assert not np.array_equal(evaluate_batch(equal, xi), evaluate_batch_terms_reference(equal, xi))
@@ -1104,6 +1152,62 @@ def test_a_path_value_does_not_depend_on_its_batch(case):
         assert np.array_equal(evaluate_batch(e, xi[100:110]), want[100:110])
         assert np.array_equal(evaluate_batch(e, xi[BLOCK_SIZE:]), want[BLOCK_SIZE:])
         assert np.array_equal(evaluate_batch(e, xi[2048:2049]), want[2048:2049])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.dictionaries(st.integers(1, 4), st.sampled_from([0.05, 0.15, 0.3, 0.6, 1.0]), min_size=1),
+    st.integers(0, 2**32 - 1),
+)
+def test_evaluator_matches_the_wick_and_term_oracles(m, densities, seed):
+    # Kernels of orders 1-4 on up to 16 cells, with shares of nonzero cell
+    # multisets on both sides of the polynomial route's quarter.  The rule,
+    # read off the kernels here: dense storage, order >= 2 and more than a
+    # quarter of the m^n entries nonzero.  Such kernels are folded into the
+    # expansion's one polynomial, whose top tensor is the top kernel's own
+    # values; the others keep their term groups.  40 paths leave a ragged
+    # sub-band on most grids.
+    grid = make_grid(m)
+    x = _sparse_expansion(np.random.default_rng(seed), grid, densities)
+    assume(x.max_order >= 1)
+    route = {
+        n
+        for n, k in enumerate(x.kernels)
+        if n >= 2 and k is not None and 4 * np.count_nonzero(k.values) > k.values.size
+    }
+    _, (poly,), (groups,) = chaos_module._compile([x])
+    assert {sum(mults) for mults, _, _ in groups} == set(x.nonzero_orders()) - route - {0}
+    if route:
+        top = max(route)
+        assert len(poly.tensors) == top and poly.rows == grid_module.band_rows(m ** (top - 1))
+        assert np.shares_memory(poly.tensors[-1], x.kernel(top).values)
+    else:
+        assert poly is None
+    xi = sample_increments_block(grid, IncrementStream(seed=seed), 0, 40)
+    got = evaluate_batch(x, xi)
+    for want in (evaluate_batch_wick_reference(x, xi), evaluate_batch_terms_reference(x, xi)):
+        assert np.max(np.abs(got - want)) <= POLYNOMIAL_RTOL * np.max(np.abs(want))
+
+
+def test_a_polynomial_path_value_does_not_depend_on_its_batch():
+    # A dense order-2 kernel at m = 512 is summed in GEMMs of R = 128 rows.
+    # BLAS sums a product of one to three rows in another order than the
+    # same rows inside a larger product, so a path keeps its bits on a batch
+    # of 1, 2, 3, R - 1 or R + 1 rows only because the ragged last sub-band
+    # is zero-padded to R rows.  The second block runs on a second worker.
+    grid = make_grid(512)
+    x = single_chaos(_sym_kernel(np.random.default_rng(62), grid, 2))
+    rows = grid_module.band_rows(grid.m)
+    assert rows == 128 and chaos_module._compile([x])[1][0].rows == rows
+    stream = IncrementStream(seed=63)
+    n_samples = BLOCK_SIZE + rows + 1
+    want = evaluate_samples([x], n_samples, stream)[0]
+    assert np.array_equal(evaluate_samples([x], n_samples, stream, workers=2)[0], want)
+    xi = sample_increments_block(grid, stream, 0, n_samples)
+    for n in (1, 2, 3, rows - 1, rows + 1):
+        assert np.array_equal(evaluate_batch(x, xi[:n]), want[:n])
+        assert np.array_equal(evaluate_batch(x, xi[BLOCK_SIZE : BLOCK_SIZE + n]), want[BLOCK_SIZE : BLOCK_SIZE + n])
 
 
 @settings(max_examples=12, deadline=None)
