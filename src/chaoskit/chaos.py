@@ -22,63 +22,52 @@ exact_summary all read that one; kernels are read-only and an expansion is
 frozen, so the kept Gamma_1 has the bits of a new build.  For a dense top
 order N it holds m^(2N - 2) stored entries for as long as x lives.
 
-Pathwise evaluation uses the diagonal-free multiple-integral formula: for a
-symmetric kernel f and a cell multiset {j_1^(k_1), ..., j_d^(k_d)} with
-k_1 + ... + k_d = n,
+Pathwise evaluation takes one route per kernel storage, which
+kernels.polynomial_route reads.  A diagonal or order-1 kernel is a vector a
+of one-cell terms, f = sum_i a_i e_i^(x)n, and the diagonal-free
+multiple-integral formula sums it as
 
-    I_n(f) = sum over multisets  n!/(k_1! ... k_d!) * f(cells) *
-             prod_r delta^(k_r/2) H_{k_r}(xi_{j_r} / sqrt(delta))
+    I_n(f) = sum_i a_i delta^(n/2) H_n(xi_i / sqrt(delta))
 
-with H_k the monic probabilists' Hermite polynomials.  The terms of a kernel
-are its nonzero entries at nondecreasing index tuples, one per cell multiset,
-listed by kernels.multiset_entries in either storage and grouped by
-multiplicity pattern.  Each evaluate_samples call compiles its expansions
-into their term groups and the Hermite degrees those read; nothing is cached
-on the kernels.
-A group on d >= 2 distinct cells becomes the runs of its terms that share
-their (d - 1)-cell prefix, in term order.  Per chunk of paths
-grid.run_chunks draws, one band of grid.band_rows(m) paths, one
-hermite_rows walk computes those degrees over every cell, and the degrees
-multi-factor groups read are copied once into cells-by-paths arrays.  Every
-expansion reads its terms from these shared rows: a one-factor group by one
-row sum over all its terms, a multi-factor group prefix by prefix: the sum
-of its run's products over their last factor, in term order as a sparse
-matrix product makes it, times its prefix factors, added to the sum over
-the prefixes before it.  A one-factor group whose coefficients are all
-exactly equal sums H_k over its cells, by a column slice when they are one
-run, and multiplies the sum once; the expansions of a call that read the
-same degree and cells share it.  That
-has the bits of summing the products whenever the coefficient is a power of
-two.  So a path's value does not depend on the paths it is evaluated with:
-evaluate_batch walks the increments the caller supplies in bands of the
-same size through the same evaluator, so its memory, too, is bounded in m
-and not in the number of paths.
-The kept Hermite rows, their copies and the products are grid.Workspace
-arrays a band each, and the walk writes the highest degree over the band's
-table unless H_1 is that table.  Products are gathered only for unequal
-coefficients or cells with gaps, so the diagonal families hold one table.
+with H_n the monic probabilists' Hermite polynomials.  Each evaluate_samples
+call compiles such kernels into one term group each, their nonzero cells and
+coefficients, and the Hermite degrees those read; nothing is cached on the
+kernels.  Per chunk of paths grid.run_chunks draws, one band of
+grid.band_rows(m) paths, one hermite_rows walk computes those degrees over
+every cell, and every group is one row sum over its cells of these shared
+rows.  A group whose coefficients are all exactly equal sums H_n over its
+cells, by a column slice when they are one run, and multiplies the sum
+once; the expansions of a call that read the same degree and cells share
+it.  That has the bits of summing the products whenever the coefficient is
+a power of two.  So a path's value does not depend on the paths it is
+evaluated with: evaluate_batch walks the increments the caller supplies in
+bands of the same size through the same evaluator, so its memory, too, is
+bounded in m and not in the number of paths.  The kept Hermite rows and the
+products are grid.Workspace arrays a band each, and the walk writes the
+highest degree over the band's table unless H_1 is that table.  Products
+are gathered only for unequal coefficients or cells with gaps, so the
+diagonal families hold one table.
 
-Dense kernels take a second route, chosen per kernel from its nonzero count
-by kernels.polynomial_route: dense storage, order q >= 2 and more than a
-quarter of the m^q entries nonzero.  Diagonal storage, order 1 and sparser
-dense kernels keep the term route above and its bits.  A kernel on the
-polynomial route is summed in its Wick form,
+A dense-stored kernel of order q >= 2, at any density, is summed in its
+Wick form,
 
     I_q(f) = sum_k c_(q,k) delta^k <tr^k f, xi^(x)(q - 2k)>,
     c_(q,k) = (-1)^k q! / (k! (q - 2k)! 2^k),
 
 with tr^k summing k pairs of coordinates over the diagonal
-(kernels.wick_terms).  _compile folds an expansion's such kernels into
+(kernels.wick_terms).  _compile folds an expansion's dense kernels into
 coefficient tensors h_0 .. h_N, h_N the top kernel's own read-only values
 and the lower ones small sums of traces, and each band is summed as
 sum_r <h_r, xi^(x)r> by Horner's rule: per sub-band of
 band_rows(m^(N - 1)) paths one GEMM xi @ h_N, then stacked matmuls down to
-one number per path.  That costs m^N multiply-adds a path.  Every GEMM
-gets exactly that many rows, the ragged last sub-band copied into a
-zero-padded workspace array, since BLAS sums a product of one to three
-rows in another order than the same rows inside a larger one; so here too
-a path's value does not depend on its batch, and the route agrees with the
-term route to rounding.  BLAS threads are left as the caller set them.
+one number per path.  That costs m^N multiply-adds a path, however few of
+the entries are nonzero; diagonal storage is the way to hold a kernel that
+lives on the diagonal.  Every GEMM gets exactly that many rows, the ragged
+last sub-band copied into a zero-padded workspace array, since BLAS sums a
+product of one to three rows in another order than the same rows inside a
+larger one; so here too a path's value does not depend on its batch.  The
+Wick form agrees with the term-by-term sum to rounding.  BLAS threads are
+left as the caller set them.
 """
 
 from __future__ import annotations
@@ -111,7 +100,6 @@ from .kernels import (
     kernel_from_dict,
     kernel_to_dict,
     linear_combine,
-    multiset_entries,
     polynomial_route,
     scale_kernel,
     symmetrize,
@@ -219,51 +207,20 @@ def scale(a: float, x: ChaosExpansion) -> ChaosExpansion:
 # Pathwise evaluation
 
 
-def _kernel_terms(kernel: StepKernel) -> list:
-    """The chaos terms of a symmetric kernel as (mults, cells, coeffs) groups.
+def _kernel_terms(kernel: StepKernel) -> tuple:
+    """A diagonal or order-1 kernel's chaos terms as (n, cells, coeffs).
 
-    A term is a nonzero entry at a nondecreasing index tuple (a cell multiset);
-    kernels.multiset_entries lists them lexicographically in either storage,
-    with no mask or index table over all m^n entries.  Its Hermite degrees
-    mults are the run lengths of equal indices, cells[:, r] is the cell of run
-    r, and coeffs is value * delta^(n/2) * n! / prod(k_r!).  Groups follow the
-    first term of each pattern.
+    Such a kernel's values are its vector a, f = sum_i a_i e_i^(x)n, so a
+    term is a nonzero cell i, read at Hermite degree n: cells lists them in
+    ascending order and coeffs is a_i * delta^(n/2) * n! / n!, the n!
+    multiplied in and divided out, not cancelled, since the records were
+    made with that rounding.
     """
     n = kernel.order
-    rows, values = multiset_entries(kernel)
-    values = values * (kernel.grid.delta ** (n / 2.0) * math.factorial(n))
-    # Bit r of a term's pattern code is set when a new run starts at index r + 1.
-    codes = (rows[:, 1:] != rows[:, :-1]) @ (1 << np.arange(n - 1))
-    _, first = np.unique(codes, return_index=True)
-    groups = []
-    for code in codes[np.sort(first)]:
-        starts = [0] + [r + 1 for r in range(n - 1) if code >> r & 1]
-        mults = tuple(b - a for a, b in zip(starts, starts[1:] + [n]))
-        sel = codes == code
-        coeffs = values[sel]
-        for k in mults:
-            coeffs /= math.factorial(k)
-        groups.append((mults, rows[sel][:, starts], coeffs))
-    return groups
-
-
-def _last_factor_product(mults: tuple, cells: np.ndarray, coeffs: np.ndarray) -> tuple:
-    """A multi-factor term group as (mults, runs, width), summed over its last factor.
-
-    The terms are listed lexicographically, so the terms that share their
-    leading d - 1 cells, a prefix, are one run.  runs holds per prefix, in
-    order, (lead, last, coeff): lead the prefix's cells as ints, last its
-    terms' last cells and coeff their coefficients as a column; width is the
-    longest run.
-    """
-    lead = cells[:, :-1]
-    starts = np.flatnonzero(np.concatenate(([True], np.any(lead[1:] != lead[:-1], axis=1))))
-    bounds = np.append(starts, cells.shape[0]).tolist()
-    last = np.ascontiguousarray(cells[:, -1])
-    runs = tuple(
-        (tuple(lead[lo].tolist()), last[lo:hi], coeffs[lo:hi, None]) for lo, hi in zip(bounds, bounds[1:])
-    )
-    return mults, runs, int(np.diff(bounds).max())
+    cells = np.flatnonzero(kernel.values)
+    coeffs = kernel.values[cells] * (kernel.grid.delta ** (n / 2.0) * math.factorial(n))
+    coeffs /= math.factorial(n)
+    return n, cells, coeffs
 
 
 class _Polynomial(NamedTuple):
@@ -296,38 +253,30 @@ def _polynomial(kernels: list) -> _Polynomial:
 
 
 def _compile(exps: Sequence[ChaosExpansion]) -> tuple:
-    # (degrees, polynomials, groups): the ascending Hermite degrees some term
-    # reads; per expansion the _Polynomial of its kernels.polynomial_route
-    # kernels, or None; and per expansion the _kernel_terms groups of its
-    # other kernels, by order, each multi-factor group as its
-    # _last_factor_product.  A one-factor group keeps its cells as a
-    # vector, and with one coefficient becomes ((k,), cells, coefficient):
-    # its cells a slice when they are one run, one object per (k, cells).
+    # (degrees, polynomials, groups): the ascending Hermite degrees some
+    # group reads; per expansion the _Polynomial of its kernels.polynomial_route
+    # kernels, or None; and per expansion the (k, cells, coeffs) _kernel_terms
+    # of its other kernels, by order.  A group whose coefficients are all
+    # equal becomes (k, cells, coefficient), its cells a slice when they are
+    # one run, one object per (k, cells).
     shared: dict = {}
 
-    def one_factor(mults: tuple, cells: np.ndarray, coeffs: np.ndarray) -> tuple:
-        cells = cells[:, 0]
+    def group(kernel: StepKernel) -> tuple:
+        k, cells, coeffs = _kernel_terms(kernel)
         if np.any(coeffs != coeffs[0]):
-            return mults, cells, coeffs
-        key = (mults, cells.tobytes())
+            return k, cells, coeffs
+        key = (k, cells.tobytes())
         if cells[-1] - cells[0] == cells.size - 1:  # ascending cells, so one run
             cells = slice(int(cells[0]), int(cells[-1]) + 1)
-        return mults, shared.setdefault(key, cells), float(coeffs[0])
+        return k, shared.setdefault(key, cells), float(coeffs[0])
 
     polynomials, groups = [], []
     for e in exps:
         kernels = [k for k in e.kernels[1:] if k is not None]
-        route = [polynomial_route(k) for k in kernels]
-        polynomials.append(_polynomial([k for k, p in zip(kernels, route) if p]) if any(route) else None)
-        groups.append(
-            tuple(
-                one_factor(*g) if len(g[0]) == 1 else _last_factor_product(*g)
-                for k, p in zip(kernels, route)
-                if not p
-                for g in _kernel_terms(k)
-            )
-        )
-    degrees = tuple(sorted({k for exp_groups in groups for mults, _, _ in exp_groups for k in mults}))
+        wick = [k for k in kernels if polynomial_route(k)]
+        polynomials.append(_polynomial(wick) if wick else None)
+        groups.append(tuple(group(k) for k in kernels if not polynomial_route(k)))
+    degrees = tuple(sorted({k for exp_groups in groups for k, _, _ in exp_groups}))
     return degrees, tuple(polynomials), tuple(groups)
 
 
@@ -337,20 +286,17 @@ def _run_plan(plan: tuple, z: np.ndarray, outs: list, workspace: Workspace) -> N
     z is one band: at most band_rows(m) rows, at least one.  plan is a
     _compile result.  Each expansion's _Polynomial goes first, by Horner's
     rule in sub-bands of its fixed row count (_add_polynomial).  Then one
-    hermite_rows walk computes every degree in degrees over all of z, and the
-    degrees multi-factor groups read are copied once into cells-by-paths
-    arrays.  A one-factor group gathers its cells' entries of the rows,
-    multiplies them by its coefficients and sums all its terms along each
-    row.  With one coefficient a it adds a times the row sum of its cells,
-    made once per call for the groups that share them, so a power-of-two a
-    keeps the bits of the products.  A multi-factor group sums each prefix's
-    terms over their last factor, multiplies in the prefix factors and adds
-    its prefixes up in order.  Each rule fixes the order of a row's partial
+    hermite_rows walk computes every degree in degrees over all of z, and
+    each group of one-cell terms at degree k gathers its cells' entries of
+    H_k, multiplies them by its coefficients and sums them along each row.
+    With one coefficient a it adds a times the row sum of its cells, made
+    once per call for the groups that share them, so a power-of-two a keeps
+    the bits of the products.  Each rule fixes the order of a row's partial
     sums, so a path's value does not depend on the rows it is evaluated
-    with.  A group reads at most m cells, so none of its gathers or products
-    holds more than the band's BAND_ENTRIES entries.  H_1 is z itself,
-    other kept degrees, their copies and the products live in workspace
-    arrays, and without H_1 the top degree overwrites z.
+    with.  A group reads at most m cells, so none of its gathers holds more
+    than the band's BAND_ENTRIES entries.  H_1 is z itself, other kept
+    degrees and the products live in workspace arrays, and without H_1 the
+    top degree overwrites z.
     """
     degrees, polynomials, groups = plan
     for out, poly in zip(outs, polynomials):
@@ -359,22 +305,10 @@ def _run_plan(plan: tuple, z: np.ndarray, outs: list, workspace: Workspace) -> N
     if not degrees:
         return
     hrows = hermite_rows(z, degrees, lambda k: workspace.array(f"H{k}", z.shape))
-    hcols = {
-        k: workspace.array(f"T{k}", z.shape[::-1])
-        for exp_groups in groups
-        for mults, _, _ in exp_groups
-        if len(mults) > 1
-        for k in mults
-    }
-    for k, col in hcols.items():
-        col[...] = hrows[k].T
     row_sums: dict = {}  # by the id of a shared cell index
     for out, exp_groups in zip(outs, groups):
-        for group in exp_groups:
-            (k, *prefix), cells, coeffs = group
-            if prefix:
-                _add_last_factor_product(group, hcols, out, workspace)
-            elif isinstance(coeffs, float):
+        for k, cells, coeffs in exp_groups:
+            if isinstance(coeffs, float):
                 if id(cells) not in row_sums:
                     row_sums[id(cells)] = _row_sum(hrows[k], cells, None, workspace)
                 out += coeffs * row_sums[id(cells)]
@@ -420,37 +354,6 @@ def _row_sum(h: np.ndarray, cells, coeffs, workspace: Workspace) -> np.ndarray:
         prod *= coeffs
     # Pairwise numpy reduction, not BLAS, so the sum order is fixed.
     return prod.sum(axis=1)
-
-
-def _add_last_factor_product(group: tuple, hcols: dict, out: np.ndarray, workspace: Workspace) -> None:
-    # Per prefix, its terms' products c * H_{k_d}[last] add up in term order,
-    # a product then a sum each as a sparse matrix product makes them; the
-    # prefix factors multiply that sum in cell order, and the prefix sums add
-    # up in order.  Whether a sum starts at 0 or at its first term changes
-    # only the sign of a zero sum, which adding it to out, never -0, erases.
-    mults, runs, width = group
-    h = hcols[mults[-1]]
-    # The buffer of the one-factor groups' products.
-    prods = workspace.array("products", (width, h.shape[1]))
-    y = workspace.array("prefix", out.shape)
-    total = workspace.array("total", out.shape)
-    total.fill(0.0)
-    for lead, last, coeff in runs:
-        terms = prods[: coeff.shape[0]]
-        np.take(h, last, axis=0, out=terms, mode="clip")
-        terms *= coeff
-        # add.reduce adds the rows one after another, but along one path
-        # it sums pairwise; add.accumulate keeps the order there and is
-        # far slower on wide bands, as it walks each path's column alone.
-        if y.size > 1:
-            np.add.reduce(terms, axis=0, out=y)
-        else:
-            np.add.accumulate(terms, axis=0, out=terms)
-            y[...] = terms[-1]
-        for k, cell in zip(mults[:-1], lead):
-            y *= hcols[k][cell]
-        total += y
-    out += total
 
 
 def evaluate_batch(x: ChaosExpansion, increments: np.ndarray) -> np.ndarray:

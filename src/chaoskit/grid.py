@@ -50,7 +50,7 @@ BLOCK_SIZE = 4096
 
 # The counterexample draws at most this many normals a chunk (4 MiB of
 # float64), or one row when a row is wider; chunk_rows gives the row count.
-# Listing a kernel's terms reads its index arrays in slices of this size.
+# Nothing else in the package reads it.
 CHUNK_ENTRIES = 1 << 19
 
 # The evaluator's chunks, the counterexample's level and sign passes, the

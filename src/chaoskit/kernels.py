@@ -16,6 +16,9 @@ r >= 1 only (a scalar at order 0, a plain vector at order 1), and symmetrize
 is the identity.  The outer product (r = 0) and any mix with a dense kernel
 of order >= 2 go through `dense`, the one function that expands a diagonal
 kernel.  MAX_ENTRIES counts stored entries, m for a diagonal kernel.
+The storage also picks the evaluator's route (polynomial_route): a dense
+kernel of order >= 2 is summed through its Wick terms (wick_terms), any
+other from its vector, one term per nonzero cell.
 
 StepKernel(...) keeps, read-only, the float64 C-contiguous values array it
 is given, so the algebra's results are never copied and a later write to
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, band_rows, check_grid, check_int, check_object, check_real, chunk_rows
+from .grid import Grid, band_rows, check_grid, check_int, check_object, check_real
 from .grid import make_grid, real_array
 
 # Storage guard: reject kernels with more than this many stored entries.
@@ -274,43 +277,14 @@ def scale_kernel(a: float, f: StepKernel) -> StepKernel:
     return StepKernel(f.grid, f.order, a * f.values, f.diagonal)
 
 
-def multiset_entries(kernel: StepKernel) -> tuple:
-    """(rows, values): an order >= 1 kernel's nonzero entries at nondecreasing index tuples.
-
-    One entry per cell multiset, listed lexicographically: rows is its
-    (T, order) index array and values its kernel values.  A diagonal kernel
-    lists its nonzero cells i as (i, ..., i).  A dense kernel is read a slice
-    of the first axis at a time, sized so that a slice's argwhere and nonzero
-    index arrays, about 2n words per entry, hold at most about CHUNK_ENTRIES
-    words; so no mask or index table spans all m^n entries.
-    """
-    n, m = kernel.order, kernel.grid.m
-    if kernel.diagonal:
-        cells = np.flatnonzero(kernel.values)
-        return np.repeat(cells[:, None], n, axis=1), kernel.values[cells]
-    step = chunk_rows(2 * n * m ** (n - 1))
-    parts = []
-    for lo in range(0, m, step):
-        part = np.argwhere(kernel.values[lo : lo + step])
-        part[:, 0] += lo
-        parts.append(part[np.all(part[:, 1:] >= part[:, :-1], axis=1)])
-    rows = np.concatenate(parts)
-    return rows, kernel.values[tuple(rows.T)]
-
-
 def polynomial_route(kernel: StepKernel) -> bool:
     """Whether the evaluator sums kernel as a polynomial in the increments.
 
-    True for dense storage of order >= 2 with more than a quarter of its
-    m^n entries nonzero; such a kernel costs m^n multiply-adds a path on
-    that route.  Diagonal storage, order 0 or 1 and sparser dense kernels
-    are summed term by term from multiset_entries.
+    True for dense storage of order >= 2, at any density: such a kernel
+    costs m^n multiply-adds a path, read through wick_terms.  A diagonal or
+    order-1 kernel is its vector of one-cell terms, summed from its values.
     """
-    return (
-        not kernel.diagonal
-        and kernel.order >= 2
-        and 4 * int(np.count_nonzero(kernel.values)) > kernel.values.size
-    )
+    return not kernel.diagonal and kernel.order >= 2
 
 
 def wick_terms(kernel: StepKernel) -> list:

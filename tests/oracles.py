@@ -7,13 +7,13 @@ trusted.
 
 The reference evaluator is the straightforward per-expansion form of the
 pathwise evaluator, with its own per-term plan builder (`_build_plan`, which
-collects cell multisets by sorting every nonzero index tuple).  It sums a
-one-factor term group in one pass over all its terms, summing before it
-multiplies when they carry one coefficient, and a multi-factor term group
-one prefix (the leading cells of its terms) at a time, in plain loops.  The
-library's evaluator must reproduce it bit for bit.  The earlier
-1024-term slab rule for every group stays as
-`evaluate_batch_terms_reference`, which the library matches to rounding.
+collects cell multisets by sorting every nonzero index tuple).  It takes
+kernels whose terms each sit on one cell, diagonal kernels in dense storage
+and order-1 kernels, and sums each kernel's one term group in one pass over
+all its terms, summing before it multiplies when they carry one
+coefficient.  The library's evaluator must reproduce it bit for bit.  The
+earlier 1024-term slab rule for every group, multi-factor ones too, stays
+as `evaluate_batch_terms_reference`, which the library matches to rounding.
 
 The Wick reference evaluates each kernel by the Wick form of the multiple
 integral, I_q(f) = sum_k c_(q,k) delta^k <tr^k f, xi^(x)(q - 2k)> with
@@ -243,48 +243,29 @@ def _add_slabs(group: _PlanGroup, htab: dict, out: np.ndarray, slab: int) -> Non
 def evaluate_batch_reference(x, increments: np.ndarray) -> np.ndarray:
     """Pathwise I-sum of one expansion on a (n_samples, m) increment array.
 
-    Hermite rows cover all m columns.  A one-factor group's terms are summed
-    in one pass for every batch size, the term gather an axis-1 fancy index
-    copied back to C order; when its coefficients are all exactly equal, the
-    gathered rows are summed first and multiplied by that coefficient once.
-    A multi-factor group is summed one prefix (the leading cells of its
-    terms) at a time: the prefix's terms add coeff * H at their last cell in
-    term order, its prefix factors multiply that sum in cell order, and the
-    prefix sums add up in order.  So the partial sums land in the order the
-    library fixes.
+    Every term must sit on one cell.  Hermite rows cover all m columns.  A
+    group's terms are summed in one pass for every batch size, the term
+    gather an axis-1 fancy index copied back to C order; when its
+    coefficients are all exactly equal, the gathered rows are summed first
+    and multiplied by that coefficient once.
     """
     out, groups, htab = _reference_rows(x, increments)
     if out.size == 0:
         return out
     for group in groups:
-        if len(group.mults) == 1:
-            if np.all(group.coeffs == group.coeffs[0]):
-                out += group.coeffs[0] * htab[group.mults[0]][:, group.cells[:, 0]].copy().sum(axis=1)
-            else:
-                _add_slabs(group, htab, out, len(group.cells))
-            continue
-        cells, coeffs, last = group.cells, group.coeffs, htab[group.mults[-1]]
-        starts = [t for t in range(len(cells)) if t == 0 or list(cells[t, :-1]) != list(cells[t - 1, :-1])]
-        total = None
-        for lo, hi in zip(starts, starts[1:] + [len(cells)]):
-            y = coeffs[lo] * last[:, cells[lo, -1]]
-            for t in range(lo + 1, hi):
-                y += coeffs[t] * last[:, cells[t, -1]]
-            for r, k in enumerate(group.mults[:-1]):
-                y *= htab[k][:, cells[lo, r]]
-            if total is None:
-                total = y
-            else:
-                total += y
-        out += total
+        (k,) = group.mults
+        if np.all(group.coeffs == group.coeffs[0]):
+            out += group.coeffs[0] * htab[k][:, group.cells[:, 0]].copy().sum(axis=1)
+        else:
+            _add_slabs(group, htab, out, len(group.cells))
     return out
 
 
 def evaluate_batch_terms_reference(x, increments: np.ndarray) -> np.ndarray:
     """evaluate_batch_reference with every group, multi-factor ones too, summed in 1024-term slabs.
 
-    This is the earlier rule of the library, which agrees with the prefix
-    rule and the one-pass rule to rounding only.  Every sum runs along a
+    This is the earlier rule of the library, which agrees with the one-pass
+    rule and the Wick form to rounding only.  Every sum runs along a
     row, so taking the rows 64 at a time, for speed, moves no bit.
     """
     out, groups, htab = _reference_rows(x, increments)

@@ -82,7 +82,7 @@ def _assert_reference(x, got, xi):
 
     An expansion with a kernel on the polynomial route agrees with the term
     reference within POLYNOMIAL_RTOL of its largest value; any other keeps
-    the bits of the prefix-rule reference.
+    the bits of evaluate_batch_reference.
     """
     if _on_polynomial_route(x):
         want = evaluate_batch_terms_reference(_dense(x), xi)
@@ -749,14 +749,13 @@ def _first_and_diagonal():
     return [add(linear, diagonal_second_chaos(grid, range(8), 0.6))]
 
 
-# Each case is a list of expansions on one grid.  The dense (1, 2, 3) case has
-# multi-cell groups up to order 4 in its Gamma; the dense order-2 case at
-# m = 64 has a (1, 1) group of 2016 terms, and the dense order-3 case at m = 24
-# a (1, 1, 1) group of 2024 terms, more than one 1024-term slab.  The sparse
-# case has orders 1-4 with half the multisets zero and a Gamma up to order 6.
-# The diagonal cases cover single-factor groups on consecutive cells and on
-# cells with gaps, and one group wider than 1024 terms.  In the
-# first-and-diagonal case degrees 1 and 2 read the same full column set.
+# Each case is a list of expansions on one grid.  The dense cases take the
+# polynomial route: orders (1, 2, 3) with a Gamma up to order 4, order 2 at
+# m = 64, order 3 at m = 24, and orders 1-4 with half the multisets zero and
+# a Gamma up to order 6.  The diagonal cases cover one-cell term groups on
+# consecutive cells and on cells with gaps, and one group wider than 1024
+# terms.  In the first-and-diagonal case degrees 1 and 2 read the same full
+# column set.
 _REFERENCE_CASES = {
     "half_support_n4": lambda: _half_support_couple(4),
     "half_support_n256": lambda: _half_support_couple(256),
@@ -823,18 +822,16 @@ def test_evaluate_samples_draws_only_through_standard_normal_block(monkeypatch):
     "exps",
     [
         pytest.param(lambda: _dense_with_gamma(64, [1, 2], seed=50), id="polynomial"),
-        pytest.param(lambda: _sparse_with_gamma(64, [1, 2], seed=50, density=0.2)[:1], id="terms"),
+        pytest.param(lambda: [_diagonal_orders(64, [1, 2])], id="terms"),
     ],
 )
 def test_evaluate_samples_products_are_bounded_in_rows(exps):
     # One block of 4096 paths at m = 64 is four bands.  The dense order-2
     # kernels take the polynomial route: per band one 1024 x 64 GEMM into a
-    # band-sized array beside the band's increments.  The sparse one, a
-    # fifth of its entries nonzero, stays on the term route, whose (1, 1)
-    # group a product over all its terms would hold at the block's rows;
-    # taking one prefix's run at a time, the evaluation holds a few
-    # band-sized arrays (the table, H_2, the cells-by-paths H_1 and the
-    # products) and the bits do not move.
+    # band-sized array beside the band's increments.  The order-1 and
+    # diagonal order-2 kernels, with unequal coefficients, take the term
+    # route: per band the table, H_2 and the gathered products of one
+    # group, a band each, and the bits of the reference.
     exps = exps()
     stream = IncrementStream(seed=51)
     band_bytes = grid_module.BAND_ENTRIES * 8
@@ -850,56 +847,17 @@ def test_evaluate_samples_products_are_bounded_in_rows(exps):
         _assert_reference(e, g, xi)
 
 
-@pytest.mark.parametrize("chunk_entries", [None, 20])
-def test_kernel_terms_match_reference_plan(chunk_entries, monkeypatch):
-    # Random symmetric kernels of orders 1-3 with about half their cell
-    # multisets zero, and a diagonal kernel.  With 20 entries a chunk, the
-    # nonzero entries of the m = 9 kernels are listed a few first-axis slices
-    # at a time, the last slice ragged.
-    if chunk_entries is not None:
-        monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", chunk_entries)
+def test_kernel_terms_match_reference_plan():
+    # An order-1 kernel with about half its cells zero and a diagonal
+    # kernel: each is one group of one-cell terms, with the cells and
+    # coefficients of the reference plan's one group.
     x = _sparse_with_gamma(9, [1, 2, 3], seed=52)[0]
-    kernels = [x.kernel(n) for n in (1, 2, 3)]
-    kernels.append(diagonal_second_chaos(make_grid(9), [0, 3, 4, 8], 0.6).kernel(2))
-    for kernel in kernels:
-        _assert_terms_match_plan(chaos_module._kernel_terms(kernel), kernel)
-
-
-def _assert_terms_match_plan(got, kernel):
-    want = _build_plan(dense(kernel))
-    assert [mults for mults, _, _ in got] == [group.mults for group in want]
-    for (_, cells, coeffs), group in zip(got, want):
-        assert np.array_equal(cells, group.cells)
-        assert np.array_equal(coeffs, group.coeffs)
-
-
-def test_multi_factor_groups_over_first_axis_slices_match_reference_bits(monkeypatch):
-    # With 20 entries a chunk, the m = 9 kernels list their terms one
-    # first-axis slice at a time; with 20 entries a band, run_chunks walks
-    # 2 rows a band, and the multi-factor groups sum their prefixes over
-    # bands of 2 paths.  The kernels of orders 2-4 have at most a fifth of
-    # their entries nonzero, below the polynomial route's quarter, so all
-    # take the term route.
-    exps = [_sparse_with_gamma(9, [1, 2, 3, 4], seed=52, density=0.1)[0]]
-    want = evaluate_samples_reference(_dense_all(exps), 300, IncrementStream(seed=57))
-    monkeypatch.setattr(grid_module, "CHUNK_ENTRIES", 20)
-    monkeypatch.setattr(grid_module, "BAND_ENTRIES", 20)
-    _, polynomials, groups = chaos_module._compile(exps)
-    assert polynomials == (None,)
-    assert {len(mults) for mults, _, _ in groups[0]} == {1, 2, 3, 4}
-    for mults, runs, width in (g for exp_groups in groups for g in exp_groups if len(g[0]) > 1):
-        # Each prefix is one run of terms, its distinct leading cells in order,
-        # its last cells ascending and past its own.
-        leads = [lead for lead, _, _ in runs]
-        assert all(len(lead) == len(mults) - 1 for lead in leads)
-        assert leads == sorted(set(leads))
-        for lead, cells, coeff in runs:
-            assert coeff.shape == (cells.size, 1) and 0 < cells.size <= width
-            assert np.all(np.diff(cells) > 0) and cells[0] > lead[-1]
-        assert width == max(coeff.shape[0] for _, _, coeff in runs)
-    got = evaluate_samples(exps, 300, IncrementStream(seed=57))
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    for kernel in (x.kernel(1), diagonal_second_chaos(make_grid(9), [0, 3, 4, 8], 0.6).kernel(2)):
+        k, cells, coeffs = chaos_module._kernel_terms(kernel)
+        (want,) = _build_plan(dense(kernel))
+        assert want.mults == (k,)
+        assert np.array_equal(cells, want.cells[:, 0])
+        assert np.array_equal(coeffs, want.coeffs)
 
 
 def test_kernel_terms_build_no_dense_mask():
@@ -1006,14 +964,13 @@ def test_run_plan_gets_one_band_at_a_time(case, band_entries, monkeypatch):
 
 
 def _diagonal_orders(m, orders):
-    # One expansion whose order-n kernel sits on the diagonal (j, ..., j).
+    # One expansion whose order-n kernel sits on the diagonal (j, ..., j),
+    # stored as its vector.
     grid = make_grid(m)
     rng = np.random.default_rng(55)
     slots = [None] * (max(orders) + 1)
     for n in orders:
-        values = np.zeros((m,) * n)
-        values[(np.arange(m),) * n] = rng.uniform(0.5, 1.5, m)
-        slots[n] = step_kernel(grid, n, values)
+        slots[n] = step_kernel(grid, n, rng.uniform(0.5, 1.5, m), diagonal=True)
     return chaos_expansion(grid, slots)
 
 
@@ -1034,18 +991,6 @@ def test_evaluate_samples_walks_hermite_degrees_once(m, orders, bound):
     peak = _traced_peak(lambda: got.extend(evaluate_samples(exps, BLOCK_SIZE, IncrementStream(seed=56))))
     assert peak < bound * band_bytes
     assert np.array_equal(got[0], want[0])
-
-
-def test_kernel_terms_memory_of_dense_order_4():
-    # The order-4 Gamma kernel at m = 24 is dense: 331 776 entries, 17 550
-    # terms.  Its first-axis slices are sized by argwhere's index words, n per
-    # nonzero entry; a slice sized by entries alone would be the whole kernel,
-    # and listing it would peak at about 5 chunk sizes.
-    kernel = gamma(_dense_with_gamma(24, [3], seed=50)[0]).kernel(4)
-    got = []
-    peak = _traced_peak(lambda: got.extend(chaos_module._kernel_terms(kernel)))
-    assert peak < 2 * grid_module.CHUNK_ENTRIES * 8
-    _assert_terms_match_plan(got, kernel)
 
 
 def test_evaluate_samples_memory_of_dense_order_3_with_gamma():
@@ -1078,9 +1023,9 @@ def test_evaluate_batch_matches_reference_bits(case):
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
 def test_evaluate_batch_matches_term_reference_to_rounding(case):
-    # The multi-factor groups sum their terms a prefix at a time and the
-    # one-factor groups in one pass, where the earlier rule summed every group
-    # in 1024-term slabs; the values agree to rounding.
+    # The dense kernels are summed as Wick polynomials and the one-cell term
+    # groups in one pass, where the earlier rule summed every group in
+    # 1024-term slabs; the values agree to rounding.
     exps = _REFERENCE_CASES[case]()
     xi = sample_increments_block(exps[0].grid, IncrementStream(seed=44), 0, 5000)
     for e in exps:
@@ -1111,16 +1056,16 @@ def test_coefficients_one_bit_apart_take_the_product_rule():
     grid = make_grid(8)
     xi = sample_increments_block(grid, IncrementStream(seed=58), 0, 5000)
     values = np.full(8, 0.3)
-    equal = single_chaos(step_kernel(grid, 2, np.diag(values)))
+    equal = single_chaos(step_kernel(grid, 2, values, diagonal=True))
     values[-1] = np.nextafter(0.3, 1.0)
-    apart = single_chaos(step_kernel(grid, 2, np.diag(values)))
+    apart = single_chaos(step_kernel(grid, 2, values, diagonal=True))
     (((_, _, coeffs),),) = chaos_module._compile([apart])[2]
     assert isinstance(coeffs, np.ndarray) and np.unique(coeffs).size == 2
-    assert np.array_equal(evaluate_batch(apart, xi), evaluate_batch_terms_reference(apart, xi))
+    assert np.array_equal(evaluate_batch(apart, xi), evaluate_batch_terms_reference(_dense(apart), xi))
     (((_, _, coeff),),) = chaos_module._compile([equal])[2]
     assert coeff == 0.3 / 8
-    assert np.array_equal(evaluate_batch(equal, xi), evaluate_batch_reference(equal, xi))
-    assert not np.array_equal(evaluate_batch(equal, xi), evaluate_batch_terms_reference(equal, xi))
+    assert np.array_equal(evaluate_batch(equal, xi), evaluate_batch_reference(_dense(equal), xi))
+    assert not np.array_equal(evaluate_batch(equal, xi), evaluate_batch_terms_reference(_dense(equal), xi))
 
 
 @pytest.mark.parametrize(
@@ -1136,14 +1081,12 @@ def test_coefficients_one_bit_apart_take_the_product_rule():
     ],
 )
 def test_a_path_value_does_not_depend_on_its_batch(case):
-    # The split run's 1060-term one-factor group, wider than the earlier
-    # 1024-term slab, is summed in one pass along each row, in the same order
-    # on a short batch or one row as on a full block; so are the groups with
-    # one coefficient on cells with gaps, gathered a chunk at a time, and the
-    # row sums that several expansions share.  The multi-factor groups,
-    # such as the 2016-term (1, 1) group at m = 64, sum their prefixes in one
-    # order for any chunk length, one path included, where numpy's add.reduce
-    # is pairwise on a single path.
+    # The split run's 1060-term group, wider than the earlier 1024-term
+    # slab, is summed in one pass along each row, in the same order on a
+    # short batch or one row as on a full block; so are the groups with one
+    # coefficient on cells with gaps, gathered a band at a time, and the row
+    # sums that several expansions share.  The dense kernels' GEMMs get a
+    # fixed row count, zero-padded, for any batch, one path included.
     exps = _REFERENCE_CASES[case]()
     stream = IncrementStream(seed=43, stream_id=3)
     xi = sample_increments_block(exps[0].grid, stream, 0, 5000)
@@ -1161,23 +1104,18 @@ def test_a_path_value_does_not_depend_on_its_batch(case):
     st.integers(0, 2**32 - 1),
 )
 def test_evaluator_matches_the_wick_and_term_oracles(m, densities, seed):
-    # Kernels of orders 1-4 on up to 16 cells, with shares of nonzero cell
-    # multisets on both sides of the polynomial route's quarter.  The rule,
-    # read off the kernels here: dense storage, order >= 2 and more than a
-    # quarter of the m^n entries nonzero.  Such kernels are folded into the
+    # Dense kernels of orders 1-4 on up to 16 cells, with shares of nonzero
+    # cell multisets from 5% to all.  The rule, read off the storage here:
+    # every dense kernel of order >= 2, at any density, is folded into the
     # expansion's one polynomial, whose top tensor is the top kernel's own
-    # values; the others keep their term groups.  40 paths leave a ragged
-    # sub-band on most grids.
+    # values; an order-1 kernel keeps its term group.  40 paths leave a
+    # ragged sub-band on most grids.
     grid = make_grid(m)
     x = _sparse_expansion(np.random.default_rng(seed), grid, densities)
     assume(x.max_order >= 1)
-    route = {
-        n
-        for n, k in enumerate(x.kernels)
-        if n >= 2 and k is not None and 4 * np.count_nonzero(k.values) > k.values.size
-    }
+    route = {n for n in x.nonzero_orders() if n >= 2}
     _, (poly,), (groups,) = chaos_module._compile([x])
-    assert {sum(mults) for mults, _, _ in groups} == set(x.nonzero_orders()) - route - {0}
+    assert {k for k, _, _ in groups} == set(x.nonzero_orders()) - route - {0}
     if route:
         top = max(route)
         assert len(poly.tensors) == top and poly.rows == grid_module.band_rows(m ** (top - 1))
@@ -1188,6 +1126,53 @@ def test_evaluator_matches_the_wick_and_term_oracles(m, densities, seed):
     got = evaluate_batch(x, xi)
     for want in (evaluate_batch_wick_reference(x, xi), evaluate_batch_terms_reference(x, xi)):
         assert np.max(np.abs(got - want)) <= POLYNOMIAL_RTOL * np.max(np.abs(want))
+
+
+def test_the_route_is_read_off_the_storage_alone():
+    # Dense kernels of orders 2-4 with about 1% of their cell multisets
+    # nonzero are one polynomial and no term group, as a fully dense kernel
+    # is.  In every reference case and in a diagonal expansion of orders
+    # 1-4, each diagonal or order-1 kernel is one group of one-cell terms
+    # at its own order's Hermite degree, and no group has a second factor.
+    grid = make_grid(32)
+    x = _sparse_expansion(np.random.default_rng(64), grid, dict.fromkeys([2, 3, 4], 0.01))
+    assert x.nonzero_orders() == [2, 3, 4]
+    assert all(np.count_nonzero(k.values) < 0.02 * k.values.size for k in x.kernels[2:])
+    degrees, (poly,), (groups,) = chaos_module._compile([x])
+    assert degrees == () and groups == () and len(poly.tensors) == 4
+    xi = sample_increments_block(grid, IncrementStream(seed=64), 0, 40)
+    want = evaluate_batch_wick_reference(x, xi)
+    assert np.max(np.abs(evaluate_batch(x, xi) - want)) <= POLYNOMIAL_RTOL * np.max(np.abs(want))
+    cases = [[_diagonal_orders(16, [1, 2, 3, 4])], *(make() for make in _REFERENCE_CASES.values())]
+    for exps in cases:
+        _, polynomials, groups = chaos_module._compile(exps)
+        for e, poly, exp_groups in zip(exps, polynomials, groups):
+            orders = [n for n in e.nonzero_orders() if n >= 1]
+            terms = [n for n in orders if not kernels_module.polynomial_route(e.kernels[n])]
+            assert [k for k, _, _ in exp_groups] == terms
+            assert all(isinstance(cells, slice) or cells.ndim == 1 for _, cells, _ in exp_groups)
+            assert (poly is None) == (terms == orders)
+
+
+def test_a_product_of_diagonal_summands_takes_the_polynomial_route_within_bands():
+    # multiply(y, y) of a diagonal summand at m = 16 holds a diagonal
+    # order-2 kernel and a dense order-4 one, the outer product, nonzero on
+    # the (i, i, j, j) orbits only: m^4 multiply-adds a path on the
+    # polynomial route.  One block of 4096 paths stays under the band bound
+    # of test_evaluate_samples_products_are_bounded_in_rows, and every
+    # eighth path matches the Wick oracle.
+    _, y = diagonal_summands(8, (0.5, 0.5))
+    yy = multiply(y, y)
+    assert yy.grid.m == 16 and kernels_module.polynomial_route(yy.kernels[4])
+    (((k, _, _),),) = chaos_module._compile([yy])[2]
+    assert k == 2
+    stream = IncrementStream(seed=65)
+    got = []
+    peak = _traced_peak(lambda: got.extend(evaluate_samples([yy], BLOCK_SIZE, stream)))
+    assert peak < 5 * grid_module.BAND_ENTRIES * 8
+    xi = sample_increments_block(yy.grid, stream, 0, BLOCK_SIZE)[::8]
+    want = evaluate_batch_wick_reference(yy, xi)
+    assert np.max(np.abs(got[0][::8] - want)) <= POLYNOMIAL_RTOL * np.max(np.abs(want))
 
 
 def test_a_polynomial_path_value_does_not_depend_on_its_batch():

@@ -5,8 +5,8 @@ and kernels.dense expands it.  Each operation on diagonal kernels must give
 what the same operation gives on their dense expansions: the same bits where
 both sum in the same order, and within 1e-15 of the sum of absolute terms
 where a full contraction or inner product sums the diagonal in another order,
-or where the dense expansion is dense enough for the evaluator's polynomial
-route (m <= 3 at order 2, m = 1 at any order).
+or where the evaluator sums the dense expansion as a polynomial, which it
+does for every dense kernel of order >= 2.
 """
 
 from __future__ import annotations
@@ -111,14 +111,12 @@ def test_diagonal_algebra_matches_the_dense_path(pair, alpha, seed):
     full = (float(np.sum(a * a)) + (f.order == g.order) * abs_ab) * delta**f.order
     _same_expansion(cross_gamma(x, y), cross_gamma(_dense(x), _dense(y)), math.factorial(f.order) * full)
     xi = np.random.default_rng(seed).standard_normal((7, f.grid.m)) * np.sqrt(delta)
+    # The dense twin is summed as a polynomial in xi, the diagonal one term
+    # by term: against each path's sum of absolute Wick terms.
+    assert all(polynomial_route(k) for k in _dense(y).kernels if k is not None)
     got, want = evaluate_batch(y, xi), evaluate_batch(_dense(y), xi)
-    if any(k is not None and polynomial_route(k) for k in _dense(y).kernels):
-        # The dense twin is summed as a polynomial in xi, the diagonal one
-        # term by term: against each path's sum of absolute Wick terms.
-        scale = sum(np.abs(k.values) @ _abs_wick(k.order, xi, delta).T for k in y.kernels if k is not None)
-        assert np.all(np.abs(got - want) <= SUM_ORDER_RTOL * scale)
-    else:
-        assert np.array_equal(got, want)
+    scale = sum(np.abs(k.values) @ _abs_wick(k.order, xi, delta).T for k in y.kernels if k is not None)
+    assert np.all(np.abs(got - want) <= SUM_ORDER_RTOL * scale)
 
 
 def _abs_wick(q, xi, delta):

@@ -332,8 +332,8 @@ def test_k_way_runs_load_no_numpy_ma(tmp_path):
 
 
 def test_library_and_cli_paths_load_no_scipy(tmp_path):
-    # The import, each experiment at a tiny config and the multi-factor
-    # evaluator on dense order-2 and order-3 kernels: after each step the
+    # The import, each experiment at a tiny config and the polynomial
+    # route on dense order-2 and order-3 kernels: after each step the
     # process holds no scipy module.
     probe = (
         "import itertools, sys\n"
