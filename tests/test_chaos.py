@@ -993,6 +993,23 @@ def test_evaluate_samples_walks_hermite_degrees_once(m, orders, bound):
     assert np.array_equal(got[0], want[0])
 
 
+def test_compile_memory_of_dense_order_4():
+    # The Gamma of a dense third chaos at m = 24 has kernels of orders 2 and
+    # 4, the order-4 one dense: 331 776 entries, about five band sizes.  Its
+    # polynomial keeps that kernel's own values as h_4, reshaped, not
+    # copied, and adds only the 576-entry h_2 and h_0, so compiling it
+    # peaks under one band size.
+    y = gamma(_dense_with_gamma(24, [3], seed=50)[0])
+    assert y.nonzero_orders() == [0, 2, 4]
+    got = []
+    peak = _traced_peak(lambda: got.append(chaos_module._compile([y])))
+    assert peak < grid_module.BAND_ENTRIES * 8
+    degrees, (poly,), (groups,) = got[0]
+    assert degrees == () and groups == ()
+    assert [None if t is None else t.shape for t in poly.tensors] == [None, (576,), None, (24, 24**3)]
+    assert np.shares_memory(poly.tensors[-1], y.kernel(4).values)
+
+
 def test_evaluate_samples_memory_of_dense_order_3_with_gamma():
     # One block of 4096 paths at m = 24 is walked in bands of 2730 paths.
     # Both kernels are dense, so neither lists its terms (the order-4 Gamma
