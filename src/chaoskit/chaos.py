@@ -23,9 +23,9 @@ frozen, so the kept Gamma_1 has the bits of a new build.  For a dense top
 order N it holds m^(2N - 2) stored entries for as long as x lives.
 
 Pathwise evaluation takes one route per kernel storage, which
-kernels.polynomial_route reads.  A diagonal or order-1 kernel is a vector a
-of one-cell terms, f = sum_i a_i e_i^(x)n, and the diagonal-free
-multiple-integral formula sums it as
+kernels.polynomial_route reads.  A diagonal kernel is a vector a of one-cell
+terms, f = sum_i a_i e_i^(x)n, and the diagonal-free multiple-integral
+formula sums it as
 
     I_n(f) = sum_i a_i delta^(n/2) H_n(xi_i / sqrt(delta))
 
@@ -44,11 +44,11 @@ evaluated with: evaluate_batch walks the increments the caller supplies in
 bands of the same size through the same evaluator, so its memory, too, is
 bounded in m and not in the number of paths.  The kept Hermite rows and the
 products are grid.Workspace arrays a band each, and the walk writes the
-highest degree over the band's table unless H_1 is that table.  Products
-are gathered only for unequal coefficients or cells with gaps, so the
-diagonal families hold one table.
+highest degree over the band's table.  Products are gathered only for
+unequal coefficients or cells with gaps, so the diagonal families hold one
+table.
 
-A dense-stored kernel of order q >= 2, at any density, is summed in its
+A dense-stored kernel of order q >= 1, at any density, is summed in its
 Wick form,
 
     I_q(f) = sum_k c_(q,k) delta^k <tr^k f, xi^(x)(q - 2k)>,
@@ -57,17 +57,17 @@ Wick form,
 with tr^k summing k pairs of coordinates over the diagonal
 (kernels.wick_terms).  _compile folds an expansion's dense kernels into
 coefficient tensors h_0 .. h_N, h_N the top kernel's own read-only values
-and the lower ones small sums of traces, and each band is summed as
-sum_r <h_r, xi^(x)r> by Horner's rule: per sub-band of
-band_rows(m^(N - 1)) paths one GEMM xi @ h_N, then stacked matmuls down to
-one number per path.  That costs m^N multiply-adds a path, however few of
-the entries are nonzero; diagonal storage is the way to hold a kernel that
-lives on the diagonal.  Every GEMM gets exactly that many rows, the ragged
-last sub-band copied into a zero-padded workspace array, since BLAS sums a
-product of one to three rows in another order than the same rows inside a
-larger one; so here too a path's value does not depend on its batch.  The
-Wick form agrees with the term-by-term sum to rounding.  BLAS threads are
-left as the caller set them.
+and the lower ones small sums of traces and lower kernels, and each band is
+summed as sum_r <h_r, xi^(x)r> by Horner's rule: per sub-band of
+band_rows(m^max(1, N - 1)) paths one GEMM xi @ h_N, then stacked matmuls
+down to one number per path.  That costs m^N multiply-adds a path, however
+few of the entries are nonzero; diagonal storage is the way to hold a kernel
+that lives on the diagonal.  Every GEMM gets exactly that many rows, the
+ragged last sub-band copied into a zero-padded workspace array, since BLAS
+sums a product of one to three rows in another order than the same rows
+inside a larger one; so here too a path's value does not depend on its
+batch.  The Wick form agrees with the term-by-term sum to rounding.  BLAS
+threads are left as the caller set them.
 """
 
 from __future__ import annotations
@@ -208,13 +208,12 @@ def scale(a: float, x: ChaosExpansion) -> ChaosExpansion:
 
 
 def _kernel_terms(kernel: StepKernel) -> tuple:
-    """A diagonal or order-1 kernel's chaos terms as (n, cells, coeffs).
+    """A diagonal kernel's chaos terms as (n, cells, coeffs).
 
-    Such a kernel's values are its vector a, f = sum_i a_i e_i^(x)n, so a
-    term is a nonzero cell i, read at Hermite degree n: cells lists them in
-    ascending order and coeffs is a_i * delta^(n/2) * n! / n!, the n!
-    multiplied in and divided out, not cancelled, since the records were
-    made with that rounding.
+    Its values are its vector a, f = sum_i a_i e_i^(x)n, so a term is a
+    nonzero cell i, read at Hermite degree n: cells lists them in ascending
+    order and coeffs is a_i * delta^(n/2) * n! / n!, the n! multiplied in
+    and divided out, not cancelled, since the records have that rounding.
     """
     n = kernel.order
     cells = np.flatnonzero(kernel.values)
@@ -229,8 +228,8 @@ class _Polynomial(NamedTuple):
     tensors holds h_1 .. h_N, each flat over its m^r entries (None where
     no kernel has a term), but h_N, the top kernel's own values, as the
     (m, m^(N - 1)) matrix one GEMM reads; constant is h_0; rows, the fixed
-    row count of every GEMM, is band_rows(m^(N - 1)); root_delta turns z
-    back into increments.
+    row count of every GEMM, is band_rows(m^max(1, N - 1)); root_delta
+    turns z back into increments.
     """
 
     tensors: tuple
@@ -249,16 +248,17 @@ def _polynomial(kernels: list) -> _Polynomial:
     grid, top = kernels[0].grid, kernels[-1].order
     tensors = tuple(None if r not in h else np.reshape(h[r], -1) for r in range(1, top))
     tensors += (np.reshape(h[top], (grid.m, -1)),)
-    return _Polynomial(tensors, float(h.get(0, 0.0)), band_rows(grid.m ** (top - 1)), math.sqrt(grid.delta))
+    rows = band_rows(grid.m ** max(1, top - 1))
+    return _Polynomial(tensors, float(h.get(0, 0.0)), rows, math.sqrt(grid.delta))
 
 
 def _compile(exps: Sequence[ChaosExpansion]) -> tuple:
-    # (degrees, polynomials, groups): the ascending Hermite degrees some
-    # group reads; per expansion the _Polynomial of its kernels.polynomial_route
-    # kernels, or None; and per expansion the (k, cells, coeffs) _kernel_terms
-    # of its other kernels, by order.  A group whose coefficients are all
-    # equal becomes (k, cells, coefficient), its cells a slice when they are
-    # one run, one object per (k, cells).
+    # (degrees, polynomials, groups): the ascending Hermite degrees (>= 2)
+    # the groups read; per expansion the _Polynomial of its dense kernels
+    # (kernels.polynomial_route), or None, and the (k, cells, coeffs)
+    # _kernel_terms of its diagonal kernels, by order.  A group whose
+    # coefficients are all equal becomes (k, cells, coefficient), its cells
+    # a slice when they are one run, one object per (k, cells).
     shared: dict = {}
 
     def group(kernel: StepKernel) -> tuple:
@@ -294,9 +294,8 @@ def _run_plan(plan: tuple, z: np.ndarray, outs: list, workspace: Workspace) -> N
     the bits of the products.  Each rule fixes the order of a row's partial
     sums, so a path's value does not depend on the rows it is evaluated
     with.  A group reads at most m cells, so none of its gathers holds more
-    than the band's BAND_ENTRIES entries.  H_1 is z itself, other kept
-    degrees and the products live in workspace arrays, and without H_1 the
-    top degree overwrites z.
+    than the band's BAND_ENTRIES entries.  The top degree overwrites z;
+    other kept degrees and the products are workspace arrays.
     """
     degrees, polynomials, groups = plan
     for out, poly in zip(outs, polynomials):

@@ -14,33 +14,33 @@ import numpy as np
 
 
 def hermite_rows(x: np.ndarray, degrees, row) -> dict:
-    """{k: H_k(x)} for the degrees (each >= 1), from one walk up to the top degree.
+    """{k: H_k(x)} for the degrees (each >= 2), from one walk up to the top degree.
 
-    x is a float64 array of at least one dimension, taken as given, and H_1 is
-    x itself.  Every other degree asked for goes into row(k), a float64 array
-    of x's shape, but when 1 is not asked for the top degree overwrites x,
-    after every other step has read it.  row(0) is the walk's one scratch
-    array, asked for once when the top degree is 3 or more.  Degrees not
-    asked for are temporaries, scaled in place when no later step reads them.
+    x is a float64 array of at least one dimension, taken as given: it is
+    H_1, and the top degree overwrites it after every other step has read
+    it.  Every other degree asked for goes into row(k), a float64 array of
+    x's shape.  row(0) is the walk's one scratch array, asked for once when
+    the top degree is 3 or more.  Degrees not asked for are temporaries,
+    scaled in place when no later step reads them.
     """
     wanted = set(degrees)
-    top = max(wanted, default=1)
-    rows = {1: x} if 1 in wanted else {}
+    top = max(wanted)
+    rows = {}
     scratch = row(0) if top >= 3 else None
     prev, cur = 1.0, x  # H_0 stays a float, so no ones array is made
-    for j in range(1, top):
-        # The last read of H_{j-1}: scaled in place, but into the scratch
+    for k in range(2, top + 1):
+        # The last read of H_{k-2}: scaled in place, but into the scratch
         # array when it is x or a kept row, and as a float when it is H_0.
-        if j == 1:
+        if k == 2:
             scaled = prev
         else:
-            scaled = np.multiply(prev, j, out=scratch if j == 2 or j - 1 in wanted else prev)
-        if j + 1 == top and 1 not in wanted:
+            scaled = np.multiply(prev, k - 1, out=scratch if k == 3 or k - 2 in wanted else prev)
+        if k == top:
             out = x
         else:
-            out = row(j + 1) if j + 1 in wanted else None
+            out = row(k) if k in wanted else None
         prev, cur = cur, np.multiply(x, cur, out=out)
         cur -= scaled
-        if j + 1 in wanted:
-            rows[j + 1] = cur
+        if k in wanted:
+            rows[k] = cur
     return rows

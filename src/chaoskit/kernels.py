@@ -16,9 +16,9 @@ r >= 1 only (a scalar at order 0, a plain vector at order 1), and symmetrize
 is the identity.  The outer product (r = 0) and any mix with a dense kernel
 of order >= 2 go through `dense`, the one function that expands a diagonal
 kernel.  MAX_ENTRIES counts stored entries, m for a diagonal kernel.
-The storage also picks the evaluator's route (polynomial_route): a dense
-kernel of order >= 2 is summed through its Wick terms (wick_terms), any
-other from its vector, one term per nonzero cell.
+The storage alone picks the evaluator's route (polynomial_route): a dense
+kernel is summed through its Wick terms (wick_terms), a diagonal one from
+its vector, one term per nonzero cell.
 
 StepKernel(...) keeps, read-only, the float64 C-contiguous values array it
 is given, so the algebra's results are never copied and a later write to
@@ -280,11 +280,11 @@ def scale_kernel(a: float, f: StepKernel) -> StepKernel:
 def polynomial_route(kernel: StepKernel) -> bool:
     """Whether the evaluator sums kernel as a polynomial in the increments.
 
-    True for dense storage of order >= 2, at any density: such a kernel
-    costs m^n multiply-adds a path, read through wick_terms.  A diagonal or
-    order-1 kernel is its vector of one-cell terms, summed from its values.
+    True for dense storage, at any order and density: such a kernel costs
+    m^n multiply-adds a path, read through wick_terms.  A diagonal kernel is
+    its vector of one-cell terms, summed from its values.
     """
-    return not kernel.diagonal and kernel.order >= 2
+    return not kernel.diagonal
 
 
 def wick_terms(kernel: StepKernel) -> list:

@@ -741,8 +741,9 @@ def _diagonal_split_run():
 
 
 def _first_and_diagonal():
-    # Degrees 1 and 2 both read all eight columns, so H_1 is the chunk table
-    # itself and H_2 must not be written over it.
+    # A dense order-1 kernel and a diagonal order-2 kernel both read all
+    # eight columns: the polynomial of the order-1 kernel must read the band
+    # table z before the Hermite walk writes H_2 over it.
     grid = make_grid(8)
     rng = np.random.default_rng(49)
     linear = single_chaos(step_kernel(grid, 1, rng.uniform(0.5, 1.5, 8)))
@@ -754,8 +755,8 @@ def _first_and_diagonal():
 # m = 64, order 3 at m = 24, and orders 1-4 with half the multisets zero and
 # a Gamma up to order 6.  The diagonal cases cover one-cell term groups on
 # consecutive cells and on cells with gaps, and one group wider than 1024
-# terms.  In the first-and-diagonal case degrees 1 and 2 read the same full
-# column set.
+# terms.  In the first-and-diagonal case a polynomial and a term group read
+# the same full column set.
 _REFERENCE_CASES = {
     "half_support_n4": lambda: _half_support_couple(4),
     "half_support_n256": lambda: _half_support_couple(256),
@@ -822,16 +823,16 @@ def test_evaluate_samples_draws_only_through_standard_normal_block(monkeypatch):
     "exps",
     [
         pytest.param(lambda: _dense_with_gamma(64, [1, 2], seed=50), id="polynomial"),
-        pytest.param(lambda: [_diagonal_orders(64, [1, 2])], id="terms"),
+        pytest.param(lambda: [_diagonal_orders(64, [2])], id="terms"),
     ],
 )
 def test_evaluate_samples_products_are_bounded_in_rows(exps):
-    # One block of 4096 paths at m = 64 is four bands.  The dense order-2
-    # kernels take the polynomial route: per band one 1024 x 64 GEMM into a
-    # band-sized array beside the band's increments.  The order-1 and
-    # diagonal order-2 kernels, with unequal coefficients, take the term
-    # route: per band the table, H_2 and the gathered products of one
-    # group, a band each, and the bits of the reference.
+    # One block of 4096 paths at m = 64 is four bands.  The dense order-1
+    # and order-2 kernels take the polynomial route: per band one 1024 x 64
+    # GEMM into a band-sized array beside the band's increments.  The
+    # diagonal order-2 kernel, with unequal coefficients, takes the term
+    # route: per band the table, overwritten by H_2, and the gathered
+    # products of its group, a band each, and the bits of the reference.
     exps = exps()
     stream = IncrementStream(seed=51)
     band_bytes = grid_module.BAND_ENTRIES * 8
@@ -848,11 +849,13 @@ def test_evaluate_samples_products_are_bounded_in_rows(exps):
 
 
 def test_kernel_terms_match_reference_plan():
-    # An order-1 kernel with about half its cells zero and a diagonal
-    # kernel: each is one group of one-cell terms, with the cells and
-    # coefficients of the reference plan's one group.
-    x = _sparse_with_gamma(9, [1, 2, 3], seed=52)[0]
-    for kernel in (x.kernel(1), diagonal_second_chaos(make_grid(9), [0, 3, 4, 8], 0.6).kernel(2)):
+    # A diagonal order-3 kernel with about half its cells zero and a
+    # diagonal order-2 kernel: each is one group of one-cell terms, with
+    # the cells and coefficients of the reference plan's one group.
+    grid = make_grid(9)
+    rng = np.random.default_rng(52)
+    cubic = step_kernel(grid, 3, rng.uniform(-1.0, 1.0, 9) * (rng.uniform(size=9) < 0.5), diagonal=True)
+    for kernel in (cubic, diagonal_second_chaos(grid, [0, 3, 4, 8], 0.6).kernel(2)):
         k, cells, coeffs = chaos_module._kernel_terms(kernel)
         (want,) = _build_plan(dense(kernel))
         assert want.mults == (k,)
@@ -975,15 +978,14 @@ def _diagonal_orders(m, orders):
 
 
 @pytest.mark.parametrize(
-    "m, orders, bound", [(64, [1, 2, 3, 4], 6.5), (128, [3], 4.5), (64, [4], 5.5)]
+    "m, orders, bound", [(64, [2, 3, 4], 6.5), (128, [3], 4.5), (64, [4], 5.5)]
 )
 def test_evaluate_samples_walks_hermite_degrees_once(m, orders, bound):
     # One block of 4096 paths is walked a band table at a time.  With orders
-    # 1-4, H_1 is the table and H_2 .. H_4 come from one walk of the
-    # recurrence into workspace rows, beside the products of the unequal
-    # coefficients and the walk's one scratch row; a walk per degree would hold
-    # its own H_2 and H_3 beside them.  Without H_1 the walk's top degree
-    # overwrites the table.
+    # 2-4, H_2 and H_3 come from one walk of the recurrence into workspace
+    # rows and H_4 overwrites the table, beside the products of the unequal
+    # coefficients and the walk's one scratch row; a walk per degree would
+    # hold its own H_2 and H_3 beside them.
     exps = [_diagonal_orders(m, orders)]
     want = evaluate_samples_reference(_dense_all(exps), BLOCK_SIZE, IncrementStream(seed=56))
     band_bytes = grid_module.BAND_ENTRIES * 8
@@ -1123,22 +1125,18 @@ def test_a_path_value_does_not_depend_on_its_batch(case):
 def test_evaluator_matches_the_wick_and_term_oracles(m, densities, seed):
     # Dense kernels of orders 1-4 on up to 16 cells, with shares of nonzero
     # cell multisets from 5% to all.  The rule, read off the storage here:
-    # every dense kernel of order >= 2, at any density, is folded into the
+    # every dense kernel, of any order and density, is folded into the
     # expansion's one polynomial, whose top tensor is the top kernel's own
-    # values; an order-1 kernel keeps its term group.  40 paths leave a
-    # ragged sub-band on most grids.
+    # values, and no term group is left.  40 paths leave a ragged sub-band
+    # on most grids.
     grid = make_grid(m)
     x = _sparse_expansion(np.random.default_rng(seed), grid, densities)
     assume(x.max_order >= 1)
-    route = {n for n in x.nonzero_orders() if n >= 2}
+    top = x.max_order
     _, (poly,), (groups,) = chaos_module._compile([x])
-    assert {k for k, _, _ in groups} == set(x.nonzero_orders()) - route - {0}
-    if route:
-        top = max(route)
-        assert len(poly.tensors) == top and poly.rows == grid_module.band_rows(m ** (top - 1))
-        assert np.shares_memory(poly.tensors[-1], x.kernel(top).values)
-    else:
-        assert poly is None
+    assert groups == () and len(poly.tensors) == top
+    assert poly.rows == grid_module.band_rows(m ** max(1, top - 1))
+    assert np.shares_memory(poly.tensors[-1], x.kernel(top).values)
     xi = sample_increments_block(grid, IncrementStream(seed=seed), 0, 40)
     got = evaluate_batch(x, xi)
     for want in (evaluate_batch_wick_reference(x, xi), evaluate_batch_terms_reference(x, xi)):
@@ -1148,9 +1146,11 @@ def test_evaluator_matches_the_wick_and_term_oracles(m, densities, seed):
 def test_the_route_is_read_off_the_storage_alone():
     # Dense kernels of orders 2-4 with about 1% of their cell multisets
     # nonzero are one polynomial and no term group, as a fully dense kernel
-    # is.  In every reference case and in a diagonal expansion of orders
-    # 1-4, each diagonal or order-1 kernel is one group of one-cell terms
-    # at its own order's Hermite degree, and no group has a second factor.
+    # is.  In every reference case and in an expansion of a dense order-1
+    # kernel and diagonal orders 2-4, each diagonal kernel is one group of
+    # one-cell terms at its own order's Hermite degree, always >= 2, no
+    # group has a second factor, and every dense kernel, of order 1 too, is
+    # in the expansion's polynomial.
     grid = make_grid(32)
     x = _sparse_expansion(np.random.default_rng(64), grid, dict.fromkeys([2, 3, 4], 0.01))
     assert x.nonzero_orders() == [2, 3, 4]
@@ -1165,10 +1165,46 @@ def test_the_route_is_read_off_the_storage_alone():
         _, polynomials, groups = chaos_module._compile(exps)
         for e, poly, exp_groups in zip(exps, polynomials, groups):
             orders = [n for n in e.nonzero_orders() if n >= 1]
-            terms = [n for n in orders if not kernels_module.polynomial_route(e.kernels[n])]
-            assert [k for k, _, _ in exp_groups] == terms
+            terms = [n for n in orders if e.kernels[n].diagonal]
+            assert [k for k, _, _ in exp_groups] == terms and all(n >= 2 for n in terms)
             assert all(isinstance(cells, slice) or cells.ndim == 1 for _, cells, _ in exp_groups)
             assert (poly is None) == (terms == orders)
+            assert poly is None or len(poly.tensors) == max(set(orders) - set(terms))
+
+
+@pytest.mark.parametrize("m, orders", [(12, [1, 2, 3]), (64, [1, 2])])
+def test_dense_expansions_with_order_1_make_no_hermite_walk(m, orders, monkeypatch):
+    # Mixed dense expansions of orders 1-3 at m = 12 and 1-2 at m = 64, each
+    # with its Gamma, as the benchmark's dense workload evaluates them: the
+    # order-1 kernels join their expansion's polynomial, so no term group is
+    # compiled and no band walks the Hermite recurrence.
+    def no_walk(*args):
+        raise AssertionError("a dense expansion must not walk the Hermite recurrence")
+
+    monkeypatch.setattr(chaos_module, "hermite_rows", no_walk)
+    exps = _dense_with_gamma(m, orders, seed=66)
+    assert all(e.kernel(1) is not None for e in exps)
+    degrees, _, groups = chaos_module._compile(exps)
+    assert degrees == () and groups == ((), ())
+    stream = IncrementStream(seed=66)
+    got = evaluate_samples(exps, 600, stream)
+    xi = sample_increments_block(exps[0].grid, stream, 0, 600)
+    for e, g in zip(exps, got):
+        want = evaluate_batch_wick_reference(e, xi)
+        assert np.max(np.abs(g - want)) <= POLYNOMIAL_RTOL * np.max(np.abs(want))
+
+
+def test_an_order_1_kernel_is_part_of_h_1():
+    # Orders 1 and 3: h_1 is f_1 plus the order-3 trace term -3 delta tr f_3,
+    # h_2 is empty and h_3 is f_3's own values.
+    x = _random_expansion(np.random.default_rng(67), make_grid(10), [1, 3])
+    f1, f3 = x.kernel(1), x.kernel(3)
+    _, (poly,), (groups,) = chaos_module._compile([x])
+    assert groups == () and len(poly.tensors) == 3 and poly.tensors[1] is None
+    trace_term = dict(kernels_module.wick_terms(f3))[1]
+    np.testing.assert_allclose(trace_term, -3.0 * x.grid.delta * np.einsum("iij->j", f3.values), rtol=1e-14)
+    assert np.array_equal(poly.tensors[0], f1.values + trace_term)
+    assert np.shares_memory(poly.tensors[2], f3.values)
 
 
 def test_a_product_of_diagonal_summands_takes_the_polynomial_route_within_bands():
@@ -1192,19 +1228,28 @@ def test_a_product_of_diagonal_summands_takes_the_polynomial_route_within_bands(
     assert np.max(np.abs(got[0][::8] - want)) <= POLYNOMIAL_RTOL * np.max(np.abs(want))
 
 
-def test_a_polynomial_path_value_does_not_depend_on_its_batch():
-    # A dense order-2 kernel at m = 512 is summed in GEMMs of R = 128 rows.
-    # BLAS sums a product of one to three rows in another order than the
-    # same rows inside a larger product, so a path keeps its bits on a batch
-    # of 1, 2, 3, R - 1 or R + 1 rows only because the ragged last sub-band
-    # is zero-padded to R rows.  The second block runs on a second worker.
+@pytest.mark.parametrize("order, bands", [(2, 3.5), (1, 2.5)])
+def test_a_polynomial_path_value_does_not_depend_on_its_batch(order, bands):
+    # A dense order-2 or order-1 kernel at m = 512 is summed in GEMMs of
+    # R = 128 rows, band_rows(m^max(1, N - 1)): a row rule that forgot N = 1
+    # would pad 65 536 paths of increments.  One block of 4096 paths holds
+    # the band table, the GEMM's increments and, at order 2, its product, a
+    # band each.  BLAS sums a product of one to three rows in another order
+    # than the same rows inside a larger product, so a path keeps its bits
+    # on a batch of 1, 2, 3, R - 1 or R + 1 rows only because the ragged
+    # last sub-band is zero-padded to R rows.  The second block runs on a
+    # second worker.
     grid = make_grid(512)
-    x = single_chaos(_sym_kernel(np.random.default_rng(62), grid, 2))
+    x = single_chaos(_sym_kernel(np.random.default_rng(62), grid, order))
     rows = grid_module.band_rows(grid.m)
     assert rows == 128 and chaos_module._compile([x])[1][0].rows == rows
     stream = IncrementStream(seed=63)
+    block = []
+    peak = _traced_peak(lambda: block.extend(evaluate_samples([x], BLOCK_SIZE, stream)))
+    assert peak < bands * grid_module.BAND_ENTRIES * 8
     n_samples = BLOCK_SIZE + rows + 1
     want = evaluate_samples([x], n_samples, stream)[0]
+    assert np.array_equal(block[0], want[:BLOCK_SIZE])
     assert np.array_equal(evaluate_samples([x], n_samples, stream, workers=2)[0], want)
     xi = sample_increments_block(grid, stream, 0, n_samples)
     for n in (1, 2, 3, rows - 1, rows + 1):
@@ -1214,18 +1259,18 @@ def test_a_polynomial_path_value_does_not_depend_on_its_batch():
 
 @settings(max_examples=12, deadline=None)
 @given(st.integers(900, 2200), st.floats(0.3, 1.0), st.integers(0, 2**32 - 1))
-def test_one_factor_groups_across_the_old_slab_width(m, density, seed):
-    # An order-1 kernel is one one-factor group, as wide as its nonzero
-    # cells: here from about 270 to 2200 terms, so widths fall on both sides
-    # of 1024 and 2048.  300 paths are two chunks of rows on a grid of more
-    # than 1747 cells.
+def test_a_term_group_of_any_width_keeps_the_reference_bits(m, density, seed):
+    # A diagonal order-2 kernel with unequal coefficients is one group of
+    # one-cell terms, as wide as its nonzero cells: here from about 270 to
+    # 2200 terms, so widths fall on both sides of 1024 and 2048, each summed
+    # in one pass along the row.  300 paths are 5 to 11 bands of rows.
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, m) * (rng.uniform(size=m) < density)
     grid = make_grid(m)
-    x = chaos_expansion(grid, [None, step_kernel(grid, 1, values)])
+    x = single_chaos(step_kernel(grid, 2, values, diagonal=True))
     xi = sample_increments_block(x.grid, IncrementStream(seed=seed), 0, 300)
     full = evaluate_batch(x, xi)
-    assert np.array_equal(full, evaluate_batch_reference(x, xi))
+    assert np.array_equal(full, evaluate_batch_reference(_dense(x), xi))
     rows = np.sort(rng.choice(300, size=int(rng.integers(1, 300)), replace=False))
     assert np.array_equal(evaluate_batch(x, xi[rows]), full[rows])
 
